@@ -6,6 +6,7 @@ from .codes import (
     CodeParams,
     EvaluationMatrix,
     build_evaluation_matrix,
+    character_table,
     code_dimension,
     code_params,
     matrix_rank,

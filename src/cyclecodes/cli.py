@@ -39,6 +39,17 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(sp, *, spec=True, formats=("plain", "json"),
                 enum_budget=False, dist_budget=False):
     sp.add_argument("--q", type=int, required=True,
@@ -88,11 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, formats=("plain", "csv", "json"), enum_budget=True)
     g = sp.add_mutually_exclusive_group()
     g.add_argument("--d", type=int, help="single degree")
-    g.add_argument("--dmax", type=int,
+    g.add_argument("--dmax", type=_nonnegative_int,
                    help="table for d = 0..dmax (default regularity+1)")
     sp.add_argument("--with-rank", action="store_true",
                     help="also compute the evaluation-matrix rank column "
-                         "(requires enumerating X*)")
+                         "by counting the distinct characters that the "
+                         "monomials of degree <= d restrict to on X*: "
+                         "searches (q-1)^k exponent vectors per cycle "
+                         "length k within --enum-budget, without "
+                         "enumerating X*")
 
     sp = sub.add_parser("regularity",
                         help="regularity by formula and by brute force")
@@ -105,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("code", help="evaluation code parameters")
     _add_common(sp, enum_budget=True, dist_budget=True)
-    sp.add_argument("--d", type=int, required=True, help="code degree")
+    sp.add_argument("--d", type=_nonnegative_int, required=True,
+                    help="code degree")
 
     sp = sub.add_parser("selftest",
                         help="run the built-in reference checks "
@@ -196,13 +212,9 @@ def _hilbert_rows(args, spec, field, degrees):
         unions.append(None)
     ranks: list[int | None] = [None] * len(degrees)
     if args.with_rank:
-        X = enumerate_toric_set(spec, field, args.enum_budget)
-        if degrees == list(range(len(degrees))):
-            table = codes.rank_table(X, degrees[-1], args.enum_budget)
-            ranks = [table[d] for d in degrees]
-        else:
-            ranks = [codes.code_dimension(X, d, args.enum_budget)
-                     for d in degrees]
+        table = codes.character_table(spec, field, max(degrees),
+                                      args.enum_budget)
+        ranks = [table[d] if d >= 0 else 0 for d in degrees]
     return list(zip(degrees, footprints, unions, ranks))
 
 

@@ -1,4 +1,4 @@
-"""Evaluation codes on X* and the rank oracle for Hilbert functions.
+"""Evaluation codes on X* and the rank route for Hilbert functions.
 
 The degree-d code is the image of all polynomials of total degree <= d
 under evaluation at every point of X*.  Its generator matrix has one
@@ -7,6 +7,12 @@ units makes higher powers pointwise redundant) and one column per
 point.  The rank of that matrix is the code dimension and equals the
 Hilbert function H(d), which makes it the independent numeric oracle
 for the counting routes in the hilbert module.
+
+The same rank is also counted without X* (character_table): every
+monomial restricts on X* to a character of the group X*, and distinct
+characters are linearly independent, so the rank is the number of
+distinct characters.  Row reduction (rank_table, code_dimension) stays
+as the linear-algebra reference for that count.
 
 Odd prime fields use vectorized numpy arithmetic on int64 residues
 (safe: q <= 2^16 keeps products well inside 64 bits); binary fields
@@ -20,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclegraph import ToricSet
+from .cyclegraph import DEFAULT_ENUM_BUDGET, CycleFamilySpec, ToricSet
 from .errors import BudgetExceeded
 from .gf import Field
-from .hilbert import HilbertTable
+from .hilbert import HilbertTable, _conv, count_box_degree
 from .poly import Monomial, grlex_key
 
 DEFAULT_MATRIX_BUDGET = 1 << 26
@@ -68,12 +74,14 @@ def build_evaluation_matrix(X: ToricSet, d: int,
                             ) -> EvaluationMatrix:
     field = X.field
     q = field.q
-    monos = monomial_basis(X.nvars, q, d, max_exponent)
+    cap = min(q - 2 if max_exponent is None else max_exponent, d)
     npoints = len(X)
-    if len(monos) * npoints > max_entries:
+    nentries = count_box_degree([cap] * X.nvars, d) * npoints
+    if nentries > max_entries:
         raise BudgetExceeded(
-            f"evaluation matrix needs {len(monos) * npoints} entries, "
+            f"evaluation matrix needs {nentries} entries, "
             f"budget is {max_entries}")
+    monos = monomial_basis(X.nvars, q, d, max_exponent)
     if _use_numpy(field):
         pts = np.asarray(X.points, dtype=np.int64)
         maxe = max((max(m) for m in monos), default=0)
@@ -227,6 +235,67 @@ def rank_table(X: ToricSet, dmax: int,
                     basis2.append(row)
             values.append(len(basis2))
     return HilbertTable(tuple(values), "rank_oracle")
+
+
+# -- distinct characters ----------------------------------------------------
+
+def _cycle_character_degrees(k: int, r: int) -> list[int]:
+    """How many distinct characters of one k-cycle copy first appear in
+    each degree, with exponents taken mod r = q-1.
+
+    A state is a vertex exponent vector in Z_r^k, packed as a base-r
+    integer.  The monomial t_j moves a state by +1 at vertices j and
+    j+1 mod k, so a breadth-first search from 0 reaches each character
+    first at the least degree of a monomial restricting to it."""
+    radix = r ** np.arange(k, dtype=np.int64)
+    seen = np.zeros(r ** k, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    counts = []
+    while frontier.size:
+        counts.append(int(frontier.size))
+        digits = frontier[:, None] // radix % r
+        # +1 at one vertex, wrapping r-1 back to 0
+        step = np.where(digits == r - 1, (1 - r) * radix, radix)
+        reached = (frontier[:, None] + step
+                   + np.roll(step, -1, axis=1)).ravel()
+        # a mask drops repeats without sorting the reached states
+        new = np.zeros_like(seen)
+        new[reached[~seen[reached]]] = True
+        frontier = np.flatnonzero(new)
+        seen[frontier] = True
+    return counts
+
+
+def character_table(spec: CycleFamilySpec, field: Field, dmax: int,
+                    budget: int = DEFAULT_ENUM_BUDGET) -> HilbertTable:
+    """H(0)..H(dmax) as counts of distinct characters; needs neither X*
+    nor field arithmetic.
+
+    X* is the image of the edge-product map, a group homomorphism, so
+    the monomial t^a restricts on X* to the character x -> x^(B^T a)
+    of the vertex torus, B the edge-vertex incidence matrix and the
+    exponents taken mod q-1.  Distinct characters are linearly
+    independent (Artin), so H(d) counts the distinct classes B^T a mod
+    q-1 over |a| <= d.  Cycle copies act on disjoint vertices, so the
+    per-copy counts by least degree multiply as polynomials.  Each
+    distinct cycle length k searches (q-1)^k states; all of them are
+    checked against ``budget`` before any search starts."""
+    r = field.q - 1
+    lengths = sorted({k for k, _m in spec.components})
+    for k in lengths:
+        if r ** k > budget:
+            raise BudgetExceeded(
+                f"counting the characters of one {k}-cycle copy over "
+                f"F_{field.q} needs {r ** k} states, budget is {budget}")
+    per_k = {k: _cycle_character_degrees(k, r) for k in lengths}
+    vec = [1]
+    for k, m in spec.components:
+        for _ in range(m):
+            vec = _conv(vec, per_k[k], dmax)
+    vec += [0] * (dmax + 1 - len(vec))
+    return HilbertTable(tuple(itertools.accumulate(vec[:dmax + 1])),
+                        "characters")
 
 
 # -- code parameters ----------------------------------------------------------

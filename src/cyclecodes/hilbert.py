@@ -14,7 +14,8 @@ compute it:
   size of a union of C(k, gamma) explicit boxes, computed by
   inclusion-exclusion;
 * evaluation-matrix rank (codes module): H(d) equals the dimension of
-  the degree-d evaluation code.
+  the degree-d evaluation code, found by row reduction or by counting
+  the distinct characters that monomials restrict to on X*.
 
 All counting is exact integer arithmetic; the beta linear system is
 solved by fraction-free Bareiss elimination.
@@ -229,7 +230,8 @@ class HilbertTable:
     """H(0)..H(dmax) plus the route that produced the values."""
 
     values: tuple[int, ...]
-    source: str  # "footprint" | "union_formula" | "rank_oracle"
+    # "footprint" | "union_formula" | "rank_oracle" | "characters"
+    source: str
 
     def __getitem__(self, d: int) -> int:
         return self.values[d]

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+from cyclecodes import cli, codes
+
 CLI = [sys.executable, "-m", "cyclecodes.cli"]
 
 
@@ -78,6 +80,48 @@ def test_hilbert_json_shape():
     assert [row["footprint"] for row in doc["rows"]] == [1, 4, 4]
     assert [row["union"] for row in doc["rows"]] == [1, 4, 4]
     assert all(row["rank"] is None for row in doc["rows"])
+
+
+def test_hilbert_rank_column_beyond_the_enumeration_budget():
+    # |X*| = 3888^3 is far above --enum-budget; the rank column never
+    # enumerates X*.
+    r = run_cli("hilbert", "--q", "7", "--spec", "5x3", "--with-rank",
+                "--format", "csv")
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert len(lines) == 51
+    assert lines[-1] == "49,58773123072,,58773123072"
+
+
+def test_hilbert_rank_over_budget_exits_3_before_the_search(monkeypatch,
+                                                           capsys):
+    def searched(*args, **kwargs):
+        raise AssertionError("search ran before the budget check")
+
+    monkeypatch.setattr(codes, "_cycle_character_degrees", searched)
+    rc = cli.main(["hilbert", "--q", "7", "--spec", "3,5", "--dmax", "2",
+                   "--with-rank", "--enum-budget", "1000"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: counting the characters of one 5-cycle copy over F_7 "
+        "needs 7776 states, budget is 1000\n")
+
+
+def test_hilbert_negative_dmax_is_usage_error():
+    for extra in ((), ("--with-rank",)):
+        r = run_cli("hilbert", "--q", "5", "--spec", "3", "--dmax", "-1",
+                    *extra)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "--dmax: must be >= 0" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+def test_hilbert_negative_single_degree_is_zero():
+    r = run_cli("hilbert", "--q", "5", "--spec", "3", "--d", "-1",
+                "--with-rank", "--format", "csv")
+    assert r.returncode == 0
+    assert r.stdout == "d,footprint,union,rank\n-1,0,0,0\n"
 
 
 def test_hilbert_d_and_dmax_conflict():
@@ -180,6 +224,26 @@ def test_code_bracket_when_budget_exceeded():
     assert doc["min_distance_bracket"] == [1, 23]
     assert doc["singleton_ok"] is None
     assert "min_distance" not in doc
+
+
+def test_code_negative_degree_is_usage_error():
+    r = run_cli("code", "--q", "5", "--spec", "3", "--d", "-1")
+    assert r.returncode == 2
+    assert "--d: must be >= 0" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_code_matrix_over_budget_exits_3_before_listing_the_basis(
+        monkeypatch, capsys):
+    def listed(*args, **kwargs):
+        raise AssertionError("basis listed before the budget check")
+
+    monkeypatch.setattr(codes, "monomial_basis", listed)
+    rc = cli.main(["code", "--q", "5", "--spec", "3", "--d", "3",
+                   "--enum-budget", "100"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: evaluation matrix needs 640 entries, budget is 100\n")
 
 
 # -- ideal / groebner-check / enumerate / card ------------------------------------------

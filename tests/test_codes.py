@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclecodes import (
     BudgetExceeded,
     CycleFamilySpec,
     EvaluationMatrix,
     build_evaluation_matrix,
+    cardinality_formula,
+    character_table,
     code_dimension,
     code_params,
     enumerate_toric_set,
@@ -23,6 +27,7 @@ from cyclecodes import (
     regularity_formula,
     singleton_check,
 )
+from cyclecodes.hilbert import count_box_degree
 from cyclecodes.poly import grlex_key
 
 
@@ -165,6 +170,54 @@ def test_rank_invariant_under_column_permutation():
     shuffled = EvaluationMatrix(M.field, M.monomials,
                                 [M.points[i] for i in perm], entries)
     assert matrix_rank(shuffled) == matrix_rank(M)
+
+
+# -- distinct characters -------------------------------------------------------------
+
+
+def test_character_table_fixtures():
+    table = character_table(parse_spec_string("3"), field_new(5), 6)
+    assert table.source == "characters"
+    assert list(table.values) == [1, 4, 10, 20, 29, 32, 32]
+    assert character_table(parse_spec_string("5"), field_new(5), 9)[9] == 512
+    assert character_table(parse_spec_string("3"), field_new(2), 3).values \
+        == (1, 1, 1, 1)
+    assert character_table(parse_spec_string("3"), field_new(5), -1).values \
+        == ()
+
+
+# Largest elimination the reference is run on, in field operations:
+# rows * columns * min(rows, columns).
+_RANK_WORK_CAP = 400_000
+
+
+def _rank_dmax(spec, q, dmax):
+    """Highest degree <= dmax whose evaluation matrix fits the cap."""
+    npoints = cardinality_formula(spec, q)
+    for d in range(dmax, 0, -1):
+        rows = count_box_degree([min(q - 2, d)] * spec.nvars, d)
+        if rows * npoints * min(rows, npoints) <= _RANK_WORK_CAP:
+            return d
+    return 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(q=st.sampled_from([3, 4, 5, 7, 8, 11, 13]),
+       families=st.lists(st.tuples(st.sampled_from([3, 5]),
+                                   st.integers(1, 2)),
+                         min_size=1, max_size=2))
+def test_character_table_matches_footprint_and_rank(q, families):
+    spec = CycleFamilySpec(tuple(families))
+    field = field_new(q)
+    dmax = regularity_formula(spec, field) + 1
+    chars = character_table(spec, field, dmax)
+    assert chars.values == footprint_table(spec, field, dmax).values
+    assert chars[dmax] == cardinality_formula(spec, q)
+
+    d = _rank_dmax(spec, q, dmax)
+    if d:
+        X = enumerate_toric_set(spec, field)
+        assert rank_table(X, d).values == chars.values[:d + 1]
 
 
 # -- code parameters --------------------------------------------------------------------
