@@ -197,24 +197,25 @@ def _cmd_groebner(args) -> tuple[str, bool]:
 
 
 def _hilbert_rows(args, spec, field, degrees):
-    """Per-degree (footprint, union-or-None, rank-or-None) triples."""
-    footprints = [hilbert.hilbert_footprint(spec, field, d) for d in degrees]
-    single = len(spec.components) == 1 and spec.components[0][1] == 1
-    unions = []
-    for d in degrees:
-        if single:
-            try:
-                unions.append(hilbert.hilbert_union_formula(
-                    spec.components[0][0], field, d))
-                continue
-            except UnsupportedSpec:
-                pass
-        unions.append(None)
+    """Per-degree (footprint, union-or-None, rank-or-None) triples.
+    Each route builds its table once, through the largest degree."""
+    top = max(max(degrees), 0)
+
+    def column(table):
+        return [table[d] if d >= 0 else 0 for d in degrees]
+
+    footprints = column(hilbert.footprint_table(spec, field, top))
+    unions: list[int | None] = [None] * len(degrees)
+    if len(spec.components) == 1 and spec.components[0][1] == 1:
+        try:
+            unions = column(hilbert.union_table(
+                spec.components[0][0], field, top))
+        except UnsupportedSpec:
+            pass
     ranks: list[int | None] = [None] * len(degrees)
     if args.with_rank:
-        table = codes.character_table(spec, field, max(degrees),
-                                      args.enum_budget)
-        ranks = [table[d] if d >= 0 else 0 for d in degrees]
+        ranks = column(codes.character_table(spec, field, top,
+                                             args.enum_budget))
     return list(zip(degrees, footprints, unions, ranks))
 
 
@@ -296,6 +297,9 @@ def _cmd_betas(args) -> tuple[str, bool]:
 def _cmd_code(args) -> tuple[str, bool]:
     field = field_new(args.q)
     spec = parse_spec_string(args.spec)
+    codes.check_matrix_budget(spec.nvars, args.q,
+                              cardinality_formula(spec, args.q), args.d,
+                              args.enum_budget)
     X = enumerate_toric_set(spec, field, args.enum_budget)
     params = codes.code_params(X, args.d, args.dist_budget, args.enum_budget)
     if params.min_distance is not None:

@@ -68,19 +68,28 @@ def _use_numpy(field: Field) -> bool:
     return field.p != 2
 
 
+def check_matrix_budget(nvars: int, q: int, npoints: int, d: int,
+                        max_entries: int,
+                        max_exponent: int | None = None) -> None:
+    """Raise BudgetExceeded when the degree-d evaluation matrix on
+    npoints points would have more than max_entries entries; the basis
+    is counted, not listed."""
+    cap = min(q - 2 if max_exponent is None else max_exponent, d)
+    nentries = count_box_degree([cap] * nvars, d) * npoints
+    if nentries > max_entries:
+        raise BudgetExceeded(
+            f"evaluation matrix needs {nentries} entries, "
+            f"budget is {max_entries}")
+
+
 def build_evaluation_matrix(X: ToricSet, d: int,
                             max_entries: int = DEFAULT_MATRIX_BUDGET,
                             max_exponent: int | None = None
                             ) -> EvaluationMatrix:
     field = X.field
     q = field.q
-    cap = min(q - 2 if max_exponent is None else max_exponent, d)
     npoints = len(X)
-    nentries = count_box_degree([cap] * X.nvars, d) * npoints
-    if nentries > max_entries:
-        raise BudgetExceeded(
-            f"evaluation matrix needs {nentries} entries, "
-            f"budget is {max_entries}")
+    check_matrix_budget(X.nvars, q, npoints, d, max_entries, max_exponent)
     monos = monomial_basis(X.nvars, q, d, max_exponent)
     if _use_numpy(field):
         pts = np.asarray(X.points, dtype=np.int64)

@@ -7,7 +7,7 @@ compute it:
 
 * footprint counting (this module): the leading terms confine each
   cycle block's exponents to a product structure that is counted by
-  polynomial convolution — per block, exponents split into a "low"
+  polynomial multiplication — per block, exponents split into a "low"
   range 0..(q-3)/2 and a "high" range (q-1)/2..q-2, and a standard
   monomial has at most gamma high exponents in each block;
 * the union formula (this module): H(d) for a single cycle equals the
@@ -16,6 +16,13 @@ compute it:
 * evaluation-matrix rank (codes module): H(d) equals the dimension of
   the degree-d evaluation code, found by row reduction or by counting
   the distinct characters that monomials restrict to on X*.
+
+Each counting route builds its whole degree vector once per command
+(footprint_table, union_table, and the torus vectors inside
+solve_betas) and reads every degree from it.  A box factor
+(1 + x + ... + x^b) is applied as a running window sum and a block's
+sparse mask as gamma+1 shifted adds, so a vector costs time linear in
+its length, which grows linearly in q.
 
 All counting is exact integer arithmetic; the beta linear system is
 solved by fraction-free Bareiss elimination.
@@ -62,10 +69,23 @@ def _conv(a: list[int], b: list[int], cap: int | None = None) -> list[int]:
 
 def count_box_by_degree(bounds, cap: int | None = None) -> list[int]:
     """Exact-degree counts of {a : 0 <= a_i <= b_i}: the coefficients
-    of the product of (1 + x + ... + x^{b_i})."""
+    of the product of (1 + x + ... + x^{b_i}), truncated at degree cap.
+
+    Multiplying by one factor is a running sum over a window of b_i + 1
+    coefficients, so each factor costs time linear in the vector."""
     vec = [1]
     for b in bounds:
-        vec = _conv(vec, [1] * (b + 1), cap)
+        n = len(vec) + b
+        if cap is not None:
+            n = min(n, cap + 1)
+        out, acc = [], 0
+        for i in range(n):
+            if i < len(vec):
+                acc += vec[i]
+            if i > b:
+                acc -= vec[i - b - 1]
+            out.append(acc)
+        vec = out
     return vec
 
 
@@ -76,41 +96,43 @@ def count_box_degree(bounds, d: int) -> int:
     return sum(count_box_by_degree(bounds, d))
 
 
+def _at(prefix: list[int], d: int) -> int:
+    """A cumulative count at degree d: 0 below degree 0, saturated past
+    the end of the vector."""
+    return prefix[min(d, len(prefix) - 1)] if d >= 0 else 0
+
+
 # -- footprint route -------------------------------------------------------
 
-def block_degree_vector(k: int, field: Field) -> list[int]:
-    """Exact-degree counts of one cycle block's standard monomials.
+def footprint_by_degree(spec: CycleFamilySpec, field: Field) -> list[int]:
+    """Exact-degree standard-monomial counts for the whole graph.
 
-    When q-1 is even the block's leading terms are t_i^(q-1) and all
+    When q-1 is even a block's leading terms are t_i^(q-1) and all
     (gamma+1)-fold products of (q-1)/2-th powers, so a block exponent
     vector is standard iff every exponent is <= q-2 and at most gamma
     of them are >= (q-1)/2.  Splitting each exponent into a low range
-    (0..(q-1)/2-1) and an equally long high range gives the generating
-    polynomial  low_box^k * sum_{v<=gamma} C(k,v) x^{v(q-1)/2}.
+    (0..(q-1)/2-1) and an equally long high range gives the block's
+    generating polynomial  low_box^k * sum_{v<=gamma} C(k,v) x^{v(q-1)/2}.
+    The whole graph's vector is the product over blocks: every low box
+    factor, then each block's sparse mask as gamma+1 shifted adds.
 
-    When q-1 is odd there is no cycle part and the block is the plain
-    box with every bound q-2.
+    When q-1 is odd there is no cycle part and every block is the
+    plain box with every bound q-2.
     """
     q = field.q
     if (q - 1) % 2 != 0:
-        return count_box_by_degree([q - 2] * k)
+        return count_box_by_degree([q - 2] * spec.nvars)
     half = (q - 1) // 2
-    gamma = gamma_of(k)
-    low = count_box_by_degree([half - 1] * k)
-    mask = [0] * (gamma * half + 1)
-    for v in range(gamma + 1):
-        mask[v * half] = comb(k, v)
-    return _conv(low, mask)
-
-
-def footprint_by_degree(spec: CycleFamilySpec, field: Field) -> list[int]:
-    """Exact-degree standard-monomial counts for the whole graph:
-    the convolution of every block's vector."""
-    vec = [1]
+    vec = count_box_by_degree([half - 1] * spec.nvars)
     for k, m in spec.components:
-        block = block_degree_vector(k, field)
+        gamma = gamma_of(k)
         for _ in range(m):
-            vec = _conv(vec, block)
+            out = [0] * (len(vec) + gamma * half)
+            for v in range(gamma + 1):
+                c, shift = comb(k, v), v * half
+                for i, x in enumerate(vec):
+                    out[shift + i] += c * x
+            vec = out
     return vec
 
 
@@ -138,15 +160,16 @@ def hilbert_footprint_slow(spec: CycleFamilySpec, field: Field,
 
 # -- union-of-boxes route ---------------------------------------------------
 
-def hilbert_union_formula(k: int, field: Field, d: int,
-                          budget: int = DEFAULT_UNION_BUDGET) -> int:
-    """H(d) for a single k-cycle as the size of a union of boxes.
+def union_table(k: int, field: Field, dmax: int,
+                budget: int = DEFAULT_UNION_BUDGET) -> "HilbertTable":
+    """H(0)..H(dmax) for a single k-cycle as the size of a union of boxes.
 
     One box per gamma-subset H of the k variables: exponents bounded by
     q-2 inside H and by (q-1)/2 - 1 outside.  Inclusion-exclusion over
     the C(k, gamma) boxes; an intersection's bound is q-2 only at
-    variables common to every participating H, so each term reduces to
-    a box count depending only on the common-intersection size.
+    variables common to every participating H, so each term is a box
+    count depending only on the common-intersection size j.  The signs
+    are tallied per j once, then each j-box vector is built once.
     """
     q = field.q
     if (q - 1) % 2 != 0:
@@ -162,21 +185,32 @@ def hilbert_union_formula(k: int, field: Field, d: int,
             f"inclusion-exclusion over {r} boxes needs {2 ** r - 1} terms, "
             f"budget is {budget}")
     masks = [sum(1 << v for v in H) for H in subsets]
-    by_common_size: dict[int, int] = {}
-    total = 0
+    sign_by_common_size = [0] * (k + 1)
     for t in range(1, 1 << r):
         common = (1 << k) - 1
         tt = t
         while tt:
             common &= masks[(tt & -tt).bit_length() - 1]
             tt &= tt - 1
-        j = common.bit_count()
-        if j not in by_common_size:
-            bounds = [q - 2] * j + [half - 1] * (k - j)
-            by_common_size[j] = count_box_degree(bounds, d)
-        term = by_common_size[j]
-        total += term if t.bit_count() % 2 else -term
-    return total
+        sign_by_common_size[common.bit_count()] += \
+            1 if t.bit_count() % 2 else -1
+    values = [0] * (dmax + 1)
+    for j, sign in enumerate(sign_by_common_size):
+        if sign == 0:
+            continue
+        bounds = [q - 2] * j + [half - 1] * (k - j)
+        prefix = list(itertools.accumulate(
+            count_box_by_degree(bounds, dmax)))
+        for d in range(dmax + 1):
+            values[d] += sign * _at(prefix, d)
+    return HilbertTable(tuple(values), "union_formula")
+
+
+def hilbert_union_formula(k: int, field: Field, d: int,
+                          budget: int = DEFAULT_UNION_BUDGET) -> int:
+    """H(d) for a single k-cycle by the union of boxes (see union_table)."""
+    table = union_table(k, field, max(d, 0), budget)
+    return table[d] if d >= 0 else 0
 
 
 def degenerate_torus_hilbert(i: int, k: int, field: Field, d: int) -> int:
@@ -246,18 +280,9 @@ class HilbertTable:
 
 def footprint_table(spec: CycleFamilySpec, field: Field,
                     dmax: int) -> HilbertTable:
-    vec = footprint_by_degree(spec, field)
-    acc, values = 0, []
-    for d in range(dmax + 1):
-        acc += vec[d] if d < len(vec) else 0
-        values.append(acc)
-    return HilbertTable(tuple(values), "footprint")
-
-
-def union_table(k: int, field: Field, dmax: int) -> HilbertTable:
-    values = tuple(hilbert_union_formula(k, field, d)
-                   for d in range(dmax + 1))
-    return HilbertTable(values, "union_formula")
+    prefix = list(itertools.accumulate(footprint_by_degree(spec, field)))
+    return HilbertTable(tuple(_at(prefix, d) for d in range(dmax + 1)),
+                        "footprint")
 
 
 # -- beta decomposition ------------------------------------------------------
@@ -340,14 +365,10 @@ def solve_betas(k: int, field: Field,
     size = gamma + 1
     spec = CycleFamilySpec.single(k)
     reg = regularity_formula(spec, field)
-    vec = footprint_by_degree(spec, field)
-    prefix = list(itertools.accumulate(vec))
-
-    def h_target(d: int) -> int:
-        return prefix[min(d, len(prefix) - 1)] if d >= 0 else 0
-
-    def h_torus(i: int, d: int) -> int:
-        return degenerate_torus_hilbert(i, k, field, d)
+    target = list(itertools.accumulate(footprint_by_degree(spec, field)))
+    half = (q - 1) // 2
+    tori = [list(itertools.accumulate(count_box_by_degree(
+        [q - 2] * i + [half - 1] * (k - i)))) for i in range(size)]
 
     pool = list(sample_degrees) if sample_degrees is not None \
         else list(range(1, size + 1))
@@ -355,10 +376,10 @@ def solve_betas(k: int, field: Field,
         chosen_rows: list[list[int]] = []
         chosen_degrees: list[int] = []
         for d in pool:
-            row = [h_torus(i, d) for i in range(size)]
+            row = [_at(tori[i], d) for i in range(size)]
             if bareiss_rank([r[:size] for r in chosen_rows] + [row]) \
                     > len(chosen_rows):
-                chosen_rows.append(row + [h_target(d)])
+                chosen_rows.append(row + [_at(target, d)])
                 chosen_degrees.append(d)
                 if len(chosen_rows) == size:
                     break
@@ -385,8 +406,9 @@ def solve_betas(k: int, field: Field,
         betas.append(di // det)
 
     for d in range(1, reg + 2):
-        lhs = sum(betas[i] * h_torus(i, d) for i in range(size))
-        if lhs != h_target(d):
+        lhs = sum(betas[i] * _at(tori[i], d) for i in range(size))
+        if lhs != _at(target, d):
             raise CheckFailure(
-                f"beta identity fails at degree {d}: {lhs} != {h_target(d)}")
+                f"beta identity fails at degree {d}: "
+                f"{lhs} != {_at(target, d)}")
     return BetaDecomposition(tuple(betas), tuple(chosen_degrees), reg + 1)

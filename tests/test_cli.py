@@ -4,13 +4,14 @@ import json
 import subprocess
 import sys
 
-from cyclecodes import cli, codes
+from cyclecodes import CycleFamilySpec, cardinality_formula, cli, codes
 
 CLI = [sys.executable, "-m", "cyclecodes.cli"]
 
 
-def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+def run_cli(*args, timeout=None):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          timeout=timeout)
 
 
 # -- selftest ---------------------------------------------------------------
@@ -91,6 +92,19 @@ def test_hilbert_rank_column_beyond_the_enumeration_budget():
     lines = r.stdout.splitlines()
     assert len(lines) == 51
     assert lines[-1] == "49,58773123072,,58773123072"
+
+
+def test_hilbert_default_table_at_a_large_field():
+    # q = 4099: regularity 8193, so 8195 rows, each read from one
+    # footprint and one union vector built per command.
+    r = run_cli("hilbert", "--q", "4099", "--spec", "3", "--format", "csv",
+                timeout=60)
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert lines[0] == "d,footprint,union,rank"
+    assert len(lines) - 1 == 8193 + 2
+    size = cardinality_formula(CycleFamilySpec.single(3), 4099)
+    assert lines[-1] == f"8194,{size},{size},"
 
 
 def test_hilbert_rank_over_budget_exits_3_before_the_search(monkeypatch,
@@ -244,6 +258,20 @@ def test_code_matrix_over_budget_exits_3_before_listing_the_basis(
     assert rc == 3
     assert capsys.readouterr().err == (
         "error: evaluation matrix needs 640 entries, budget is 100\n")
+
+
+def test_code_matrix_over_budget_exits_3_before_enumerating(monkeypatch,
+                                                            capsys):
+    # 455 basis monomials times |X*| = 32^4 points; X* is never built.
+    def enumerated(*args, **kwargs):
+        raise AssertionError("X* enumerated before the budget check")
+
+    monkeypatch.setattr(cli, "enumerate_toric_set", enumerated)
+    rc = cli.main(["code", "--q", "5", "--spec", "3x4", "--d", "3"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: evaluation matrix needs 477102080 entries, "
+        "budget is 67108864\n")
 
 
 # -- ideal / groebner-check / enumerate / card ------------------------------------------

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclecodes import (
     BudgetExceeded,
@@ -28,7 +30,13 @@ from cyclecodes import (
     solve_betas,
     union_table,
 )
-from cyclecodes.hilbert import bareiss_det, bareiss_rank, count_box_by_degree
+from cyclecodes.hilbert import (
+    _conv,
+    bareiss_det,
+    bareiss_rank,
+    count_box_by_degree,
+    footprint_by_degree,
+)
 
 
 # -- box counting -------------------------------------------------------------
@@ -72,6 +80,23 @@ def test_count_box_matches_direct_walk():
         assert count_box_degree(bounds, d) == direct
 
 
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(data=st.data(),
+       bounds=st.lists(st.integers(0, 12), max_size=5))
+def test_count_box_by_degree_matches_walk_and_naive_product(data, bounds):
+    cap = data.draw(st.one_of(st.none(), st.integers(0, sum(bounds))))
+    naive = [1]
+    for b in bounds:
+        naive = _conv(naive, [1] * (b + 1), cap)
+    top = sum(bounds) if cap is None else cap
+    walk = [0] * (top + 1)
+    for v in itertools.product(*(range(b + 1) for b in bounds)):
+        if sum(v) <= top:
+            walk[sum(v)] += 1
+    got = count_box_by_degree(bounds, cap)
+    assert got == naive == walk
+
+
 # -- footprint counting ---------------------------------------------------------
 
 
@@ -113,23 +138,43 @@ def test_footprint_matches_lattice_walk(q, spec_text, dmax):
                 == hilbert_footprint_slow(spec, field, d))
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data(),
+       q=st.sampled_from([2, 3, 4, 5, 7, 8]),
+       families=st.lists(st.tuples(st.sampled_from([3, 5]),
+                                   st.integers(1, 2)),
+                         min_size=1, max_size=2))
+def test_footprint_by_degree_matches_lattice_walk(data, q, families):
+    spec = CycleFamilySpec(tuple(families))
+    field = field_new(q)
+    n = spec.nvars
+    # the walk visits (d+1)^n monomials
+    top = max(d for d in range(12) if (d + 1) ** n <= 20000)
+    d = data.draw(st.integers(0, top))
+    vec = footprint_by_degree(spec, field)
+    assert sum(vec) == cardinality_formula(spec, q)
+    assert sum(vec[:d + 1]) == hilbert_footprint_slow(spec, field, d)
+
+
 # -- union-of-boxes route ---------------------------------------------------------
 
 
-def _union_points(k, q, d):
-    """Directly materialize the union of boxes and count it."""
+def _union_by_degree(k, q):
+    """Directly materialize the union of boxes and count it by degree."""
     gamma = gamma_of(k)
     half = (q - 1) // 2
     boxes = []
     for H in itertools.combinations(range(k), gamma):
         boxes.append(tuple(q - 2 if i in H else half - 1 for i in range(k)))
-    count = 0
+    counts = [0] * (k * (q - 2) + 1)
     for v in itertools.product(range(q - 1), repeat=k):
-        if sum(v) > d:
-            continue
         if any(all(x <= b for x, b in zip(v, box)) for box in boxes):
-            count += 1
-    return count
+            counts[sum(v)] += 1
+    return counts
+
+
+def _union_points(k, q, d):
+    return sum(_union_by_degree(k, q)[:d + 1])
 
 
 @pytest.mark.parametrize("q,k,dmax", [(5, 3, 6), (3, 3, 2), (7, 3, 5), (3, 5, 3)])
@@ -147,6 +192,25 @@ def test_union_formula_matches_footprint():
         for d in range(reg + 2):
             assert (hilbert_union_formula(k, field, d)
                     == hilbert_footprint(spec, field, d))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data(),
+       kq=st.sampled_from([(3, 3), (3, 5), (3, 7), (3, 11), (3, 13),
+                           (5, 3), (5, 5), (5, 7)]))
+def test_union_table_matches_materialization_and_footprint(data, kq):
+    k, q = kq
+    field = field_new(q)
+    spec = CycleFamilySpec.single(k)
+    top = regularity_formula(spec, field) + 1
+    direct = list(itertools.accumulate(_union_by_degree(k, q)))
+    direct += [direct[-1]] * (top + 1 - len(direct))
+    table = union_table(k, field, top)
+    assert list(table.values) == direct[:top + 1]
+    assert table.values == footprint_table(spec, field, top).values
+    dmax = data.draw(st.integers(0, top))
+    assert union_table(k, field, dmax).values == table.values[:dmax + 1]
+    assert hilbert_union_formula(k, field, dmax) == table[dmax]
 
 
 def test_union_formula_rejects_torus_fields():
