@@ -70,7 +70,11 @@ def _add_common(sp, *, spec=True, formats=("plain", "json"),
     if dist_budget:
         sp.add_argument("--dist-budget", type=int,
                         default=codes.DEFAULT_DIST_BUDGET,
-                        help="max codewords for exact min distance "
+                        help="exact min distance only when q^dimension "
+                             "is at most this budget, else a bracket; "
+                             "the search itself enumerates just the "
+                             "(q^dimension-1)/(q-1) messages whose first "
+                             "nonzero entry is 1 "
                              f"(default {codes.DEFAULT_DIST_BUDGET})")
 
 
@@ -198,24 +202,26 @@ def _cmd_groebner(args) -> tuple[str, bool]:
 
 def _hilbert_rows(args, spec, field, degrees):
     """Per-degree (footprint, union-or-None, rank-or-None) triples.
-    Each route builds its table once, through the largest degree."""
+    Each route builds its cumulative vector once, through the largest
+    degree or, sooner, through the degree past which its count stays
+    constant, and reads every row from it."""
     top = max(max(degrees), 0)
 
-    def column(table):
-        return [table[d] if d >= 0 else 0 for d in degrees]
+    def column(prefix):
+        return [hilbert.prefix_at(prefix, d) for d in degrees]
 
-    footprints = column(hilbert.footprint_table(spec, field, top))
+    footprints = column(hilbert.footprint_prefix(spec, field))
     unions: list[int | None] = [None] * len(degrees)
     if len(spec.components) == 1 and spec.components[0][1] == 1:
         try:
-            unions = column(hilbert.union_table(
+            unions = column(hilbert.union_prefix(
                 spec.components[0][0], field, top))
         except UnsupportedSpec:
             pass
     ranks: list[int | None] = [None] * len(degrees)
     if args.with_rank:
-        ranks = column(codes.character_table(spec, field, top,
-                                             args.enum_budget))
+        ranks = column(codes.character_prefix(spec, field, top,
+                                              args.enum_budget))
     return list(zip(degrees, footprints, unions, ranks))
 
 

@@ -14,9 +14,14 @@ characters are linearly independent, so the rank is the number of
 distinct characters.  Row reduction (rank_table, code_dimension) stays
 as the linear-algebra reference for that count.
 
-Odd prime fields use vectorized numpy arithmetic on int64 residues
-(safe: q <= 2^16 keeps products well inside 64 bits); binary fields
-fall back to a generic pure-Python path.
+For the same reason the distinct rows of the evaluation matrix are a
+basis of the code (code_params), so the code parameters need no row
+reduction.  The minimum-distance search is one vectorized numpy path
+for both kinds of field: only the field's scalar multiple (residues mod
+q, or the log/exp tables of a binary field) and addition (mod q, or
+XOR) differ.  The evaluation matrix itself is built with numpy int64
+residues over odd prime fields (q <= 2^16 keeps products well inside
+64 bits) and with the field's tables over binary fields.
 """
 
 from __future__ import annotations
@@ -34,7 +39,9 @@ from .poly import Monomial, grlex_key
 
 DEFAULT_MATRIX_BUDGET = 1 << 26
 DEFAULT_DIST_BUDGET = 1 << 22
-_CHUNK = 4096
+# Largest table of tail-row combinations the distance search builds, in
+# cells; it bounds the search's memory whatever the code's size.
+_TABLE_CELLS = 1 << 20
 
 
 def monomial_basis(nvars: int, q: int, d: int,
@@ -276,10 +283,11 @@ def _cycle_character_degrees(k: int, r: int) -> list[int]:
     return counts
 
 
-def character_table(spec: CycleFamilySpec, field: Field, dmax: int,
-                    budget: int = DEFAULT_ENUM_BUDGET) -> HilbertTable:
-    """H(0)..H(dmax) as counts of distinct characters; needs neither X*
-    nor field arithmetic.
+def character_prefix(spec: CycleFamilySpec, field: Field, dmax: int,
+                     budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
+    """H(0), H(1), ... as counts of distinct characters, through dmax
+    or, sooner, through the last degree at which a new character
+    appears; needs neither X* nor field arithmetic.
 
     X* is the image of the edge-product map, a group homomorphism, so
     the monomial t^a restricts on X* to the character x -> x^(B^T a)
@@ -302,9 +310,15 @@ def character_table(spec: CycleFamilySpec, field: Field, dmax: int,
     for k, m in spec.components:
         for _ in range(m):
             vec = _conv(vec, per_k[k], dmax)
-    vec += [0] * (dmax + 1 - len(vec))
-    return HilbertTable(tuple(itertools.accumulate(vec[:dmax + 1])),
-                        "characters")
+    return list(itertools.accumulate(vec[:dmax + 1]))
+
+
+def character_table(spec: CycleFamilySpec, field: Field, dmax: int,
+                    budget: int = DEFAULT_ENUM_BUDGET) -> HilbertTable:
+    """H(0)..H(dmax) as counts of distinct characters (see
+    character_prefix)."""
+    return HilbertTable.from_prefix(
+        character_prefix(spec, field, dmax, budget), dmax, "characters")
 
 
 # -- code parameters ----------------------------------------------------------
@@ -324,45 +338,54 @@ class CodeParams:
     singleton_slack: int | None
 
 
-def _exact_distance_numpy(basis: np.ndarray, q: int) -> int:
+def _field_arithmetic(field: Field):
+    """(scale, add) on int64 arrays of field elements: residues mod q
+    for prime fields, the log/exp tables and XOR for binary fields."""
+    q = field.q
+    if field.p != 2:
+        return (lambda c, a: c * a % q), (lambda a, b: (a + b) % q)
+    log = np.asarray(field._log)
+    mul = np.asarray(field._exp)[(log[:, None] + log) % (q - 1)]
+    mul[0] = 0
+    mul[:, 0] = 0
+    return (lambda c, a: mul[c][a]), np.bitwise_xor
+
+
+def _min_weight(basis: np.ndarray, field: Field) -> int:
+    """Least Hamming weight of a nonzero codeword of the row space.
+
+    Weight is invariant under scaling, so only messages whose first
+    nonzero coefficient is 1 are searched.  The last s rows are tabled
+    once (all q^s combinations, at most _TABLE_CELLS cells); each
+    normalized combination w of the other rows is then met with the
+    whole table at once.  t - w is zero exactly where t equals w, and
+    the table is closed under negation, so one comparison gives the
+    weight of every codeword w + t."""
+    q = field.q
     dim, n = basis.shape
+    s = 0
+    while s < dim and q ** (s + 1) * n <= _TABLE_CELLS:
+        s += 1
+    scale, add = _field_arithmetic(field)
+    head = basis[:dim - s]
+    table = np.zeros((1, n), dtype=np.int64)
+    for row in basis[dim - s:]:
+        table = np.concatenate(
+            [table] + [add(table, scale(c, row)) for c in range(1, q)])
+    table = table.astype(np.min_scalar_type(q - 1))
     best = n
-    messages = itertools.product(range(q), repeat=dim)
-    next(messages)  # drop the zero message
-    while True:
-        chunk = list(itertools.islice(messages, _CHUNK))
-        if not chunk:
-            break
-        words = np.asarray(chunk, dtype=np.int64) @ basis % q
-        w = int(np.count_nonzero(words, axis=1).min())
-        if w < best:
-            best = w
+    if s:
+        best = int(np.count_nonzero(table[1:], axis=1).min())
+    for lead in range(len(head)):
+        for coeffs in itertools.product(range(q), repeat=len(head) - lead - 1):
             if best == 1:
-                break
-    return best
-
-
-def _exact_distance_generic(basis, field: Field) -> int:
-    dim = len(basis)
-    n = len(basis[0])
-    best = n
-    for msg in itertools.product(range(field.q), repeat=dim):
-        if not any(msg):
-            continue
-        weight = 0
-        for j in range(n):
-            acc = 0
-            for i in range(dim):
-                if msg[i]:
-                    acc = field.add(acc, field.mul(msg[i], basis[i][j]))
-            if acc:
-                weight += 1
-                if weight >= best:
-                    break
-        if weight < best:
-            best = weight
-            if best == 1:
-                break
+                return best
+            word = head[lead]
+            for c, row in zip(coeffs, head[lead + 1:]):
+                if c:
+                    word = add(word, scale(c, row))
+            best = min(best, int(np.count_nonzero(
+                table != word.astype(table.dtype), axis=1).min()))
     return best
 
 
@@ -371,32 +394,26 @@ def min_distance(X: ToricSet, d: int,
                  max_entries: int = DEFAULT_MATRIX_BUDGET) -> int | None:
     """Exact minimum Hamming weight over all nonzero codewords, or
     None when q^dimension exceeds the enumeration budget."""
-    M = build_evaluation_matrix(X, d, max_entries)
-    dim, basis = _generator_matrix(M)
-    return _exact_distance(basis, dim, X.field, budget)
-
-
-def _exact_distance(basis, dim: int, field: Field,
-                    budget: int) -> int | None:
-    if dim == 0:
-        raise ValueError("zero-dimensional code has no minimum distance")
-    if field.q ** dim > budget:
-        return None
-    if _use_numpy(field):
-        return _exact_distance_numpy(np.asarray(basis), field.q)
-    return _exact_distance_generic(basis, field)
+    return code_params(X, d, budget, max_entries).min_distance
 
 
 def code_params(X: ToricSet, d: int,
                 dist_budget: int = DEFAULT_DIST_BUDGET,
                 max_entries: int = DEFAULT_MATRIX_BUDGET) -> CodeParams:
-    """Length, dimension and (budget permitting) exact min distance."""
+    """Length, dimension and (budget permitting) exact min distance.
+
+    Every row of the evaluation matrix is a character of the group X*,
+    equal monomial characters give equal rows and distinct characters
+    are linearly independent (Artin), so the distinct rows are a basis
+    of the code and their number is its dimension: no row reduction.
+    The exact distance is searched when q^dimension fits dist_budget."""
     M = build_evaluation_matrix(X, d, max_entries)
-    dim, basis = _generator_matrix(M)
+    basis = np.unique(np.asarray(M.entries, dtype=np.int64), axis=0)
+    dim = len(basis)
     n = len(X)
-    dist = _exact_distance(basis, dim, X.field, dist_budget)
-    if dist is None:
+    if X.field.q ** dim > dist_budget:
         return CodeParams(X.field.q, d, n, dim, None, (1, n - dim + 1), None)
+    dist = _min_weight(basis, X.field)
     return CodeParams(X.field.q, d, n, dim, dist, None, n - dim + 1 - dist)
 
 

@@ -96,9 +96,10 @@ def count_box_degree(bounds, d: int) -> int:
     return sum(count_box_by_degree(bounds, d))
 
 
-def _at(prefix: list[int], d: int) -> int:
-    """A cumulative count at degree d: 0 below degree 0, saturated past
-    the end of the vector."""
+def prefix_at(prefix: list[int], d: int) -> int:
+    """A cumulative count at degree d: 0 below degree 0, and past the
+    end of the vector the last value, which the count keeps from there
+    on."""
     return prefix[min(d, len(prefix) - 1)] if d >= 0 else 0
 
 
@@ -160,9 +161,11 @@ def hilbert_footprint_slow(spec: CycleFamilySpec, field: Field,
 
 # -- union-of-boxes route ---------------------------------------------------
 
-def union_table(k: int, field: Field, dmax: int,
-                budget: int = DEFAULT_UNION_BUDGET) -> "HilbertTable":
-    """H(0)..H(dmax) for a single k-cycle as the size of a union of boxes.
+def union_prefix(k: int, field: Field, dmax: int,
+                 budget: int = DEFAULT_UNION_BUDGET) -> list[int]:
+    """H(0), H(1), ... for a single k-cycle as the size of a union of
+    boxes, through dmax or, sooner, through the degree past which the
+    count stays constant.
 
     One box per gamma-subset H of the k variables: exponents bounded by
     q-2 inside H and by (q-1)/2 - 1 outside.  Inclusion-exclusion over
@@ -194,23 +197,27 @@ def union_table(k: int, field: Field, dmax: int,
             tt &= tt - 1
         sign_by_common_size[common.bit_count()] += \
             1 if t.bit_count() % 2 else -1
-    values = [0] * (dmax + 1)
-    for j, sign in enumerate(sign_by_common_size):
-        if sign == 0:
-            continue
-        bounds = [q - 2] * j + [half - 1] * (k - j)
-        prefix = list(itertools.accumulate(
-            count_box_by_degree(bounds, dmax)))
-        for d in range(dmax + 1):
-            values[d] += sign * _at(prefix, d)
-    return HilbertTable(tuple(values), "union_formula")
+    terms = [(sign, list(itertools.accumulate(count_box_by_degree(
+        [q - 2] * j + [half - 1] * (k - j), dmax))))
+        for j, sign in enumerate(sign_by_common_size) if sign]
+    top = min(dmax, max(len(prefix) for _, prefix in terms) - 1)
+    return [sum(sign * prefix_at(prefix, d) for sign, prefix in terms)
+            for d in range(top + 1)]
+
+
+def union_table(k: int, field: Field, dmax: int,
+                budget: int = DEFAULT_UNION_BUDGET) -> "HilbertTable":
+    """H(0)..H(dmax) for a single k-cycle by the union of boxes (see
+    union_prefix)."""
+    return HilbertTable.from_prefix(union_prefix(k, field, dmax, budget),
+                                    dmax, "union_formula")
 
 
 def hilbert_union_formula(k: int, field: Field, d: int,
                           budget: int = DEFAULT_UNION_BUDGET) -> int:
-    """H(d) for a single k-cycle by the union of boxes (see union_table)."""
-    table = union_table(k, field, max(d, 0), budget)
-    return table[d] if d >= 0 else 0
+    """H(d) for a single k-cycle by the union of boxes (see
+    union_prefix)."""
+    return prefix_at(union_prefix(k, field, max(d, 0), budget), d)
 
 
 def degenerate_torus_hilbert(i: int, k: int, field: Field, d: int) -> int:
@@ -277,12 +284,25 @@ class HilbertTable:
     def dmax(self) -> int:
         return len(self.values) - 1
 
+    @classmethod
+    def from_prefix(cls, prefix: list[int], dmax: int,
+                    source: str) -> "HilbertTable":
+        """The table through dmax of a cumulative vector read by
+        prefix_at."""
+        return cls(tuple(prefix_at(prefix, d) for d in range(dmax + 1)),
+                   source)
+
+
+def footprint_prefix(spec: CycleFamilySpec, field: Field) -> list[int]:
+    """H(0)..H(e) by the footprint, e the largest degree of a standard
+    monomial, past which H stays constant."""
+    return list(itertools.accumulate(footprint_by_degree(spec, field)))
+
 
 def footprint_table(spec: CycleFamilySpec, field: Field,
                     dmax: int) -> HilbertTable:
-    prefix = list(itertools.accumulate(footprint_by_degree(spec, field)))
-    return HilbertTable(tuple(_at(prefix, d) for d in range(dmax + 1)),
-                        "footprint")
+    return HilbertTable.from_prefix(footprint_prefix(spec, field), dmax,
+                                    "footprint")
 
 
 # -- beta decomposition ------------------------------------------------------
@@ -354,7 +374,8 @@ def solve_betas(k: int, field: Field,
     Builds one equation per sample degree (default degrees 1..gamma+1)
     and solves the square system exactly.  If the chosen degrees give a
     singular system, further degrees are appended one at a time, up to
-    the regularity index, and a maximal independent subset is used.
+    the regularity index, and a maximal independent subset is used:
+    each degree is tested once, against the rows already chosen.
     The solved identity is then re-verified at every degree through
     regularity + 1.
     """
@@ -365,32 +386,31 @@ def solve_betas(k: int, field: Field,
     size = gamma + 1
     spec = CycleFamilySpec.single(k)
     reg = regularity_formula(spec, field)
-    target = list(itertools.accumulate(footprint_by_degree(spec, field)))
+    target = footprint_prefix(spec, field)
     half = (q - 1) // 2
     tori = [list(itertools.accumulate(count_box_by_degree(
         [q - 2] * i + [half - 1] * (k - i)))) for i in range(size)]
 
     pool = list(sample_degrees) if sample_degrees is not None \
         else list(range(1, size + 1))
-    while True:
-        chosen_rows: list[list[int]] = []
-        chosen_degrees: list[int] = []
-        for d in pool:
-            row = [_at(tori[i], d) for i in range(size)]
-            if bareiss_rank([r[:size] for r in chosen_rows] + [row]) \
-                    > len(chosen_rows):
-                chosen_rows.append(row + [_at(target, d)])
-                chosen_degrees.append(d)
-                if len(chosen_rows) == size:
-                    break
-        if len(chosen_rows) == size:
-            break
-        next_d = max(pool) + 1
-        if next_d > reg:
-            raise SingularSystem(
-                f"no {size} independent sample degrees up to regularity "
-                f"{reg} for k={k}, q={q}")
-        pool.append(next_d)
+    chosen_rows: list[list[int]] = []
+    chosen_degrees: list[int] = []
+    at = 0
+    while len(chosen_rows) < size:
+        if at == len(pool):
+            next_d = max(pool) + 1
+            if next_d > reg:
+                raise SingularSystem(
+                    f"no {size} independent sample degrees up to "
+                    f"regularity {reg} for k={k}, q={q}")
+            pool.append(next_d)
+        d = pool[at]
+        at += 1
+        row = [prefix_at(tori[i], d) for i in range(size)]
+        if bareiss_rank([r[:size] for r in chosen_rows] + [row]) \
+                > len(chosen_rows):
+            chosen_rows.append(row + [prefix_at(target, d)])
+            chosen_degrees.append(d)
 
     a = [row[:size] for row in chosen_rows]
     b = [row[size] for row in chosen_rows]
@@ -406,9 +426,9 @@ def solve_betas(k: int, field: Field,
         betas.append(di // det)
 
     for d in range(1, reg + 2):
-        lhs = sum(betas[i] * _at(tori[i], d) for i in range(size))
-        if lhs != _at(target, d):
+        lhs = sum(betas[i] * prefix_at(tori[i], d) for i in range(size))
+        if lhs != prefix_at(target, d):
             raise CheckFailure(
                 f"beta identity fails at degree {d}: "
-                f"{lhs} != {_at(target, d)}")
+                f"{lhs} != {prefix_at(target, d)}")
     return BetaDecomposition(tuple(betas), tuple(chosen_degrees), reg + 1)

@@ -138,6 +138,19 @@ def test_hilbert_negative_single_degree_is_zero():
     assert r.stdout == "d,footprint,union,rank\n-1,0,0,0\n"
 
 
+def test_hilbert_huge_single_degree_reads_the_constant_tail():
+    # Each route stops where its count stops growing, so a degree far
+    # past the regularity costs no more than the regularity itself.
+    r = run_cli("hilbert", "--q", "5", "--spec", "3", "--d", "99999999999",
+                timeout=60)
+    assert r.returncode == 0
+    assert r.stdout == "d\tfootprint\tunion\trank\n99999999999\t32\t32\t-\n"
+    r = run_cli("hilbert", "--q", "5", "--spec", "3", "--d", "99999999999",
+                "--with-rank", "--format", "csv", timeout=60)
+    assert r.returncode == 0
+    assert r.stdout == "d,footprint,union,rank\n99999999999,32,32,32\n"
+
+
 def test_hilbert_d_and_dmax_conflict():
     r = run_cli("hilbert", "--q", "5", "--spec", "3", "--d", "2",
                 "--dmax", "4")

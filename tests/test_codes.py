@@ -1,7 +1,9 @@
 """Tests for evaluation matrices, rank tables, and code parameters."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from cyclecodes import (
     regularity_formula,
     singleton_check,
 )
+from cyclecodes import codes
 from cyclecodes.hilbert import count_box_degree
 from cyclecodes.poly import grlex_key
 
@@ -324,3 +327,65 @@ def test_full_space_code_has_distance_one():
     p = code_params(X, reg)
     assert p.dimension == len(X)
     assert p.min_distance == 1
+
+
+# -- the distance search against brute force ------------------------------------------
+
+
+def _brute_force_distance(basis, field):
+    """Least weight over every nonzero message times an elimination
+    basis, with the field's addition and multiplication tabled from its
+    scalar operations."""
+    q = field.q
+    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
+    rows = np.asarray(basis, dtype=np.int64)
+    messages = np.array(
+        list(itertools.product(range(q), repeat=len(rows)))[1:])
+    words = np.zeros((len(messages), rows.shape[1]), dtype=np.int64)
+    for coeffs, row in zip(messages.T, rows):
+        words = add[words, mul[coeffs[:, None], row]]
+    return int(np.count_nonzero(words, axis=1).min())
+
+
+# Largest brute-force search, in codeword entries: q^dimension * n.
+_DISTANCE_WORK_CAP = 2_000_000
+
+_DISTANCE_INSTANCES = [
+    (q, spec) for q in (2, 3, 4, 5, 7, 8)
+    for spec in ("3", "5", "3x2", "3,5", "5x2", "3x2,5")
+    if cardinality_formula(parse_spec_string(spec), q) <= 2_000]
+
+
+def _check_distance(X, d):
+    M = build_evaluation_matrix(X, d)
+    dim, basis = codes._generator_matrix(M)
+    p = code_params(X, d)
+    assert p.dimension == dim == matrix_rank(M)
+    assert p.min_distance == _brute_force_distance(basis, X.field)
+    assert p.singleton_slack == len(X) - dim + 1 - p.min_distance
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(instance=st.sampled_from(_DISTANCE_INSTANCES),
+       d=st.integers(0, 2))
+def test_code_params_matches_rank_and_brute_force(instance, d):
+    q, spec_text = instance
+    spec = parse_spec_string(spec_text)
+    field = field_new(q)
+    npoints = cardinality_formula(spec, q)
+    while d and q ** hilbert_footprint(spec, field, d) * npoints \
+            > _DISTANCE_WORK_CAP:
+        d -= 1
+    _check_distance(enumerate_toric_set(spec, field), d)
+
+
+@pytest.mark.parametrize("q, spec_text, d", [
+    (4, "3", 1), (8, "3", 1), (2, "3x2", 2), (5, "3", 1), (3, "3x2", 1),
+    (7, "3", 1)])
+@pytest.mark.parametrize("cells", [0, 200])
+def test_code_params_with_a_small_table(monkeypatch, q, spec_text, d, cells):
+    # A small cap splits the basis into searched head rows and a tabled
+    # tail (cap 0 tables nothing), on binary and prime fields alike.
+    monkeypatch.setattr(codes, "_TABLE_CELLS", cells)
+    _check_distance(_X(q, spec_text), d)
