@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedSpec,
 )
 from .gf import field_new
-from .ideal import build_generators
+from .ideal import build_generators, check_groebner_budget
 from .poly import buchberger_is_groebner
 
 EXIT_OK = 0
@@ -65,7 +65,8 @@ def _add_common(sp, *, spec=True, formats=("plain", "json"),
     if enum_budget:
         sp.add_argument("--enum-budget", type=int,
                         default=DEFAULT_ENUM_BUDGET,
-                        help="max enumeration / matrix work "
+                        help="max enumeration / matrix / Groebner "
+                             "lead-test work "
                              f"(default {DEFAULT_ENUM_BUDGET})")
     if dist_budget:
         sp.add_argument("--dist-budget", type=int,
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("groebner-check",
                         help="verify the generators form a Groebner basis")
-    _add_common(sp)
+    _add_common(sp, enum_budget=True)
 
     sp = sub.add_parser("hilbert", help="Hilbert function table")
     _add_common(sp, formats=("plain", "csv", "json"), enum_budget=True)
@@ -190,6 +191,7 @@ def _cmd_ideal(args) -> tuple[str, bool]:
 def _cmd_groebner(args) -> tuple[str, bool]:
     field = field_new(args.q)
     spec = parse_spec_string(args.spec)
+    check_groebner_budget(spec, args.q, args.enum_budget)
     gens = build_generators(spec, field)
     ok = buchberger_is_groebner(gens.all_generators())
     if args.format == "json":

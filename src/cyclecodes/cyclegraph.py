@@ -23,6 +23,8 @@ import itertools
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -141,21 +143,52 @@ def theta_map(spec: CycleFamilySpec, field: Field, x) -> tuple[int, ...]:
     return tuple(field.mul(x[a], x[b]) for a, b in spec.edges())
 
 
-def _single_cycle_points(k: int, field: Field,
-                         budget: int) -> list[tuple[int, ...]]:
-    """Sorted distinct image points of one k-cycle copy."""
+def _single_cycle_codes(k: int, field: Field, budget: int) -> np.ndarray:
+    """Sorted distinct image points of one k-cycle copy, each packed as
+    a base-(q-1) integer from its coordinates minus 1 (every coordinate
+    is a unit), the first coordinate most significant.
+
+    The loop runs over the first vertex's value; the other k-1 vertices
+    are one array of (q-1)^(k-1) assignments, and the edge products are
+    read from a table of unit products.  Codes are marked in one
+    (q-1)^k-byte mask, so sorting and deduplication come for free."""
     work = (field.q - 1) ** k
     if work > budget:
         raise BudgetExceeded(
             f"enumerating one {k}-cycle copy over F_{field.q} needs "
             f"{work} assignments, budget is {budget}")
-    units = field.units()
-    mul = field.mul
-    seen = set()
-    for x in itertools.product(units, repeat=k):
-        pt = tuple(mul(x[j], x[(j + 1) % k]) for j in range(k))
-        seen.add(pt)
-    return sorted(seen)
+    q, r = field.q, field.q - 1
+    units = np.arange(1, q)
+    if field.p == 2:
+        log = np.asarray(field._log)[units]
+        prod = np.asarray(field._exp)[(log[:, None] + log) % r]
+    else:
+        prod = units[:, None] * units % q
+    prod -= 1  # prod[a, b] = (a+1)(b+1) - 1: unit indices in and out
+    rest = np.arange(r ** (k - 1), dtype=np.int64)
+
+    def vertex(j):  # unit index at vertex j >= 1, over all assignments
+        return rest // r ** (k - 1 - j) % r
+
+    first = last = vertex(1)
+    inner = np.zeros_like(rest)  # the edges that avoid vertex 0
+    for j in range(2, k):
+        x = vertex(j)
+        inner += prod[last, x] * r ** (k - j)
+        last = x
+    seen = np.zeros(work, dtype=bool)
+    for x0 in range(r):
+        seen[prod[x0, first] * r ** (k - 1) + inner + prod[last, x0]] = True
+    return np.flatnonzero(seen)
+
+
+def _single_cycle_points(k: int, field: Field,
+                         budget: int) -> list[tuple[int, ...]]:
+    """Sorted distinct image points of one k-cycle copy."""
+    r = field.q - 1
+    codes = _single_cycle_codes(k, field, budget)
+    coords = codes[:, None] // r ** np.arange(k - 1, -1, -1) % r + 1
+    return [tuple(pt) for pt in coords.tolist()]
 
 
 class ToricSet:
@@ -211,15 +244,16 @@ def enumerated_cardinality(spec: CycleFamilySpec, field: Field,
                            budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """|X*| by per-copy enumeration, without materializing the product.
 
-    Each distinct cycle length is enumerated once; the total is the
-    product of per-copy counts, so specs whose full point set would
-    exceed the budget can still be counted exactly.
+    Each distinct cycle length is enumerated once, as packed codes that
+    are counted and never decoded; the total is the product of per-copy
+    counts, so specs whose full point set would exceed the budget can
+    still be counted exactly.
     """
     per_k: dict[int, int] = {}
     total = 1
     for k, m in spec.components:
         if k not in per_k:
-            per_k[k] = len(_single_cycle_points(k, field, budget))
+            per_k[k] = len(_single_cycle_codes(k, field, budget))
         total *= per_k[k] ** m
     return total
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 from .cyclegraph import CycleFamilySpec, ToricSet, gamma_of
 from .errors import BudgetExceeded
@@ -52,6 +53,30 @@ class GeneratorSet:
 
     def __len__(self) -> int:
         return len(self.torus_part) + sum(len(p) for p in self.cycle_parts)
+
+
+def generator_count(spec: CycleFamilySpec, q: int) -> int:
+    """How many generators ``build_generators`` returns, counted without
+    building them: one torus binomial per variable, plus C(k, gamma)
+    cycle binomials per k-cycle copy when q-1 is even."""
+    n = spec.nvars
+    if (q - 1) % 2 == 0:
+        n += sum(m * comb(k, gamma_of(k)) for k, m in spec.components)
+    return n
+
+
+def check_groebner_budget(spec: CycleFamilySpec, q: int, budget: int) -> None:
+    """Raise BudgetExceeded when the Buchberger check of the n
+    generators would exceed ``budget`` leading-term tests.  The check
+    visits n(n-1)/2 pairs and tests each against the n leading
+    monomials, so its work is counted as n * n(n-1)/2; the generators
+    are counted, not built."""
+    n = generator_count(spec, q)
+    tests = n * (n * (n - 1) // 2)
+    if tests > budget:
+        raise BudgetExceeded(
+            f"Groebner check of {n} generators needs {tests} lead tests, "
+            f"budget is {budget}")
 
 
 def _unit_vector(n: int, i: int, value: int) -> tuple[int, ...]:

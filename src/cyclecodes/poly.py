@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import le
 
 from .errors import (
     DegreeTooSmall,
@@ -45,7 +46,7 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True if monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
@@ -464,19 +465,21 @@ def multivariate_divide(f: Polynomial, divisors) -> tuple[list[Polynomial],
 
     Returns (quotients, remainder) with
     ``f = sum(q_i * g_i) + r`` and no term of r divisible by any
-    leading monomial of the divisors.
+    leading monomial of the divisors.  Divisors that receive no
+    quotient term share one zero quotient.
     """
     divisors = list(divisors)
     if not divisors:
         raise ZeroDivisor("need at least one divisor")
+    field, nvars, order = f.field, f.nvars, f.order
     for g in divisors:
-        f._check_compatible(g)
-        if g.is_zero:
+        if g.field is not field or g.nvars != nvars or g.order != order:
+            f._check_compatible(g)
+        if not g.terms:
             raise ZeroDivisor("zero polynomial among the divisors")
-    field = f.field
-    key = monomial_key(f.order)
-    lead = [(g.leading_monomial(), g.leading_coeff()) for g in divisors]
-    quot_terms: list[list[tuple[Monomial, int]]] = [[] for _ in divisors]
+    key = monomial_key(order)
+    lead = [g.terms[0] for g in divisors]
+    quot_terms: dict[int, list[tuple[Monomial, int]]] = {}
     rem_terms: list[tuple[Monomial, int]] = []
     work = dict(f.terms)
 
@@ -484,10 +487,10 @@ def multivariate_divide(f: Polynomial, divisors) -> tuple[list[Polynomial],
         mono = max(work, key=key)
         coeff = work[mono]
         for i, (lm, lc) in enumerate(lead):
-            if mono_divides(lm, mono):
+            if all(map(le, lm, mono)):  # lm divides mono
                 qm = mono_div(mono, lm)
                 qc = field.div(coeff, lc)
-                quot_terms[i].append((qm, qc))
+                quot_terms.setdefault(i, []).append((qm, qc))
                 # subtract qc * t^qm * g_i; the pivot entry cancels exactly
                 for gm, gc in divisors[i].terms:
                     m2 = mono_mul(gm, qm)
@@ -500,8 +503,10 @@ def multivariate_divide(f: Polynomial, divisors) -> tuple[list[Polynomial],
         else:
             del work[mono]
             rem_terms.append((mono, coeff))
-    quotients = [Polynomial(field, f.nvars, ts, f.order) for ts in quot_terms]
-    remainder = Polynomial(field, f.nvars, rem_terms, f.order)
+    quotients = [Polynomial.zero(field, nvars, order)] * len(divisors)
+    for i, ts in quot_terms.items():
+        quotients[i] = Polynomial(field, nvars, ts, order)
+    remainder = Polynomial(field, nvars, rem_terms, order)
     return quotients, remainder
 
 
@@ -518,24 +523,51 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def buchberger_is_groebner(gens) -> bool:
-    """Buchberger criterion: every S-polynomial reduces to zero.
+    """Buchberger's criterion: every S-polynomial reduces to zero.
 
-    Pairs with coprime leading monomials are skipped (their
-    S-polynomials always reduce to zero).
+    Pairs {i, j} (i < j) are visited with i outer and j inner.  A pair
+    is skipped, without forming its S-polynomial, by either of
+    Buchberger's two criteria:
+
+    * its leading monomials are coprime (then S(g_i, g_j) always
+      reduces to zero modulo {g_i, g_j});
+    * the chain criterion: some k outside {i, j} has LM(g_k) dividing
+      lcm(LM g_i, LM g_j), and both {i, k} and {j, k} come earlier in
+      the visiting order, which with this order means k < i.
+
+    Skipping is sound (Cox-Little-O'Shea, Ch. 2 Sec. 10): every pair
+    visited earlier has been reduced to zero or skipped, so its
+    S-polynomial has a representation whose terms all lie below the
+    pair's lcm; S(g_i, g_j) is a monomial combination of S(g_i, g_k)
+    and S(g_j, g_k) and inherits one below lcm(LM g_i, LM g_j).  If
+    every pair has such a representation the generators form a
+    Groebner basis, so the answer is the one the all-pairs check gives.
+    Every other pair is reduced by ``multivariate_divide``.
     """
-    gens = [g for g in gens]
+    gens = list(gens)
     for g in gens:
         if g.is_zero:
             raise ZeroPolynomial("zero polynomial among the generators")
-    for i in range(len(gens)):
+    leads = [g.terms[0][0] for g in gens]
+    support = [sum(1 << v for v, e in enumerate(m) if e) for m in leads]
+    # above[v][e]: bitset of the generators whose leading exponent at
+    # variable v exceeds e.  An lcm of two leading monomials only has
+    # exponents that occur in some leading monomial, so these suffice.
+    above = []
+    for column in zip(*leads):
+        above.append({e: sum(1 << k for k, c in enumerate(column) if c > e)
+                      for e in set(column)})
+    for i, (gi, lmi) in enumerate(zip(gens, leads)):
+        earlier = (1 << i) - 1
         for j in range(i + 1, len(gens)):
-            if mono_coprime(gens[i].leading_monomial(),
-                            gens[j].leading_monomial()):
+            if not support[i] & support[j]:
                 continue
-            s = s_polynomial(gens[i], gens[j])
-            if s.is_zero:
+            too_high = 0
+            for v, e in enumerate(map(max, lmi, leads[j])):
+                too_high |= above[v][e]
+            if earlier & ~too_high:
                 continue
-            _, r = multivariate_divide(s, gens)
+            _, r = multivariate_divide(s_polynomial(gi, gens[j]), gens)
             if not r.is_zero:
                 return False
     return True

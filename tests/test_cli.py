@@ -309,6 +309,18 @@ def test_groebner_check_passes():
     assert r.stdout == "groebner basis check: pass\n"
 
 
+def test_groebner_check_over_budget_exits_3_before_building(monkeypatch,
+                                                             capsys):
+    # 13 + C(13, 6) = 1729 generators; nothing may be built
+    monkeypatch.setattr(cli, "build_generators", None)
+    argv = ["groebner-check", "--q", "3", "--spec", "13"]
+    assert cli.main(argv + ["--enum-budget", "1000000"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: Groebner check of 1729 generators needs "
+                   "2582877024 lead tests, budget is 1000000\n")
+    assert cli.main(argv) == 3  # also over the default budget
+
+
 def test_enumerate_golden():
     r = run_cli("enumerate", "--q", "3", "--spec", "3")
     assert r.returncode == 0

@@ -58,7 +58,7 @@ def _command_line(draw):
         argv += ["--d", draw(_mostly(_D, _BAD_D))]
         if draw(st.booleans()):
             argv += ["--dist-budget", draw(st.sampled_from(_BUDGET))]
-    if command in ("enumerate", "card", "hilbert", "code") \
+    if command in ("enumerate", "card", "groebner-check", "hilbert", "code") \
             and draw(st.booleans()):
         argv += ["--enum-budget", draw(st.sampled_from(_BUDGET))]
     return argv
@@ -92,6 +92,8 @@ def _run(argv):
 @example(argv=["hilbert", "--q", "5", "--spec", "3", "--dmax", "-1"])
 @example(argv=["code", "--q", "5", "--spec", "3", "--d", "1",
                "--enum-budget", "-1", "--dist-budget", "-1"])
+@example(argv=["groebner-check", "--q", "3", "--spec", "13",
+               "--enum-budget", "1000000"])
 def test_any_argv_keeps_the_exit_code_contract(argv):
     code, err = _run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)

@@ -14,6 +14,7 @@ from cyclecodes import (
     ToricSet,
     ZeroCoordinate,
     cardinality_formula,
+    cyclegraph,
     enumerate_toric_set,
     enumerated_cardinality,
     field_new,
@@ -221,6 +222,40 @@ def test_enumerated_cardinality_matches_materialization():
         spec = parse_spec_string(spec_text)
         f = field_new(q)
         assert enumerated_cardinality(spec, f) == len(enumerate_toric_set(spec, f))
+
+
+def _image_points_by_assignment(k, field):
+    """Every assignment of units to the k vertices, mapped one by one."""
+    seen = set()
+    for x in itertools.product(field.units(), repeat=k):
+        seen.add(tuple(field.mul(x[j], x[(j + 1) % k]) for j in range(k)))
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("q, k", [(2, 3), (3, 5), (4, 3), (4, 7), (5, 7),
+                                  (7, 3), (8, 5), (11, 3), (16, 3)])
+def test_single_cycle_points_match_the_assignment_walk(q, k):
+    f = field_new(q)
+    want = _image_points_by_assignment(k, f)
+    assert cyclegraph._single_cycle_points(k, f, 10**6) == want
+    codes = cyclegraph._single_cycle_codes(k, f, 10**6)
+    assert codes.size == len(want)
+    assert enumerated_cardinality(CycleFamilySpec.single(k), f) == len(want)
+
+
+def test_single_cycle_budget_is_checked_first(monkeypatch):
+    monkeypatch.setattr(cyclegraph.np, "zeros", None)  # no work at all
+    with pytest.raises(BudgetExceeded,
+                       match="one 5-cycle copy over F_7 needs 7776 "
+                             "assignments, budget is 7775"):
+        cyclegraph._single_cycle_codes(5, field_new(7), 7775)
+
+
+def test_enumerated_cardinality_never_decodes_points(monkeypatch):
+    monkeypatch.setattr(cyclegraph, "_single_cycle_points", None)
+    spec = parse_spec_string("5,3x2")
+    assert enumerated_cardinality(spec, field_new(11)) \
+        == cardinality_formula(spec, 11)
 
 
 def test_enumerated_cardinality_beyond_materialization_budget():

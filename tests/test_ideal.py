@@ -24,6 +24,8 @@ from cyclecodes import (
     vanishing_membership,
     verify_vanishing,
 )
+from cyclecodes.cyclegraph import DEFAULT_ENUM_BUDGET
+from cyclecodes.ideal import check_groebner_budget, generator_count
 
 
 # -- construction ---------------------------------------------------------------
@@ -53,6 +55,28 @@ def test_generator_count_two_copies():
     assert len(gens.torus_part) == 6
     assert [len(p) for p in gens.cycle_parts] == [3, 3]
     assert len(gens) == 12
+
+
+@pytest.mark.parametrize("spec_text", ["3", "5", "7", "3x2", "5,3", "3,5x2"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+def test_generator_count_without_building(spec_text, q):
+    spec = parse_spec_string(spec_text)
+    assert generator_count(spec, q) == len(build_generators(spec, field_new(q)))
+
+
+def test_groebner_budget_counts_lead_tests():
+    spec = parse_spec_string("13")  # 13 + C(13, 6) = 1729 generators
+    tests = 1729 * (1729 * 1728 // 2)
+    check_groebner_budget(spec, 3, tests)
+    with pytest.raises(BudgetExceeded,
+                       match=f"Groebner check of 1729 generators needs "
+                             f"{tests} lead tests, budget is {tests - 1}"):
+        check_groebner_budget(spec, 3, tests - 1)
+    # the default budget admits every single cycle up to k = 11 and 7x3
+    for text in ("11", "9", "7x3"):
+        check_groebner_budget(parse_spec_string(text), 3, DEFAULT_ENUM_BUDGET)
+    with pytest.raises(BudgetExceeded):
+        check_groebner_budget(spec, 3, DEFAULT_ENUM_BUDGET)
 
 
 def test_torus_generator_shape():

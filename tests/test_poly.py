@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclecodes import (
     Binomial,
@@ -14,12 +16,15 @@ from cyclecodes import (
     ZeroDivisor,
     ZeroPolynomial,
     buchberger_is_groebner,
+    build_generators,
     field_new,
     grlex_cmp,
     grlex_key,
     multivariate_divide,
     order_h_cmp,
     parse_polynomial,
+    parse_spec_string,
+    poly,
     s_polynomial,
 )
 from cyclecodes.poly import mono_coprime, mono_div, mono_divides, mono_lcm, mono_mul
@@ -283,6 +288,30 @@ def test_divide_invariants_random():
                 assert grlex_key(prod.leading_monomial()) <= fkey
 
 
+def test_divide_checks_every_divisor():
+    f = P("t1^2 + t2")
+    # an equal field built separately is compatible
+    qs, r = multivariate_divide(f, [P("t1"), P("t2", field=field_new(5))])
+    assert r.is_zero
+    assert qs == [P("t1"), P("1")]
+    for bad in (P("t1", nvars=2), P("t1", field=field_new(7)),
+                P("t1", order="h")):
+        with pytest.raises(DimensionMismatch):
+            multivariate_divide(f, [P("t3"), bad])
+    with pytest.raises(ZeroDivisor):
+        multivariate_divide(f, [P("t3"), Polynomial.zero(F5, 3)])
+    with pytest.raises(ZeroDivisor):
+        multivariate_divide(f, [])
+
+
+def test_divide_leaves_unused_divisors_a_zero_quotient():
+    qs, r = multivariate_divide(P("t1^3 + t2"), [P("t3"), P("t1^2 - 1"),
+                                                  P("t2^2")])
+    assert [q.is_zero for q in qs] == [True, False, True]
+    assert qs[1] == P("t1")
+    assert r == P("t1 + t2")
+
+
 def test_divide_remainder_exponents_reduced():
     # Dividing by the torus relations reduces all exponents below q-1.
     f = P("t1^9*t2^5 + 3*t3^4")
@@ -320,6 +349,112 @@ def test_torus_relations_are_groebner(q, s):
 def test_non_groebner_detected():
     gens = [P("t1^2 - t2"), P("t1^3 - t3")]
     assert not buchberger_is_groebner(gens)
+
+
+def _all_pairs_is_groebner(gens):
+    """The check without the chain criterion: every pair whose leading
+    monomials are not coprime is reduced."""
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if mono_coprime(gens[i].leading_monomial(),
+                            gens[j].leading_monomial()):
+                continue
+            _, r = multivariate_divide(s_polynomial(gens[i], gens[j]), gens)
+            if not r.is_zero:
+                return False
+    return True
+
+
+_FIELDS = [field_new(q) for q in (2, 3, 4, 5, 7, 8)]
+
+
+@st.composite
+def _polynomial(draw, field, nvars, max_terms, max_exp=3):
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, max_exp)] * nvars),
+                  st.integers(1, field.q - 1)),
+        min_size=1, max_size=max_terms))
+    f = Polynomial(field, nvars, terms)
+    return f if not f.is_zero else Polynomial.constant(field, nvars, 1)
+
+
+@st.composite
+def _generator_sets(draw):
+    """(generators, dividend): random binomials, random polynomials, or
+    a generator set of the vanishing ideal with one generator dropped or
+    one exponent raised."""
+    field = draw(st.sampled_from(_FIELDS))
+    kind = draw(st.sampled_from(["binomials", "polynomials", "ideal"]))
+    if kind == "ideal":
+        spec = parse_spec_string(draw(st.sampled_from(["3", "5", "3x2"])))
+        gens = build_generators(spec, field).all_generators()
+        nvars = spec.nvars
+        i = draw(st.integers(0, len(gens) - 1))
+        if draw(st.booleans()):
+            del gens[i]
+        else:
+            terms = list(gens[i].terms)
+            t = draw(st.integers(0, len(terms) - 1))
+            v = draw(st.integers(0, nvars - 1))
+            mono = list(terms[t][0])
+            mono[v] += 1
+            terms[t] = (tuple(mono), terms[t][1])
+            gens[i] = Polynomial(field, nvars, terms)  # may merge to 0
+    else:
+        nvars = draw(st.integers(2, 3))
+        max_terms = 2 if kind == "binomials" else 3
+        gens = draw(st.lists(_polynomial(field, nvars, max_terms),
+                             min_size=1, max_size=4))
+        if kind == "binomials":
+            gens = [Polynomial(field, nvars, [(g.terms[0][0], 1),
+                                              ((0,) * nvars, field.neg(1))])
+                    if len(g.terms) == 1 else g for g in gens]
+    gens = [g for g in gens if not g.is_zero] or [
+        Polynomial.constant(field, nvars, 1)]
+    f = draw(_polynomial(field, nvars, 5, max_exp=4))
+    return gens, f
+
+
+def test_chain_criterion_agrees_with_the_all_pairs_check():
+    outcomes = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(draw=_generator_sets())
+    def check(draw):
+        gens, f = draw
+        got = buchberger_is_groebner(gens)
+        assert got == _all_pairs_is_groebner(gens)
+        outcomes.add(got)
+        qs, r = multivariate_divide(f, gens)
+        total = r
+        for q, g in zip(qs, gens):
+            total = total + q * g
+        assert total == f
+        for mono, _ in r.terms:
+            assert not any(mono_divides(g.leading_monomial(), mono)
+                           for g in gens)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_chain_criterion_cuts_the_reductions(monkeypatch):
+    # build_generators(7x3) over F_5: 126 generators, 2205 pairs whose
+    # leading monomials share a variable.
+    gens = build_generators(parse_spec_string("7x3"), F5).all_generators()
+    pairs = sum(not mono_coprime(a.leading_monomial(), b.leading_monomial())
+                for i, a in enumerate(gens) for b in gens[i + 1:])
+    assert pairs == 2205
+    calls = []
+    divide = poly.multivariate_divide
+
+    def counted(f, divisors):
+        calls.append(1)
+        return divide(f, divisors)
+
+    monkeypatch.setattr(poly, "multivariate_divide", counted)
+    assert poly.buchberger_is_groebner(gens)
+    assert 0 < len(calls) < pairs
 
 
 # -- binomial wrapper ---------------------------------------------------------
