@@ -9,7 +9,6 @@ from .codes import (
     character_table,
     code_dimension,
     code_params,
-    matrix_rank,
     min_distance,
     monomial_basis,
     rank_table,
@@ -30,7 +29,6 @@ from .errors import (
     BudgetExceeded,
     CheckFailure,
     CycleCodesError,
-    DegreeTooSmall,
     DimensionMismatch,
     DivisionByZero,
     NonIntegerBeta,
@@ -52,7 +50,6 @@ from .hilbert import (
     degenerate_torus_hilbert,
     footprint_table,
     hilbert_footprint,
-    hilbert_footprint_slow,
     hilbert_union_formula,
     regularity_bruteforce,
     regularity_formula,
@@ -63,8 +60,6 @@ from .ideal import (
     GeneratorSet,
     build_generators,
     iter_disjoint_binomials,
-    reduce_mod_torus,
-    square_point_property,
     vanishing_membership,
     verify_vanishing,
 )
@@ -76,8 +71,6 @@ from .poly import (
     grlex_cmp,
     grlex_key,
     multivariate_divide,
-    order_h_cmp,
-    order_h_key,
     parse_polynomial,
     s_polynomial,
 )

@@ -403,6 +403,10 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory; a smaller --enum-budget stops such "
+              "work before it starts", file=sys.stderr)
+        return EXIT_BUDGET
     except (ParseError, OddityError, UnsupportedField,
             UnsupportedSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,22 +16,31 @@ as the linear-algebra reference for that count.
 
 For the same reason the distinct rows of the evaluation matrix are a
 basis of the code (code_params), so the code parameters need no row
-reduction.  The minimum-distance search is one vectorized numpy path
-for both kinds of field: only the field's scalar multiple (residues mod
-q, or the log/exp tables of a binary field) and addition (mod q, or
-XOR) differ.  The evaluation matrix itself is built with numpy int64
-residues over odd prime fields (q <= 2^16 keeps products well inside
-64 bits) and with the field's tables over binary fields.
+reduction.
+
+One arithmetic path serves both kinds of field.  Every point of X* is
+a unit, so the matrix is built in exponent space from the field's
+discrete-log tables: the value of t^a at x is exp[(a . log x) mod
+(q-1)].  The row reduction and the minimum-distance search use the
+array (scale, add) of _field_arithmetic, which alone knows the field
+kind: residues mod q for prime fields, a product table and XOR for
+binary fields.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclegraph import DEFAULT_ENUM_BUDGET, CycleFamilySpec, ToricSet
+from .cyclegraph import (
+    DEFAULT_ENUM_BUDGET,
+    CycleFamilySpec,
+    ToricSet,
+    check_search_budget,
+)
 from .errors import BudgetExceeded
 from .gf import Field
 from .hilbert import HilbertTable, _conv, count_box_degree
@@ -64,15 +73,11 @@ class EvaluationMatrix:
     field: Field
     monomials: tuple[Monomial, ...]
     points: tuple[tuple[int, ...], ...]
-    entries: "np.ndarray | list[list[int]]"
+    entries: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.monomials), len(self.points)
-
-
-def _use_numpy(field: Field) -> bool:
-    return field.p != 2
 
 
 def check_matrix_budget(nvars: int, q: int, npoints: int, d: int,
@@ -93,164 +98,75 @@ def build_evaluation_matrix(X: ToricSet, d: int,
                             max_entries: int = DEFAULT_MATRIX_BUDGET,
                             max_exponent: int | None = None
                             ) -> EvaluationMatrix:
+    """The degree-d evaluation matrix, as one integer matmul of the
+    basis exponents with the points' discrete logs followed by one
+    antilog gather."""
     field = X.field
-    q = field.q
-    npoints = len(X)
-    check_matrix_budget(X.nvars, q, npoints, d, max_entries, max_exponent)
-    monos = monomial_basis(X.nvars, q, d, max_exponent)
-    if _use_numpy(field):
-        pts = np.asarray(X.points, dtype=np.int64)
-        maxe = max((max(m) for m in monos), default=0)
-        pows = []
-        for v in range(X.nvars):
-            tab = np.empty((maxe + 1, npoints), dtype=np.int64)
-            tab[0] = 1
-            for e in range(1, maxe + 1):
-                tab[e] = tab[e - 1] * pts[:, v] % q
-            pows.append(tab)
-        rows = np.empty((len(monos), npoints), dtype=np.int64)
-        for r, mono in enumerate(monos):
-            acc = np.ones(npoints, dtype=np.int64)
-            for v, e in enumerate(mono):
-                if e:
-                    acc = acc * pows[v][e] % q
-            rows[r] = acc
-        entries: "np.ndarray | list[list[int]]" = rows
-    else:
-        entries = []
-        for mono in monos:
-            row = []
-            for pt in X.points:
-                val = 1
-                for x, e in zip(pt, mono):
-                    if e:
-                        val = field.mul(val, field.pow(x, e))
-                row.append(val)
-            entries.append(row)
-    return EvaluationMatrix(field, tuple(monos), X.points, entries)
+    check_matrix_budget(X.nvars, field.q, len(X), d, max_entries,
+                        max_exponent)
+    monos = monomial_basis(X.nvars, field.q, d, max_exponent)
+    exponents = np.array(monos, dtype=np.int64).reshape(len(monos), X.nvars)
+    logs = field.log[np.array(X.points).reshape(len(X), X.nvars)]
+    power_logs = exponents @ logs.T
+    power_logs %= field.q - 1
+    return EvaluationMatrix(field, tuple(monos), X.points,
+                            field.exp[power_logs])
 
 
 # -- row reduction -----------------------------------------------------------
 
-def _rref_numpy(rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Row-reduce mod p.  Returns (pivot columns, nonzero reduced rows)."""
-    a = rows % p
-    nrows, ncols = a.shape
+def _field_arithmetic(field: Field):
+    """(scale, add) on int64 arrays of field elements: residues mod q
+    for prime fields, the log/exp tables and XOR for binary fields."""
+    q = field.q
+    if field.p != 2:
+        return (lambda c, a: c * a % q), (lambda a, b: (a + b) % q)
+    log = field.log
+    mul = field.exp[(log[:, None] + log) % (q - 1)]
+    mul[0] = 0
+    mul[:, 0] = 0
+    return (lambda c, a: mul[c][a]), np.bitwise_xor
+
+
+def _row_reduce(rows, field: Field) -> tuple[list[np.ndarray], list[int]]:
+    """Incremental row reduction: each row is reduced against the basis
+    so far and, when something is left, scaled to lead with 1 and
+    appended.  Returns the basis and the rank after each row."""
+    scale, add = _field_arithmetic(field)
+    basis: list[np.ndarray] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        pivots.append(c)
-        r += 1
-    return pivots, a[:r]
-
-
-def _rref_generic(rows, field: Field) -> tuple[list[int], list[list[int]]]:
-    a = [list(row) for row in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(v, inv) for v in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [field.sub(v, field.mul(f, w))
-                        for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return pivots, a[:r]
-
-
-def _generator_matrix(M: EvaluationMatrix):
-    """(dimension, row-reduced basis) of the matrix's row space."""
-    if _use_numpy(M.field):
-        pivots, basis = _rref_numpy(np.asarray(M.entries), M.field.q)
-    else:
-        pivots, basis = _rref_generic(M.entries, M.field)
-    return len(pivots), basis
-
-
-def matrix_rank(M: EvaluationMatrix) -> int:
-    return _generator_matrix(M)[0]
+    ranks = []
+    for row in rows:
+        for c, b in zip(pivots, basis):
+            if row[c]:
+                row = add(row, scale(field.neg(int(row[c])), b))
+        nonzero = np.flatnonzero(row)
+        if nonzero.size:
+            c = int(nonzero[0])
+            basis.append(scale(field.inv(int(row[c])), row))
+            pivots.append(c)
+        ranks.append(len(basis))
+    return basis, ranks
 
 
 def code_dimension(X: ToricSet, d: int,
                    max_entries: int = DEFAULT_MATRIX_BUDGET) -> int:
     """dim of the degree-d evaluation code = H(d), the rank oracle."""
-    return matrix_rank(build_evaluation_matrix(X, d, max_entries))
+    M = build_evaluation_matrix(X, d, max_entries)
+    return len(_row_reduce(M.entries, X.field)[0])
 
 
 def rank_table(X: ToricSet, dmax: int,
                max_entries: int = DEFAULT_MATRIX_BUDGET) -> HilbertTable:
-    """H(0)..H(dmax) by incremental rank: rows are added in increasing
-    degree order and reduced against the running basis, so one pass
-    yields every prefix rank."""
-    field = X.field
+    """H(0)..H(dmax) by incremental rank: the basis comes in decreasing
+    graded-lex order, so its rows taken in reverse go by increasing
+    degree, and one reduction yields every prefix rank."""
     M = build_evaluation_matrix(X, dmax, max_entries)
-    order = sorted(range(len(M.monomials)),
-                   key=lambda i: sum(M.monomials[i]))
-    values = []
-    if _use_numpy(field):
-        p = field.q
-        rows = np.asarray(M.entries)
-        basis: list[np.ndarray] = []
-        pivots: list[int] = []
-        at = 0
-        for d in range(dmax + 1):
-            while at < len(order) and sum(M.monomials[order[at]]) <= d:
-                row = rows[order[at]].copy()
-                at += 1
-                for c, b in zip(pivots, basis):
-                    if row[c]:
-                        row = (row - row[c] * b) % p
-                nz = np.nonzero(row)[0]
-                if nz.size:
-                    c0 = int(nz[0])
-                    row = row * pow(int(row[c0]), p - 2, p) % p
-                    pivots.append(c0)
-                    basis.append(row)
-            values.append(len(basis))
-    else:
-        basis2: list[list[int]] = []
-        pivots2: list[int] = []
-        at = 0
-        for d in range(dmax + 1):
-            while at < len(order) and sum(M.monomials[order[at]]) <= d:
-                row = list(M.entries[order[at]])
-                at += 1
-                for c, b in zip(pivots2, basis2):
-                    if row[c] != 0:
-                        f = row[c]
-                        row = [field.sub(v, field.mul(f, w))
-                               for v, w in zip(row, b)]
-                c0 = next((j for j, v in enumerate(row) if v != 0), None)
-                if c0 is not None:
-                    inv = field.inv(row[c0])
-                    row = [field.mul(v, inv) for v in row]
-                    pivots2.append(c0)
-                    basis2.append(row)
-            values.append(len(basis2))
-    return HilbertTable(tuple(values), "rank_oracle")
+    _, ranks = _row_reduce(M.entries[::-1], X.field)
+    degrees = [sum(m) for m in reversed(M.monomials)]
+    return HilbertTable(
+        tuple(ranks[bisect_right(degrees, d) - 1] for d in range(dmax + 1)),
+        "rank_oracle")
 
 
 # -- distinct characters ----------------------------------------------------
@@ -266,6 +182,9 @@ def _cycle_character_degrees(k: int, r: int) -> list[int]:
     radix = r ** np.arange(k, dtype=np.int64)
     seen = np.zeros(r ** k, dtype=bool)
     seen[0] = True
+    # a mask drops repeats without sorting the reached states; it is
+    # cleared at the frontier after each degree and so made only once
+    new = np.zeros_like(seen)
     frontier = np.zeros(1, dtype=np.int64)
     counts = []
     while frontier.size:
@@ -275,10 +194,9 @@ def _cycle_character_degrees(k: int, r: int) -> list[int]:
         step = np.where(digits == r - 1, (1 - r) * radix, radix)
         reached = (frontier[:, None] + step
                    + np.roll(step, -1, axis=1)).ravel()
-        # a mask drops repeats without sorting the reached states
-        new = np.zeros_like(seen)
         new[reached[~seen[reached]]] = True
         frontier = np.flatnonzero(new)
+        new[frontier] = False
         seen[frontier] = True
     return counts
 
@@ -297,14 +215,14 @@ def character_prefix(spec: CycleFamilySpec, field: Field, dmax: int,
     q-1 over |a| <= d.  Cycle copies act on disjoint vertices, so the
     per-copy counts by least degree multiply as polynomials.  Each
     distinct cycle length k searches (q-1)^k states; all of them are
-    checked against ``budget`` before any search starts."""
+    checked against ``budget``, and against what one array can index,
+    before any search starts."""
     r = field.q - 1
     lengths = sorted({k for k, _m in spec.components})
     for k in lengths:
-        if r ** k > budget:
-            raise BudgetExceeded(
-                f"counting the characters of one {k}-cycle copy over "
-                f"F_{field.q} needs {r ** k} states, budget is {budget}")
+        check_search_budget(
+            f"counting the characters of one {k}-cycle copy over "
+            f"F_{field.q} needs {r ** k} states", r ** k, budget)
     per_k = {k: _cycle_character_degrees(k, r) for k in lengths}
     vec = [1]
     for k, m in spec.components:
@@ -336,19 +254,6 @@ class CodeParams:
     min_distance: int | None
     min_distance_bracket: tuple[int, int] | None
     singleton_slack: int | None
-
-
-def _field_arithmetic(field: Field):
-    """(scale, add) on int64 arrays of field elements: residues mod q
-    for prime fields, the log/exp tables and XOR for binary fields."""
-    q = field.q
-    if field.p != 2:
-        return (lambda c, a: c * a % q), (lambda a, b: (a + b) % q)
-    log = np.asarray(field._log)
-    mul = np.asarray(field._exp)[(log[:, None] + log) % (q - 1)]
-    mul[0] = 0
-    mul[:, 0] = 0
-    return (lambda c, a: mul[c][a]), np.bitwise_xor
 
 
 def _min_weight(basis: np.ndarray, field: Field) -> int:
@@ -408,7 +313,7 @@ def code_params(X: ToricSet, d: int,
     of the code and their number is its dimension: no row reduction.
     The exact distance is searched when q^dimension fits dist_budget."""
     M = build_evaluation_matrix(X, d, max_entries)
-    basis = np.unique(np.asarray(M.entries, dtype=np.int64), axis=0)
+    basis = np.unique(M.entries, axis=0)
     dim = len(basis)
     n = len(X)
     if X.field.q ** dim > dist_budget:

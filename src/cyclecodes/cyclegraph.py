@@ -143,42 +143,44 @@ def theta_map(spec: CycleFamilySpec, field: Field, x) -> tuple[int, ...]:
     return tuple(field.mul(x[a], x[b]) for a, b in spec.edges())
 
 
+def check_search_budget(needs: str, work: int, budget: int) -> None:
+    """Raise BudgetExceeded, before anything is allocated, when a search
+    over ``work`` states exceeds ``budget`` or needs more states than
+    one numpy array can index.  ``needs`` says what needs the work."""
+    if work > budget:
+        raise BudgetExceeded(f"{needs}, budget is {budget}")
+    if work > np.iinfo(np.intp).max:
+        raise BudgetExceeded(f"{needs}, more than one array can index")
+
+
 def _single_cycle_codes(k: int, field: Field, budget: int) -> np.ndarray:
     """Sorted distinct image points of one k-cycle copy, each packed as
-    a base-(q-1) integer from its coordinates minus 1 (every coordinate
-    is a unit), the first coordinate most significant.
+    a base-(q-1) integer from the discrete logs of its coordinates (every
+    coordinate is a unit), the first coordinate most significant.
 
-    The loop runs over the first vertex's value; the other k-1 vertices
-    are one array of (q-1)^(k-1) assignments, and the edge products are
-    read from a table of unit products.  Codes are marked in one
-    (q-1)^k-byte mask, so sorting and deduplication come for free."""
-    work = (field.q - 1) ** k
-    if work > budget:
-        raise BudgetExceeded(
-            f"enumerating one {k}-cycle copy over F_{field.q} needs "
-            f"{work} assignments, budget is {budget}")
-    q, r = field.q, field.q - 1
-    units = np.arange(1, q)
-    if field.p == 2:
-        log = np.asarray(field._log)[units]
-        prod = np.asarray(field._exp)[(log[:, None] + log) % r]
-    else:
-        prod = units[:, None] * units % q
-    prod -= 1  # prod[a, b] = (a+1)(b+1) - 1: unit indices in and out
+    In logs the edge-product map is linear: edge j carries
+    (l_j + l_{j+1}) mod q-1 for vertex logs l.  The loop runs over the
+    first vertex's log; the other k-1 vertices are one array of
+    (q-1)^(k-1) assignments.  Codes are marked in one (q-1)^k-byte
+    mask, so sorting and deduplication come for free."""
+    r = field.q - 1
+    check_search_budget(
+        f"enumerating one {k}-cycle copy over F_{field.q} needs "
+        f"{r ** k} assignments", r ** k, budget)
     rest = np.arange(r ** (k - 1), dtype=np.int64)
 
-    def vertex(j):  # unit index at vertex j >= 1, over all assignments
+    def vertex(j):  # log at vertex j >= 1, over all assignments
         return rest // r ** (k - 1 - j) % r
 
     first = last = vertex(1)
     inner = np.zeros_like(rest)  # the edges that avoid vertex 0
     for j in range(2, k):
         x = vertex(j)
-        inner += prod[last, x] * r ** (k - j)
+        inner += (last + x) % r * r ** (k - j)
         last = x
-    seen = np.zeros(work, dtype=bool)
+    seen = np.zeros(r ** k, dtype=bool)
     for x0 in range(r):
-        seen[prod[x0, first] * r ** (k - 1) + inner + prod[last, x0]] = True
+        seen[(x0 + first) % r * r ** (k - 1) + inner + (last + x0) % r] = True
     return np.flatnonzero(seen)
 
 
@@ -187,8 +189,8 @@ def _single_cycle_points(k: int, field: Field,
     """Sorted distinct image points of one k-cycle copy."""
     r = field.q - 1
     codes = _single_cycle_codes(k, field, budget)
-    coords = codes[:, None] // r ** np.arange(k - 1, -1, -1) % r + 1
-    return [tuple(pt) for pt in coords.tolist()]
+    logs = codes[:, None] // r ** np.arange(k - 1, -1, -1) % r
+    return sorted(map(tuple, field.exp[logs].tolist()))
 
 
 class ToricSet:

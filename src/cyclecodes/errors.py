@@ -29,10 +29,6 @@ class ZeroDivisor(CycleCodesError):
     """A divisor in multivariate division is the zero polynomial."""
 
 
-class DegreeTooSmall(CycleCodesError):
-    """Homogenization target degree is below the polynomial degree."""
-
-
 class SupportsNotDisjoint(CycleCodesError):
     """Binomial operation requires monomials with disjoint supports."""
 

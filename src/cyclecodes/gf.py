@@ -9,6 +9,11 @@ rest of the package needs:
   ``0..2^e-1`` read as bit-vectors of polynomial coefficients, with
   multiplication done through log/antilog tables built once per field.
 
+Both kinds expose the discrete-log and antilog tables of their unit
+group as numpy arrays (``Field.log``, ``Field.exp``), so array code
+multiplies units of either kind by adding logs mod q-1.  Prime fields
+build them on first use, so scalar work never pays for them.
+
 Odd prime-power fields (9, 25, 27, ...) are rejected: nothing downstream
 requires them, and supporting them would mean carrying general extension
 field arithmetic for no benefit.
@@ -18,6 +23,10 @@ holds the arithmetic.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DivisionByZero, UnsupportedField
 
@@ -64,6 +73,26 @@ def _carryless_mul_mod(a: int, b: int, mask: int, e: int) -> int:
     return acc
 
 
+def _prime_generator_powers(p: int) -> list[int]:
+    """g^0, g^1, ..., g^(p-2) for the least generator g of F_p*: g
+    generates iff g^((p-1)/f) != 1 for every prime factor f of p-1."""
+    r = p - 1
+    factors, m, f = set(), r, 2
+    while f * f <= m:
+        while m % f == 0:
+            factors.add(f)
+            m //= f
+        f += 1
+    if m > 1:
+        factors.add(m)
+    g = next(g for g in range(2, p)
+             if all(pow(g, r // f, p) != 1 for f in factors))
+    powers = [1] * r
+    for i in range(1, r):
+        powers[i] = powers[i - 1] * g % p
+    return powers
+
+
 class Field:
     """Arithmetic for F_q, q an odd prime or a power of two.
 
@@ -92,8 +121,6 @@ class Field:
             self.q = q
             self.p = q
             self.e = 1
-            self._log = None
-            self._exp = None
         else:
             raise UnsupportedField(
                 f"{q} is not an odd prime or a power of two; "
@@ -123,6 +150,26 @@ class Field:
                 self._log = log
                 return
         raise UnsupportedField(f"internal error: no generator found for F_{q}")
+
+    # -- discrete logs ----------------------------------------------------
+
+    @cached_property
+    def exp(self) -> np.ndarray:
+        """Antilogs: exp[i] = g^i for i = 0..q-2, g a fixed generator of
+        the unit group.  Read-only."""
+        exp = np.array(self._exp if self.p == 2
+                       else _prime_generator_powers(self.q), dtype=np.int64)
+        exp.flags.writeable = False
+        return exp
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """Discrete logs: log[a] = i with exp[i] = a for every unit a;
+        log[0] = 0 is a placeholder.  Read-only."""
+        log = np.zeros(self.q, dtype=np.int64)
+        log[self.exp] = np.arange(self.q - 1)
+        log.flags.writeable = False
+        return log
 
     # -- basic arithmetic -------------------------------------------------
 

@@ -43,8 +43,6 @@ from .errors import (
     UnsupportedSpec,
 )
 from .gf import Field
-from .ideal import build_generators
-from .poly import mono_divides
 
 DEFAULT_UNION_BUDGET = 1 << 20
 
@@ -142,21 +140,6 @@ def hilbert_footprint(spec: CycleFamilySpec, field: Field, d: int) -> int:
     if d < 0:
         return 0
     return sum(footprint_by_degree(spec, field)[:d + 1])
-
-
-def hilbert_footprint_slow(spec: CycleFamilySpec, field: Field,
-                           d: int) -> int:
-    """Lattice-walk oracle: enumerate every monomial of degree <= d and
-    test divisibility against each leading term.  Tiny instances only."""
-    n = spec.nvars
-    leads = [g.leading_monomial() for g in build_generators(spec, field)]
-    count = 0
-    for mono in itertools.product(range(d + 1), repeat=n):
-        if sum(mono) > d:
-            continue
-        if not any(mono_divides(lt, mono) for lt in leads):
-            count += 1
-    return count
 
 
 # -- union-of-boxes route ---------------------------------------------------

@@ -30,9 +30,6 @@ from .errors import BudgetExceeded
 from .gf import Field
 from .poly import Binomial, Polynomial
 
-DEFAULT_SQUARE_BUDGET = 1 << 22
-
-
 @dataclass(frozen=True)
 class GeneratorSet:
     """Torus binomials plus one list of cycle binomials per cycle copy."""
@@ -120,50 +117,6 @@ def vanishing_membership(f: Polynomial, X: ToricSet) -> bool:
 def verify_vanishing(gens: GeneratorSet, X: ToricSet) -> bool:
     """True iff every generator vanishes on all of X."""
     return all(vanishing_membership(g, X) for g in gens)
-
-
-def reduce_mod_torus(b: Binomial, field: Field) -> tuple[bool, Binomial]:
-    """Reduce a support-disjoint binomial modulo the torus relations.
-
-    Every exponent is replaced by its remainder mod q-1 (so q-1 itself
-    drops to 0).  The result agrees with the input as a function on
-    unit tuples, since x^(q-1) = 1 there.  The flag reports whether any
-    exponent actually changed.
-    """
-    b.require_disjoint()
-    q = field.q
-    plus = tuple(e % (q - 1) for e in b.plus)
-    minus = tuple(e % (q - 1) for e in b.minus)
-    changed = plus != b.plus or minus != b.minus
-    return changed, Binomial(plus, minus)
-
-
-def square_point_property(f: Polynomial, spec: CycleFamilySpec, field: Field,
-                          budget: int = DEFAULT_SQUARE_BUDGET) -> bool:
-    """Does f vanish at every all-squares tuple (a_1^2, ..., a_s^2)?
-
-    Every polynomial vanishing on X* has this property, which makes it
-    a cheap necessary check.  Prefers the direct walk over (K*)^s; when
-    that exceeds the budget it walks the (smaller) set of square tuples
-    instead, which covers exactly the same points.
-    """
-    s = spec.nvars
-    q = field.q
-    if (q - 1) ** s <= budget:
-        domains = [field.units()] * s
-        square = True
-    elif len(field.squares()) ** s <= budget:
-        domains = [field.squares()] * s
-        square = False
-    else:
-        raise BudgetExceeded(
-            f"{len(field.squares()) ** s} square tuples exceed budget {budget}")
-    mul = field.mul
-    for a in itertools.product(*domains):
-        point = tuple(mul(v, v) for v in a) if square else a
-        if f.evaluate(point) != 0:
-            return False
-    return True
 
 
 def iter_disjoint_binomials(nvars: int, q: int):

@@ -1,13 +1,8 @@
 """Multivariate polynomials over a small finite field.
 
 Monomials are exponent tuples; a polynomial stores its nonzero terms
-sorted in decreasing monomial order.  Two orders are provided:
-
-* ``"grlex"`` — graded lexicographic with ``t1 > t2 > ... > tn``;
-* ``"h"`` — the order used for polynomials homogenized by an extra last
-  variable ``u``: monomials are compared by the graded-lex order of
-  their ``t``-part, with the ``u`` exponent breaking ties.  Under this
-  order ``u`` is smaller than every ``t_i``.
+sorted in decreasing graded lexicographic order with
+``t1 > t2 > ... > tn``.
 
 Polynomial text form (also accepted by the parser): terms in decreasing
 order joined by `` + `` / `` - ``, e.g. ``t1^3*t2 - t3^2 + 1``.  A bare
@@ -22,7 +17,6 @@ from dataclasses import dataclass
 from operator import le
 
 from .errors import (
-    DegreeTooSmall,
     DimensionMismatch,
     ParseError,
     SupportsNotDisjoint,
@@ -67,22 +61,6 @@ def grlex_key(m: Monomial):
     return (sum(m), m)
 
 
-def order_h_key(m: Monomial):
-    """Sort key for the homogenization order (last variable is u)."""
-    t = m[:-1]
-    return (sum(t), t, m[-1])
-
-
-_KEYS = {"grlex": grlex_key, "h": order_h_key}
-
-
-def monomial_key(order: str):
-    try:
-        return _KEYS[order]
-    except KeyError:
-        raise ValueError(f"unknown monomial order {order!r}") from None
-
-
 def grlex_cmp(a: Monomial, b: Monomial) -> int:
     if len(a) != len(b):
         raise DimensionMismatch(
@@ -91,24 +69,15 @@ def grlex_cmp(a: Monomial, b: Monomial) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def order_h_cmp(a: Monomial, b: Monomial) -> int:
-    if len(a) != len(b):
-        raise DimensionMismatch(
-            f"cannot compare monomials on {len(a)} and {len(b)} variables")
-    ka, kb = order_h_key(a), order_h_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 # -- polynomials ----------------------------------------------------------
 
 class Polynomial:
     """Immutable polynomial; terms kept sorted in decreasing order."""
 
-    __slots__ = ("field", "nvars", "order", "terms")
+    __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field: Field, nvars: int,
-                 terms: "iter[tuple[Monomial, int]]", order: str = "grlex"):
-        key = monomial_key(order)
+                 terms: "iter[tuple[Monomial, int]]"):
         merged: dict[Monomial, int] = {}
         for mono, coeff in terms:
             if len(mono) != nvars:
@@ -126,34 +95,33 @@ class Polynomial:
                 merged.pop(mono, None)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "order", order)
         object.__setattr__(
             self, "terms",
-            tuple(sorted(merged.items(), key=lambda t: key(t[0]), reverse=True)))
+            tuple(sorted(merged.items(), key=lambda t: grlex_key(t[0]),
+                         reverse=True)))
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
     # constructors
     @classmethod
-    def zero(cls, field: Field, nvars: int, order: str = "grlex") -> "Polynomial":
-        return cls(field, nvars, [], order)
+    def zero(cls, field: Field, nvars: int) -> "Polynomial":
+        return cls(field, nvars, [])
 
     @classmethod
-    def constant(cls, field: Field, nvars: int, c: int,
-                 order: str = "grlex") -> "Polynomial":
-        return cls(field, nvars, [((0,) * nvars, c)], order)
+    def constant(cls, field: Field, nvars: int, c: int) -> "Polynomial":
+        return cls(field, nvars, [((0,) * nvars, c)])
 
     @classmethod
-    def monomial(cls, field: Field, mono: Monomial, coeff: int = 1,
-                 order: str = "grlex") -> "Polynomial":
-        return cls(field, len(mono), [(mono, coeff)], order)
+    def monomial(cls, field: Field, mono: Monomial,
+                 coeff: int = 1) -> "Polynomial":
+        return cls(field, len(mono), [(mono, coeff)])
 
     @classmethod
-    def binomial(cls, field: Field, plus: Monomial, minus: Monomial,
-                 order: str = "grlex") -> "Polynomial":
+    def binomial(cls, field: Field, plus: Monomial,
+                 minus: Monomial) -> "Polynomial":
         """The difference of two monomials, t^plus - t^minus."""
-        return cls(field, len(plus), [(plus, 1), (minus, field.neg(1))], order)
+        return cls(field, len(plus), [(plus, 1), (minus, field.neg(1))])
 
     # inspection
     @property
@@ -178,21 +146,20 @@ class Polynomial:
         return self.leading_term()[1]
 
     def _check_compatible(self, other: "Polynomial") -> None:
-        if (self.field != other.field or self.nvars != other.nvars
-                or self.order != other.order):
+        if self.field != other.field or self.nvars != other.nvars:
             raise DimensionMismatch(
-                "polynomials disagree on field, variable count or order")
+                "polynomials disagree on field or variable count")
 
     # arithmetic
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         return Polynomial(self.field, self.nvars,
-                          list(self.terms) + list(other.terms), self.order)
+                          list(self.terms) + list(other.terms))
 
     def __neg__(self) -> "Polynomial":
         f = self.field
         return Polynomial(f, self.nvars,
-                          [(m, f.neg(c)) for m, c in self.terms], self.order)
+                          [(m, f.neg(c)) for m, c in self.terms])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -205,19 +172,18 @@ class Polynomial:
             for mb, cb in other.terms:
                 m = mono_mul(ma, mb)
                 out[m] = f.add(out.get(m, 0), f.mul(ca, cb))
-        return Polynomial(f, self.nvars, out.items(), self.order)
+        return Polynomial(f, self.nvars, out.items())
 
     def scale(self, c: int) -> "Polynomial":
         f = self.field
         return Polynomial(f, self.nvars,
-                          [(m, f.mul(coeff, c)) for m, coeff in self.terms],
-                          self.order)
+                          [(m, f.mul(coeff, c)) for m, coeff in self.terms])
 
     def term_mul(self, mono: Monomial, coeff: int) -> "Polynomial":
         f = self.field
         return Polynomial(f, self.nvars,
                           [(mono_mul(m, mono), f.mul(c, coeff))
-                           for m, c in self.terms], self.order)
+                           for m, c in self.terms])
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
@@ -239,28 +205,13 @@ class Polynomial:
             total = f.add(total, v)
         return total
 
-    # homogenization
-    def homogenize(self, target_degree: int) -> "Polynomial":
-        """Multiply each term by u^(target - deg); u becomes the last
-        variable and the result carries the "h" order."""
-        if self.is_zero:
-            return Polynomial.zero(self.field, self.nvars + 1, "h")
-        d = self.degree()
-        if target_degree < d:
-            raise DegreeTooSmall(
-                f"target degree {target_degree} below polynomial degree {d}")
-        terms = [(m + (target_degree - mono_degree(m),), c)
-                 for m, c in self.terms]
-        return Polynomial(self.field, self.nvars + 1, terms, "h")
-
     # text form
     def _mono_text(self, mono: Monomial) -> str:
         names = []
-        n = self.nvars
         for i, e in enumerate(mono):
             if e == 0:
                 continue
-            name = "u" if (self.order == "h" and i == n - 1) else f"t{i + 1}"
+            name = f"t{i + 1}"
             names.append(name if e == 1 else f"{name}^{e}")
         return "*".join(names) if names else "1"
 
@@ -293,11 +244,10 @@ class Polynomial:
         return (isinstance(other, Polynomial)
                 and self.field == other.field
                 and self.nvars == other.nvars
-                and self.order == other.order
                 and self.terms == other.terms)
 
     def __hash__(self) -> int:
-        return hash((self.field.q, self.nvars, self.order, self.terms))
+        return hash((self.field.q, self.nvars, self.terms))
 
 
 # -- binomials ------------------------------------------------------------
@@ -327,8 +277,8 @@ class Binomial:
             raise SupportsNotDisjoint(
                 f"monomials {self.plus} and {self.minus} share variables")
 
-    def to_polynomial(self, field: Field, order: str = "grlex") -> Polynomial:
-        return Polynomial.binomial(field, self.plus, self.minus, order)
+    def to_polynomial(self, field: Field) -> Polynomial:
+        return Polynomial.binomial(field, self.plus, self.minus)
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "Binomial":
@@ -347,7 +297,7 @@ class Binomial:
 
 # -- parsing --------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<var>t(?P<idx>\d+)|u)|(?P<int>\d+)"
+_TOKEN = re.compile(r"\s*(?:(?P<var>t(?P<idx>\d+))|(?P<int>\d+)"
                     r"|(?P<op>[-+*^]))")
 
 
@@ -359,10 +309,7 @@ def _tokenize(text: str):
         if not m or m.end() == m.start():
             break
         if m.group("var"):
-            if m.group("var") == "u":
-                out.append(("u", None, m.start("var")))
-            else:
-                out.append(("t", int(m.group("idx")), m.start("var")))
+            out.append(("t", int(m.group("idx")), m.start("var")))
         elif m.group("int"):
             out.append(("int", int(m.group("int")), m.start("int")))
         else:
@@ -374,14 +321,11 @@ def _tokenize(text: str):
     return out
 
 
-def parse_polynomial(text: str, field: Field, nvars: int,
-                     order: str = "grlex") -> Polynomial:
+def parse_polynomial(text: str, field: Field, nvars: int) -> Polynomial:
     """Parse the textual polynomial form produced by ``to_text``.
 
     Accepts integer coefficients (reduced into the field), ``*`` between
-    factors, ``^`` for exponents, and leading/infix ``+``/``-``.  The
-    variable ``u`` is only legal under the "h" order, where it names the
-    last variable.
+    factors, ``^`` for exponents, and leading/infix ``+``/``-``.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -420,19 +364,11 @@ def parse_polynomial(text: str, field: Field, nvars: int,
                 c = val % field.q
                 coeff = field.mul(coeff, c)
                 i += 1
-            elif kind in ("t", "u"):
-                if kind == "u":
-                    if order != "h":
-                        raise ParseError(
-                            "variable 'u' is only valid under the h order",
-                            position=pos)
-                    var = nvars - 1
-                else:
-                    var = val - 1
-                    limit = nvars - 1 if order == "h" else nvars
-                    if not 0 <= var < limit:
-                        raise ParseError(f"variable t{val} out of range",
-                                         position=pos)
+            elif kind == "t":
+                var = val - 1
+                if not 0 <= var < nvars:
+                    raise ParseError(f"variable t{val} out of range",
+                                     position=pos)
                 i += 1
                 exp = 1
                 if i < n and tokens[i][0] == "op" and tokens[i][1] == "^":
@@ -454,7 +390,7 @@ def parse_polynomial(text: str, field: Field, nvars: int,
         terms.append((tuple(exps), coeff))
         sign_neg = False
         first = False
-    return Polynomial(field, nvars, terms, order)
+    return Polynomial(field, nvars, terms)
 
 
 # -- division and Groebner machinery --------------------------------------
@@ -471,20 +407,19 @@ def multivariate_divide(f: Polynomial, divisors) -> tuple[list[Polynomial],
     divisors = list(divisors)
     if not divisors:
         raise ZeroDivisor("need at least one divisor")
-    field, nvars, order = f.field, f.nvars, f.order
+    field, nvars = f.field, f.nvars
     for g in divisors:
-        if g.field is not field or g.nvars != nvars or g.order != order:
+        if g.field is not field or g.nvars != nvars:
             f._check_compatible(g)
         if not g.terms:
             raise ZeroDivisor("zero polynomial among the divisors")
-    key = monomial_key(order)
     lead = [g.terms[0] for g in divisors]
     quot_terms: dict[int, list[tuple[Monomial, int]]] = {}
     rem_terms: list[tuple[Monomial, int]] = []
     work = dict(f.terms)
 
     while work:
-        mono = max(work, key=key)
+        mono = max(work, key=grlex_key)
         coeff = work[mono]
         for i, (lm, lc) in enumerate(lead):
             if all(map(le, lm, mono)):  # lm divides mono
@@ -503,10 +438,10 @@ def multivariate_divide(f: Polynomial, divisors) -> tuple[list[Polynomial],
         else:
             del work[mono]
             rem_terms.append((mono, coeff))
-    quotients = [Polynomial.zero(field, nvars, order)] * len(divisors)
+    quotients = [Polynomial.zero(field, nvars)] * len(divisors)
     for i, ts in quot_terms.items():
-        quotients[i] = Polynomial(field, nvars, ts, order)
-    remainder = Polynomial(field, nvars, rem_terms, order)
+        quotients[i] = Polynomial(field, nvars, ts)
+    remainder = Polynomial(field, nvars, rem_terms)
     return quotients, remainder
 
 

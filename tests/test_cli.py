@@ -4,7 +4,13 @@ import json
 import subprocess
 import sys
 
-from cyclecodes import CycleFamilySpec, cardinality_formula, cli, codes
+from cyclecodes import (
+    CycleFamilySpec,
+    cardinality_formula,
+    cli,
+    codes,
+    cyclegraph,
+)
 
 CLI = [sys.executable, "-m", "cyclecodes.cli"]
 
@@ -392,6 +398,42 @@ def test_budget_exceeded_exits_3():
                 "--enum-budget", "1000")
     assert r.returncode == 3
     assert "budget" in r.stderr
+
+
+def test_budget_beyond_array_size_exits_3_before_allocating(monkeypatch,
+                                                           capsys):
+    # 65520^5 states fit the budget but no numpy array: the searches
+    # must refuse them before anything is allocated.
+    def searched(*args, **kwargs):
+        raise AssertionError("search ran before the size check")
+
+    monkeypatch.setattr(codes, "_cycle_character_degrees", searched)
+    huge = str(10 ** 30)
+    rc = cli.main(["hilbert", "--q", "65521", "--spec", "5", "--d", "2",
+                   "--with-rank", "--enum-budget", huge])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: counting the characters of one 5-cycle copy over F_65521 "
+        f"needs {65520 ** 5} states, more than one array can index\n")
+    monkeypatch.setattr(cyclegraph.np, "zeros", None)
+    monkeypatch.setattr(cyclegraph.np, "arange", None)
+    rc = cli.main(["card", "--q", "65521", "--spec", "5",
+                   "--enum-budget", huge])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: enumerating one 5-cycle copy over F_65521 "
+        f"needs {65520 ** 5} assignments, more than one array can index\n")
+
+
+def test_out_of_memory_exits_3(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "enumerated_cardinality", exhausted)
+    assert cli.main(["card", "--q", "5", "--spec", "3"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "--enum-budget" in out.err
 
 
 def test_out_writes_file_and_keeps_stdout_quiet(tmp_path):

@@ -12,6 +12,7 @@ from cyclecodes import (
     BudgetExceeded,
     CycleFamilySpec,
     EvaluationMatrix,
+    ToricSet,
     build_evaluation_matrix,
     cardinality_formula,
     character_table,
@@ -21,7 +22,6 @@ from cyclecodes import (
     field_new,
     footprint_table,
     hilbert_footprint,
-    matrix_rank,
     min_distance,
     monomial_basis,
     parse_spec_string,
@@ -107,6 +107,65 @@ def test_matrix_rows_generic_binary_field():
     assert list(rows[(2, 0, 0)]) == [f.mul(p[0], p[0]) for p in pts]
 
 
+def _entry_by_entry(X, monomials):
+    """The evaluation matrix from the field's scalar operations, one
+    entry at a time: the reference for the log-table build."""
+    f = X.field
+    rows = []
+    for mono in monomials:
+        row = []
+        for pt in X.points:
+            val = 1
+            for x, e in zip(pt, mono):
+                if e:
+                    val = f.mul(val, f.pow(x, e))
+            row.append(val)
+        rows.append(row)
+    return rows
+
+
+_MATRIX_INSTANCES = [
+    (q, spec) for q in (2, 3, 4, 5, 7, 8, 11, 13, 16, 17)
+    for spec in ("3", "5", "3x2")
+    if cardinality_formula(parse_spec_string(spec), q) <= 30_000]
+
+# Most entries compared per degree; larger matrices are compared on a
+# drawn subset of their columns.
+_MATRIX_CHECK_CAP = 10_000
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(instance=st.sampled_from(_MATRIX_INSTANCES),
+       max_exponent=st.sampled_from([None, 3]), seed=st.integers(0, 2**32))
+def test_matrix_matches_entry_by_entry_evaluation(instance, max_exponent,
+                                                  seed):
+    # max_exponent = 3 lies above q-2 for q <= 4.
+    q, spec_text = instance
+    X = _X(q, spec_text)
+    rng = random.Random(seed)
+    for d in range(4):
+        M = build_evaluation_matrix(X, d, max_exponent=max_exponent)
+        assert M.monomials == tuple(
+            monomial_basis(X.nvars, q, d, max_exponent))
+        columns = list(range(len(X)))
+        if len(M.monomials) * len(X) > _MATRIX_CHECK_CAP:
+            columns = sorted(rng.sample(
+                columns, _MATRIX_CHECK_CAP // len(M.monomials)))
+        sub = ToricSet(X.spec, X.field, [X.points[j] for j in columns])
+        assert M.entries[:, columns].tolist() \
+            == _entry_by_entry(sub, M.monomials)
+
+
+@pytest.mark.parametrize("q, spec_text, d", [
+    (2, "3", 3), (3, "3", 5), (4, "3", 6), (5, "3", 7), (8, "3", 9)])
+def test_matrix_entries_with_exponents_beyond_the_unit_order(q, spec_text, d):
+    # Exponents up to d exceed q-2, some even q-1: their logs wrap mod q-1.
+    X = _X(q, spec_text)
+    M = build_evaluation_matrix(X, d, max_exponent=d)
+    assert max(map(max, M.monomials)) == d
+    assert M.entries.tolist() == _entry_by_entry(X, M.monomials)
+
+
 def test_matrix_budget():
     with pytest.raises(BudgetExceeded):
         build_evaluation_matrix(_X(5, "5"), 2, max_entries=100)
@@ -115,10 +174,15 @@ def test_matrix_budget():
 # -- rank as a Hilbert-function oracle ------------------------------------------------
 
 
+def _rank(M):
+    """Rank of an evaluation matrix by the package's row reduction."""
+    return len(codes._row_reduce(M.entries, M.field)[0])
+
+
 def test_rank_fixtures():
-    assert matrix_rank(build_evaluation_matrix(_X(5, "5"), 2)) == 21
-    assert matrix_rank(build_evaluation_matrix(_X(5, "5"), 9)) == 512
-    assert matrix_rank(build_evaluation_matrix(_X(5, "3"), 2)) == 10
+    assert _rank(build_evaluation_matrix(_X(5, "5"), 2)) == 21
+    assert _rank(build_evaluation_matrix(_X(5, "5"), 9)) == 512
+    assert _rank(build_evaluation_matrix(_X(5, "3"), 2)) == 10
 
 
 def test_code_dimension_matches_footprint():
@@ -158,8 +222,8 @@ def test_exponent_cap_does_not_change_rank():
     # Allowing exponents above q-2 only adds linearly dependent rows.
     X = _X(5, "3")
     for d in (4, 6):
-        capped = matrix_rank(build_evaluation_matrix(X, d))
-        loose = matrix_rank(build_evaluation_matrix(X, d, max_exponent=d))
+        capped = _rank(build_evaluation_matrix(X, d))
+        loose = _rank(build_evaluation_matrix(X, d, max_exponent=d))
         assert capped == loose
 
 
@@ -172,7 +236,7 @@ def test_rank_invariant_under_column_permutation():
     entries = M.entries[:, perm]
     shuffled = EvaluationMatrix(M.field, M.monomials,
                                 [M.points[i] for i in perm], entries)
-    assert matrix_rank(shuffled) == matrix_rank(M)
+    assert _rank(shuffled) == _rank(M)
 
 
 # -- distinct characters -------------------------------------------------------------
@@ -359,9 +423,10 @@ _DISTANCE_INSTANCES = [
 
 def _check_distance(X, d):
     M = build_evaluation_matrix(X, d)
-    dim, basis = codes._generator_matrix(M)
+    basis, _ = codes._row_reduce(M.entries, X.field)
+    dim = len(basis)
     p = code_params(X, d)
-    assert p.dimension == dim == matrix_rank(M)
+    assert p.dimension == dim
     assert p.min_distance == _brute_force_distance(basis, X.field)
     assert p.singleton_slack == len(X) - dim + 1 - p.min_distance
 

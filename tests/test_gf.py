@@ -148,3 +148,39 @@ def test_field_equality_and_hash():
 def test_elements_order():
     assert field_new(5).elements() == [0, 1, 2, 3, 4]
     assert field_new(4).elements() == [0, 1, 2, 3]
+
+
+_SUPPORTED_UP_TO_64 = [q for q in range(2, 65)
+                       if q & (q - 1) == 0
+                       or all(q % f for f in range(2, q))]
+
+
+@pytest.mark.parametrize("q", _SUPPORTED_UP_TO_64)
+def test_log_tables_multiply_every_pair_of_units(q):
+    f = field_new(q)
+    r = q - 1
+    assert sorted(f.exp.tolist()) == f.units()
+    assert [f.exp[f.log[a]] for a in f.units()] == f.units()
+    logs = f.log[1:]
+    products = f.exp[(logs[:, None] + logs) % r]
+    assert products.tolist() == [[f.mul(a, b) for b in f.units()]
+                                 for a in f.units()]
+
+
+def test_log_tables_at_the_largest_prime():
+    f = field_new(65521)
+    assert len(set(f.exp.tolist())) == 65520
+    assert f.exp.min() == 1 and f.exp.max() == 65520
+    rng = random.Random(65521)
+    for _ in range(200):
+        a, b = rng.randrange(1, 65521), rng.randrange(1, 65521)
+        assert f.exp[(f.log[a] + f.log[b]) % 65520] == f.mul(a, b)
+        assert f.exp[f.log[a] * 7 % 65520] == f.pow(a, 7)
+
+
+def test_log_tables_are_read_only():
+    f = field_new(5)
+    with pytest.raises(ValueError):
+        f.exp[0] = 2
+    with pytest.raises(ValueError):
+        f.log[1] = 2

@@ -22,7 +22,6 @@ from cyclecodes import (
     footprint_table,
     gamma_of,
     hilbert_footprint,
-    hilbert_footprint_slow,
     hilbert_union_formula,
     parse_spec_string,
     regularity_bruteforce,
@@ -37,6 +36,8 @@ from cyclecodes.hilbert import (
     count_box_by_degree,
     footprint_by_degree,
 )
+from cyclecodes.ideal import build_generators
+from cyclecodes.poly import mono_divides
 
 
 # -- box counting -------------------------------------------------------------
@@ -120,6 +121,19 @@ def test_footprint_fixtures_small():
 
 def test_footprint_negative_degree():
     assert hilbert_footprint(CycleFamilySpec.single(3), field_new(5), -1) == 0
+
+
+def hilbert_footprint_slow(spec, field, d):
+    """Lattice-walk oracle: enumerate every monomial of degree <= d and
+    test divisibility against each leading term.  Tiny instances only."""
+    leads = [g.leading_monomial() for g in build_generators(spec, field)]
+    count = 0
+    for mono in itertools.product(range(d + 1), repeat=spec.nvars):
+        if sum(mono) > d:
+            continue
+        if not any(mono_divides(lt, mono) for lt in leads):
+            count += 1
+    return count
 
 
 @pytest.mark.parametrize("q,spec_text,dmax", [

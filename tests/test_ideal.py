@@ -1,7 +1,5 @@
 """Tests for the binomial generator sets of the vanishing ideal."""
 
-import random
-
 import pytest
 
 from cyclecodes import (
@@ -9,7 +7,6 @@ from cyclecodes import (
     BudgetExceeded,
     CycleFamilySpec,
     Polynomial,
-    SupportsNotDisjoint,
     buchberger_is_groebner,
     build_generators,
     enumerate_toric_set,
@@ -19,8 +16,6 @@ from cyclecodes import (
     multivariate_divide,
     parse_polynomial,
     parse_spec_string,
-    reduce_mod_torus,
-    square_point_property,
     vanishing_membership,
     verify_vanishing,
 )
@@ -165,88 +160,6 @@ def test_groebner_property_small():
     field = field_new(5)
     gens = build_generators(CycleFamilySpec.single(3), field)
     assert buchberger_is_groebner(gens.all_generators())
-
-
-# -- torus reduction -------------------------------------------------------------
-
-
-def test_reduce_mod_torus_examples():
-    f5 = field_new(5)
-    changed, r = reduce_mod_torus(Binomial((4, 0), (0, 1)), f5)
-    assert changed and r == Binomial((0, 0), (0, 1))
-    changed, r = reduce_mod_torus(Binomial((5, 0), (0, 1)), f5)
-    assert changed and r == Binomial((1, 0), (0, 1))
-    changed, r = reduce_mod_torus(Binomial((3, 0), (0, 2)), f5)
-    assert not changed and r == Binomial((3, 0), (0, 2))
-
-
-def test_reduce_mod_torus_requires_disjoint():
-    with pytest.raises(SupportsNotDisjoint):
-        reduce_mod_torus(Binomial((2, 1), (0, 1)), field_new(5))
-
-
-def test_reduce_mod_torus_preserves_values_on_units():
-    rng = random.Random(47)
-    field = field_new(5)
-    spec = CycleFamilySpec.single(3)
-    X = enumerate_toric_set(spec, field)
-    for _ in range(30):
-        exps = []
-        for _v in range(3):
-            which = rng.randrange(3)
-            e = rng.randrange(0, 2 * (field.q - 1))
-            exps.append((e, 0) if which == 0 else (0, e) if which == 1 else (0, 0))
-        b = Binomial(tuple(a for a, _ in exps), tuple(m for _, m in exps))
-        _, r = reduce_mod_torus(b, field)
-        fb = b.to_polynomial(field)
-        fr = r.to_polynomial(field)
-        for p in X:
-            assert fb.evaluate(p) == fr.evaluate(p)
-
-
-# -- the all-squares necessary condition -------------------------------------------
-
-
-def test_square_point_property_of_generators():
-    field = field_new(5)
-    spec = CycleFamilySpec.single(3)
-    for g in build_generators(spec, field):
-        assert square_point_property(g, spec, field)
-
-
-def test_square_point_property_detects_failure():
-    field = field_new(5)
-    spec = CycleFamilySpec.single(3)
-    f = parse_polynomial("t1 - 1", field, 3)
-    assert not square_point_property(f, spec, field)
-
-
-def test_square_point_property_zero():
-    field = field_new(5)
-    spec = CycleFamilySpec.single(3)
-    assert square_point_property(Polynomial.zero(field, 3), spec, field)
-
-
-def test_square_point_property_routes_agree():
-    # Route 1 walks all unit tuples; route 2 walks square tuples only.
-    # (q-1)^3 = 64 > 10 forces route 2; both must agree.
-    field = field_new(5)
-    spec = CycleFamilySpec.single(3)
-    polys = [
-        parse_polynomial("t1^2*t2^2 - t3^2", field, 3),
-        parse_polynomial("t1 - 1", field, 3),
-        parse_polynomial("t1*t2*t3 - 1", field, 3),
-    ]
-    for f in polys:
-        assert (square_point_property(f, spec, field, budget=10)
-                == square_point_property(f, spec, field, budget=1000))
-
-
-def test_square_point_property_budget_exhausted():
-    field = field_new(5)
-    spec = CycleFamilySpec.single(3)
-    with pytest.raises(BudgetExceeded):
-        square_point_property(Polynomial.zero(field, 3), spec, field, budget=4)
 
 
 # -- the space of candidate binomials ----------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cyclecodes import (
     Binomial,
-    DegreeTooSmall,
     DimensionMismatch,
     ParseError,
     Polynomial,
@@ -21,7 +20,6 @@ from cyclecodes import (
     grlex_cmp,
     grlex_key,
     multivariate_divide,
-    order_h_cmp,
     parse_polynomial,
     parse_spec_string,
     poly,
@@ -32,8 +30,8 @@ from cyclecodes.poly import mono_coprime, mono_div, mono_divides, mono_lcm, mono
 F5 = field_new(5)
 
 
-def P(text, nvars=3, field=F5, order="grlex"):
-    return parse_polynomial(text, field, nvars, order)
+def P(text, nvars=3, field=F5):
+    return parse_polynomial(text, field, nvars)
 
 
 # -- monomial helpers -------------------------------------------------------
@@ -63,8 +61,6 @@ def test_grlex_examples():
 def test_grlex_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         grlex_cmp((1, 0), (1, 0, 0))
-    with pytest.raises(DimensionMismatch):
-        order_h_cmp((1, 0), (1, 0, 0))
 
 
 def test_grlex_respects_multiplication():
@@ -75,15 +71,6 @@ def test_grlex_respects_multiplication():
         c = tuple(rng.randrange(6) for _ in range(4))
         if grlex_cmp(a, b) == 1:
             assert grlex_cmp(mono_mul(a, c), mono_mul(b, c)) == 1
-
-
-def test_order_h_examples():
-    # Last variable is the homogenizing one: compared only on ties of
-    # the leading block.
-    assert order_h_cmp((1, 0), (1, 1)) == -1   # t1 < t1*u
-    assert order_h_cmp((2, 0), (1, 5)) == 1    # t1^2 beats t1*u^5
-    assert order_h_cmp((0, 3), (0, 3)) == 0
-    assert order_h_cmp((1, 2, 0), (0, 2, 9)) == 1
 
 
 def test_order_keys_sort_consistently():
@@ -169,7 +156,7 @@ def test_mixed_field_or_order_rejected():
     with pytest.raises(DimensionMismatch):
         P("t1") + P("t1", nvars=2)
     with pytest.raises(DimensionMismatch):
-        P("t1") + parse_polynomial("t1", field_new(7), 3, "grlex")
+        P("t1") + parse_polynomial("t1", field_new(7), 3)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -198,45 +185,6 @@ def test_evaluate_is_ring_homomorphism():
 def test_evaluate_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         P("t1").evaluate((1, 2))
-
-
-# -- homogenization ----------------------------------------------------------
-
-
-def test_homogenize_example():
-    f = P("t1^2 - 1", nvars=1)
-    h = f.homogenize(2)
-    assert h.order == "h"
-    assert h.nvars == 2
-    assert h.terms == (((2, 0), 1), ((0, 2), 4))
-
-
-def test_homogenize_cycle_binomial():
-    g = P("t1^2*t2^2*t3^2 - t4^2*t5^2", nvars=5)
-    h = g.homogenize(6)
-    assert h.terms == (((2, 2, 2, 0, 0, 0), 1), ((0, 0, 0, 2, 2, 2), 4))
-    assert h.leading_monomial() == (2, 2, 2, 0, 0, 0)
-    assert all(sum(m) == 6 for m, _ in h.terms)
-
-
-def test_homogenize_zero_and_too_small():
-    z = Polynomial.zero(F5, 3).homogenize(4)
-    assert z.is_zero and z.nvars == 4 and z.order == "h"
-    with pytest.raises(DegreeTooSmall):
-        P("t1^3").homogenize(2)
-
-
-def test_homogenize_round_trip():
-    rng = random.Random(17)
-    for _ in range(20):
-        terms = [(tuple(rng.randrange(4) for _ in range(3)), rng.randrange(1, 5))
-                 for _ in range(rng.randrange(1, 4))]
-        f = Polynomial(F5, 3, terms)
-        d = f.degree() + rng.randrange(3)
-        h = f.homogenize(d)
-        # Setting u = 1 (dropping the last exponent) recovers f.
-        back = Polynomial(F5, 3, [(m[:-1], c) for m, c in h.terms])
-        assert back == f
 
 
 # -- division ----------------------------------------------------------------
@@ -294,8 +242,7 @@ def test_divide_checks_every_divisor():
     qs, r = multivariate_divide(f, [P("t1"), P("t2", field=field_new(5))])
     assert r.is_zero
     assert qs == [P("t1"), P("1")]
-    for bad in (P("t1", nvars=2), P("t1", field=field_new(7)),
-                P("t1", order="h")):
+    for bad in (P("t1", nvars=2), P("t1", field=field_new(7))):
         with pytest.raises(DimensionMismatch):
             multivariate_divide(f, [P("t3"), bad])
     with pytest.raises(ZeroDivisor):
@@ -529,25 +476,18 @@ def test_text_round_trips():
         assert P(f.to_text()) == f
 
 
-def test_parse_h_order_with_u():
-    f = parse_polynomial("t1^2 - u^2", F5, 2, "h")
-    assert f.order == "h"
-    assert f.terms == (((2, 0), 1), ((0, 2), 4))
-    assert f == P("t1^2 - 1", nvars=1).homogenize(2)
-
-
 @pytest.mark.parametrize("bad", [
     "", "  ", "t1 +", "+", "t0", "t4", "t1^^2", "t1^", "t1^-2",
     "u", "2 3", "t1 t2 &", "*t1", "t1*", "^2",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
-        parse_polynomial(bad, F5, 3, "grlex")
+        parse_polynomial(bad, F5, 3)
 
 
 def test_parse_error_position():
     try:
-        parse_polynomial("t1 + t9", F5, 3, "grlex")
+        parse_polynomial("t1 + t9", F5, 3)
     except ParseError as exc:
         assert exc.position is not None and exc.position >= 5
     else:
@@ -556,7 +496,7 @@ def test_parse_error_position():
 
 def test_parse_u_rejected_under_grlex():
     with pytest.raises(ParseError):
-        parse_polynomial("t1 + u", F5, 3, "grlex")
+        parse_polynomial("t1 + u", F5, 3)
 
 
 def test_parse_coefficients_mod_q():
