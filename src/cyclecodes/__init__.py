@@ -65,6 +65,7 @@ from .ideal import (
 )
 from .poly import (
     Binomial,
+    DivisorSet,
     Monomial,
     Polynomial,
     buchberger_is_groebner,

@@ -311,9 +311,15 @@ def code_params(X: ToricSet, d: int,
     equal monomial characters give equal rows and distinct characters
     are linearly independent (Artin), so the distinct rows are a basis
     of the code and their number is its dimension: no row reduction.
-    The exact distance is searched when q^dimension fits dist_budget."""
+    Rows are told apart by their bytes, which costs the same for any
+    row length, and kept in matrix order; the distance does not depend
+    on their order.  The exact distance is searched when q^dimension
+    fits dist_budget."""
     M = build_evaluation_matrix(X, d, max_entries)
-    basis = np.unique(M.entries, axis=0)
+    entries = np.ascontiguousarray(M.entries)
+    row_bytes = entries.view(np.dtype((np.void, entries[0].nbytes)))
+    _, first = np.unique(row_bytes.ravel(), return_index=True)
+    basis = entries[np.sort(first)]
     dim = len(basis)
     n = len(X)
     if X.field.q ** dim > dist_budget:

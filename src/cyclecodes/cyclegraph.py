@@ -162,12 +162,15 @@ def _single_cycle_codes(k: int, field: Field, budget: int) -> np.ndarray:
     (l_j + l_{j+1}) mod q-1 for vertex logs l.  The loop runs over the
     first vertex's log; the other k-1 vertices are one array of
     (q-1)^(k-1) assignments.  Codes are marked in one (q-1)^k-byte
-    mask, so sorting and deduplication come for free."""
+    mask, so sorting and deduplication come for free.  The digit
+    arrays are int32 whenever every code fits, which cuts their memory
+    by half."""
     r = field.q - 1
     check_search_budget(
         f"enumerating one {k}-cycle copy over F_{field.q} needs "
         f"{r ** k} assignments", r ** k, budget)
-    rest = np.arange(r ** (k - 1), dtype=np.int64)
+    dtype = np.int32 if r ** k < 1 << 31 else np.int64
+    rest = np.arange(r ** (k - 1), dtype=dtype)
 
     def vertex(j):  # log at vertex j >= 1, over all assignments
         return rest // r ** (k - 1 - j) % r

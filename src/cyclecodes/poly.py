@@ -13,8 +13,11 @@ written ``c*...``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from operator import le
+from functools import reduce
+from itertools import accumulate
+from operator import add, and_, getitem, le, or_, sub
 
 from .errors import (
     DimensionMismatch,
@@ -35,7 +38,7 @@ def mono_degree(m: Monomial) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -45,11 +48,11 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """Quotient a / b; caller must ensure b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(x if x > y else y for x, y in zip(a, b))
 
 
 def mono_coprime(a: Monomial, b: Monomial) -> bool:
@@ -395,114 +398,179 @@ def parse_polynomial(text: str, field: Field, nvars: int) -> Polynomial:
 
 # -- division and Groebner machinery --------------------------------------
 
+class DivisorSet:
+    """An ordered list of nonzero divisors with an index of their
+    leading monomials, built once and shared by many divisions.
+
+    Construction checks what ``multivariate_divide`` needs: a nonempty
+    list, no zero polynomial (``ZeroDivisor``), one field and variable
+    count (``DimensionMismatch``).  The index holds, for each variable
+    v, the sorted distinct leading exponents at v (``exponents[v]``)
+    and, in ``masks[v][i + 1]``, the bitset of the divisors whose
+    leading exponent at v is at most ``exponents[v][i]``; ``masks[v][0]``
+    is the empty set.  A leading monomial divides m exactly when its
+    exponent at every v is at most m[v], so ``dividing(m)`` is one
+    bisect and one AND per variable.  Only exponents that occur are
+    indexed, so the index stays small however large q is.
+    """
+
+    __slots__ = ("field", "nvars", "polys", "exponents", "masks", "_all")
+
+    def __init__(self, divisors):
+        polys = tuple(divisors)
+        if not polys:
+            raise ZeroDivisor("need at least one divisor")
+        first = polys[0]
+        for g in polys:
+            if g.field is not first.field or g.nvars != first.nvars:
+                first._check_compatible(g)
+            if not g.terms:
+                raise ZeroDivisor("zero polynomial among the divisors")
+        self.field, self.nvars, self.polys = first.field, first.nvars, polys
+        exponents, masks = [], []
+        for column in zip(*(g.terms[0][0] for g in polys)):
+            at: dict[int, int] = {}  # exponent -> divisors with it
+            for k, e in enumerate(column):
+                at[e] = at.get(e, 0) | 1 << k
+            row = sorted(at)
+            exponents.append(tuple(row))
+            masks.append(tuple(accumulate((at[e] for e in row), or_,
+                                          initial=0)))
+        self.exponents, self.masks = tuple(exponents), tuple(masks)
+        self._all = (1 << len(polys)) - 1
+
+    def dividing(self, mono: Monomial) -> int:
+        """Bitset of the divisors whose leading monomial divides mono;
+        its lowest set bit is the first such divisor in list order."""
+        return reduce(and_, map(getitem, self.masks,
+                                map(bisect_right, self.exponents, mono)),
+                      self._all)
+
+
 def multivariate_divide(f: Polynomial, divisors) -> tuple[list[Polynomial],
                                                           Polynomial]:
-    """Divide f by an ordered list of polynomials.
+    """Divide f by an ordered list of polynomials, given as a sequence
+    or as a prepared ``DivisorSet``.
 
     Returns (quotients, remainder) with
     ``f = sum(q_i * g_i) + r`` and no term of r divisible by any
-    leading monomial of the divisors.  Divisors that receive no
-    quotient term share one zero quotient.
+    leading monomial of the divisors.  Each step divides the largest
+    remaining term by the first divisor in list order whose leading
+    monomial divides it, found through the set's lead index.  Divisors
+    that receive no quotient term share one zero quotient.
     """
-    divisors = list(divisors)
-    if not divisors:
-        raise ZeroDivisor("need at least one divisor")
-    field, nvars = f.field, f.nvars
-    for g in divisors:
-        if g.field is not field or g.nvars != nvars:
-            f._check_compatible(g)
-        if not g.terms:
-            raise ZeroDivisor("zero polynomial among the divisors")
-    lead = [g.terms[0] for g in divisors]
+    dset = divisors if isinstance(divisors, DivisorSet) else \
+        DivisorSet(divisors)
+    field, nvars, polys = f.field, f.nvars, dset.polys
+    if field is not dset.field or nvars != dset.nvars:
+        f._check_compatible(polys[0])
+    dividing = dset.dividing
     quot_terms: dict[int, list[tuple[Monomial, int]]] = {}
     rem_terms: list[tuple[Monomial, int]] = []
     work = dict(f.terms)
 
     while work:
         mono = max(work, key=grlex_key)
-        coeff = work[mono]
-        for i, (lm, lc) in enumerate(lead):
-            if all(map(le, lm, mono)):  # lm divides mono
-                qm = mono_div(mono, lm)
-                qc = field.div(coeff, lc)
-                quot_terms.setdefault(i, []).append((qm, qc))
-                # subtract qc * t^qm * g_i; the pivot entry cancels exactly
-                for gm, gc in divisors[i].terms:
-                    m2 = mono_mul(gm, qm)
-                    c2 = field.sub(work.get(m2, 0), field.mul(gc, qc))
-                    if c2:
-                        work[m2] = c2
-                    else:
-                        work.pop(m2, None)
-                break
-        else:
-            del work[mono]
+        coeff = work.pop(mono)
+        hits = dividing(mono)
+        if not hits:
             rem_terms.append((mono, coeff))
-    quotients = [Polynomial.zero(field, nvars)] * len(divisors)
+            continue
+        i = (hits & -hits).bit_length() - 1
+        (lm, lc), *tail = polys[i].terms
+        qm = mono_div(mono, lm)
+        qc = field.div(coeff, lc)
+        quot_terms.setdefault(i, []).append((qm, qc))
+        # subtract qc * t^qm * g_i; its leading term cancels the pivot
+        for gm, gc in tail:
+            m2 = mono_mul(gm, qm)
+            c2 = field.sub(work.get(m2, 0), field.mul(gc, qc))
+            if c2:
+                work[m2] = c2
+            else:
+                work.pop(m2, None)
+    zero = Polynomial.zero(field, nvars)
+    quotients = [zero] * len(polys)
     for i, ts in quot_terms.items():
         quotients[i] = Polynomial(field, nvars, ts)
-    remainder = Polynomial(field, nvars, rem_terms)
+    remainder = Polynomial(field, nvars, rem_terms) if rem_terms else zero
     return quotients, remainder
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of two nonzero polynomials."""
+    """S-polynomial of two nonzero polynomials: with L the lcm of their
+    leading monomials, (L / LT f) f - (L / LT g) g.  The two leading
+    terms cancel exactly, so only the other terms are scaled."""
     f._check_compatible(g)
     lmf, lcf = f.leading_term()
     lmg, lcg = g.leading_term()
     l = mono_lcm(lmf, lmg)
     field = f.field
-    a = f.term_mul(mono_div(l, lmf), field.inv(lcf))
-    b = g.term_mul(mono_div(l, lmg), field.inv(lcg))
-    return a - b
+    a, ca = mono_div(l, lmf), field.inv(lcf)
+    b, cb = mono_div(l, lmg), field.neg(field.inv(lcg))
+    return Polynomial(
+        field, f.nvars,
+        [(mono_mul(m, a), field.mul(c, ca)) for m, c in f.terms[1:]]
+        + [(mono_mul(m, b), field.mul(c, cb)) for m, c in g.terms[1:]])
 
 
 def buchberger_is_groebner(gens) -> bool:
     """Buchberger's criterion: every S-polynomial reduces to zero.
 
-    Pairs {i, j} (i < j) are visited with i outer and j inner.  A pair
-    is skipped, without forming its S-polynomial, by either of
+    The pairs {i, j} whose leading monomials share a variable are
+    visited by increasing graded-lex lcm(LM g_i, LM g_j), ties by
+    (i, j), as Gebauer and Moeller do: the pairs a chain can pass
+    through have lcms dividing this one, so they come first.  A pair is
+    skipped, without forming its S-polynomial, by either of
     Buchberger's two criteria:
 
     * its leading monomials are coprime (then S(g_i, g_j) always
-      reduces to zero modulo {g_i, g_j});
-    * the chain criterion: some k outside {i, j} has LM(g_k) dividing
-      lcm(LM g_i, LM g_j), and both {i, k} and {j, k} come earlier in
-      the visiting order, which with this order means k < i.
+      reduces to zero modulo {g_i, g_j}); these pairs count as settled
+      from the start;
+    * the chain criterion: some k has LM(g_k) dividing
+      lcm(LM g_i, LM g_j), and both {i, k} and {j, k} are settled, that
+      is coprime or visited earlier, for any such k.  A bitset per
+      generator records whom it is settled with, so this is one AND of
+      two such bitsets with the lead index of the lcm.
 
-    Skipping is sound (Cox-Little-O'Shea, Ch. 2 Sec. 10): every pair
-    visited earlier has been reduced to zero or skipped, so its
-    S-polynomial has a representation whose terms all lie below the
-    pair's lcm; S(g_i, g_j) is a monomial combination of S(g_i, g_k)
-    and S(g_j, g_k) and inherits one below lcm(LM g_i, LM g_j).  If
+    Skipping is sound (Cox-Little-O'Shea, Ch. 2 Sec. 10): every settled
+    pair is coprime, reduced to zero or skipped by a chain through
+    pairs settled before it, so its S-polynomial has a representation
+    whose terms all lie below the pair's lcm; since
+    lcm(LM g_i, LM g_k) and lcm(LM g_j, LM g_k) divide
+    lcm(LM g_i, LM g_j), S(g_i, g_j) is a monomial combination of
+    S(g_i, g_k) and S(g_j, g_k) and inherits one below its own lcm.  If
     every pair has such a representation the generators form a
     Groebner basis, so the answer is the one the all-pairs check gives.
-    Every other pair is reduced by ``multivariate_divide``.
+    Every other pair is reduced by ``multivariate_divide`` against one
+    ``DivisorSet`` of the generators.
     """
     gens = list(gens)
     for g in gens:
         if g.is_zero:
             raise ZeroPolynomial("zero polynomial among the generators")
+    if not gens:
+        return True
+    dset = DivisorSet(gens)
     leads = [g.terms[0][0] for g in gens]
     support = [sum(1 << v for v, e in enumerate(m) if e) for m in leads]
-    # above[v][e]: bitset of the generators whose leading exponent at
-    # variable v exceeds e.  An lcm of two leading monomials only has
-    # exponents that occur in some leading monomial, so these suffice.
-    above = []
-    for column in zip(*leads):
-        above.append({e: sum(1 << k for k, c in enumerate(column) if c > e)
-                      for e in set(column)})
-    for i, (gi, lmi) in enumerate(zip(gens, leads)):
-        earlier = (1 << i) - 1
+    settled = [0] * len(gens)
+    pairs = []
+    for i, (si, lmi) in enumerate(zip(support, leads)):
         for j in range(i + 1, len(gens)):
-            if not support[i] & support[j]:
-                continue
-            too_high = 0
-            for v, e in enumerate(map(max, lmi, leads[j])):
-                too_high |= above[v][e]
-            if earlier & ~too_high:
-                continue
-            _, r = multivariate_divide(s_polynomial(gi, gens[j]), gens)
+            if si & support[j]:
+                l = mono_lcm(lmi, leads[j])
+                pairs.append((sum(l), l, i, j))
+            else:
+                settled[i] |= 1 << j
+                settled[j] |= 1 << i
+    pairs.sort()
+    for _, l, i, j in pairs:
+        common = settled[i] & settled[j]
+        if not (common and common & dset.dividing(l)):
+            _, r = multivariate_divide(s_polynomial(gens[i], gens[j]), dset)
             if not r.is_zero:
                 return False
+        settled[i] |= 1 << j
+        settled[j] |= 1 << i
     return True

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cyclecodes import (
@@ -249,6 +250,22 @@ def test_single_cycle_budget_is_checked_first(monkeypatch):
                        match="one 5-cycle copy over F_7 needs 7776 "
                              "assignments, budget is 7775"):
         cyclegraph._single_cycle_codes(5, field_new(7), 7775)
+
+
+@pytest.mark.parametrize("k, dtype", [(30, "int32"), (31, "int64")])
+def test_single_cycle_digits_are_int32_below_2_to_the_31(monkeypatch, k,
+                                                         dtype):
+    # (q-1)^k = 2^30 fits int32, 2^31 does not; nothing is allocated
+    seen = []
+
+    def arange(n, dtype):
+        seen.append(np.dtype(dtype).name)
+        raise MemoryError
+
+    monkeypatch.setattr(cyclegraph.np, "arange", arange)
+    with pytest.raises(MemoryError):
+        cyclegraph._single_cycle_codes(k, field_new(3), 1 << 40)
+    assert seen == [dtype]
 
 
 def test_enumerated_cardinality_never_decodes_points(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cyclecodes import (
     Binomial,
     DimensionMismatch,
+    DivisorSet,
     ParseError,
     Polynomial,
     SupportsNotDisjoint,
@@ -402,6 +403,129 @@ def test_chain_criterion_cuts_the_reductions(monkeypatch):
     monkeypatch.setattr(poly, "multivariate_divide", counted)
     assert poly.buchberger_is_groebner(gens)
     assert 0 < len(calls) < pairs
+
+
+def test_chain_criterion_reduces_at_most_672_pairs_on_7x3(monkeypatch):
+    # Visiting the pairs by increasing lcm lets the chain criterion use
+    # every pair settled so far: 672 of the 2205 pairs are reduced.
+    gens = build_generators(parse_spec_string("7x3"), F5).all_generators()
+    calls = []
+    divide = poly.multivariate_divide
+
+    def counted(f, divisors):
+        calls.append(1)
+        return divide(f, divisors)
+
+    monkeypatch.setattr(poly, "multivariate_divide", counted)
+    assert poly.buchberger_is_groebner(gens)
+    assert 0 < len(calls) <= 672
+
+
+def test_empty_generator_set_is_groebner():
+    assert buchberger_is_groebner([])
+
+
+def test_groebner_check_over_a_large_prime_indexes_only_the_lead_exponents():
+    gens = build_generators(parse_spec_string("3x2,5"),
+                            field_new(65521)).all_generators()
+    assert buchberger_is_groebner(gens)
+    dset = DivisorSet(gens)
+    for v, (row, masks) in enumerate(zip(dset.exponents, dset.masks)):
+        distinct = {g.leading_monomial()[v] for g in gens}
+        assert list(row) == sorted(distinct)
+        assert len(masks) == len(row) + 1
+
+
+# -- the prepared divisor set --------------------------------------------------
+
+
+def _ordered_scan_divide(f, divisors):
+    """Division that scans the divisors in order at every step and
+    divides by the first whose leading monomial divides the term."""
+    field, nvars = f.field, f.nvars
+    quot = [[] for _ in divisors]
+    rem = []
+    work = dict(f.terms)
+    while work:
+        mono = max(work, key=grlex_key)
+        coeff = work.pop(mono)
+        for i, g in enumerate(divisors):
+            lm, lc = g.leading_term()
+            if mono_divides(lm, mono):
+                qm, qc = mono_div(mono, lm), field.div(coeff, lc)
+                quot[i].append((qm, qc))
+                for gm, gc in g.terms[1:]:
+                    m2 = mono_mul(gm, qm)
+                    c2 = field.sub(work.get(m2, 0), field.mul(gc, qc))
+                    if c2:
+                        work[m2] = c2
+                    else:
+                        work.pop(m2, None)
+                break
+        else:
+            rem.append((mono, coeff))
+    return ([Polynomial(field, nvars, ts) for ts in quot],
+            Polynomial(field, nvars, rem))
+
+
+def _four_step_s_polynomial(f, g):
+    lmf, lcf = f.leading_term()
+    lmg, lcg = g.leading_term()
+    lcm = mono_lcm(lmf, lmg)
+    inv = f.field.inv
+    return (f.term_mul(mono_div(lcm, lmf), inv(lcf))
+            - g.term_mul(mono_div(lcm, lmg), inv(lcg)))
+
+
+def _dividing_by_scan(gens, mono):
+    return sum(1 << k for k, g in enumerate(gens)
+               if mono_divides(g.leading_monomial(), mono))
+
+
+def test_divisor_set_matches_the_ordered_scan():
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(draw=_generator_sets(), extra=st.integers(0, 3))
+    def check(draw, extra):
+        gens, f = draw
+        want = _ordered_scan_divide(f, gens)
+        dset = DivisorSet(gens)
+        assert multivariate_divide(f, gens) == want
+        assert multivariate_divide(f, dset) == want
+        leads = [g.leading_monomial() for g in gens]
+        above = tuple(max(c) + 1 for c in zip(*leads))
+        probes = [m for m, _ in f.terms] + leads + [
+            above, (0,) * f.nvars, mono_lcm(leads[0], leads[-1])]
+        for mono in probes:
+            assert dset.dividing(mono) == _dividing_by_scan(gens, mono)
+        # one more variable that no leading monomial uses: a zero column
+        wider = [Polynomial(g.field, g.nvars + 1,
+                            [(m + (0,), c) for m, c in g.terms]) for g in gens]
+        wide_set = DivisorSet(wider)
+        for mono in probes:
+            assert wide_set.dividing(mono + (extra,)) \
+                == _dividing_by_scan(gens, mono)
+        for a in gens:
+            for b in gens:
+                assert s_polynomial(a, b) == _four_step_s_polynomial(a, b)
+
+    check()
+
+
+def test_divisor_set_checks_the_divisors_and_the_dividend():
+    with pytest.raises(ZeroDivisor):
+        DivisorSet([])
+    with pytest.raises(ZeroDivisor):
+        DivisorSet([P("t3"), Polynomial.zero(F5, 3)])
+    for bad in (P("t1", nvars=2), P("t1", field=field_new(7))):
+        with pytest.raises(DimensionMismatch):
+            DivisorSet([P("t3"), bad])
+    # an equal field built separately is compatible
+    dset = DivisorSet([P("t1"), P("t2", field=field_new(5))])
+    assert len(dset.polys) == 2
+    assert multivariate_divide(P("t1^2 + t2"), dset)[1].is_zero
+    for dividend in (P("t1", nvars=2), P("t1", field=field_new(7))):
+        with pytest.raises(DimensionMismatch):
+            multivariate_divide(dividend, dset)
 
 
 # -- binomial wrapper ---------------------------------------------------------
