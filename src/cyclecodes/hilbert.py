@@ -11,8 +11,11 @@ compute it:
   range 0..(q-3)/2 and a "high" range (q-1)/2..q-2, and a standard
   monomial has at most gamma high exponents in each block;
 * the union formula (this module): H(d) for a single cycle equals the
-  size of a union of C(k, gamma) explicit boxes, computed by
-  inclusion-exclusion;
+  size of a union of C(k, gamma) explicit boxes.  Inclusion-exclusion
+  over them collapses, by Möbius inversion over the subset lattice, to
+  gamma+1 box counts with the closed-form coefficients
+  c_j = (-1)^(gamma-j) C(k, j) C(k-j-1, gamma-j), so the route is
+  available for every odd k;
 * evaluation-matrix rank (codes module): H(d) equals the dimension of
   the degree-d evaluation code, found by row reduction or by counting
   the distinct characters that monomials restrict to on X*.
@@ -144,6 +147,14 @@ def hilbert_footprint(spec: CycleFamilySpec, field: Field, d: int) -> int:
 
 # -- union-of-boxes route ---------------------------------------------------
 
+def union_coefficients(k: int) -> list[int]:
+    """c_0..c_gamma: the coefficient of the j-box count in the union
+    of boxes of a k-cycle, derived in union_prefix."""
+    gamma = gamma_of(k)
+    return [(-1) ** (gamma - j) * comb(k, j) * comb(k - j - 1, gamma - j)
+            for j in range(gamma + 1)]
+
+
 def union_prefix(k: int, field: Field, dmax: int,
                  budget: int = DEFAULT_UNION_BUDGET) -> list[int]:
     """H(0), H(1), ... for a single k-cycle as the size of a union of
@@ -154,8 +165,20 @@ def union_prefix(k: int, field: Field, dmax: int,
     q-2 inside H and by (q-1)/2 - 1 outside.  Inclusion-exclusion over
     the C(k, gamma) boxes; an intersection's bound is q-2 only at
     variables common to every participating H, so each term is a box
-    count depending only on the common-intersection size j.  The signs
-    are tallied per j once, then each j-box vector is built once.
+    count depending only on the common-intersection size j, and
+    H = sum_j c_j * (j-box count), j = 0..gamma.
+
+    c_j sums the signs (-1)^(|F|+1) over the nonempty families F of
+    gamma-subsets whose common intersection is exactly a j-set J, over
+    the C(k, j) choices of J.  Summed instead over the families whose
+    intersection contains J, the signs are those of all nonempty
+    subsets of the gamma-subsets containing J, which total 1 for every
+    |J| <= gamma.  Möbius inversion over the subset lattice then gives
+    the exact-intersection sum  sum_{i=0}^{gamma-j} (-1)^i C(k-j, i),
+    an alternating partial sum equal to (-1)^(gamma-j) C(k-j-1, gamma-j).
+    So c_j = (-1)^(gamma-j) C(k, j) C(k-j-1, gamma-j) (union_coefficients),
+    and the union costs gamma+1 box vectors for every odd k; the budget
+    bounds their cells.
     """
     q = field.q
     if (q - 1) % 2 != 0:
@@ -164,27 +187,16 @@ def union_prefix(k: int, field: Field, dmax: int,
             "torus and the footprint box applies")
     gamma = gamma_of(k)
     half = (q - 1) // 2
-    subsets = list(itertools.combinations(range(k), gamma))
-    r = len(subsets)
-    if 2 ** r - 1 > budget:
+    cells = (gamma + 1) * (min(dmax, k * (q - 2)) + 1)
+    if cells > budget:
         raise BudgetExceeded(
-            f"inclusion-exclusion over {r} boxes needs {2 ** r - 1} terms, "
+            f"union formula: {gamma + 1} box vectors need {cells} cells, "
             f"budget is {budget}")
-    masks = [sum(1 << v for v in H) for H in subsets]
-    sign_by_common_size = [0] * (k + 1)
-    for t in range(1, 1 << r):
-        common = (1 << k) - 1
-        tt = t
-        while tt:
-            common &= masks[(tt & -tt).bit_length() - 1]
-            tt &= tt - 1
-        sign_by_common_size[common.bit_count()] += \
-            1 if t.bit_count() % 2 else -1
-    terms = [(sign, list(itertools.accumulate(count_box_by_degree(
+    terms = [(c, list(itertools.accumulate(count_box_by_degree(
         [q - 2] * j + [half - 1] * (k - j), dmax))))
-        for j, sign in enumerate(sign_by_common_size) if sign]
+        for j, c in enumerate(union_coefficients(k))]
     top = min(dmax, max(len(prefix) for _, prefix in terms) - 1)
-    return [sum(sign * prefix_at(prefix, d) for sign, prefix in terms)
+    return [sum(c * prefix_at(prefix, d) for c, prefix in terms)
             for d in range(top + 1)]
 
 
@@ -356,9 +368,11 @@ def solve_betas(k: int, field: Field,
 
     Builds one equation per sample degree (default degrees 1..gamma+1)
     and solves the square system exactly.  If the chosen degrees give a
-    singular system, further degrees are appended one at a time, up to
-    the regularity index, and a maximal independent subset is used:
-    each degree is tested once, against the rows already chosen.
+    singular system, the degrees 0..regularity not yet tried follow in
+    increasing order, and a maximal independent subset is used: each
+    degree is tested once, against the rows already chosen.  Degree 0
+    matters at q = 3, where the boxes' bounds are 1 and 0, H_i(d) is
+    sum_{e<=d} C(i, e), and only degrees 0..gamma are independent.
     The solved identity is then re-verified at every degree through
     regularity + 1.
     """
@@ -378,22 +392,19 @@ def solve_betas(k: int, field: Field,
         else list(range(1, size + 1))
     chosen_rows: list[list[int]] = []
     chosen_degrees: list[int] = []
-    at = 0
-    while len(chosen_rows) < size:
-        if at == len(pool):
-            next_d = max(pool) + 1
-            if next_d > reg:
-                raise SingularSystem(
-                    f"no {size} independent sample degrees up to "
-                    f"regularity {reg} for k={k}, q={q}")
-            pool.append(next_d)
-        d = pool[at]
-        at += 1
+    for d in itertools.chain(pool, (e for e in range(reg + 1)
+                                    if e not in pool)):
         row = [prefix_at(tori[i], d) for i in range(size)]
         if bareiss_rank([r[:size] for r in chosen_rows] + [row]) \
                 > len(chosen_rows):
             chosen_rows.append(row + [prefix_at(target, d)])
             chosen_degrees.append(d)
+            if len(chosen_rows) == size:
+                break
+    else:
+        raise SingularSystem(
+            f"no {size} independent sample degrees up to "
+            f"regularity {reg} for k={k}, q={q}")
 
     a = [row[:size] for row in chosen_rows]
     b = [row[size] for row in chosen_rows]
@@ -408,10 +419,11 @@ def solve_betas(k: int, field: Field,
                 f"beta_{i} = {di}/{det} is not an integer for k={k}, q={q}")
         betas.append(di // det)
 
-    for d in range(1, reg + 2):
+    for d in range(reg + 2):
         lhs = sum(betas[i] * prefix_at(tori[i], d) for i in range(size))
         if lhs != prefix_at(target, d):
             raise CheckFailure(
                 f"beta identity fails at degree {d}: "
                 f"{lhs} != {prefix_at(target, d)}")
-    return BetaDecomposition(tuple(betas), tuple(chosen_degrees), reg + 1)
+    return BetaDecomposition(tuple(betas), tuple(sorted(chosen_degrees)),
+                             reg + 1)

@@ -10,6 +10,7 @@ from cyclecodes import (
     cli,
     codes,
     cyclegraph,
+    hilbert,
 )
 
 CLI = [sys.executable, "-m", "cyclecodes.cli"]
@@ -213,10 +214,25 @@ def test_betas_requires_single_cycle():
     assert "single-cycle" in r.stderr
 
 
-def test_betas_singular_system_is_check_failure():
-    r = run_cli("betas", "--q", "3", "--spec", "3")
-    assert r.returncode == 1
-    assert "independent sample degrees" in r.stderr
+def test_betas_tiny_field_samples_degree_zero():
+    r = run_cli("betas", "--q", "3", "--spec", "5")
+    assert r.returncode == 0
+    assert r.stdout == (
+        "betas = 6 -15 10\n"
+        "sample degrees = 0 1 2\n"
+        "identity verified through d = 3\n"
+    )
+
+
+def test_betas_singular_system_is_check_failure(monkeypatch, capsys):
+    # No sample degree ever adds to the rank, so the system stays
+    # singular once degrees 0..regularity are tried.
+    monkeypatch.setattr(hilbert, "bareiss_rank", lambda mat: 0)
+    rc = cli.main(["betas", "--q", "5", "--spec", "3"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: no 2 independent sample degrees up to regularity 5 "
+        "for k=3, q=5\n")
 
 
 # -- code --------------------------------------------------------------------------

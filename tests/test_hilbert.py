@@ -12,7 +12,6 @@ from cyclecodes import (
     CheckFailure,
     CycleFamilySpec,
     HilbertTable,
-    SingularSystem,
     UnsupportedSpec,
     cardinality_formula,
     count_box_degree,
@@ -29,12 +28,17 @@ from cyclecodes import (
     solve_betas,
     union_table,
 )
+from cyclecodes import hilbert
 from cyclecodes.hilbert import (
     _conv,
     bareiss_det,
     bareiss_rank,
     count_box_by_degree,
     footprint_by_degree,
+    footprint_prefix,
+    prefix_at,
+    union_coefficients,
+    union_prefix,
 )
 from cyclecodes.ideal import build_generators
 from cyclecodes.poly import mono_divides
@@ -232,10 +236,75 @@ def test_union_formula_rejects_torus_fields():
         hilbert_union_formula(3, field_new(4), 2)
 
 
-def test_union_formula_budget():
-    # C(7,3) = 35 boxes -> 2^35 - 1 inclusion-exclusion terms.
+def test_union_formula_k7_matches_footprint():
+    # C(7,3) = 35 boxes; the closed-form coefficients need 4 box vectors.
+    for q in (3, 5):
+        field = field_new(q)
+        spec = CycleFamilySpec.single(7)
+        top = regularity_formula(spec, field) + 1
+        assert (union_table(7, field, top).values
+                == footprint_table(spec, field, top).values)
+
+
+def test_union_formula_budget(monkeypatch):
+    # k = 7 at q = 5: 4 box vectors of at most min(dmax, 7*3) + 1 = 22
+    # cells; the union is constant from degree 3*3 + 4*1 = 13 on.
+    def built(*args, **kwargs):
+        raise AssertionError("box vector built before the budget check")
+
+    field = field_new(5)
+    assert len(union_prefix(7, field, 100, budget=88)) == 14
+    monkeypatch.setattr(hilbert, "count_box_by_degree", built)
+    with pytest.raises(BudgetExceeded) as exc:
+        union_prefix(7, field, 100, budget=87)
+    assert str(exc.value) == (
+        "union formula: 4 box vectors need 88 cells, budget is 87")
     with pytest.raises(BudgetExceeded):
-        hilbert_union_formula(7, field_new(3), 1)
+        hilbert_union_formula(7, field, 1, budget=7)
+
+
+def _union_coefficients_by_sign_loop(k):
+    """Inclusion-exclusion term by term: the sign of every nonempty
+    family of the C(k, gamma) boxes, tallied by the size of the family's
+    common intersection.  2^C(k, gamma) terms, so k <= 5 only."""
+    gamma = gamma_of(k)
+    masks = [sum(1 << v for v in H)
+             for H in itertools.combinations(range(k), gamma)]
+    by_common_size = [0] * (gamma + 1)
+    for t in range(1, 1 << len(masks)):
+        common = (1 << k) - 1
+        for i, mask in enumerate(masks):
+            if t >> i & 1:
+                common &= mask
+        by_common_size[common.bit_count()] += 1 if t.bit_count() % 2 else -1
+    return by_common_size
+
+
+def test_union_coefficients_match_sign_loop_and_betas():
+    for k in (3, 5):
+        assert union_coefficients(k) == _union_coefficients_by_sign_loop(k)
+    assert union_coefficients(5) == [6, -15, 10]
+    for q in (5, 7, 11, 13):
+        field = field_new(q)
+        for k in (3, 5, 7, 9, 11):
+            assert union_coefficients(k) == list(solve_betas(k, field).betas)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(q=st.sampled_from([p for p in range(3, 61, 2)
+                          if all(p % f for f in range(3, p, 2))]),
+       k=st.integers(1, 7).map(lambda i: 2 * i + 1))
+def test_union_prefix_matches_footprint_prefix(q, k):
+    field = field_new(q)
+    spec = CycleFamilySpec.single(k)
+    top = regularity_formula(spec, field) + 1
+    union = union_prefix(k, field, top)
+    footprint = footprint_prefix(spec, field)
+    assert ([prefix_at(union, d) for d in range(top + 1)]
+            == [prefix_at(footprint, d) for d in range(top + 1)])
+    # A huge degree reads the constant tail, |X*|.
+    assert (hilbert_union_formula(k, field, 10 ** 12)
+            == cardinality_formula(spec, q))
 
 
 # -- degenerate tori ---------------------------------------------------------------
@@ -442,9 +511,18 @@ def test_betas_custom_sample_degrees():
     assert b.betas == (-2, 3)
 
 
-def test_betas_singular_for_tiny_field():
-    with pytest.raises(SingularSystem):
-        solve_betas(3, field_new(3))
+def test_betas_at_q3_sample_degree_zero():
+    # At q = 3 only degrees 0..gamma give independent rows.
+    f3 = field_new(3)
+    b = solve_betas(3, f3)
+    assert b.betas == (-2, 3)
+    assert b.sample_degrees == (0, 1)
+    b = solve_betas(5, f3)
+    assert b.betas == (6, -15, 10)
+    assert b.sample_degrees == (0, 1, 2)
+    assert b.verified_through == 3
+    for k in (7, 9, 11):
+        assert list(solve_betas(k, f3).betas) == union_coefficients(k)
 
 
 def test_betas_rejects_torus_fields():
