@@ -1,19 +1,11 @@
 """Vanishing ideals, Hilbert functions and evaluation codes of point
 sets parameterized by disjoint unions of odd cycles over small finite
-fields, with every closed form cross-checked against brute force."""
+fields, with every closed form cross-checked against brute force.
 
-from .codes import (
-    CodeParams,
-    EvaluationMatrix,
-    build_evaluation_matrix,
-    character_table,
-    code_dimension,
-    code_params,
-    min_distance,
-    monomial_basis,
-    rank_table,
-    singleton_check,
-)
+The names of the codes module are loaded on first access, so importing
+the package, or a command that builds no array, does not import numpy.
+"""
+
 from .cyclegraph import (
     CycleFamilySpec,
     ToricSet,
@@ -78,4 +70,26 @@ from .poly import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_CODES_NAMES = frozenset({
+    "CodeParams",
+    "EvaluationMatrix",
+    "build_evaluation_matrix",
+    "character_table",
+    "code_dimension",
+    "code_params",
+    "min_distance",
+    "monomial_basis",
+    "rank_table",
+    "singleton_check",
+})
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["codes", *_CODES_NAMES])
+
+
+def __getattr__(name):
+    if name in _CODES_NAMES:
+        from . import codes
+
+        return getattr(codes, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

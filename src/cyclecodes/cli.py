@@ -3,7 +3,9 @@
 Subcommands: enumerate, card, ideal, groebner-check, hilbert,
 regularity, betas, code, selftest.  Exit codes: 0 success, 1 a
 cross-check failed, 2 usage error, 3 budget exceeded.  Output is
-deterministic for a given invocation.
+deterministic for a given invocation.  Only enumerate, card, code,
+selftest and hilbert --with-rank import numpy; the counting commands
+run on integers alone.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import argparse
 import json
 import sys
 
-from . import codes, hilbert
+from . import hilbert
 from .cyclegraph import (
+    DEFAULT_DIST_BUDGET,
     DEFAULT_ENUM_BUDGET,
     CycleFamilySpec,
     cardinality_formula,
@@ -70,13 +73,13 @@ def _add_common(sp, *, spec=True, formats=("plain", "json"),
                              f"(default {DEFAULT_ENUM_BUDGET})")
     if dist_budget:
         sp.add_argument("--dist-budget", type=int,
-                        default=codes.DEFAULT_DIST_BUDGET,
+                        default=DEFAULT_DIST_BUDGET,
                         help="exact min distance only when q^dimension "
                              "is at most this budget, else a bracket; "
                              "the search itself enumerates just the "
                              "(q^dimension-1)/(q-1) messages whose first "
                              "nonzero entry is 1 "
-                             f"(default {codes.DEFAULT_DIST_BUDGET})")
+                             f"(default {DEFAULT_DIST_BUDGET})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,7 +215,7 @@ def _hilbert_rows(args, spec, field, degrees):
     def column(prefix):
         return [hilbert.prefix_at(prefix, d) for d in degrees]
 
-    footprints = column(hilbert.footprint_prefix(spec, field))
+    footprints = column(hilbert.footprint_prefix(spec, field, top))
     unions: list[int | None] = [None] * len(degrees)
     if len(spec.components) == 1 and spec.components[0][1] == 1:
         try:
@@ -222,6 +225,8 @@ def _hilbert_rows(args, spec, field, degrees):
             pass
     ranks: list[int | None] = [None] * len(degrees)
     if args.with_rank:
+        from . import codes
+
         ranks = column(codes.character_prefix(spec, field, top,
                                               args.enum_budget))
     return list(zip(degrees, footprints, unions, ranks))
@@ -303,6 +308,8 @@ def _cmd_betas(args) -> tuple[str, bool]:
 
 
 def _cmd_code(args) -> tuple[str, bool]:
+    from . import codes
+
     field = field_new(args.q)
     spec = parse_spec_string(args.spec)
     codes.check_matrix_budget(spec.nvars, args.q,
@@ -339,6 +346,8 @@ def _cmd_code(args) -> tuple[str, bool]:
 
 
 def _cmd_selftest(args) -> tuple[str, bool]:
+    from . import codes
+
     field = field_new(5)
     spec = CycleFamilySpec.single(5)
     lines = []

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclegraph import (
+    DEFAULT_DIST_BUDGET,
     DEFAULT_ENUM_BUDGET,
     CycleFamilySpec,
     ToricSet,
@@ -47,7 +48,6 @@ from .hilbert import HilbertTable, _conv, count_box_degree
 from .poly import Monomial, grlex_key
 
 DEFAULT_MATRIX_BUDGET = 1 << 26
-DEFAULT_DIST_BUDGET = 1 << 22
 # Largest table of tail-row combinations the distance search builds, in
 # cells; it bounds the search's memory whatever the code's size.
 _TABLE_CELLS = 1 << 20

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -35,6 +34,7 @@ from .errors import (
 from .gf import Field
 
 DEFAULT_ENUM_BUDGET = 1 << 26
+DEFAULT_DIST_BUDGET = 1 << 22
 
 
 def gamma_of(k: int) -> int:
@@ -149,7 +149,7 @@ def check_search_budget(needs: str, work: int, budget: int) -> None:
     one numpy array can index.  ``needs`` says what needs the work."""
     if work > budget:
         raise BudgetExceeded(f"{needs}, budget is {budget}")
-    if work > np.iinfo(np.intp).max:
+    if work > sys.maxsize:
         raise BudgetExceeded(f"{needs}, more than one array can index")
 
 
@@ -165,6 +165,8 @@ def _single_cycle_codes(k: int, field: Field, budget: int) -> np.ndarray:
     mask, so sorting and deduplication come for free.  The digit
     arrays are int32 whenever every code fits, which cuts their memory
     by half."""
+    import numpy as np
+
     r = field.q - 1
     check_search_budget(
         f"enumerating one {k}-cycle copy over F_{field.q} needs "
@@ -190,6 +192,8 @@ def _single_cycle_codes(k: int, field: Field, budget: int) -> np.ndarray:
 def _single_cycle_points(k: int, field: Field,
                          budget: int) -> list[tuple[int, ...]]:
     """Sorted distinct image points of one k-cycle copy."""
+    import numpy as np
+
     r = field.q - 1
     codes = _single_cycle_codes(k, field, budget)
     logs = codes[:, None] // r ** np.arange(k - 1, -1, -1) % r
@@ -202,8 +206,10 @@ class ToricSet:
     def __init__(self, spec: CycleFamilySpec, field: Field, points):
         self.spec = spec
         self.field = field
-        self.points = tuple(sorted(set(points)))
-        self._point_set = frozenset(self.points)
+        # dict.fromkeys keeps the input order, and a product of sorted
+        # copies is already sorted, which Timsort checks in linear time.
+        self._point_set = dict.fromkeys(points)
+        self.points = tuple(sorted(self._point_set))
 
     def __len__(self) -> int:
         return len(self.points)

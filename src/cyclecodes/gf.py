@@ -11,8 +11,9 @@ rest of the package needs:
 
 Both kinds expose the discrete-log and antilog tables of their unit
 group as numpy arrays (``Field.log``, ``Field.exp``), so array code
-multiplies units of either kind by adding logs mod q-1.  Prime fields
-build them on first use, so scalar work never pays for them.
+multiplies units of either kind by adding logs mod q-1.  They are
+built, and numpy imported, on first use, so scalar work never pays for
+them.
 
 Odd prime-power fields (9, 25, 27, ...) are rejected: nothing downstream
 requires them, and supporting them would mean carrying general extension
@@ -25,8 +26,6 @@ holds the arithmetic.
 from __future__ import annotations
 
 from functools import cached_property
-
-import numpy as np
 
 from .errors import DivisionByZero, UnsupportedField
 
@@ -157,6 +156,8 @@ class Field:
     def exp(self) -> np.ndarray:
         """Antilogs: exp[i] = g^i for i = 0..q-2, g a fixed generator of
         the unit group.  Read-only."""
+        import numpy as np
+
         exp = np.array(self._exp if self.p == 2
                        else _prime_generator_powers(self.q), dtype=np.int64)
         exp.flags.writeable = False
@@ -166,6 +167,8 @@ class Field:
     def log(self) -> np.ndarray:
         """Discrete logs: log[a] = i with exp[i] = a for every unit a;
         log[0] = 0 is a placeholder.  Read-only."""
+        import numpy as np
+
         log = np.zeros(self.q, dtype=np.int64)
         log[self.exp] = np.arange(self.q - 1)
         log.flags.writeable = False

@@ -20,9 +20,10 @@ compute it:
   the degree-d evaluation code, found by row reduction or by counting
   the distinct characters that monomials restrict to on X*.
 
-Each counting route builds its whole degree vector once per command
+Each counting route builds its degree vector once per command
 (footprint_table, union_table, and the torus vectors inside
-solve_betas) and reads every degree from it.  A box factor
+solve_betas), truncated at the largest degree the command reads when
+that is known, and reads every degree from it.  A box factor
 (1 + x + ... + x^b) is applied as a running window sum and a block's
 sparse mask as gamma+1 shifted adds, so a vector costs time linear in
 its length, which grows linearly in q.
@@ -106,8 +107,10 @@ def prefix_at(prefix: list[int], d: int) -> int:
 
 # -- footprint route -------------------------------------------------------
 
-def footprint_by_degree(spec: CycleFamilySpec, field: Field) -> list[int]:
-    """Exact-degree standard-monomial counts for the whole graph.
+def footprint_by_degree(spec: CycleFamilySpec, field: Field,
+                        cap: int | None = None) -> list[int]:
+    """Exact-degree standard-monomial counts for the whole graph,
+    truncated at degree cap.
 
     When q-1 is even a block's leading terms are t_i^(q-1) and all
     (gamma+1)-fold products of (q-1)/2-th powers, so a block exponent
@@ -116,23 +119,27 @@ def footprint_by_degree(spec: CycleFamilySpec, field: Field) -> list[int]:
     (0..(q-1)/2-1) and an equally long high range gives the block's
     generating polynomial  low_box^k * sum_{v<=gamma} C(k,v) x^{v(q-1)/2}.
     The whole graph's vector is the product over blocks: every low box
-    factor, then each block's sparse mask as gamma+1 shifted adds.
+    factor, then each block's sparse mask as gamma+1 shifted adds, each
+    product truncated at the cap.
 
     When q-1 is odd there is no cycle part and every block is the
     plain box with every bound q-2.
     """
     q = field.q
     if (q - 1) % 2 != 0:
-        return count_box_by_degree([q - 2] * spec.nvars)
+        return count_box_by_degree([q - 2] * spec.nvars, cap)
     half = (q - 1) // 2
-    vec = count_box_by_degree([half - 1] * spec.nvars)
+    vec = count_box_by_degree([half - 1] * spec.nvars, cap)
     for k, m in spec.components:
         gamma = gamma_of(k)
         for _ in range(m):
-            out = [0] * (len(vec) + gamma * half)
+            n = len(vec) + gamma * half
+            if cap is not None:
+                n = min(n, cap + 1)
+            out = [0] * n
             for v in range(gamma + 1):
                 c, shift = comb(k, v), v * half
-                for i, x in enumerate(vec):
+                for i, x in enumerate(vec[:max(n - shift, 0)]):
                     out[shift + i] += c * x
             vec = out
     return vec
@@ -288,16 +295,19 @@ class HilbertTable:
                    source)
 
 
-def footprint_prefix(spec: CycleFamilySpec, field: Field) -> list[int]:
+def footprint_prefix(spec: CycleFamilySpec, field: Field,
+                     cap: int | None = None) -> list[int]:
     """H(0)..H(e) by the footprint, e the largest degree of a standard
-    monomial, past which H stays constant."""
-    return list(itertools.accumulate(footprint_by_degree(spec, field)))
+    monomial, past which H stays constant; truncated at degree cap, so
+    a capped vector is read only through the cap."""
+    return list(itertools.accumulate(footprint_by_degree(spec, field,
+                                                         cap)))
 
 
 def footprint_table(spec: CycleFamilySpec, field: Field,
                     dmax: int) -> HilbertTable:
-    return HilbertTable.from_prefix(footprint_prefix(spec, field), dmax,
-                                    "footprint")
+    return HilbertTable.from_prefix(footprint_prefix(spec, field, dmax),
+                                    dmax, "footprint")
 
 
 # -- beta decomposition ------------------------------------------------------

@@ -4,12 +4,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 from cyclecodes import (
     CycleFamilySpec,
     cardinality_formula,
     cli,
     codes,
-    cyclegraph,
     hilbert,
 )
 
@@ -431,8 +433,8 @@ def test_budget_beyond_array_size_exits_3_before_allocating(monkeypatch,
     assert capsys.readouterr().err == (
         "error: counting the characters of one 5-cycle copy over F_65521 "
         f"needs {65520 ** 5} states, more than one array can index\n")
-    monkeypatch.setattr(cyclegraph.np, "zeros", None)
-    monkeypatch.setattr(cyclegraph.np, "arange", None)
+    monkeypatch.setattr(np, "zeros", None)
+    monkeypatch.setattr(np, "arange", None)
     rc = cli.main(["card", "--q", "65521", "--spec", "5",
                    "--enum-budget", huge])
     assert rc == 3
@@ -479,3 +481,39 @@ def test_repeated_runs_byte_identical():
         b = run_cli(*args)
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
+
+
+# -- numpy is imported only by the commands that build arrays -----------------
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["hilbert", "--q", "5", "--spec", "3"], False),
+    (["regularity", "--q", "7", "--spec", "3x2,5"], False),
+    (["betas", "--q", "31", "--spec", "5"], False),
+    (["ideal", "--q", "5", "--spec", "3"], False),
+    (["groebner-check", "--q", "5", "--spec", "5"], False),
+    (["code", "--q", "4", "--spec", "3", "--d", "1"], True),
+    (["card", "--q", "5", "--spec", "3"], True),
+    (["hilbert", "--q", "5", "--spec", "3", "--with-rank"], True),
+])
+def test_only_array_commands_import_numpy(argv, loads_numpy):
+    code = ("import sys; from cyclecodes import cli; "
+            f"rc = cli.main({argv!r}); "
+            "print(rc, 'numpy' in sys.modules, file=sys.stderr)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.stderr == f"0 {loads_numpy}\n"
+
+
+def test_package_names_resolve_lazily():
+    import cyclecodes
+
+    for name in cyclecodes.__all__:
+        getattr(cyclecodes, name)
+    assert cyclecodes.code_params is codes.code_params
+    with pytest.raises(AttributeError):
+        cyclecodes.no_such_name
+    namespace = {}
+    exec("from cyclecodes import *", namespace)
+    assert namespace["code_params"] is codes.code_params
+    assert namespace["rank_table"] is codes.rank_table

@@ -245,7 +245,7 @@ def test_single_cycle_points_match_the_assignment_walk(q, k):
 
 
 def test_single_cycle_budget_is_checked_first(monkeypatch):
-    monkeypatch.setattr(cyclegraph.np, "zeros", None)  # no work at all
+    monkeypatch.setattr(np, "zeros", None)  # no work at all
     with pytest.raises(BudgetExceeded,
                        match="one 5-cycle copy over F_7 needs 7776 "
                              "assignments, budget is 7775"):
@@ -262,7 +262,7 @@ def test_single_cycle_digits_are_int32_below_2_to_the_31(monkeypatch, k,
         seen.append(np.dtype(dtype).name)
         raise MemoryError
 
-    monkeypatch.setattr(cyclegraph.np, "arange", arange)
+    monkeypatch.setattr(np, "arange", arange)
     with pytest.raises(MemoryError):
         cyclegraph._single_cycle_codes(k, field_new(3), 1 << 40)
     assert seen == [dtype]
@@ -332,3 +332,13 @@ def test_toric_set_dedupes():
     x = ToricSet(spec, f3, [(1, 1, 1), (1, 1, 1), (2, 2, 1)])
     assert len(x) == 2
     assert [1, 1, 1] in x  # membership coerces to tuple
+
+
+def test_toric_set_sorts_unsorted_input():
+    f5 = field_new(5)
+    spec = CycleFamilySpec.single(3)
+    pts = [(4, 1, 2), (1, 3, 3), (4, 1, 2), (1, 1, 4), (2, 2, 1)]
+    x = ToricSet(spec, f5, pts)
+    assert x.points == ((1, 1, 4), (1, 3, 3), (2, 2, 1), (4, 1, 2))
+    assert all(p in x for p in pts)
+    assert (1, 2, 3) not in x

@@ -174,6 +174,19 @@ def test_footprint_by_degree_matches_lattice_walk(data, q, families):
     assert sum(vec[:d + 1]) == hilbert_footprint_slow(spec, field, d)
 
 
+@pytest.mark.parametrize("q, spec_text", [
+    (2, "3"), (3, "5,3"), (4, "3x2"), (5, "5"), (7, "3x2,5"), (11, "7"),
+])
+def test_capped_footprint_is_a_prefix_of_the_full_vector(q, spec_text):
+    field = field_new(q)
+    spec = parse_spec_string(spec_text)
+    full = footprint_by_degree(spec, field)
+    prefix = footprint_prefix(spec, field)
+    for cap in range(len(full) + 2):
+        assert footprint_by_degree(spec, field, cap) == full[:cap + 1]
+        assert footprint_prefix(spec, field, cap) == prefix[:cap + 1]
+
+
 # -- union-of-boxes route ---------------------------------------------------------
 
 
