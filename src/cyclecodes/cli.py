@@ -209,13 +209,14 @@ def _hilbert_rows(args, spec, field, degrees):
     """Per-degree (footprint, union-or-None, rank-or-None) triples.
     Each route builds its cumulative vector once, through the largest
     degree or, sooner, through the degree past which its count stays
-    constant, and reads every row from it."""
+    constant, and reads every row from it.  The columns that check a
+    budget (union, then rank) come first, so a refused budget costs no
+    footprint work."""
     top = max(max(degrees), 0)
 
     def column(prefix):
         return [hilbert.prefix_at(prefix, d) for d in degrees]
 
-    footprints = column(hilbert.footprint_prefix(spec, field, top))
     unions: list[int | None] = [None] * len(degrees)
     if len(spec.components) == 1 and spec.components[0][1] == 1:
         try:
@@ -229,6 +230,7 @@ def _hilbert_rows(args, spec, field, degrees):
 
         ranks = column(codes.character_prefix(spec, field, top,
                                               args.enum_budget))
+    footprints = column(hilbert.footprint_prefix(spec, field, top))
     return list(zip(degrees, footprints, unions, ranks))
 
 

@@ -130,6 +130,20 @@ def test_hilbert_rank_over_budget_exits_3_before_the_search(monkeypatch,
         "needs 7776 states, budget is 1000\n")
 
 
+def test_hilbert_union_over_budget_exits_3_before_the_footprint(monkeypatch,
+                                                                capsys):
+    def footprint(*args, **kwargs):
+        raise AssertionError("footprint built before the union budget check")
+
+    monkeypatch.setattr(hilbert, "footprint_prefix", footprint)
+    rc = cli.main(["hilbert", "--q", "4099", "--spec", "41",
+                   "--dmax", "100000"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: union formula: 21 box vectors need 2100021 cells, "
+        "budget is 1048576\n")
+
+
 def test_hilbert_negative_dmax_is_usage_error():
     for extra in ((), ("--with-rank",)):
         r = run_cli("hilbert", "--q", "5", "--spec", "3", "--dmax", "-1",

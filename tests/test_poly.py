@@ -1,5 +1,6 @@
 """Tests for sparse multivariate polynomials, orders, division, parsing."""
 
+import gc
 import random
 
 import pytest
@@ -46,6 +47,56 @@ def test_mono_helpers():
     assert mono_lcm((2, 0, 1), (1, 3, 0)) == (2, 3, 1)
     assert mono_coprime((1, 0, 0), (0, 2, 3))
     assert not mono_coprime((1, 1, 0), (0, 1, 0))
+
+
+# -- packed monomials ---------------------------------------------------------
+
+# Degree bounds on both sides of each field-width step (one, two and
+# three bytes a field), and the largest leading degree of the
+# generators at q = 65521 with its double, the bound of their divisor set.
+_BOUNDS = [0, 1, 127, 128, 255, 256, 32767, 32768, 98280, 196560]
+
+
+@st.composite
+def _monomial(draw, nvars, degree):
+    """A monomial on nvars variables of total degree exactly degree."""
+    cuts = sorted(draw(st.lists(st.integers(0, degree),
+                                min_size=nvars - 1, max_size=nvars - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
+
+@st.composite
+def _packing_case(draw):
+    """(nvars, bound, a, c) with deg a + deg c <= bound."""
+    nvars = draw(st.integers(1, 24))
+    bound = draw(st.sampled_from(_BOUNDS))
+    da = draw(st.sampled_from([0, bound]) | st.integers(0, bound))
+    dc = draw(st.sampled_from([0, bound - da]) | st.integers(0, bound - da))
+    return (nvars, bound, draw(_monomial(nvars, da)),
+            draw(_monomial(nvars, dc)))
+
+
+def test_packing_matches_the_tuple_helpers():
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(case=_packing_case())
+    def check(case):
+        nvars, bound, a, c = case
+        packing = poly._Packing(nvars, bound)
+        assert packing.nbytes == bound.bit_length() // 8 + 1
+        pack, guard = packing.pack, packing.guard
+        pa, pc = pack(a), pack(c)
+        assert packing.unpack(pa) == a and packing.unpack(pc) == c
+        assert (pa < pc) == (grlex_key(a) < grlex_key(c))
+        assert (pa == pc) == (a == c)
+        ac = mono_mul(a, c)
+        assert pa + pc == pack(ac)
+        assert pack(ac) - pc == pa == pack(mono_div(ac, c))
+        l = mono_lcm(a, c)
+        assert packing.lcm(pa, pc) == packing.lcm(pc, pa) == pack(l)
+        for x, y in [(a, c), (c, a), (a, l), (c, l), (l, a), (a, ac)]:
+            assert ((pack(y) - pack(x)) & guard == 0) == mono_divides(x, y)
+
+    check()
 
 
 # -- monomial orders --------------------------------------------------------
@@ -386,6 +437,21 @@ def test_chain_criterion_agrees_with_the_all_pairs_check():
     assert outcomes == {True, False}
 
 
+def _reductions(monkeypatch, gens):
+    """Run the check on gens, which must pass, and count the S-pairs it
+    reduces: the calls of the one division loop."""
+    calls = []
+    loop = poly._reduce
+
+    def counted(packed, work, quotients=None):
+        calls.append(1)
+        return loop(packed, work, quotients)
+
+    monkeypatch.setattr(poly, "_reduce", counted)
+    assert poly.buchberger_is_groebner(gens)
+    return len(calls)
+
+
 def test_chain_criterion_cuts_the_reductions(monkeypatch):
     # build_generators(7x3) over F_5: 126 generators, 2205 pairs whose
     # leading monomials share a variable.
@@ -393,32 +459,40 @@ def test_chain_criterion_cuts_the_reductions(monkeypatch):
     pairs = sum(not mono_coprime(a.leading_monomial(), b.leading_monomial())
                 for i, a in enumerate(gens) for b in gens[i + 1:])
     assert pairs == 2205
-    calls = []
-    divide = poly.multivariate_divide
-
-    def counted(f, divisors):
-        calls.append(1)
-        return divide(f, divisors)
-
-    monkeypatch.setattr(poly, "multivariate_divide", counted)
-    assert poly.buchberger_is_groebner(gens)
-    assert 0 < len(calls) < pairs
+    assert 0 < _reductions(monkeypatch, gens) < pairs
 
 
 def test_chain_criterion_reduces_at_most_672_pairs_on_7x3(monkeypatch):
     # Visiting the pairs by increasing lcm lets the chain criterion use
     # every pair settled so far: 672 of the 2205 pairs are reduced.
     gens = build_generators(parse_spec_string("7x3"), F5).all_generators()
-    calls = []
-    divide = poly.multivariate_divide
+    assert 0 < _reductions(monkeypatch, gens) <= 672
 
-    def counted(f, divisors):
-        calls.append(1)
-        return divide(f, divisors)
 
-    monkeypatch.setattr(poly, "multivariate_divide", counted)
-    assert poly.buchberger_is_groebner(gens)
-    assert 0 < len(calls) <= 672
+@pytest.mark.parametrize("q, spec, reduced", [
+    (5, "7x3", 672), (5, "9", 1050), (3, "11", 4752), (65521, "3x2,5", 61),
+    (8, "3x2", 0),  # every pair of leading monomials is coprime
+])
+def test_reduced_pair_counts_do_not_move(monkeypatch, q, spec, reduced):
+    # The pairs are visited in (degree, lcm, i, j) order, so the chain
+    # criterion skips the same pairs whatever the monomial encoding.
+    gens = build_generators(parse_spec_string(spec),
+                            field_new(q)).all_generators()
+    assert _reductions(monkeypatch, gens) == reduced
+
+
+def test_the_check_and_division_leave_no_reference_cycles():
+    # a divisor set and its packed divisors are freed by reference
+    # counting, so the memo and the pair list go when the check returns
+    gens = build_generators(parse_spec_string("5"), F5).all_generators()
+    gc.collect()
+    gc.disable()
+    try:
+        assert buchberger_is_groebner(gens)
+        multivariate_divide(gens[0] * gens[1], gens)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_empty_generator_set_is_groebner():
@@ -509,6 +583,48 @@ def test_divisor_set_matches_the_ordered_scan():
                 assert s_polynomial(a, b) == _four_step_s_polynomial(a, b)
 
     check()
+
+
+def test_packed_s_pairs_equal_s_polynomial():
+    def same(gens):
+        packed = DivisorSet(gens)._packed
+        unpack, lcm, leads = (packed.packing.unpack, packed.packing.lcm,
+                              packed.leads)
+        for i, f in enumerate(gens):
+            for j, g in enumerate(gens):
+                if i != j:
+                    terms = packed.s_pair(i, j, lcm(leads[i], leads[j]))
+                    assert Polynomial(f.field, f.nvars,
+                                      [(unpack(m), c)
+                                       for m, c in terms.items()]) \
+                        == s_polynomial(f, g)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(draw=_generator_sets())
+    def check(draw):
+        same(draw[0])
+
+    check()
+    for q, spec in [(5, "3x2"), (8, "3x2"), (65521, "3x2,5")]:
+        same(build_generators(parse_spec_string(spec),
+                              field_new(q)).all_generators())
+
+
+def test_a_dividend_above_the_set_bound_is_packed_wider():
+    # leading degree at most 4, so the set packs one byte a field for
+    # degrees up to 8; the dividends need one, two and three bytes
+    gens = [P("t1^4 - 1"), P("t2^4 - 1"), P("t3^4 - 1"),
+            P("t1^2*t2 - 2*t3^2 + t1")]
+    dset = DivisorSet(gens)
+    assert (dset._packed.packing.bound, dset._packed.packing.nbytes) == (8, 1)
+    for text in ["t1^3*t2^3*t3^2 + t2", "t1^50*t2^40*t3^30 - 3*t1^7*t2",
+                 "t1^130*t2^170 + 2*t3^255 - t1*t2*t3",
+                 "t1^40000*t2^3 + t2^33000*t3 + 4*t1^2*t2"]:
+        f = P(text)
+        want = _ordered_scan_divide(f, gens)
+        assert multivariate_divide(f, dset) == want
+        assert multivariate_divide(f, gens) == want
+    assert dset._packed.packing.bound == 8
 
 
 def test_divisor_set_checks_the_divisors_and_the_dividend():
