@@ -1,0 +1,199 @@
+"""Packed monomials and the one division loop behind
+``poly.multivariate_divide`` and ``poly.buchberger_is_groebner``.
+
+A monomial on n variables of total degree at most B is one int: the
+total degree in the top field, then the exponents of t1, ..., tn, t1
+the most significant, every field 8 * b bits wide with
+b = B.bit_length() // 8 + 1.  A value up to B leaves the top bit of
+its field, the guard bit, clear, so int order is the graded
+lexicographic order of ``poly.grlex_key``, ``+`` multiplies and ``-``
+divides (as long as the result stays within B), and the lcm is a
+field-wise max (Monagan and Pearce, Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors, CASC 2007).
+
+``poly`` imports this module when it first builds a ``DivisorSet``,
+so commands that never divide do not load it.
+"""
+
+from __future__ import annotations
+
+from .poly import Polynomial, _dividing
+
+
+class Packing:
+    """Monomials on ``nvars`` variables of total degree at most
+    ``bound``, each packed into one int; ``width`` = 8 * nbytes bits a
+    field, ``guard`` the guard bits of the exponent fields."""
+
+    __slots__ = ("nvars", "bound", "nbytes", "width", "guard", "exps",
+                 "low", "top")
+
+    def __init__(self, nvars: int, bound: int):
+        b = bound.bit_length() // 8 + 1
+        w = 8 * b
+        self.nvars, self.bound, self.nbytes, self.width = nvars, bound, b, w
+        self.low = sum(1 << k * w for k in range(nvars))
+        self.exps = (1 << nvars * w) - 1
+        self.guard = self.low << w - 1
+        self.top = (1 << w) - 1 << max(nvars - 1, 0) * w
+
+    def pack(self, m) -> int:
+        b = self.nbytes
+        return int.from_bytes(
+            b"".join(e.to_bytes(b, "big") for e in (sum(m), *m)), "big")
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        b = self.nbytes
+        data = x.to_bytes((self.nvars + 1) * b, "big")
+        fields = data[b::b]  # the high byte of each exponent field
+        for k in range(b + 1, 2 * b):
+            fields = [hi << 8 | lo for hi, lo in zip(fields, data[k::b])]
+        return tuple(fields)
+
+    def lcm(self, a: int, c: int) -> int:
+        """The packed lcm: a field-wise max of the exponents (a field of
+        a | guard minus the same field of c keeps its guard bit exactly
+        when a's exponent is the larger), then the degree field is the
+        sum of the exponent fields, which one multiply gathers in the
+        highest exponent field."""
+        exps, guard = self.exps, self.guard
+        a &= exps
+        c &= exps
+        ge = ((a | guard) - c) & guard
+        m = c ^ (a ^ c) & ge - (ge >> self.width - 1)
+        return m | (m * self.low & self.top) << self.width
+
+
+class PackedPolynomial(Polynomial):
+    """A polynomial held as a dict of packed terms, ``packed``; its
+    ``terms`` are unpacked, in decreasing order, when first read."""
+
+    __slots__ = ("packing", "packed", "_unpacked")
+
+    def __init__(self, field, nvars: int, packing: Packing,
+                 packed: dict[int, int]):
+        init = object.__setattr__  # Polynomial refuses plain assignment
+        init(self, "field", field)
+        init(self, "nvars", nvars)
+        init(self, "packing", packing)
+        init(self, "packed", packed)
+        init(self, "_unpacked", None)
+
+    @property
+    def terms(self):
+        if self._unpacked is None:
+            unpack = self.packing.unpack
+            object.__setattr__(self, "_unpacked", tuple(
+                (unpack(m), c)
+                for m, c in sorted(self.packed.items(), reverse=True)))
+        return self._unpacked
+
+
+class PackedDivisors:
+    """The divisors of a ``poly.DivisorSet`` packed once for degrees up
+    to ``bound``: leading monomials, leading coefficients lc, and each
+    tail scaled by -1/lc.  ``index`` is the set's lead index
+    (exponents, masks, every divisor), which answers a packed monomial
+    once it is unpacked.  Holding the index and the divisors, not the
+    set, keeps the set and its packed divisors free of a reference
+    cycle, so reference counting frees them when a check ends.
+
+    ``memo``, if not None, caches those answers.  Only the set that one
+    Groebner check builds for itself keeps a memo, so it is freed with
+    the check.  A plain division would gain nothing from one: each step
+    adds only terms below its pivot, so no monomial is looked up twice.
+    """
+
+    __slots__ = ("field", "nvars", "polys", "index", "packing", "leads",
+                 "lcs", "negtails", "zero", "memo")
+
+    def __init__(self, field, nvars: int, polys, index, bound: int):
+        self.field, self.nvars, self.polys, self.index = (field, nvars,
+                                                          polys, index)
+        self.packing = Packing(nvars, bound)
+        pack = self.packing.pack
+        self.leads, self.lcs, self.negtails = [], [], []
+        for g in polys:
+            (lm, lc), *tail = g.terms
+            neg = field.neg(field.inv(lc))
+            self.leads.append(pack(lm))
+            self.lcs.append(lc)
+            self.negtails.append([(pack(m), field.mul(c, neg))
+                                  for m, c in tail])
+        self.zero = PackedPolynomial(field, nvars, self.packing, {})
+        self.memo = None
+
+    def dividing(self, x: int) -> int:
+        """``DivisorSet.dividing`` of the packed monomial x."""
+        memo = self.memo
+        hits = None if memo is None else memo.get(x)
+        if hits is None:
+            hits = _dividing(*self.index, self.packing.unpack(x))
+            if memo is not None:
+                memo[x] = hits
+        return hits
+
+    def s_pair(self, i: int, j: int, l: int) -> PackedPolynomial:
+        """``poly.s_polynomial(g_i, g_j)``, l the packed lcm of their
+        leading monomials: with a = l / LM g_i and b = l / LM g_j it is
+        b times the scaled tail of g_j minus a times that of g_i."""
+        sub = self.field.sub
+        a, b = l - self.leads[i], l - self.leads[j]
+        work = {m + b: c for m, c in self.negtails[j]}
+        for m, c in self.negtails[i]:
+            m += a
+            c = sub(work.get(m, 0), c)
+            if c:
+                work[m] = c
+            else:
+                del work[m]
+        return PackedPolynomial(self.field, self.nvars, self.packing, work)
+
+    def divide(self, f: Polynomial):
+        """The quotients and remainder of ``poly.multivariate_divide``,
+        for f of the divisors' field and variable count.  A dividend
+        already packed at this width, as the check's S-pairs are, is
+        divided as it is.  Any other is packed, at a wider width if its
+        degree exceeds the bound; no term of the division has a degree
+        above f's."""
+        packed = self
+        if isinstance(f, PackedPolynomial) and f.packing is self.packing:
+            work = dict(f.packed)
+        else:
+            if f.degree() > self.packing.bound:
+                packed = PackedDivisors(self.field, self.nvars, self.polys,
+                                        self.index, f.degree())
+            pack = packed.packing.pack
+            work = {pack(m): c for m, c in f.terms}
+        field, nvars, packing, zero = (self.field, self.nvars,
+                                       packed.packing, packed.zero)
+        add, mul, div = field.add, field.mul, field.div
+        leads, lcs, negtails = packed.leads, packed.lcs, packed.negtails
+        dividing = packed.dividing
+        quotients: dict[int, dict[int, int]] = {}
+        rem = {}
+        # divide the largest term by the first divisor whose leading
+        # monomial divides it and add the quotient term times that
+        # divisor's scaled tail
+        while work:
+            mono = max(work)
+            coeff = work.pop(mono)
+            hits = dividing(mono)
+            if not hits:
+                rem[mono] = coeff
+                continue
+            i = (hits & -hits).bit_length() - 1
+            qm = mono - leads[i]
+            quotients.setdefault(i, {})[qm] = div(coeff, lcs[i])
+            for gm, gc in negtails[i]:
+                gm += qm
+                c = add(work.get(gm, 0), mul(gc, coeff))
+                if c:
+                    work[gm] = c
+                else:
+                    del work[gm]
+        qs = [zero] * len(self.polys)
+        for i, terms in quotients.items():
+            qs[i] = PackedPolynomial(field, nvars, packing, terms)
+        return qs, PackedPolynomial(field, nvars, packing, rem) if rem \
+            else zero

@@ -4,16 +4,13 @@ Monomials are exponent tuples; a polynomial stores its nonzero terms
 sorted in decreasing graded lexicographic order with
 ``t1 > t2 > ... > tn``.
 
-Division and the Groebner check run on packed monomials instead: one
-int per monomial, with the total degree in the top field and the
-exponents of t1, ..., tn below it, every field 8 * b bits wide where
-b = B.bit_length() // 8 + 1 for a degree bound B.  The top bit of each
-field, its guard bit, then stays clear, so int order is the graded
-lexicographic order, ``+`` and ``-`` multiply and divide, one
-subtraction and one AND test divisibility, and the lcm is a field-wise
-max.  A ``DivisorSet`` packs its divisors once at the width for twice
-its largest leading degree; a dividend of higher degree is packed
-wider (see ``_Packing``).
+Division and the Groebner check run on packed monomials instead, one
+int per monomial (module ``_packed``): the total degree in the top
+field and the exponents of t1, ..., tn below it, every field 8 * b bits
+wide where b = B.bit_length() // 8 + 1 for a degree bound B, so the top
+bit of each field, its guard bit, stays clear.  Int order is then the
+graded lexicographic order, ``+`` and ``-`` multiply and divide, and
+the lcm is a field-wise max.
 
 Polynomial text form (also accepted by the parser): terms in decreasing
 order joined by `` + `` / `` - ``, e.g. ``t1^3*t2 - t3^2 + 1``.  A bare
@@ -407,148 +404,7 @@ def parse_polynomial(text: str, field: Field, nvars: int) -> Polynomial:
     return Polynomial(field, nvars, terms)
 
 
-# -- packed monomials -----------------------------------------------------
-
-class _Packing:
-    """Monomials on ``nvars`` variables of total degree at most
-    ``bound``, each packed into one int.
-
-    The top field holds the total degree; below it come the exponents
-    of t1, ..., tn, t1 the most significant.  Every field is ``width``
-    = 8 * nbytes bits with nbytes = bound.bit_length() // 8 + 1, so a
-    value up to the bound leaves the top bit of its field, the guard
-    bit, clear.  Hence int order is ``grlex_key`` order, a product is
-    ``+`` and a quotient ``-`` (as long as the result stays within the
-    bound), and a divides m exactly when ``(m - a) & guard == 0``,
-    ``guard`` holding the guard bits of the exponent fields: the lowest
-    field where m is below a borrows from the field above it and sets
-    its own guard bit.
-    """
-
-    __slots__ = ("nvars", "bound", "nbytes", "width", "guard", "exps",
-                 "low", "top")
-
-    def __init__(self, nvars: int, bound: int):
-        b = bound.bit_length() // 8 + 1
-        w = 8 * b
-        self.nvars, self.bound, self.nbytes, self.width = nvars, bound, b, w
-        self.low = sum(1 << k * w for k in range(nvars))
-        self.exps = (1 << nvars * w) - 1
-        self.guard = self.low << w - 1
-        self.top = (1 << w) - 1 << max(nvars - 1, 0) * w
-
-    def pack(self, m: Monomial) -> int:
-        b = self.nbytes
-        return int.from_bytes(
-            b"".join(e.to_bytes(b, "big") for e in (sum(m), *m)), "big")
-
-    def unpack(self, x: int) -> Monomial:
-        b = self.nbytes
-        data = x.to_bytes((self.nvars + 1) * b, "big")
-        fields = data[b::b]  # the high byte of each exponent field
-        for k in range(b + 1, 2 * b):
-            fields = [hi << 8 | lo for hi, lo in zip(fields, data[k::b])]
-        return tuple(fields)
-
-    def lcm(self, a: int, c: int) -> int:
-        """The packed lcm: a field-wise max of the exponents (a field of
-        a | guard minus the same field of c keeps its guard bit exactly
-        when a's exponent is the larger), then the degree field is the
-        sum of the exponent fields, which one multiply gathers in the
-        highest exponent field."""
-        exps, guard = self.exps, self.guard
-        a &= exps
-        c &= exps
-        ge = ((a | guard) - c) & guard
-        m = c ^ (a ^ c) & ge - (ge >> self.width - 1)
-        return m | (m * self.low & self.top) << self.width
-
-
 # -- division and Groebner machinery --------------------------------------
-
-class _PackedDivisors:
-    """The divisors of a ``DivisorSet`` packed at the width for one
-    degree bound: leading monomials, leading coefficients lc, and each
-    tail with its coefficients scaled by 1/lc (``tails``) and by -1/lc
-    (``negtails``).  ``dividing`` answers for a packed monomial from a
-    memo, and on a miss from the set's lead index.  It keeps the index
-    itself, not the set, so the set and its packed divisors form no
-    reference cycle and are freed as soon as a check drops them."""
-
-    __slots__ = ("packing", "field", "leads", "lcs", "tails", "negtails",
-                 "memo", "_index")
-
-    def __init__(self, dset: "DivisorSet", bound: int):
-        self.packing, self.field = _Packing(dset.nvars, bound), dset.field
-        pack, f = self.packing.pack, self.field
-        self.leads, self.lcs, self.tails, self.negtails = [], [], [], []
-        for g in dset.polys:
-            (lm, lc), *tail = g.terms
-            tail = [(pack(m), c) for m, c in tail]
-            inv = f.inv(lc)
-            neg = f.neg(inv)
-            self.leads.append(pack(lm))
-            self.lcs.append(lc)
-            self.tails.append([(m, f.mul(c, inv)) for m, c in tail])
-            self.negtails.append([(m, f.mul(c, neg)) for m, c in tail])
-        self.memo: dict[int, int] = {}
-        self._index = dset.exponents, dset.masks, dset._all
-
-    def dividing(self, x: int) -> int:
-        hits = self.memo.get(x)
-        if hits is None:
-            hits = self.memo[x] = _dividing(*self._index,
-                                            self.packing.unpack(x))
-        return hits
-
-    def s_pair(self, i: int, j: int, l: int) -> dict[int, int]:
-        """The packed terms of ``s_polynomial(g_i, g_j)``, l the packed
-        lcm of their leading monomials."""
-        add = self.field.add
-        a, b = l - self.leads[i], l - self.leads[j]
-        work = {m + a: c for m, c in self.tails[i]}
-        for m, c in self.negtails[j]:
-            m += b
-            c = add(work.get(m, 0), c)
-            if c:
-                work[m] = c
-            else:
-                del work[m]
-        return work
-
-
-def _reduce(packed: _PackedDivisors, work: dict[int, int],
-            quotients: dict[int, list] | None = None) -> list:
-    """The division loop: reduce the packed terms ``work`` (consumed)
-    by the divisors of ``packed`` and return the remainder terms in
-    decreasing order.  Each step divides the largest term by the first
-    divisor whose leading monomial divides it and adds the quotient
-    term times the divisor's negated tail.  If ``quotients`` is given,
-    the quotient terms of divisor i are appended to ``quotients[i]``."""
-    add, mul, div = packed.field.add, packed.field.mul, packed.field.div
-    leads, lcs, negtails = packed.leads, packed.lcs, packed.negtails
-    dividing = packed.dividing
-    rem = []
-    while work:
-        mono = max(work)
-        coeff = work.pop(mono)
-        hits = dividing(mono)
-        if not hits:
-            rem.append((mono, coeff))
-            continue
-        i = (hits & -hits).bit_length() - 1
-        qm = mono - leads[i]
-        if quotients is not None:
-            quotients.setdefault(i, []).append((qm, div(coeff, lcs[i])))
-        for gm, gc in negtails[i]:
-            gm += qm
-            c = add(work.get(gm, 0), mul(gc, coeff))
-            if c:
-                work[gm] = c
-            else:
-                del work[gm]
-    return rem
-
 
 class DivisorSet:
     """An ordered list of nonzero divisors with an index of their
@@ -565,11 +421,10 @@ class DivisorSet:
     bisect and one AND per variable.  Only exponents that occur are
     indexed, so the index stays small however large q is.
 
-    The set also packs its divisors once, each monomial one int (see
-    ``_Packing``), at the field width for twice the largest leading
-    degree: every lcm of two leading monomials fits, and so does every
-    term of an S-polynomial.  A memo keyed by packed monomial caches
-    the index's answers; it lives as long as the set.
+    The set also packs its divisors once, each monomial one int, at
+    the field width for twice the largest leading degree: every lcm of
+    two leading monomials fits, and so does every term of an
+    S-polynomial.
     """
 
     __slots__ = ("field", "nvars", "polys", "exponents", "masks", "_all",
@@ -597,8 +452,11 @@ class DivisorSet:
                                           initial=0)))
         self.exponents, self.masks = tuple(exponents), tuple(masks)
         self._all = (1 << len(polys)) - 1
-        self._packed = _PackedDivisors(
-            self, 2 * max(sum(g.terms[0][0]) for g in polys))
+        from ._packed import PackedDivisors
+        self._packed = PackedDivisors(
+            self.field, self.nvars, polys, (self.exponents, self.masks,
+                                            self._all),
+            2 * max(sum(g.terms[0][0]) for g in polys))
 
     def dividing(self, mono: Monomial) -> int:
         """Bitset of the divisors whose leading monomial divides mono;
@@ -624,32 +482,16 @@ def multivariate_divide(f: Polynomial, divisors) -> tuple[list[Polynomial],
     monomial divides it, found through the set's lead index.  Divisors
     that receive no quotient term share one zero quotient.
 
-    f is packed at the set's field width and run through the one
-    packed division loop; no term of the loop has a degree above f's.
-    If f's degree exceeds the set's bound, the divisors are packed
-    again, for this call only, at the width for f's degree.
+    The division runs on the set's packed divisors; a dividend of
+    degree above the set's bound is packed, with the divisors for this
+    call only, at the wider width its degree needs.  The results keep
+    their terms packed until ``terms`` is read.
     """
     dset = divisors if isinstance(divisors, DivisorSet) else \
         DivisorSet(divisors)
-    field, nvars, polys = f.field, f.nvars, dset.polys
-    if field is not dset.field or nvars != dset.nvars:
-        f._check_compatible(polys[0])
-    packed = dset._packed
-    degree = f.degree()
-    if degree > packed.packing.bound:
-        packed = _PackedDivisors(dset, degree)
-    pack, unpack = packed.packing.pack, packed.packing.unpack
-    quot_terms: dict[int, list[tuple[int, int]]] = {}
-    rem_terms = _reduce(packed, {pack(m): c for m, c in f.terms}, quot_terms)
-    zero = Polynomial.zero(field, nvars)
-    quotients = [zero] * len(polys)
-    for i, ts in quot_terms.items():
-        quotients[i] = Polynomial(field, nvars,
-                                  [(unpack(m), c) for m, c in ts])
-    remainder = Polynomial(field, nvars,
-                           [(unpack(m), c) for m, c in rem_terms]) \
-        if rem_terms else zero
-    return quotients, remainder
+    if f.field is not dset.field or f.nvars != dset.nvars:
+        f._check_compatible(dset.polys[0])
+    return dset._packed.divide(f)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -698,13 +540,14 @@ def buchberger_is_groebner(gens) -> bool:
     every pair has such a representation the generators form a
     Groebner basis, so the answer is the one the all-pairs check gives.
 
-    The whole check runs on the packed monomials of one ``DivisorSet``
-    of the generators, whose width holds every lcm of two leading
-    monomials.  Each pair is one int, its packed lcm above i above j,
-    so sorting the ints sorts the pairs by graded-lex lcm, ties by
-    (i, j).  Every other pair's S-polynomial is built as
-    packed terms straight from the set's scaled tails and run through
-    the division loop without quotients; no ``Polynomial`` is built.
+    The check runs on the packed monomials of one ``DivisorSet`` of the
+    generators, whose width holds every lcm of two leading monomials.
+    Each pair is one int, its packed lcm above i above j, so sorting
+    the ints sorts the pairs by graded-lex lcm, ties by (i, j).  Every
+    other pair's S-polynomial is built as packed terms straight from
+    the set's scaled tails and divided by ``multivariate_divide``,
+    which takes it packed as it is.  The set memoizes its lead index
+    lookups for the life of the check.
     """
     gens = list(gens)
     for g in gens:
@@ -712,7 +555,9 @@ def buchberger_is_groebner(gens) -> bool:
             raise ZeroPolynomial("zero polynomial among the generators")
     if not gens:
         return True
-    packed = DivisorSet(gens)._packed
+    dset = DivisorSet(gens)
+    packed = dset._packed
+    packed.memo = {}
     lcm, leads = packed.packing.lcm, packed.leads
     support = [sum(1 << v for v, e in enumerate(g.terms[0][0]) if e)
                for g in gens]
@@ -733,7 +578,7 @@ def buchberger_is_groebner(gens) -> bool:
         l, i, j = key >> 2 * k, key >> k & low, key & low
         common = settled[i] & settled[j]
         if not (common and common & dividing(l)):
-            if _reduce(packed, s_pair(i, j, l)):
+            if not multivariate_divide(s_pair(i, j, l), dset)[1].is_zero:
                 return False
         settled[i] |= 1 << j
         settled[j] |= 1 << i

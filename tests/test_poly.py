@@ -27,6 +27,7 @@ from cyclecodes import (
     poly,
     s_polynomial,
 )
+from cyclecodes import _packed
 from cyclecodes.poly import mono_coprime, mono_div, mono_divides, mono_lcm, mono_mul
 
 F5 = field_new(5)
@@ -81,9 +82,9 @@ def test_packing_matches_the_tuple_helpers():
     @given(case=_packing_case())
     def check(case):
         nvars, bound, a, c = case
-        packing = poly._Packing(nvars, bound)
+        packing = _packed.Packing(nvars, bound)
         assert packing.nbytes == bound.bit_length() // 8 + 1
-        pack, guard = packing.pack, packing.guard
+        pack = packing.pack
         pa, pc = pack(a), pack(c)
         assert packing.unpack(pa) == a and packing.unpack(pc) == c
         assert (pa < pc) == (grlex_key(a) < grlex_key(c))
@@ -93,8 +94,6 @@ def test_packing_matches_the_tuple_helpers():
         assert pack(ac) - pc == pa == pack(mono_div(ac, c))
         l = mono_lcm(a, c)
         assert packing.lcm(pa, pc) == packing.lcm(pc, pa) == pack(l)
-        for x, y in [(a, c), (c, a), (a, l), (c, l), (l, a), (a, ac)]:
-            assert ((pack(y) - pack(x)) & guard == 0) == mono_divides(x, y)
 
     check()
 
@@ -439,15 +438,15 @@ def test_chain_criterion_agrees_with_the_all_pairs_check():
 
 def _reductions(monkeypatch, gens):
     """Run the check on gens, which must pass, and count the S-pairs it
-    reduces: the calls of the one division loop."""
+    reduces: the calls of ``multivariate_divide``."""
     calls = []
-    loop = poly._reduce
+    divide = poly.multivariate_divide
 
-    def counted(packed, work, quotients=None):
+    def counted(f, divisors):
         calls.append(1)
-        return loop(packed, work, quotients)
+        return divide(f, divisors)
 
-    monkeypatch.setattr(poly, "_reduce", counted)
+    monkeypatch.setattr(poly, "multivariate_divide", counted)
     assert poly.buchberger_is_groebner(gens)
     return len(calls)
 
@@ -482,8 +481,9 @@ def test_reduced_pair_counts_do_not_move(monkeypatch, q, spec, reduced):
 
 
 def test_the_check_and_division_leave_no_reference_cycles():
-    # a divisor set and its packed divisors are freed by reference
-    # counting, so the memo and the pair list go when the check returns
+    # a divisor set, its packed divisors and the division results are
+    # freed by reference counting, so the memo and the pair list go
+    # when the check returns
     gens = build_generators(parse_spec_string("5"), F5).all_generators()
     gc.collect()
     gc.disable()
@@ -588,16 +588,12 @@ def test_divisor_set_matches_the_ordered_scan():
 def test_packed_s_pairs_equal_s_polynomial():
     def same(gens):
         packed = DivisorSet(gens)._packed
-        unpack, lcm, leads = (packed.packing.unpack, packed.packing.lcm,
-                              packed.leads)
+        lcm, leads = packed.packing.lcm, packed.leads
         for i, f in enumerate(gens):
             for j, g in enumerate(gens):
                 if i != j:
-                    terms = packed.s_pair(i, j, lcm(leads[i], leads[j]))
-                    assert Polynomial(f.field, f.nvars,
-                                      [(unpack(m), c)
-                                       for m, c in terms.items()]) \
-                        == s_polynomial(f, g)
+                    s = packed.s_pair(i, j, lcm(leads[i], leads[j]))
+                    assert s == s_polynomial(f, g)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(draw=_generator_sets())
@@ -624,7 +620,34 @@ def test_a_dividend_above_the_set_bound_is_packed_wider():
         want = _ordered_scan_divide(f, gens)
         assert multivariate_divide(f, dset) == want
         assert multivariate_divide(f, gens) == want
+        # a result packed at the wider width is divided as a plain dividend
+        q = multivariate_divide(f, dset)[0][0]
+        assert multivariate_divide(q, dset) == _ordered_scan_divide(q, gens)
     assert dset._packed.packing.bound == 8
+
+
+def test_division_results_behave_as_polynomials():
+    gens = [P("t1^2 - t2"), P("t2*t3 - 1")]
+    qs, r = multivariate_divide(P("t1^2*t3 + 3*t1 + t3"), gens)
+    assert isinstance(r, Polynomial)
+    want = P("3*t1 + t3 + 1")
+    assert r == want and want == r and hash(r) == hash(want)
+    assert r.terms == want.terms and repr(r) == repr(want)
+    assert r.leading_term() == want.leading_term() and not r.is_zero
+    assert (r - want).is_zero and qs[1].is_zero is False
+    with pytest.raises(AttributeError):
+        r.terms = ()
+    # a result divided again by the same set takes the packed path
+    assert multivariate_divide(r, gens)[1] == want
+
+
+def test_a_public_divisor_set_keeps_no_memo():
+    gens = build_generators(parse_spec_string("5"), F5).all_generators()
+    dset = DivisorSet(gens)
+    for f in (gens[0] * gens[1], gens[2] * gens[3] + gens[4]):
+        r = multivariate_divide(f, dset)[1]
+        multivariate_divide(r, dset)
+    assert dset._packed.memo is None
 
 
 def test_divisor_set_checks_the_divisors_and_the_dividend():
