@@ -11,6 +11,7 @@ run on integers alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -76,13 +77,16 @@ def _add_common(sp, *, spec=True, formats=("plain", "json"),
                         default=DEFAULT_DIST_BUDGET,
                         help="exact min distance only when q^dimension "
                              "is at most this budget, else a bracket; "
-                             "the search itself enumerates just the "
-                             "(q^dimension-1)/(q-1) messages whose first "
-                             "nonzero entry is 1 "
+                             "the search itself visits one message per "
+                             "orbit of the scalars times the translations "
+                             "by X*, which keep the weight "
                              f"(default {DEFAULT_DIST_BUDGET})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, and building it costs more than a parse."""
     p = argparse.ArgumentParser(
         prog="cyclecodes",
         description="Vanishing ideals, Hilbert functions and evaluation "

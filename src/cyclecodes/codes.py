@@ -16,15 +16,21 @@ as the linear-algebra reference for that count.
 
 For the same reason the distinct rows of the evaluation matrix are a
 basis of the code (code_params), so the code parameters need no row
-reduction.
+reduction.  The minimum distance is searched over orbits (_min_weight):
+X* is a group, translating a codeword by an element of X* permutes its
+coordinates and scales the coefficient of each basis row by that row's
+character, and scaling by F_q^* keeps the support, so the weight is
+constant on the orbits of G = F_q^* x X* on messages.  A depth-first
+walk over the basis rows that carries a stabilizer chain of G visits
+exactly one message per orbit.
 
 One arithmetic path serves both kinds of field.  Every point of X* is
 a unit, so the matrix is built in exponent space from the field's
 discrete-log tables: the value of t^a at x is exp[(a . log x) mod
 (q-1)].  The row reduction and the minimum-distance search use the
-array (scale, add) of _field_arithmetic, which alone knows the field
-kind: residues mod q for prime fields, a product table and XOR for
-binary fields.
+array arithmetic of _field_arithmetic and _field_add, which alone know
+the field kind: residues mod q for prime fields, a product table and
+XOR for binary fields.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -48,8 +55,9 @@ from .hilbert import HilbertTable, _conv, count_box_degree
 from .poly import Monomial, grlex_key
 
 DEFAULT_MATRIX_BUDGET = 1 << 26
-# Largest table of tail-row combinations the distance search builds, in
-# cells; it bounds the search's memory whatever the code's size.
+# Most codeword cells in one block of the distance search, unless one
+# word's extensions by one row are more; it bounds the memory of the
+# search's blocks whatever the code's size.
 _TABLE_CELLS = 1 << 20
 
 
@@ -115,17 +123,26 @@ def build_evaluation_matrix(X: ToricSet, d: int,
 
 # -- row reduction -----------------------------------------------------------
 
+def _field_add(field: Field):
+    """Addition on integer arrays of field elements: residues mod q for
+    prime fields, XOR for binary fields."""
+    if field.p == 2:
+        return np.bitwise_xor
+    q = field.q
+    return lambda a, b: (a + b) % q
+
+
 def _field_arithmetic(field: Field):
     """(scale, add) on int64 arrays of field elements: residues mod q
     for prime fields, the log/exp tables and XOR for binary fields."""
-    q = field.q
+    q, add = field.q, _field_add(field)
     if field.p != 2:
-        return (lambda c, a: c * a % q), (lambda a, b: (a + b) % q)
+        return (lambda c, a: c * a % q), add
     log = field.log
     mul = field.exp[(log[:, None] + log) % (q - 1)]
     mul[0] = 0
     mul[:, 0] = 0
-    return (lambda c, a: mul[c][a]), np.bitwise_xor
+    return (lambda c, a: mul[c][a]), add
 
 
 def _row_reduce(rows, field: Field) -> tuple[list[np.ndarray], list[int]]:
@@ -256,41 +273,110 @@ class CodeParams:
     singleton_slack: int | None
 
 
-def _min_weight(basis: np.ndarray, field: Field) -> int:
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while b:
+        k, rem = divmod(a, b)
+        a, b, s, s1, t, t1 = b, rem, s1, s - k * s1, t1, t - k * t1
+    return a, s, t
+
+
+def _stabilizer(gens: list[tuple[int, ...]], j: int, h: int,
+                r: int) -> list[tuple[int, ...]]:
+    """The subgroup of the group that gens generates in Z_r^width whose
+    elements are 0 at column j, h = gcd(r, column j), given by
+    generators on the columns after j, none of them zero.
+
+    Extended gcd on column j alone gives a pivot, a combination of the
+    generators whose column-j entry is h.  Subtracting multiples of it
+    clears column j from every generator, and (r/h) times the pivot is
+    the rest of the kernel.  The generators are few and short, so plain
+    integers beat arrays here."""
+    if h == r:  # column j is 0 in every generator
+        return [row[j + 1:] for row in gens if any(row[j + 1:])]
+    g, pivot = r, [0] * (len(gens[0]) - j - 1)
+    for row in gens:
+        if row[j] % g:
+            g, s, t = _egcd(g, row[j])
+            pivot = [(s * a + t * b) % r for a, b in zip(pivot, row[j + 1:])]
+    kernel = [tuple((a - row[j] // h * b) % r
+                    for a, b in zip(row[j + 1:], pivot)) for row in gens]
+    kernel.append(tuple(b * (r // h) % r for b in pivot))
+    return [row for row in dict.fromkeys(kernel) if any(row)]
+
+
+def _orbit_generators(spec: CycleFamilySpec, monomials: np.ndarray,
+                      q: int) -> np.ndarray:
+    """Log generators of G = F_q^* x X* on the coefficients of the rows
+    t^a, a the rows of monomials: the all-ones vector (the scalars),
+    and per vertex v the exponent of that vertex in each row's
+    character, (B^T a)_v mod q-1, B the edge-vertex incidence matrix
+    (X* is the edge-product image of the vertex torus)."""
+    incidence = np.zeros((spec.nvars, spec.nvars), dtype=np.int64)
+    for e, (u, v) in enumerate(spec.edges()):
+        incidence[e, u] = incidence[e, v] = 1
+    return np.vstack([np.ones(len(monomials), dtype=np.int64),
+                      (monomials @ incidence).T]) % (q - 1)
+
+
+def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
+    """Yield blocks of codewords whose messages are, all blocks together,
+    exactly one representative of each orbit of G on nonzero messages;
+    gens holds G's log generators on the coefficients of the basis rows
+    (see _orbit_generators).
+
+    The walk goes depth first over the rows.  At each row the message
+    is zero, which leaves the generators as they are, or omega^x with
+    x in [0, h), h = gcd(q-1, that column of the generators of the
+    current stabilizer), and the stabilizer of the choice comes next.
+    A support S thus gets (q-1)^|S| / |L_S| representatives, L_S the
+    image of G on S, and the first nonzero coefficient is 1 (h = 1,
+    since scaling is in G).  A block extends every word of its parent
+    block by every value of one more row, in slices of parent words so
+    that a block holds at most _TABLE_CELLS cells, or one word's h
+    extensions when those alone are more.  The multiples of the rows
+    are tabled once, q-1 bytes per matrix entry for q <= 128."""
+    r = field.q - 1
+    dim, n = basis.shape
+    dtype = np.min_scalar_type(2 * r)
+    exp, x = field.exp.astype(dtype), np.arange(r, dtype=dtype)[:, None]
+    # every multiple omega^x * row, x in [0, q-1), of every basis row
+    shifted = [exp[(x + logs) % r] for logs in field.log.astype(dtype)[basis]]
+    gens = [tuple(row) for row in gens.tolist()]
+    add = _field_add(field)
+
+    def walk(start, words, gens):
+        for j in range(dim - start):
+            c = start + j
+            h = gcd(r, *(row[j] for row in gens))
+            last = c + 1 == dim
+            child = [] if last else _stabilizer(gens, j, h, r)
+            step = max(1, _TABLE_CELLS // (h * n))
+            for i in range(0, len(words), step):
+                block = add(words[i:i + step, None],
+                            shifted[c][:h]).reshape(-1, n)
+                yield block
+                if not last:
+                    yield from walk(c + 1, block, child)
+
+    yield from walk(0, np.zeros((1, n), dtype=dtype), gens)
+
+
+def _min_weight(basis: np.ndarray, gens: np.ndarray, field: Field) -> int:
     """Least Hamming weight of a nonzero codeword of the row space.
 
-    Weight is invariant under scaling, so only messages whose first
-    nonzero coefficient is 1 are searched.  The last s rows are tabled
-    once (all q^s combinations, at most _TABLE_CELLS cells); each
-    normalized combination w of the other rows is then met with the
-    whole table at once.  t - w is zero exactly where t equals w, and
-    the table is closed under negation, so one comparison gives the
-    weight of every codeword w + t."""
-    q = field.q
-    dim, n = basis.shape
-    s = 0
-    while s < dim and q ** (s + 1) * n <= _TABLE_CELLS:
-        s += 1
-    scale, add = _field_arithmetic(field)
-    head = basis[:dim - s]
-    table = np.zeros((1, n), dtype=np.int64)
-    for row in basis[dim - s:]:
-        table = np.concatenate(
-            [table] + [add(table, scale(c, row)) for c in range(1, q)])
-    table = table.astype(np.min_scalar_type(q - 1))
-    best = n
-    if s:
-        best = int(np.count_nonzero(table[1:], axis=1).min())
-    for lead in range(len(head)):
-        for coeffs in itertools.product(range(q), repeat=len(head) - lead - 1):
-            if best == 1:
-                return best
-            word = head[lead]
-            for c, row in zip(coeffs, head[lead + 1:]):
-                if c:
-                    word = add(word, scale(c, row))
-            best = min(best, int(np.count_nonzero(
-                table != word.astype(table.dtype), axis=1).min()))
+    The rows are characters of X*, so G = F_q^* x X* acts on messages:
+    translating a codeword by g in X* permutes its coordinates and
+    scales the coefficient of row a by chi_a(g), and scaling by lambda
+    keeps the support.  The weight is constant on each orbit, so only
+    the orbit representatives of _orbit_blocks are scored, a block at
+    a time; the walk stops at weight 1."""
+    best = len(basis[0])
+    for block in _orbit_blocks(basis, gens, field):
+        best = min(best, int(np.add.reduce(block != 0, 1).min()))
+        if best == 1:
+            break
     return best
 
 
@@ -319,12 +405,15 @@ def code_params(X: ToricSet, d: int,
     entries = np.ascontiguousarray(M.entries)
     row_bytes = entries.view(np.dtype((np.void, entries[0].nbytes)))
     _, first = np.unique(row_bytes.ravel(), return_index=True)
-    basis = entries[np.sort(first)]
+    kept = np.sort(first)
+    basis = entries[kept]
     dim = len(basis)
     n = len(X)
     if X.field.q ** dim > dist_budget:
         return CodeParams(X.field.q, d, n, dim, None, (1, n - dim + 1), None)
-    dist = _min_weight(basis, X.field)
+    monomials = np.array(M.monomials, dtype=np.int64)[kept]
+    gens = _orbit_generators(X.spec, monomials, X.field.q)
+    dist = _min_weight(basis, gens, X.field)
     return CodeParams(X.field.q, d, n, dim, dist, None, n - dim + 1 - dist)
 
 

@@ -1,6 +1,8 @@
 """Tests for evaluation matrices, rank tables, and code parameters."""
 
+import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -28,6 +30,7 @@ from cyclecodes import (
     rank_table,
     regularity_formula,
     singleton_check,
+    theta_map,
 )
 from cyclecodes import codes
 from cyclecodes.hilbert import count_box_degree
@@ -396,13 +399,20 @@ def test_full_space_code_has_distance_one():
 # -- the distance search against brute force ------------------------------------------
 
 
-def _brute_force_distance(basis, field):
-    """Least weight over every nonzero message times an elimination
-    basis, with the field's addition and multiplication tabled from its
-    scalar operations."""
+def _field_tables(field):
+    """The field's addition and multiplication tabled from its scalar
+    operations."""
     q = field.q
     add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
     mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
+    return add, mul
+
+
+def _brute_force_distance(basis, field):
+    """Least weight over every nonzero message times an elimination
+    basis, in the field's tabled arithmetic."""
+    q = field.q
+    add, mul = _field_tables(field)
     rows = np.asarray(basis, dtype=np.int64)
     messages = np.array(
         list(itertools.product(range(q), repeat=len(rows)))[1:])
@@ -454,3 +464,139 @@ def test_code_params_with_a_small_table(monkeypatch, q, spec_text, d, cells):
     # tail (cap 0 tables nothing), on binary and prime fields alike.
     monkeypatch.setattr(codes, "_TABLE_CELLS", cells)
     _check_distance(_X(q, spec_text), d)
+
+
+# -- the orbit search ------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_X(q, spec_text):
+    return _X(q, spec_text)
+
+
+def _distinct_rows(X, d):
+    """The distinct rows of the degree-d evaluation matrix, first
+    occurrences in matrix order, with their monomials."""
+    M = build_evaluation_matrix(X, d)
+    _, first = np.unique(M.entries, axis=0, return_index=True)
+    kept = np.sort(first)
+    return M.entries[kept], np.array(M.monomials, dtype=np.int64)[kept]
+
+
+def _weight(field, coeffs, rows):
+    """Hamming weight of sum_a coeffs[a] * rows[a], in the field's
+    tabled arithmetic."""
+    add, mul = _field_tables(field)
+    word = np.zeros(rows.shape[1], dtype=np.int64)
+    for c, row in zip(coeffs, rows):
+        word = add[word, mul[c, row]]
+    return int(np.count_nonzero(word))
+
+
+_ORBIT_INSTANCES = [(q, spec) for q in (3, 4, 5, 7, 8)
+                    for spec in ("3", "5", "3x2")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(instance=st.sampled_from(_ORBIT_INSTANCES), d=st.integers(1, 2),
+       data=st.data())
+def test_weight_is_constant_on_orbits_of_scalars_and_translations(
+        instance, d, data):
+    # For g in X* and lambda in F_q^*, the message (lambda chi_a(g) m_a)_a
+    # gives the codeword f(g .) scaled by lambda, a permutation of the
+    # coordinates of f times a unit, so its weight is that of m.  The
+    # log generators of the search give chi_a(g) for g the edge products
+    # of omega^s at the vertices.
+    q, spec_text = instance
+    X = _cached_X(q, spec_text)
+    field, r = X.field, q - 1
+    basis, monomials = _distinct_rows(X, d)
+    gens = codes._orbit_generators(X.spec, monomials, q)
+    ints = st.integers(0, r - 1)
+    message = data.draw(st.lists(st.integers(0, q - 1), min_size=len(basis),
+                                 max_size=len(basis)))
+    s = data.draw(st.lists(ints, min_size=X.nvars, max_size=X.nvars))
+    lam = int(field.exp[data.draw(ints)])
+    g = theta_map(X.spec, field, [int(field.exp[v]) for v in s])
+    chi = basis[:, X.points.index(g)]
+    assert not np.any((field.log[chi] - np.array(s) @ gens[1:]) % r)
+    moved = [field.mul(lam, field.mul(int(c), m))
+             for c, m in zip(chi, message)]
+    assert _weight(field, moved, basis) == _weight(field, message, basis)
+
+
+def _subgroup(gens, r):
+    """The subgroup of Z_r^k that the rows of gens (k columns) generate,
+    as a mask over its elements packed as base-r integers, by
+    breadth-first search."""
+    radix = r ** np.arange(gens.shape[1], dtype=np.int64)
+    seen = np.zeros(r ** gens.shape[1], dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        digits = frontier[:, None] // radix % r
+        reached = np.unique((digits[:, None] + gens) % r @ radix)
+        frontier = reached[~seen[reached]]
+        seen[frontier] = True
+    return seen
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(r=st.sampled_from([2, 3, 4, 6, 7, 12, 15]), k=st.integers(1, 4),
+       data=st.data())
+def test_stabilizer_is_the_kernel_of_one_column(r, k, data):
+    # The generators _stabilizer returns span exactly the elements of
+    # the group that are 0 at column j, cut to the columns after j.
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, r - 1), min_size=k, max_size=k),
+        max_size=3))
+    gens = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    j = data.draw(st.integers(0, k - 1))
+    h = math.gcd(r, *gens[:, j].tolist())
+    got = codes._stabilizer([tuple(row) for row in rows], j, h, r)
+    got = np.array(got, dtype=np.int64).reshape(len(got), k - j - 1)
+    radix = r ** np.arange(k, dtype=np.int64)
+    digits = np.flatnonzero(_subgroup(gens, r))[:, None] // radix % r
+    want = np.zeros(r ** (k - j - 1), dtype=bool)
+    want[digits[digits[:, j] == 0, j + 1:] @ radix[:k - j - 1]] = True
+    assert np.array_equal(_subgroup(got, r), want)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
+@pytest.mark.parametrize("spec_text", ["3", "5", "3x2"])
+def test_orbit_walk_visits_one_message_per_orbit(q, spec_text):
+    # Orbits of G = F_q^* x X* on messages of support S are the cosets of
+    # L_S, the image of G in Z_(q-1)^S, so there are
+    # sum_S (q-1)^|S| / |L_S| of them.  Here L_S is generated by the
+    # all-ones vector and, per vertex v, the logs of every basis row at
+    # the edge products of omega at v and 1 elsewhere.
+    X = _cached_X(q, spec_text)
+    field, r = X.field, q - 1
+    basis, monomials = _distinct_rows(X, 1)
+    dim = len(basis)
+    columns = []
+    for v in range(X.nvars):
+        g = theta_map(X.spec, field,
+                      [int(field.exp[int(u == v)]) for u in range(X.nvars)])
+        columns.append(field.log[basis[:, X.points.index(g)]])
+    group = np.array([[1] * dim] + columns, dtype=np.int64) % r
+    orbits = 0
+    for size in range(1, dim + 1):
+        for S in itertools.combinations(range(dim), size):
+            orbits += r ** size // int(_subgroup(group[:, S], r).sum())
+    gens = codes._orbit_generators(X.spec, monomials, q)
+    visited = sum(len(block)
+                  for block in codes._orbit_blocks(basis, gens, field))
+    assert visited == orbits
+
+
+@pytest.mark.parametrize("q, spec_text, distance", [
+    (8, "3x2", 100842), (5, "3,5", 11776), (4, "3,5", 4374)])
+def test_code_params_exact_distance_pins(q, spec_text, distance):
+    # Each pin agrees with the plain search over all messages.  For even
+    # q, X* is the whole torus, and 100842 = (q-2)(q-1)^5 is the
+    # affine-cartesian closed form at d = 1.
+    p = code_params(_X(q, spec_text), 1)
+    assert p.min_distance == distance
+    if q == 8:
+        assert distance == (q - 2) * (q - 1) ** 5
