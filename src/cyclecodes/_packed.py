@@ -1,5 +1,6 @@
-"""Packed monomials and the one division loop behind
-``poly.multivariate_divide`` and ``poly.buchberger_is_groebner``.
+"""Packed monomials, the one division loop behind
+``poly.multivariate_divide``, and the Groebner check behind
+``poly.buchberger_is_groebner``.
 
 A monomial on n variables of total degree at most B is one int: the
 total degree in the top field, then the exponents of t1, ..., tn, t1
@@ -11,12 +12,16 @@ divides (as long as the result stays within B), and the lcm is a
 field-wise max (Monagan and Pearce, Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors, CASC 2007).
 
-``poly`` imports this module when it first builds a ``DivisorSet``,
-so commands that never divide do not load it.
+``poly`` imports this module when it first builds a ``DivisorSet``
+or checks a Groebner basis, so commands that do neither do not load
+it.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
+from . import poly
 from .poly import Polynomial, _dividing
 
 
@@ -197,3 +202,128 @@ class PackedDivisors:
             qs[i] = PackedPolynomial(field, nvars, packing, terms)
         return qs, PackedPolynomial(field, nvars, packing, rem) if rem \
             else zero
+
+
+def distinct_components(gens: list[Polynomial]) -> list[list[Polynomial]]:
+    """The nonzero generators gens, of one field and variable count,
+    split into the components that the Groebner check takes one at a
+    time: one list per distinct component, in order of first
+    appearance, or ``[gens]`` itself when they form one component.
+
+    Two generators share a component when a chain of generators links
+    them, each sharing a variable with the next, counting the variables
+    of every term, not only the leading ones.  A component's S-pairs
+    and their reductions stay in its own variables, since no leading
+    monomial of another component divides a monomial there, and pairs
+    across components are coprime.  So the set is a Groebner basis
+    exactly when every component is one: Groebner bases of ideals in
+    disjoint variables unite to a Groebner basis.  Each component is
+    renamed onto its own variables in increasing order, which keeps
+    the graded-lex order and so the answer, and the components that
+    rename to the same generators, as the copies of one cycle do, are
+    listed once.  A nonzero constant generator keeps the whole set one
+    component, and so does a generator in every variable, which ends
+    the scan.
+    """
+    nvars = gens[0].nvars
+    variables = range(nvars)
+    supports = []  # the variables of each generator
+    for g in gens:
+        vs = {v for m, _ in g.terms for v in compress(variables, m)}
+        if len(vs) in (0, nvars):  # a constant, or every variable
+            return [gens]
+        supports.append(vs)
+    label = list(variables)  # variable -> its component
+    block = [[v] for v in label]  # component -> its variables
+    for vs in supports:
+        labels = {label[v] for v in vs}
+        if len(labels) > 1:  # merge into the largest block
+            r = max(labels, key=lambda x: len(block[x]))
+            for x in labels - {r}:
+                for v in block[x]:
+                    label[v] = r
+                block[r] += block[x]
+    groups: dict[int, list[int]] = {}
+    for i, vs in enumerate(supports):
+        groups.setdefault(label[min(vs)], []).append(i)
+    if len(groups) == 1:
+        return [gens]
+    distinct: dict[tuple, int] = {}  # renamed terms -> variable count
+    for r, members in groups.items():
+        keep = sorted(block[r])
+        key = tuple(tuple((tuple(map(m.__getitem__, keep)), c)
+                          for m, c in gens[i].terms) for i in members)
+        distinct.setdefault(key, len(keep))
+    field = gens[0].field
+    return [[Polynomial(field, width, terms) for terms in key]
+            for key, width in distinct.items()]
+
+
+def component_is_groebner(gens: list[Polynomial]) -> bool:
+    """Buchberger's criterion on nonzero generators of one field and
+    variable count, usually one of ``distinct_components``.
+
+    The pairs {i, j} whose leading monomials share a variable are
+    visited by increasing graded-lex lcm(LM g_i, LM g_j), ties by
+    (i, j), as Gebauer and Moeller do: the pairs a chain can pass
+    through have lcms dividing this one, so they come first.  A pair is
+    skipped, without forming its S-polynomial, by either of
+    Buchberger's two criteria:
+
+    * its leading monomials are coprime (then S(g_i, g_j) always
+      reduces to zero modulo {g_i, g_j}); these pairs count as settled
+      from the start;
+    * the chain criterion: some k has LM(g_k) dividing
+      lcm(LM g_i, LM g_j), and both {i, k} and {j, k} are settled, that
+      is coprime or visited earlier, for any such k.  A bitset per
+      generator records whom it is settled with, so this is one AND of
+      two such bitsets with the lead index of the lcm.
+
+    Skipping is sound (Cox-Little-O'Shea, Ch. 2 Sec. 10): every settled
+    pair is coprime, reduced to zero or skipped by a chain through
+    pairs settled before it, so its S-polynomial has a representation
+    whose terms all lie below the pair's lcm; since
+    lcm(LM g_i, LM g_k) and lcm(LM g_j, LM g_k) divide
+    lcm(LM g_i, LM g_j), S(g_i, g_j) is a monomial combination of
+    S(g_i, g_k) and S(g_j, g_k) and inherits one below its own lcm.  If
+    every pair has such a representation the generators form a
+    Groebner basis, so the answer is the one the all-pairs check gives.
+
+    The check runs on the packed monomials of one ``DivisorSet`` of the
+    generators, whose width holds every lcm of two leading monomials.
+    Each pair is one int, its packed lcm above i above j, so sorting
+    the ints sorts the pairs by graded-lex lcm, ties by (i, j).  Every
+    other pair's S-polynomial is built as packed terms straight from
+    the set's scaled tails and divided by ``poly.multivariate_divide``,
+    which takes it packed as it is.  The set memoizes its lead index
+    lookups for the life of the check.
+    """
+    dset = poly.DivisorSet(gens)
+    packed = dset._packed
+    packed.memo = {}
+    lcm, leads = packed.packing.lcm, packed.leads
+    support = [sum(1 << v for v, e in enumerate(g.terms[0][0]) if e)
+               for g in gens]
+    settled = [0] * len(gens)
+    k = len(gens).bit_length()
+    low = (1 << k) - 1
+    pairs = []
+    for i, (si, lmi) in enumerate(zip(support, leads)):
+        for j in range(i + 1, len(gens)):
+            if si & support[j]:
+                pairs.append((lcm(lmi, leads[j]) << k | i) << k | j)
+            else:
+                settled[i] |= 1 << j
+                settled[j] |= 1 << i
+    pairs.sort()
+    dividing, s_pair = packed.dividing, packed.s_pair
+    for key in pairs:
+        l, i, j = key >> 2 * k, key >> k & low, key & low
+        common = settled[i] & settled[j]
+        if not (common and common & dividing(l)):
+            if not poly.multivariate_divide(s_pair(i, j, l),
+                                            dset)[1].is_zero:
+                return False
+        settled[i] |= 1 << j
+        settled[j] |= 1 << i
+    return True

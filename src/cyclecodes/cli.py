@@ -69,8 +69,12 @@ def _add_common(sp, *, spec=True, formats=("plain", "json"),
     if enum_budget:
         sp.add_argument("--enum-budget", type=int,
                         default=DEFAULT_ENUM_BUDGET,
-                        help="max enumeration / matrix / Groebner "
-                             "lead-test work "
+                        help="max enumeration / matrix work; for "
+                             "groebner-check, both the generators' "
+                             "exponent cells and the lead tests summed "
+                             "over the distinct variable-disjoint "
+                             "components, each checked before any "
+                             "generator is built "
                              f"(default {DEFAULT_ENUM_BUDGET})")
     if dist_budget:
         sp.add_argument("--dist-budget", type=int,

@@ -62,18 +62,47 @@ def generator_count(spec: CycleFamilySpec, q: int) -> int:
     return n
 
 
+def distinct_component_sizes(spec: CycleFamilySpec, q: int) -> list[int]:
+    """The generator count of each distinct component that
+    ``poly.buchberger_is_groebner`` checks on these generators, counted
+    without building them.  When q-1 is even, a k-cycle copy's k torus
+    binomials and C(k, gamma) cycle binomials form one component, and
+    the copies of one length rename to the same one; when q is even,
+    every torus binomial is a component of its own, and all rename to
+    t1^(q-1) - 1."""
+    if (q - 1) % 2:
+        return [1]
+    lengths = dict.fromkeys(k for k, _ in spec.components)
+    return [k + comb(k, gamma_of(k)) for k in lengths]
+
+
 def check_groebner_budget(spec: CycleFamilySpec, q: int, budget: int) -> None:
-    """Raise BudgetExceeded when the Buchberger check of the n
-    generators would exceed ``budget`` leading-term tests.  The check
-    visits n(n-1)/2 pairs and tests each against the n leading
-    monomials, so its work is counted as n * n(n-1)/2; the generators
-    are counted, not built."""
-    n = generator_count(spec, q)
-    tests = n * (n * (n - 1) // 2)
-    if tests > budget:
+    """Raise BudgetExceeded when the Groebner check of ``spec`` over F_q
+    would exceed ``budget``, before any generator is built.  Two stages
+    are counted, each against the budget:
+
+    * the generator build allocates one exponent cell per variable in
+      each generator, n * nvars cells for n generators;
+    * the check tests each pair of a component's G generators against
+      its G leading monomials, G * G(G-1)/2 lead tests, summed over the
+      distinct components only (``distinct_component_sizes``): pairs
+      across components are coprime, and a repeated component is not
+      checked again.  This count is 0 for even q."""
+    n, nvars = generator_count(spec, q), spec.nvars
+    cells = n * nvars
+    if cells > budget:
         raise BudgetExceeded(
-            f"Groebner check of {n} generators needs {tests} lead tests, "
-            f"budget is {budget}")
+            f"generator build of {n} generators on {nvars} variables "
+            f"needs {cells} exponent cells, budget is {budget}")
+    sizes = distinct_component_sizes(spec, q)
+    tests = sum(g * (g * (g - 1) // 2) for g in sizes)
+    if tests > budget:
+        copies = sum(m for _, m in spec.components)
+        split = "" if copies == 1 else \
+            f" in {copies} components, {len(sizes)} distinct,"
+        raise BudgetExceeded(
+            f"Groebner check of {n} generators{split} needs {tests} lead "
+            f"tests, budget is {budget}")
 
 
 def _unit_vector(n: int, i: int, value: int) -> tuple[int, ...]:

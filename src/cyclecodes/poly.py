@@ -514,40 +514,10 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def buchberger_is_groebner(gens) -> bool:
     """Buchberger's criterion: every S-polynomial reduces to zero.
 
-    The pairs {i, j} whose leading monomials share a variable are
-    visited by increasing graded-lex lcm(LM g_i, LM g_j), ties by
-    (i, j), as Gebauer and Moeller do: the pairs a chain can pass
-    through have lcms dividing this one, so they come first.  A pair is
-    skipped, without forming its S-polynomial, by either of
-    Buchberger's two criteria:
-
-    * its leading monomials are coprime (then S(g_i, g_j) always
-      reduces to zero modulo {g_i, g_j}); these pairs count as settled
-      from the start;
-    * the chain criterion: some k has LM(g_k) dividing
-      lcm(LM g_i, LM g_j), and both {i, k} and {j, k} are settled, that
-      is coprime or visited earlier, for any such k.  A bitset per
-      generator records whom it is settled with, so this is one AND of
-      two such bitsets with the lead index of the lcm.
-
-    Skipping is sound (Cox-Little-O'Shea, Ch. 2 Sec. 10): every settled
-    pair is coprime, reduced to zero or skipped by a chain through
-    pairs settled before it, so its S-polynomial has a representation
-    whose terms all lie below the pair's lcm; since
-    lcm(LM g_i, LM g_k) and lcm(LM g_j, LM g_k) divide
-    lcm(LM g_i, LM g_j), S(g_i, g_j) is a monomial combination of
-    S(g_i, g_k) and S(g_j, g_k) and inherits one below its own lcm.  If
-    every pair has such a representation the generators form a
-    Groebner basis, so the answer is the one the all-pairs check gives.
-
-    The check runs on the packed monomials of one ``DivisorSet`` of the
-    generators, whose width holds every lcm of two leading monomials.
-    Each pair is one int, its packed lcm above i above j, so sorting
-    the ints sorts the pairs by graded-lex lcm, ties by (i, j).  Every
-    other pair's S-polynomial is built as packed terms straight from
-    the set's scaled tails and divided by ``multivariate_divide``,
-    which takes it packed as it is.  The set memoizes its lead index
-    lookups for the life of the check.
+    The generators are split into variable-disjoint components, each
+    distinct one is checked once, and only the S-pairs that the coprime
+    and chain criteria leave are reduced; module ``_packed`` holds the
+    check and the reasons it gives the all-pairs answer.
     """
     gens = list(gens)
     for g in gens:
@@ -555,31 +525,9 @@ def buchberger_is_groebner(gens) -> bool:
             raise ZeroPolynomial("zero polynomial among the generators")
     if not gens:
         return True
-    dset = DivisorSet(gens)
-    packed = dset._packed
-    packed.memo = {}
-    lcm, leads = packed.packing.lcm, packed.leads
-    support = [sum(1 << v for v, e in enumerate(g.terms[0][0]) if e)
-               for g in gens]
-    settled = [0] * len(gens)
-    k = len(gens).bit_length()
-    low = (1 << k) - 1
-    pairs = []
-    for i, (si, lmi) in enumerate(zip(support, leads)):
-        for j in range(i + 1, len(gens)):
-            if si & support[j]:
-                pairs.append((lcm(lmi, leads[j]) << k | i) << k | j)
-            else:
-                settled[i] |= 1 << j
-                settled[j] |= 1 << i
-    pairs.sort()
-    dividing, s_pair = packed.dividing, packed.s_pair
-    for key in pairs:
-        l, i, j = key >> 2 * k, key >> k & low, key & low
-        common = settled[i] & settled[j]
-        if not (common and common & dividing(l)):
-            if not multivariate_divide(s_pair(i, j, l), dset)[1].is_zero:
-                return False
-        settled[i] |= 1 << j
-        settled[j] |= 1 << i
-    return True
+    first = gens[0]
+    for g in gens:
+        if g.field is not first.field or g.nvars != first.nvars:
+            first._check_compatible(g)
+    from ._packed import component_is_groebner, distinct_components
+    return all(map(component_is_groebner, distinct_components(gens)))

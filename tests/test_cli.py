@@ -359,6 +359,20 @@ def test_groebner_check_over_budget_exits_3_before_building(monkeypatch,
     assert cli.main(argv) == 3  # also over the default budget
 
 
+def test_groebner_check_budget_counts_distinct_components(monkeypatch,
+                                                          capsys):
+    # 7x40: 40 copies of one 42-generator component, checked once
+    argv = ["groebner-check", "--q", "5", "--spec", "7x40"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "groebner basis check: pass\n"
+    # 3x30000: 180000 generators on 90000 variables; nothing may be built
+    monkeypatch.setattr(cli, "build_generators", None)
+    assert cli.main(["groebner-check", "--q", "5", "--spec", "3x30000"]) == 3
+    assert capsys.readouterr().err == (
+        "error: generator build of 180000 generators on 90000 variables "
+        "needs 16200000000 exponent cells, budget is 67108864\n")
+
+
 def test_enumerate_golden():
     r = run_cli("enumerate", "--q", "3", "--spec", "3")
     assert r.returncode == 0

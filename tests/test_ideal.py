@@ -20,7 +20,12 @@ from cyclecodes import (
     verify_vanishing,
 )
 from cyclecodes.cyclegraph import DEFAULT_ENUM_BUDGET
-from cyclecodes.ideal import check_groebner_budget, generator_count
+from cyclecodes import _packed
+from cyclecodes.ideal import (
+    check_groebner_budget,
+    distinct_component_sizes,
+    generator_count,
+)
 
 
 # -- construction ---------------------------------------------------------------
@@ -72,6 +77,63 @@ def test_groebner_budget_counts_lead_tests():
         check_groebner_budget(parse_spec_string(text), 3, DEFAULT_ENUM_BUDGET)
     with pytest.raises(BudgetExceeded):
         check_groebner_budget(spec, 3, DEFAULT_ENUM_BUDGET)
+
+
+def test_groebner_budget_counts_the_generator_cells_first():
+    # 3x30000 over F_5: 180000 generators on 90000 variables; its one
+    # distinct component needs only 6 * 15 lead tests
+    spec = parse_spec_string("3x30000")
+    cells = 180000 * 90000
+    with pytest.raises(BudgetExceeded,
+                       match=f"^generator build of 180000 generators on "
+                             f"90000 variables needs {cells} exponent "
+                             f"cells, budget is {DEFAULT_ENUM_BUDGET}$"):
+        check_groebner_budget(spec, 5, DEFAULT_ENUM_BUDGET)
+    check_groebner_budget(spec, 5, cells)
+    with pytest.raises(BudgetExceeded, match="exponent cells"):
+        check_groebner_budget(spec, 5, cells - 1)
+    # even q: every component is one torus binomial, so no lead tests
+    spec = parse_spec_string("3x100")
+    check_groebner_budget(spec, 8, 300 * 300)
+    with pytest.raises(BudgetExceeded, match="exponent cells"):
+        check_groebner_budget(spec, 8, 300 * 300 - 1)
+
+
+def test_groebner_budget_counts_lead_tests_over_distinct_components():
+    # 7x40 over F_5: 1680 generators in 40 copies of one 42-generator
+    # component
+    spec = parse_spec_string("7x40")
+    tests = 42 * (42 * 41 // 2)
+    assert distinct_component_sizes(spec, 5) == [42]
+    check_groebner_budget(spec, 5, DEFAULT_ENUM_BUDGET)
+    check_groebner_budget(spec, 5, max(tests, 1680 * 280))
+    # 3x2,5 over F_5: components of 3 + 3 and 5 + 10 generators
+    spec = parse_spec_string("3x2,5")
+    tests = 6 * 15 + 15 * 105
+    check_groebner_budget(spec, 5, tests)
+    with pytest.raises(BudgetExceeded,
+                       match=f"^Groebner check of 27 generators in 3 "
+                             f"components, 2 distinct, needs {tests} lead "
+                             f"tests, budget is {tests - 1}$"):
+        check_groebner_budget(spec, 5, tests - 1)
+
+
+@pytest.mark.parametrize("spec_text", ["3", "5", "3x2", "3x2,5", "5,3,5",
+                                       "7x3", "3,5x2,3"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+def test_budget_counts_the_components_the_check_runs(monkeypatch,
+                                                     spec_text, q):
+    spec = parse_spec_string(spec_text)
+    checked = []
+    check = _packed.component_is_groebner
+
+    def counted(gens):
+        checked.append(len(gens))
+        return check(gens)
+
+    monkeypatch.setattr(_packed, "component_is_groebner", counted)
+    assert buchberger_is_groebner(build_generators(spec, field_new(q)))
+    assert checked == distinct_component_sizes(spec, q)
 
 
 def test_torus_generator_shape():
