@@ -215,30 +215,23 @@ def _cmd_groebner(args) -> tuple[str, bool]:
 
 def _hilbert_rows(args, spec, field, degrees):
     """Per-degree (footprint, union-or-None, rank-or-None) triples.
-    Each route builds its cumulative vector once, through the largest
-    degree or, sooner, through the degree past which its count stays
-    constant, and reads every row from it.  The columns that check a
-    budget (union, then rank) come first, so a refused budget costs no
-    footprint work."""
-    top = max(max(degrees), 0)
-
-    def column(prefix):
-        return [hilbert.prefix_at(prefix, d) for d in degrees]
-
+    The footprint and union columns evaluate their Hilbert-series
+    numerators at the requested degrees only; the rank column counts
+    characters once, through the largest degree.  The columns that
+    check a budget (union, then rank) come first, so a refused budget
+    costs no footprint work."""
     unions: list[int | None] = [None] * len(degrees)
     if len(spec.components) == 1 and spec.components[0][1] == 1:
         try:
-            unions = column(hilbert.union_prefix(
-                spec.components[0][0], field, top))
+            unions = hilbert.union_at(spec.components[0][0], field, degrees)
         except UnsupportedSpec:
             pass
     ranks: list[int | None] = [None] * len(degrees)
     if args.with_rank:
         from . import codes
 
-        ranks = column(codes.character_prefix(spec, field, top,
-                                              args.enum_budget))
-    footprints = column(hilbert.footprint_prefix(spec, field, top))
+        ranks = codes.character_at(spec, field, degrees, args.enum_budget)
+    footprints = hilbert.footprint_at(spec, field, degrees)
     return list(zip(degrees, footprints, unions, ranks))
 
 

@@ -218,11 +218,12 @@ def _cycle_character_degrees(k: int, r: int) -> list[int]:
     return counts
 
 
-def character_prefix(spec: CycleFamilySpec, field: Field, dmax: int,
-                     budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
-    """H(0), H(1), ... as counts of distinct characters, through dmax
-    or, sooner, through the last degree at which a new character
-    appears; needs neither X* nor field arithmetic.
+def character_at(spec: CycleFamilySpec, field: Field, degrees,
+                 budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
+    """H(d) at each d of degrees as counts of distinct characters,
+    from one count by least degree through the largest d or, sooner,
+    through the last degree at which a new character appears; needs
+    neither X* nor field arithmetic.
 
     X* is the image of the edge-product map, a group homomorphism, so
     the monomial t^a restricts on X* to the character x -> x^(B^T a)
@@ -241,19 +242,23 @@ def character_prefix(spec: CycleFamilySpec, field: Field, dmax: int,
             f"counting the characters of one {k}-cycle copy over "
             f"F_{field.q} needs {r ** k} states", r ** k, budget)
     per_k = {k: _cycle_character_degrees(k, r) for k in lengths}
+    dmax = max(max(degrees, default=0), 0)
     vec = [1]
     for k, m in spec.components:
         for _ in range(m):
             vec = _conv(vec, per_k[k], dmax)
-    return list(itertools.accumulate(vec[:dmax + 1]))
+    prefix = list(itertools.accumulate(vec))
+    return [prefix[min(d, len(prefix) - 1)] if d >= 0 else 0
+            for d in degrees]
 
 
 def character_table(spec: CycleFamilySpec, field: Field, dmax: int,
                     budget: int = DEFAULT_ENUM_BUDGET) -> HilbertTable:
     """H(0)..H(dmax) as counts of distinct characters (see
-    character_prefix)."""
-    return HilbertTable.from_prefix(
-        character_prefix(spec, field, dmax, budget), dmax, "characters")
+    character_at)."""
+    return HilbertTable(
+        tuple(character_at(spec, field, range(dmax + 1), budget)),
+        "characters")
 
 
 # -- code parameters ----------------------------------------------------------

@@ -6,10 +6,10 @@ leading term of the ideal's generator set.  Three independent routes
 compute it:
 
 * footprint counting (this module): the leading terms confine each
-  cycle block's exponents to a product structure that is counted by
-  polynomial multiplication — per block, exponents split into a "low"
-  range 0..(q-3)/2 and a "high" range (q-1)/2..q-2, and a standard
-  monomial has at most gamma high exponents in each block;
+  cycle block's exponents to a product structure — per block, exponents
+  split into a "low" range 0..(q-3)/2 and a "high" range (q-1)/2..q-2,
+  and a standard monomial has at most gamma high exponents in each
+  block;
 * the union formula (this module): H(d) for a single cycle equals the
   size of a union of C(k, gamma) explicit boxes.  Inclusion-exclusion
   over them collapses, by Möbius inversion over the subset lattice, to
@@ -20,13 +20,13 @@ compute it:
   the degree-d evaluation code, found by row reduction or by counting
   the distinct characters that monomials restrict to on X*.
 
-Each counting route builds its degree vector once per command
-(footprint_table, union_table, and the torus vectors inside
-solve_betas), truncated at the largest degree the command reads when
-that is known, and reads every degree from it.  A box factor
-(1 + x + ... + x^b) is applied as a running window sum and a block's
-sparse mask as gamma+1 shifted adds, so a vector costs time linear in
-its length, which grows linearly in q.
+Each counting route builds the numerator N of its Hilbert series
+N(x)/(1-x)^n (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms,
+Ch. 9 §3).  A box {0 <= a_i <= b_i} has N = prod (1 - x^(b_i+1)), and
+with y = x^((q-1)/2) every route's N is a short polynomial in y.  The
+routes read H(d) = sum_e N_e C(d - e + n, n) at the degrees they need
+(series_at): deg N + 1 binomials per degree whatever q is, or n + 1
+running sums for a whole table.
 
 All counting is exact integer arithmetic; the beta linear system is
 solved by fraction-free Bareiss elimination.
@@ -34,9 +34,11 @@ solved by fraction-free Bareiss elimination.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
-from math import comb
+from itertools import accumulate
+from math import comb, gcd
 
 from .cyclegraph import CycleFamilySpec, cardinality_formula, gamma_of
 from .errors import (
@@ -48,10 +50,12 @@ from .errors import (
 )
 from .gf import Field
 
-DEFAULT_UNION_BUDGET = 1 << 20
+# union numerator terms x degrees read; a union numerator has under
+# 3(gamma+1) terms, three times the gamma+1 box counts it combines
+DEFAULT_UNION_BUDGET = 3 << 20
 
 
-# -- box counting ----------------------------------------------------------
+# -- Hilbert-series numerators ---------------------------------------------
 
 def _conv(a: list[int], b: list[int], cap: int | None = None) -> list[int]:
     """Coefficient convolution, optionally truncated at degree cap."""
@@ -69,104 +73,98 @@ def _conv(a: list[int], b: list[int], cap: int | None = None) -> list[int]:
     return out
 
 
-def count_box_by_degree(bounds, cap: int | None = None) -> list[int]:
-    """Exact-degree counts of {a : 0 <= a_i <= b_i}: the coefficients
-    of the product of (1 + x + ... + x^{b_i}), truncated at degree cap.
+def series_at(num: tuple[int, list[int]], n: int, degrees) -> list[int]:
+    """H(d) = sum_{t*step <= d} N_t C(d - t*step + n, n) at each d of
+    degrees: the series N(x)/(1-x)^n, num = (step, [N_0, N_1, ...]).
 
-    Multiplying by one factor is a running sum over a window of b_i + 1
-    coefficients, so each factor costs time linear in the vector."""
-    vec = [1]
+    The exact-degree counts N(x)/(1-x)^n are a polynomial of degree
+    deg N - n, so H is constant from there on.  The run of degrees
+    0..D is read as n + 1 running sums of N through D; other degrees
+    as deg N + 1 binomials each."""
+    step, coeffs = num
+    top = (len(coeffs) - 1) * step - n
+    rows = sorted({min(d, top) for d in degrees if d >= 0})
+    if rows and rows[-1] == len(rows) - 1:
+        values = [0] * len(rows)
+        for t, c in enumerate(coeffs[:rows[-1] // step + 1]):
+            values[t * step] = c
+        for _ in range(n + 1):
+            values = list(accumulate(values))
+    else:
+        values = {d: sum(c * comb(d - t * step + n, n)
+                         for t, c in enumerate(coeffs[:d // step + 1]))
+                  for d in rows}
+    return [values[min(d, top)] if d >= 0 else 0 for d in degrees]
+
+
+def box_numerator(bounds) -> tuple[int, list[int]]:
+    """N = prod (1 - x^(b+1)) of the box {0 <= a_i <= b_i}, as
+    (step, coefficients) in x^step, step the gcd of the b + 1."""
+    step = gcd(*(b + 1 for b in bounds)) or 1
+    num = [1]
     for b in bounds:
-        n = len(vec) + b
-        if cap is not None:
-            n = min(n, cap + 1)
-        out, acc = [], 0
-        for i in range(n):
-            if i < len(vec):
-                acc += vec[i]
-            if i > b:
-                acc -= vec[i - b - 1]
-            out.append(acc)
-        vec = out
-    return vec
+        num = _conv([1] + [0] * ((b + 1) // step - 1) + [-1], num)
+    return step, num
 
 
 def count_box_degree(bounds, d: int) -> int:
     """#{a : 0 <= a_i <= b_i, sum(a) <= d}."""
-    if d < 0:
-        return 0
-    return sum(count_box_by_degree(bounds, d))
-
-
-def prefix_at(prefix: list[int], d: int) -> int:
-    """A cumulative count at degree d: 0 below degree 0, and past the
-    end of the vector the last value, which the count keeps from there
-    on."""
-    return prefix[min(d, len(prefix) - 1)] if d >= 0 else 0
+    return series_at(box_numerator(bounds), len(bounds), [d])[0]
 
 
 # -- footprint route -------------------------------------------------------
 
-def footprint_by_degree(spec: CycleFamilySpec, field: Field,
-                        cap: int | None = None) -> list[int]:
-    """Exact-degree standard-monomial counts for the whole graph,
-    truncated at degree cap.
+def footprint_numerator(spec: CycleFamilySpec,
+                        field: Field) -> tuple[int, list[int]]:
+    """The footprint's numerator over (1-x)^nvars.
 
     When q-1 is even a block's leading terms are t_i^(q-1) and all
     (gamma+1)-fold products of (q-1)/2-th powers, so a block exponent
     vector is standard iff every exponent is <= q-2 and at most gamma
     of them are >= (q-1)/2.  Splitting each exponent into a low range
     (0..(q-1)/2-1) and an equally long high range gives the block's
-    generating polynomial  low_box^k * sum_{v<=gamma} C(k,v) x^{v(q-1)/2}.
-    The whole graph's vector is the product over blocks: every low box
-    factor, then each block's sparse mask as gamma+1 shifted adds, each
-    product truncated at the cap.
+    series ((1-y)/(1-x))^k * S_k(y), S_k(y) = sum_{v<=gamma} C(k,v) y^v
+    and y = x^((q-1)/2); the graph's N is (1-y)^nvars times every
+    block's S_k.
 
-    When q-1 is odd there is no cycle part and every block is the
-    plain box with every bound q-2.
+    When q-1 is odd there is no cycle part and every exponent is at
+    most q-2: N = (1-y)^nvars with y = x^(q-1).
     """
-    q = field.q
+    q, n = field.q, spec.nvars
+    num = [(-1) ** t * comb(n, t) for t in range(n + 1)]
     if (q - 1) % 2 != 0:
-        return count_box_by_degree([q - 2] * spec.nvars, cap)
-    half = (q - 1) // 2
-    vec = count_box_by_degree([half - 1] * spec.nvars, cap)
+        return q - 1, num
     for k, m in spec.components:
-        gamma = gamma_of(k)
+        mask = [comb(k, v) for v in range(gamma_of(k) + 1)]
         for _ in range(m):
-            n = len(vec) + gamma * half
-            if cap is not None:
-                n = min(n, cap + 1)
-            out = [0] * n
-            for v in range(gamma + 1):
-                c, shift = comb(k, v), v * half
-                for i, x in enumerate(vec[:max(n - shift, 0)]):
-                    out[shift + i] += c * x
-            vec = out
-    return vec
+            num = _conv(mask, num)
+    return (q - 1) // 2, num
+
+
+def footprint_at(spec: CycleFamilySpec, field: Field, degrees) -> list[int]:
+    """H(d) at each d of degrees by the footprint."""
+    return series_at(footprint_numerator(spec, field), spec.nvars, degrees)
 
 
 def hilbert_footprint(spec: CycleFamilySpec, field: Field, d: int) -> int:
     """H(d) = number of standard monomials of degree <= d."""
-    if d < 0:
-        return 0
-    return sum(footprint_by_degree(spec, field)[:d + 1])
+    return footprint_at(spec, field, [d])[0]
 
 
 # -- union-of-boxes route ---------------------------------------------------
 
 def union_coefficients(k: int) -> list[int]:
     """c_0..c_gamma: the coefficient of the j-box count in the union
-    of boxes of a k-cycle, derived in union_prefix."""
+    of boxes of a k-cycle, derived in union_at."""
     gamma = gamma_of(k)
     return [(-1) ** (gamma - j) * comb(k, j) * comb(k - j - 1, gamma - j)
             for j in range(gamma + 1)]
 
 
-def union_prefix(k: int, field: Field, dmax: int,
-                 budget: int = DEFAULT_UNION_BUDGET) -> list[int]:
-    """H(0), H(1), ... for a single k-cycle as the size of a union of
-    boxes, through dmax or, sooner, through the degree past which the
-    count stays constant.
+def union_at(k: int, field: Field, degrees,
+             budget: int = DEFAULT_UNION_BUDGET) -> list[int]:
+    """H(d) at each d of degrees for a single k-cycle as the size of a
+    union of boxes.
 
     One box per gamma-subset H of the k variables: exponents bounded by
     q-2 inside H and by (q-1)/2 - 1 outside.  Inclusion-exclusion over
@@ -183,43 +181,49 @@ def union_prefix(k: int, field: Field, dmax: int,
     |J| <= gamma.  Möbius inversion over the subset lattice then gives
     the exact-intersection sum  sum_{i=0}^{gamma-j} (-1)^i C(k-j, i),
     an alternating partial sum equal to (-1)^(gamma-j) C(k-j-1, gamma-j).
-    So c_j = (-1)^(gamma-j) C(k, j) C(k-j-1, gamma-j) (union_coefficients),
-    and the union costs gamma+1 box vectors for every odd k; the budget
-    bounds their cells.
+    So c_j = (-1)^(gamma-j) C(k, j) C(k-j-1, gamma-j) (union_coefficients).
+    Its numerator is the c_j-sum of the j-boxes' numerators (_tori_sum),
+    k + gamma + 1 terms in y = x^((q-1)/2); the budget bounds the terms
+    times the degrees read before the numerator is built.
     """
     q = field.q
     if (q - 1) % 2 != 0:
         raise UnsupportedSpec(
             "the union formula needs q-1 even; for q even X* is the full "
             "torus and the footprint box applies")
-    gamma = gamma_of(k)
     half = (q - 1) // 2
-    cells = (gamma + 1) * (min(dmax, k * (q - 2)) + 1)
-    if cells > budget:
+    terms = k + gamma_of(k) + 1
+    rows = len({min(d, (terms - 1) * half - k) for d in degrees if d >= 0})
+    if terms * rows > budget:
         raise BudgetExceeded(
-            f"union formula: {gamma + 1} box vectors need {cells} cells, "
-            f"budget is {budget}")
-    terms = [(c, list(itertools.accumulate(count_box_by_degree(
-        [q - 2] * j + [half - 1] * (k - j), dmax))))
-        for j, c in enumerate(union_coefficients(k))]
-    top = min(dmax, max(len(prefix) for _, prefix in terms) - 1)
-    return [sum(c * prefix_at(prefix, d) for c, prefix in terms)
-            for d in range(top + 1)]
+            f"union formula: {terms} numerator terms at {rows} degrees "
+            f"need {terms * rows} cells, budget is {budget}")
+    return series_at((half, _tori_sum(union_coefficients(k), k)), k,
+                     degrees)
 
 
 def union_table(k: int, field: Field, dmax: int,
                 budget: int = DEFAULT_UNION_BUDGET) -> "HilbertTable":
     """H(0)..H(dmax) for a single k-cycle by the union of boxes (see
-    union_prefix)."""
-    return HilbertTable.from_prefix(union_prefix(k, field, dmax, budget),
-                                    dmax, "union_formula")
+    union_at)."""
+    return HilbertTable(tuple(union_at(k, field, range(dmax + 1), budget)),
+                        "union_formula")
 
 
 def hilbert_union_formula(k: int, field: Field, d: int,
                           budget: int = DEFAULT_UNION_BUDGET) -> int:
     """H(d) for a single k-cycle by the union of boxes (see
-    union_prefix)."""
-    return prefix_at(union_prefix(k, field, max(d, 0), budget), d)
+    union_at)."""
+    return union_at(k, field, [d], budget)[0]
+
+
+def _tori_sum(weights: list[int], k: int) -> list[int]:
+    """sum_i weights[i] (1-y)^k (1+y)^i in y = x^((q-1)/2): the i-th
+    torus's box has i bounds q-2 and k-i bounds (q-1)/2 - 1, so its
+    numerator is (1-y^2)^i (1-y)^(k-i)."""
+    return _conv([(-1) ** t * comb(k, t) for t in range(k + 1)],
+                 [sum(w * comb(i, v) for i, w in enumerate(weights))
+                  for v in range(len(weights))])
 
 
 def degenerate_torus_hilbert(i: int, k: int, field: Field, d: int) -> int:
@@ -254,16 +258,21 @@ def regularity_formula(spec: CycleFamilySpec, field: Field) -> int:
 
 
 def regularity_bruteforce(spec: CycleFamilySpec, field: Field) -> int:
-    """Least d with H(d) = |X*|, by scanning the footprint counts."""
+    """Least d with H(d) = |X*|, by bisecting the monotone footprint
+    count over the degrees 0..nvars(q-2) of exponents <= q-2."""
     target = cardinality_formula(spec, field.q)
-    acc = 0
-    for d, c in enumerate(footprint_by_degree(spec, field)):
-        acc += c
-        if acc == target:
-            return d
-    raise CheckFailure(
-        f"footprint total {acc} never reached |X*| = {target}; "
-        "the two routes disagree")
+    num = footprint_numerator(spec, field)
+    top = spec.nvars * (field.q - 2)
+
+    def h(d):
+        return series_at(num, spec.nvars, [d])[0]
+
+    d = bisect_left(range(top + 1), target, key=h)
+    if d > top or h(d) != target:
+        raise CheckFailure(
+            f"footprint total {h(top)} never reached |X*| = {target}; "
+            "the two routes disagree")
+    return d
 
 
 # -- tables -----------------------------------------------------------------
@@ -286,28 +295,11 @@ class HilbertTable:
     def dmax(self) -> int:
         return len(self.values) - 1
 
-    @classmethod
-    def from_prefix(cls, prefix: list[int], dmax: int,
-                    source: str) -> "HilbertTable":
-        """The table through dmax of a cumulative vector read by
-        prefix_at."""
-        return cls(tuple(prefix_at(prefix, d) for d in range(dmax + 1)),
-                   source)
-
-
-def footprint_prefix(spec: CycleFamilySpec, field: Field,
-                     cap: int | None = None) -> list[int]:
-    """H(0)..H(e) by the footprint, e the largest degree of a standard
-    monomial, past which H stays constant; truncated at degree cap, so
-    a capped vector is read only through the cap."""
-    return list(itertools.accumulate(footprint_by_degree(spec, field,
-                                                         cap)))
-
 
 def footprint_table(spec: CycleFamilySpec, field: Field,
                     dmax: int) -> HilbertTable:
-    return HilbertTable.from_prefix(footprint_prefix(spec, field, dmax),
-                                    dmax, "footprint")
+    return HilbertTable(tuple(footprint_at(spec, field, range(dmax + 1))),
+                        "footprint")
 
 
 # -- beta decomposition ------------------------------------------------------
@@ -380,11 +372,14 @@ def solve_betas(k: int, field: Field,
     and solves the square system exactly.  If the chosen degrees give a
     singular system, the degrees 0..regularity not yet tried follow in
     increasing order, and a maximal independent subset is used: each
-    degree is tested once, against the rows already chosen.  Degree 0
-    matters at q = 3, where the boxes' bounds are 1 and 0, H_i(d) is
-    sum_{e<=d} C(i, e), and only degrees 0..gamma are independent.
-    The solved identity is then re-verified at every degree through
-    regularity + 1.
+    degree is tested once, against the rows already chosen.  In a
+    window [t*half, (t+1)*half), half = (q-1)/2, every torus count is a
+    polynomial of degree k in d, so once k+1 of its degrees are tried
+    the rest adds no rank and is skipped.  Degree 0 matters at q = 3,
+    where the boxes' bounds are 1 and 0, H_i(d) is sum_{e<=d} C(i, e),
+    and only degrees 0..gamma are independent.  The identity is checked
+    on the numerators over (1-x)^k, so it holds at every degree,
+    reported as through regularity + 1.
     """
     q = field.q
     if (q - 1) % 2 != 0:
@@ -393,31 +388,42 @@ def solve_betas(k: int, field: Field,
     size = gamma + 1
     spec = CycleFamilySpec.single(k)
     reg = regularity_formula(spec, field)
-    target = footprint_prefix(spec, field)
+    target = footprint_numerator(spec, field)
     half = (q - 1) // 2
-    tori = [list(itertools.accumulate(count_box_by_degree(
-        [q - 2] * i + [half - 1] * (k - i)))) for i in range(size)]
+    tori = [(half, _tori_sum([0] * i + [1], k)) for i in range(size)]
 
     pool = list(sample_degrees) if sample_degrees is not None \
         else list(range(1, size + 1))
-    chosen_rows: list[list[int]] = []
+    window = defaultdict(set)  # the degrees tried in each window
+
+    def degrees():
+        yield from pool
+        d = 0
+        while d <= reg:
+            if len(window[d // half]) > k:
+                d = (d // half + 1) * half
+                continue
+            if d not in pool:
+                yield d
+            d += 1
+
+    a: list[list[int]] = []  # H_i(d) at the chosen degrees d
+    b: list[int] = []  # H(d) there
     chosen_degrees: list[int] = []
-    for d in itertools.chain(pool, (e for e in range(reg + 1)
-                                    if e not in pool)):
-        row = [prefix_at(tori[i], d) for i in range(size)]
-        if bareiss_rank([r[:size] for r in chosen_rows] + [row]) \
-                > len(chosen_rows):
-            chosen_rows.append(row + [prefix_at(target, d)])
+    for d in degrees():
+        window[d // half].add(d)
+        row = [series_at(num, k, [d])[0] for num in tori]
+        if bareiss_rank(a + [row]) > len(a):
+            a.append(row)
+            b += series_at(target, k, [d])
             chosen_degrees.append(d)
-            if len(chosen_rows) == size:
+            if len(a) == size:
                 break
     else:
         raise SingularSystem(
             f"no {size} independent sample degrees up to "
             f"regularity {reg} for k={k}, q={q}")
 
-    a = [row[:size] for row in chosen_rows]
-    b = [row[size] for row in chosen_rows]
     det = bareiss_det(a)
     betas = []
     for i in range(size):
@@ -429,11 +435,8 @@ def solve_betas(k: int, field: Field,
                 f"beta_{i} = {di}/{det} is not an integer for k={k}, q={q}")
         betas.append(di // det)
 
-    for d in range(reg + 2):
-        lhs = sum(betas[i] * prefix_at(tori[i], d) for i in range(size))
-        if lhs != prefix_at(target, d):
-            raise CheckFailure(
-                f"beta identity fails at degree {d}: "
-                f"{lhs} != {prefix_at(target, d)}")
+    if _tori_sum(betas, k) != target[1]:
+        raise CheckFailure("beta identity fails: sum beta_i N_i is not "
+                           "the footprint numerator")
     return BetaDecomposition(tuple(betas), tuple(sorted(chosen_degrees)),
                              reg + 1)

@@ -25,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from operator import add, and_, getitem, le, or_, sub
+from operator import add, and_, getitem, or_, sub
 
 from .errors import (
     DimensionMismatch,
@@ -47,11 +47,6 @@ def mono_degree(m: Monomial) -> int:
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True if monomial a divides monomial b."""
-    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:

@@ -135,13 +135,13 @@ def test_hilbert_union_over_budget_exits_3_before_the_footprint(monkeypatch,
     def footprint(*args, **kwargs):
         raise AssertionError("footprint built before the union budget check")
 
-    monkeypatch.setattr(hilbert, "footprint_prefix", footprint)
+    monkeypatch.setattr(hilbert, "footprint_at", footprint)
     rc = cli.main(["hilbert", "--q", "4099", "--spec", "41",
                    "--dmax", "100000"])
     assert rc == 3
     assert capsys.readouterr().err == (
-        "error: union formula: 21 box vectors need 2100021 cells, "
-        "budget is 1048576\n")
+        "error: union formula: 62 numerator terms at 100001 degrees need "
+        "6200062 cells, budget is 3145728\n")
 
 
 def test_hilbert_negative_dmax_is_usage_error():

@@ -33,15 +33,21 @@ from cyclecodes.hilbert import (
     _conv,
     bareiss_det,
     bareiss_rank,
-    count_box_by_degree,
-    footprint_by_degree,
-    footprint_prefix,
-    prefix_at,
+    footprint_at,
+    union_at,
     union_coefficients,
-    union_prefix,
 )
 from cyclecodes.ideal import build_generators
-from cyclecodes.poly import mono_divides
+from oracles import (
+    count_box_by_degree,
+    cumulative,
+    footprint_by_degree,
+    mono_divides,
+    prefix_at,
+    regularity_by_scan,
+    sample_degrees_by_scan,
+    torus_prefix,
+)
 
 
 # -- box counting -------------------------------------------------------------
@@ -100,6 +106,8 @@ def test_count_box_by_degree_matches_walk_and_naive_product(data, bounds):
             walk[sum(v)] += 1
     got = count_box_by_degree(bounds, cap)
     assert got == naive == walk
+    prefix = cumulative(walk)
+    assert [count_box_degree(bounds, d) for d in range(top + 1)] == prefix
 
 
 # -- footprint counting ---------------------------------------------------------
@@ -169,9 +177,10 @@ def test_footprint_by_degree_matches_lattice_walk(data, q, families):
     # the walk visits (d+1)^n monomials
     top = max(d for d in range(12) if (d + 1) ** n <= 20000)
     d = data.draw(st.integers(0, top))
-    vec = footprint_by_degree(spec, field)
+    vec = footprint_by_degree(spec, q)
     assert sum(vec) == cardinality_formula(spec, q)
     assert sum(vec[:d + 1]) == hilbert_footprint_slow(spec, field, d)
+    assert hilbert_footprint(spec, field, d) == sum(vec[:d + 1])
 
 
 @pytest.mark.parametrize("q, spec_text", [
@@ -180,11 +189,57 @@ def test_footprint_by_degree_matches_lattice_walk(data, q, families):
 def test_capped_footprint_is_a_prefix_of_the_full_vector(q, spec_text):
     field = field_new(q)
     spec = parse_spec_string(spec_text)
-    full = footprint_by_degree(spec, field)
-    prefix = footprint_prefix(spec, field)
+    full = footprint_by_degree(spec, q)
+    prefix = cumulative(full)
     for cap in range(len(full) + 2):
-        assert footprint_by_degree(spec, field, cap) == full[:cap + 1]
-        assert footprint_prefix(spec, field, cap) == prefix[:cap + 1]
+        assert footprint_by_degree(spec, q, cap) == full[:cap + 1]
+        assert (footprint_table(spec, field, cap).values
+                == tuple(prefix_at(prefix, d) for d in range(cap + 1)))
+
+
+# -- Hilbert-series numerators against the window-sum oracles --------------------
+
+_ODD_PRIMES = [p for p in range(3, 258, 2)
+               if all(p % f for f in range(3, p, 2))]
+_FIELDS = _ODD_PRIMES + [2, 4, 8, 16, 32, 64, 128, 256]
+_FAMILIES = st.lists(st.tuples(st.sampled_from([3, 5, 7]), st.integers(1, 2)),
+                     min_size=1, max_size=3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data(), q=st.sampled_from(_FIELDS), families=_FAMILIES)
+def test_numerator_footprint_matches_window_sum_oracle(data, q, families):
+    spec = CycleFamilySpec(tuple(families))
+    field = field_new(q)
+    prefix = cumulative(footprint_by_degree(spec, q))
+    top = spec.nvars * (q - 2) + 2
+    cap = data.draw(st.integers(0, top))
+    assert (footprint_table(spec, field, cap).values
+            == tuple(prefix_at(prefix, d) for d in range(cap + 1)))
+    d = data.draw(st.integers(-2, 2 * top))
+    assert hilbert_footprint(spec, field, d) == prefix_at(prefix, d)
+    # any order, repeats, runs and gaps, past the constant tail
+    degrees = data.draw(st.lists(st.integers(-2, 2 * top), max_size=12))
+    assert (footprint_at(spec, field, degrees)
+            == [prefix_at(prefix, e) for e in degrees])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data(), q=st.sampled_from(_ODD_PRIMES),
+       k=st.sampled_from([3, 5, 7, 9]))
+def test_numerator_union_and_tori_match_window_sum_oracle(data, q, k):
+    field = field_new(q)
+    spec = CycleFamilySpec.single(k)
+    prefix = cumulative(footprint_by_degree(spec, q))
+    top = k * (q - 2) + 2
+    cap = data.draw(st.integers(0, top))
+    assert (union_table(k, field, cap).values
+            == tuple(prefix_at(prefix, d) for d in range(cap + 1)))
+    d = data.draw(st.integers(-2, 2 * top))
+    assert hilbert_union_formula(k, field, d) == prefix_at(prefix, d)
+    i = data.draw(st.integers(0, gamma_of(k)))
+    assert (degenerate_torus_hilbert(i, k, field, d)
+            == prefix_at(torus_prefix(i, k, q), d))
 
 
 # -- union-of-boxes route ---------------------------------------------------------
@@ -250,7 +305,7 @@ def test_union_formula_rejects_torus_fields():
 
 
 def test_union_formula_k7_matches_footprint():
-    # C(7,3) = 35 boxes; the closed-form coefficients need 4 box vectors.
+    # C(7,3) = 35 boxes; the closed-form coefficients need 4 box numerators.
     for q in (3, 5):
         field = field_new(q)
         spec = CycleFamilySpec.single(7)
@@ -260,20 +315,23 @@ def test_union_formula_k7_matches_footprint():
 
 
 def test_union_formula_budget(monkeypatch):
-    # k = 7 at q = 5: 4 box vectors of at most min(dmax, 7*3) + 1 = 22
-    # cells; the union is constant from degree 3*3 + 4*1 = 13 on.
+    # k = 7 at q = 5: the numerator has 7 + 3 + 1 = 11 terms in
+    # y = x^2; the union is constant from degree 3*3 + 4*1 = 13 on, so
+    # the degrees 0..100 read 14 distinct rows.
     def built(*args, **kwargs):
-        raise AssertionError("box vector built before the budget check")
+        raise AssertionError("numerator built before the budget check")
 
     field = field_new(5)
-    assert len(union_prefix(7, field, 100, budget=88)) == 14
-    monkeypatch.setattr(hilbert, "count_box_by_degree", built)
+    values = union_at(7, field, range(101), budget=154)
+    assert values[12] < values[13] == values[100] == 2 ** 13
+    monkeypatch.setattr(hilbert, "_tori_sum", built)
     with pytest.raises(BudgetExceeded) as exc:
-        union_prefix(7, field, 100, budget=87)
+        union_at(7, field, range(101), budget=153)
     assert str(exc.value) == (
-        "union formula: 4 box vectors need 88 cells, budget is 87")
+        "union formula: 11 numerator terms at 14 degrees need 154 cells, "
+        "budget is 153")
     with pytest.raises(BudgetExceeded):
-        hilbert_union_formula(7, field, 1, budget=7)
+        hilbert_union_formula(7, field, 1, budget=10)
 
 
 def _union_coefficients_by_sign_loop(k):
@@ -311,9 +369,8 @@ def test_union_prefix_matches_footprint_prefix(q, k):
     field = field_new(q)
     spec = CycleFamilySpec.single(k)
     top = regularity_formula(spec, field) + 1
-    union = union_prefix(k, field, top)
-    footprint = footprint_prefix(spec, field)
-    assert ([prefix_at(union, d) for d in range(top + 1)]
+    footprint = cumulative(footprint_by_degree(spec, q))
+    assert (list(union_table(k, field, top).values)
             == [prefix_at(footprint, d) for d in range(top + 1)])
     # A huge degree reads the constant tail, |X*|.
     assert (hilbert_union_formula(k, field, 10 ** 12)
@@ -388,6 +445,14 @@ def test_regularity_bruteforce_matches_formula(q, spec_text):
     field = field_new(q)
     spec = parse_spec_string(spec_text)
     assert regularity_bruteforce(spec, field) == regularity_formula(spec, field)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(q=st.sampled_from(_FIELDS), families=_FAMILIES)
+def test_regularity_bisection_matches_linear_scan(q, families):
+    spec = CycleFamilySpec(tuple(families))
+    field = field_new(q)
+    assert regularity_bruteforce(spec, field) == regularity_by_scan(spec, q)
 
 
 def test_hilbert_stabilizes_exactly_at_regularity():
@@ -536,6 +601,36 @@ def test_betas_at_q3_sample_degree_zero():
     assert b.verified_through == 3
     for k in (7, 9, 11):
         assert list(solve_betas(k, f3).betas) == union_coefficients(k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data(), q=st.sampled_from(_ODD_PRIMES),
+       k=st.sampled_from([3, 5, 7, 9]))
+def test_betas_sample_degrees_match_full_scan(data, q, k):
+    # The scan skips the rest of a window [t*half, (t+1)*half) after
+    # k+1 of its degrees; testing every degree must choose the same.
+    field = field_new(q)
+    reg = regularity_formula(CycleFamilySpec.single(k), field)
+    pool = data.draw(st.one_of(st.none(), st.lists(
+        st.integers(-2, reg + 3), max_size=gamma_of(k) + 3)))
+    b = solve_betas(k, field, sample_degrees=pool)
+    assert b.sample_degrees == sample_degrees_by_scan(k, field, pool)
+    assert list(b.betas) == union_coefficients(k)
+
+
+def test_betas_sample_degrees_match_full_scan_at_q3_and_singular_pools():
+    f3 = field_new(3)
+    for k in (3, 5, 7, 9, 11):
+        b = solve_betas(k, f3)
+        assert b.sample_degrees == sample_degrees_by_scan(k, f3)
+        assert b.sample_degrees == tuple(range(gamma_of(k) + 1))
+    # one window's worth of degrees, repeated and negative ones: the
+    # pool is singular and the scan completes it
+    f13 = field_new(13)
+    for pool in ([1, 2, 3], [2, 2, 2], [-1, 0, 5, 3], [12, 12]):
+        b = solve_betas(5, f13, sample_degrees=pool)
+        assert b.sample_degrees == sample_degrees_by_scan(5, f13, pool)
+        assert b.betas == (6, -15, 10)
 
 
 def test_betas_rejects_torus_fields():

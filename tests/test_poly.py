@@ -28,7 +28,8 @@ from cyclecodes import (
     s_polynomial,
 )
 from cyclecodes import _packed
-from cyclecodes.poly import mono_coprime, mono_div, mono_divides, mono_lcm, mono_mul
+from cyclecodes.poly import mono_coprime, mono_div, mono_lcm, mono_mul
+from oracles import mono_divides
 
 F5 = field_new(5)
 
