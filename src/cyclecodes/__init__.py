@@ -37,16 +37,13 @@ from .errors import (
 from .gf import Field, field_new
 from .hilbert import (
     BetaDecomposition,
-    HilbertTable,
     count_box_degree,
-    degenerate_torus_hilbert,
-    footprint_table,
-    hilbert_footprint,
-    hilbert_union_formula,
+    degenerate_torus_at,
+    footprint_at,
     regularity_bruteforce,
     regularity_formula,
     solve_betas,
-    union_table,
+    union_at,
 )
 from .ideal import (
     GeneratorSet,
@@ -74,12 +71,10 @@ _CODES_NAMES = frozenset({
     "CodeParams",
     "EvaluationMatrix",
     "build_evaluation_matrix",
-    "character_table",
-    "code_dimension",
+    "character_at",
     "code_params",
-    "min_distance",
     "monomial_basis",
-    "rank_table",
+    "rank_at",
     "singleton_check",
 })
 

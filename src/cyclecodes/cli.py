@@ -2,10 +2,10 @@
 
 Subcommands: enumerate, card, ideal, groebner-check, hilbert,
 regularity, betas, code, selftest.  Exit codes: 0 success, 1 a
-cross-check failed, 2 usage error, 3 budget exceeded.  Output is
-deterministic for a given invocation.  Only enumerate, card, code,
-selftest and hilbert --with-rank import numpy; the counting commands
-run on integers alone.
+cross-check failed, 2 usage error or an --out file that cannot be
+written, 3 budget exceeded.  Output is deterministic for a given
+invocation.  Only enumerate, card, code, selftest and hilbert
+--with-rank import numpy; the counting commands run on integers alone.
 """
 
 from __future__ import annotations
@@ -369,18 +369,14 @@ def _cmd_selftest(args) -> tuple[str, bool]:
     check("|X*| closed form", cardinality_formula(spec, 5), 512)
     probe = (1, 2, 9)
     check("H footprint at d=1,2,9",
-          tuple(hilbert.hilbert_footprint(spec, field, d) for d in probe),
-          (6, 21, 512))
+          tuple(hilbert.footprint_at(spec, field, probe)), (6, 21, 512))
     check("H union formula at d=1,2,9",
-          tuple(hilbert.hilbert_union_formula(5, field, d) for d in probe),
-          (6, 21, 512))
+          tuple(hilbert.union_at(5, field, probe)), (6, 21, 512))
     check("H rank oracle at d=1,2,9",
-          tuple(codes.code_dimension(X, d) for d in probe),
-          (6, 21, 512))
+          tuple(codes.rank_at(X, probe)), (6, 21, 512))
     for i, want in ((2, (6, 18, 128)), (1, (6, 17, 64)), (0, (6, 16, 32))):
         check(f"degenerate torus i={i} at d=1,2,9",
-              tuple(hilbert.degenerate_torus_hilbert(i, 5, field, d)
-                    for d in probe), want)
+              tuple(hilbert.degenerate_torus_at(i, 5, field, probe)), want)
     check("regularity formula", hilbert.regularity_formula(spec, field), 9)
     check("regularity brute force",
           hilbert.regularity_bruteforce(spec, field), 9)
@@ -427,8 +423,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED

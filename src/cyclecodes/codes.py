@@ -8,11 +8,11 @@ point.  The rank of that matrix is the code dimension and equals the
 Hilbert function H(d), which makes it the independent numeric oracle
 for the counting routes in the hilbert module.
 
-The same rank is also counted without X* (character_table): every
+The same rank is also counted without X* (character_at): every
 monomial restricts on X* to a character of the group X*, and distinct
 characters are linearly independent, so the rank is the number of
-distinct characters.  Row reduction (rank_table, code_dimension) stays
-as the linear-algebra reference for that count.
+distinct characters.  Row reduction (rank_at) stays as the
+linear-algebra reference for that count.
 
 For the same reason the distinct rows of the evaluation matrix are a
 basis of the code (code_params), so the code parameters need no row
@@ -51,7 +51,7 @@ from .cyclegraph import (
 )
 from .errors import BudgetExceeded
 from .gf import Field
-from .hilbert import HilbertTable, _conv, count_box_degree
+from .hilbert import _conv, count_box_degree
 from .poly import Monomial, grlex_key
 
 DEFAULT_MATRIX_BUDGET = 1 << 26
@@ -61,12 +61,10 @@ DEFAULT_MATRIX_BUDGET = 1 << 26
 _TABLE_CELLS = 1 << 20
 
 
-def monomial_basis(nvars: int, q: int, d: int,
-                   max_exponent: int | None = None) -> list[Monomial]:
+def monomial_basis(nvars: int, q: int, d: int) -> list[Monomial]:
     """Monomials with exponents <= q-2 and total degree <= d, sorted
     in decreasing graded-lex order."""
-    cap = q - 2 if max_exponent is None else max_exponent
-    cap = min(cap, d)
+    cap = min(q - 2, d)
     monos = [m for m in itertools.product(range(cap + 1), repeat=nvars)
              if sum(m) <= d]
     monos.sort(key=grlex_key, reverse=True)
@@ -89,12 +87,11 @@ class EvaluationMatrix:
 
 
 def check_matrix_budget(nvars: int, q: int, npoints: int, d: int,
-                        max_entries: int,
-                        max_exponent: int | None = None) -> None:
+                        max_entries: int) -> None:
     """Raise BudgetExceeded when the degree-d evaluation matrix on
     npoints points would have more than max_entries entries; the basis
     is counted, not listed."""
-    cap = min(q - 2 if max_exponent is None else max_exponent, d)
+    cap = min(q - 2, d)
     nentries = count_box_degree([cap] * nvars, d) * npoints
     if nentries > max_entries:
         raise BudgetExceeded(
@@ -103,16 +100,14 @@ def check_matrix_budget(nvars: int, q: int, npoints: int, d: int,
 
 
 def build_evaluation_matrix(X: ToricSet, d: int,
-                            max_entries: int = DEFAULT_MATRIX_BUDGET,
-                            max_exponent: int | None = None
+                            max_entries: int = DEFAULT_MATRIX_BUDGET
                             ) -> EvaluationMatrix:
     """The degree-d evaluation matrix, as one integer matmul of the
     basis exponents with the points' discrete logs followed by one
     antilog gather."""
     field = X.field
-    check_matrix_budget(X.nvars, field.q, len(X), d, max_entries,
-                        max_exponent)
-    monos = monomial_basis(X.nvars, field.q, d, max_exponent)
+    check_matrix_budget(X.nvars, field.q, len(X), d, max_entries)
+    monos = monomial_basis(X.nvars, field.q, d)
     exponents = np.array(monos, dtype=np.int64).reshape(len(monos), X.nvars)
     logs = field.log[np.array(X.points).reshape(len(X), X.nvars)]
     power_logs = exponents @ logs.T
@@ -166,24 +161,19 @@ def _row_reduce(rows, field: Field) -> tuple[list[np.ndarray], list[int]]:
     return basis, ranks
 
 
-def code_dimension(X: ToricSet, d: int,
-                   max_entries: int = DEFAULT_MATRIX_BUDGET) -> int:
-    """dim of the degree-d evaluation code = H(d), the rank oracle."""
-    M = build_evaluation_matrix(X, d, max_entries)
-    return len(_row_reduce(M.entries, X.field)[0])
-
-
-def rank_table(X: ToricSet, dmax: int,
-               max_entries: int = DEFAULT_MATRIX_BUDGET) -> HilbertTable:
-    """H(0)..H(dmax) by incremental rank: the basis comes in decreasing
-    graded-lex order, so its rows taken in reverse go by increasing
-    degree, and one reduction yields every prefix rank."""
-    M = build_evaluation_matrix(X, dmax, max_entries)
+def rank_at(X: ToricSet, degrees,
+            max_entries: int = DEFAULT_MATRIX_BUDGET) -> list[int]:
+    """H(d) at each d of degrees as the dimension of the degree-d
+    evaluation code, the rank oracle.  One matrix is built through the
+    largest d: its basis comes in decreasing graded-lex order, so its
+    rows taken in reverse go by increasing degree, and one incremental
+    reduction yields every prefix rank."""
+    M = build_evaluation_matrix(X, max(max(degrees, default=0), 0),
+                                max_entries)
     _, ranks = _row_reduce(M.entries[::-1], X.field)
-    degrees = [sum(m) for m in reversed(M.monomials)]
-    return HilbertTable(
-        tuple(ranks[bisect_right(degrees, d) - 1] for d in range(dmax + 1)),
-        "rank_oracle")
+    row_degrees = [sum(m) for m in reversed(M.monomials)]
+    return [ranks[bisect_right(row_degrees, d) - 1] if d >= 0 else 0
+            for d in degrees]
 
 
 # -- distinct characters ----------------------------------------------------
@@ -250,15 +240,6 @@ def character_at(spec: CycleFamilySpec, field: Field, degrees,
     prefix = list(itertools.accumulate(vec))
     return [prefix[min(d, len(prefix) - 1)] if d >= 0 else 0
             for d in degrees]
-
-
-def character_table(spec: CycleFamilySpec, field: Field, dmax: int,
-                    budget: int = DEFAULT_ENUM_BUDGET) -> HilbertTable:
-    """H(0)..H(dmax) as counts of distinct characters (see
-    character_at)."""
-    return HilbertTable(
-        tuple(character_at(spec, field, range(dmax + 1), budget)),
-        "characters")
 
 
 # -- code parameters ----------------------------------------------------------
@@ -383,14 +364,6 @@ def _min_weight(basis: np.ndarray, gens: np.ndarray, field: Field) -> int:
         if best == 1:
             break
     return best
-
-
-def min_distance(X: ToricSet, d: int,
-                 budget: int = DEFAULT_DIST_BUDGET,
-                 max_entries: int = DEFAULT_MATRIX_BUDGET) -> int | None:
-    """Exact minimum Hamming weight over all nonzero codewords, or
-    None when q^dimension exceeds the enumeration budget."""
-    return code_params(X, d, budget, max_entries).min_distance
 
 
 def code_params(X: ToricSet, d: int,

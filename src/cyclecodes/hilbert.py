@@ -5,20 +5,26 @@ standard monomials of total degree <= d, i.e. monomials divisible by no
 leading term of the ideal's generator set.  Three independent routes
 compute it:
 
-* footprint counting (this module): the leading terms confine each
+* footprint counting (footprint_at): the leading terms confine each
   cycle block's exponents to a product structure — per block, exponents
   split into a "low" range 0..(q-3)/2 and a "high" range (q-1)/2..q-2,
   and a standard monomial has at most gamma high exponents in each
   block;
-* the union formula (this module): H(d) for a single cycle equals the
+* the union formula (union_at): H(d) for a single cycle equals the
   size of a union of C(k, gamma) explicit boxes.  Inclusion-exclusion
   over them collapses, by Möbius inversion over the subset lattice, to
   gamma+1 box counts with the closed-form coefficients
   c_j = (-1)^(gamma-j) C(k, j) C(k-j-1, gamma-j), so the route is
   available for every odd k;
-* evaluation-matrix rank (codes module): H(d) equals the dimension of
-  the degree-d evaluation code, found by row reduction or by counting
-  the distinct characters that monomials restrict to on X*.
+* evaluation-matrix rank (codes.rank_at): H(d) equals the dimension
+  of the degree-d evaluation code, found by row reduction, or by
+  counting the distinct characters that monomials restrict to on X*
+  (codes.character_at).
+
+Each route is one function with one contract: H(d) at each d of a list
+of degrees, as a list, 0 below degree 0 and constant past the last
+degree at which the count grows.  degenerate_torus_at reads the
+degenerate tori's Hilbert functions the same way.
 
 Each counting route builds the numerator N of its Hilbert series
 N(x)/(1-x)^n (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms,
@@ -146,11 +152,6 @@ def footprint_at(spec: CycleFamilySpec, field: Field, degrees) -> list[int]:
     return series_at(footprint_numerator(spec, field), spec.nvars, degrees)
 
 
-def hilbert_footprint(spec: CycleFamilySpec, field: Field, d: int) -> int:
-    """H(d) = number of standard monomials of degree <= d."""
-    return footprint_at(spec, field, [d])[0]
-
-
 # -- union-of-boxes route ---------------------------------------------------
 
 def union_coefficients(k: int) -> list[int]:
@@ -202,21 +203,6 @@ def union_at(k: int, field: Field, degrees,
                      degrees)
 
 
-def union_table(k: int, field: Field, dmax: int,
-                budget: int = DEFAULT_UNION_BUDGET) -> "HilbertTable":
-    """H(0)..H(dmax) for a single k-cycle by the union of boxes (see
-    union_at)."""
-    return HilbertTable(tuple(union_at(k, field, range(dmax + 1), budget)),
-                        "union_formula")
-
-
-def hilbert_union_formula(k: int, field: Field, d: int,
-                          budget: int = DEFAULT_UNION_BUDGET) -> int:
-    """H(d) for a single k-cycle by the union of boxes (see
-    union_at)."""
-    return union_at(k, field, [d], budget)[0]
-
-
 def _tori_sum(weights: list[int], k: int) -> list[int]:
     """sum_i weights[i] (1-y)^k (1+y)^i in y = x^((q-1)/2): the i-th
     torus's box has i bounds q-2 and k-i bounds (q-1)/2 - 1, so its
@@ -226,10 +212,10 @@ def _tori_sum(weights: list[int], k: int) -> list[int]:
                   for v in range(len(weights))])
 
 
-def degenerate_torus_hilbert(i: int, k: int, field: Field, d: int) -> int:
-    """Hilbert function of the i-th degenerate torus: i unit factors
-    and k-i squares factors, i.e. the box with i bounds q-2 and k-i
-    bounds (q-1)/2 - 1."""
+def degenerate_torus_at(i: int, k: int, field: Field, degrees) -> list[int]:
+    """H(d) at each d of degrees for the i-th degenerate torus: i unit
+    factors and k-i squares factors, i.e. the box with i bounds q-2 and
+    k-i bounds (q-1)/2 - 1."""
     q = field.q
     if (q - 1) % 2 != 0:
         raise UnsupportedSpec("degenerate tori need q-1 even")
@@ -237,7 +223,8 @@ def degenerate_torus_hilbert(i: int, k: int, field: Field, d: int) -> int:
     if not 0 <= i <= gamma:
         raise ValueError(f"index {i} outside 0..{gamma}")
     half = (q - 1) // 2
-    return count_box_degree([q - 2] * i + [half - 1] * (k - i), d)
+    bounds = [q - 2] * i + [half - 1] * (k - i)
+    return [count_box_degree(bounds, d) for d in degrees]
 
 
 # -- regularity -------------------------------------------------------------
@@ -273,33 +260,6 @@ def regularity_bruteforce(spec: CycleFamilySpec, field: Field) -> int:
             f"footprint total {h(top)} never reached |X*| = {target}; "
             "the two routes disagree")
     return d
-
-
-# -- tables -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HilbertTable:
-    """H(0)..H(dmax) plus the route that produced the values."""
-
-    values: tuple[int, ...]
-    # "footprint" | "union_formula" | "rank_oracle" | "characters"
-    source: str
-
-    def __getitem__(self, d: int) -> int:
-        return self.values[d]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def dmax(self) -> int:
-        return len(self.values) - 1
-
-
-def footprint_table(spec: CycleFamilySpec, field: Field,
-                    dmax: int) -> HilbertTable:
-    return HilbertTable(tuple(footprint_at(spec, field, range(dmax + 1))),
-                        "footprint")
 
 
 # -- beta decomposition ------------------------------------------------------
@@ -364,15 +324,14 @@ def bareiss_det(mat) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def solve_betas(k: int, field: Field,
-                sample_degrees=None) -> BetaDecomposition:
+def solve_betas(k: int, field: Field) -> BetaDecomposition:
     """Solve for the beta coefficients of a single k-cycle.
 
-    Builds one equation per sample degree (default degrees 1..gamma+1)
-    and solves the square system exactly.  If the chosen degrees give a
-    singular system, the degrees 0..regularity not yet tried follow in
-    increasing order, and a maximal independent subset is used: each
-    degree is tested once, against the rows already chosen.  In a
+    Builds one equation per sample degree 1..gamma+1 and solves the
+    square system exactly.  If these degrees give a singular system,
+    the degrees 0..regularity not yet tried follow in increasing order,
+    and a maximal independent subset is used: each degree is tested
+    once, against the rows already chosen.  In a
     window [t*half, (t+1)*half), half = (q-1)/2, every torus count is a
     polynomial of degree k in d, so once k+1 of its degrees are tried
     the rest adds no rank and is skipped.  Degree 0 matters at q = 3,
@@ -392,8 +351,7 @@ def solve_betas(k: int, field: Field,
     half = (q - 1) // 2
     tori = [(half, _tori_sum([0] * i + [1], k)) for i in range(size)]
 
-    pool = list(sample_degrees) if sample_degrees is not None \
-        else list(range(1, size + 1))
+    pool = range(1, size + 1)
     window = defaultdict(set)  # the degrees tried in each window
 
     def degrees():

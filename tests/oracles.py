@@ -86,15 +86,15 @@ def regularity_by_scan(spec, q):
     return prefix.index(prefix[-1])
 
 
-def sample_degrees_by_scan(k, field, pool=None):
-    """The sample degrees solve_betas chooses, by testing the pool and
-    then every degree 0..regularity in turn against the rows chosen so
-    far; None when no gamma+1 of them are independent."""
+def sample_degrees_by_scan(k, field):
+    """The sample degrees solve_betas chooses, by testing the pool
+    1..gamma+1 and then every degree 0..regularity in turn against the
+    rows chosen so far; None when no gamma+1 of them are independent."""
     q = field.q
     size = gamma_of(k) + 1
     reg = regularity_formula(CycleFamilySpec.single(k), field)
     tori = [torus_prefix(i, k, q) for i in range(size)]
-    pool = list(range(1, size + 1)) if pool is None else list(pool)
+    pool = range(1, size + 1)
     rows, chosen = [], []
     for d in itertools.chain(pool, (e for e in range(reg + 1)
                                     if e not in pool)):

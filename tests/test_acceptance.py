@@ -13,18 +13,17 @@ from cyclecodes import (
     buchberger_is_groebner,
     build_generators,
     cardinality_formula,
-    code_dimension,
     code_params,
-    degenerate_torus_hilbert,
+    degenerate_torus_at,
     enumerate_toric_set,
     enumerated_cardinality,
     field_new,
-    hilbert_footprint,
-    hilbert_union_formula,
+    footprint_at,
     iter_disjoint_binomials,
     multivariate_divide,
     parse_spec_string,
-    rank_table,
+    rank_at,
+    union_at,
     regularity_bruteforce,
     regularity_formula,
     singleton_check,
@@ -44,15 +43,14 @@ def test_criterion_1_flagship_instance_golden_values():
     assert len(X) == 512
     assert cardinality_formula(spec, q) == 512
 
-    table = rank_table(X, 9)
-    for d, expected in ((1, 6), (2, 21), (9, 512)):
-        assert hilbert_footprint(spec, field, d) == expected
-        assert hilbert_union_formula(k, field, d) == expected
-        assert table[d] == expected
+    probe = (1, 2, 9)
+    expected = [6, 21, 512]
+    assert footprint_at(spec, field, probe) == expected
+    assert union_at(k, field, probe) == expected
+    assert rank_at(X, probe) == expected
 
-    for i, expected in ((2, (6, 18, 128)), (1, (6, 17, 64)), (0, (6, 16, 32))):
-        got = tuple(degenerate_torus_hilbert(i, k, field, d) for d in (1, 2, 9))
-        assert got == expected
+    for i, expected in ((2, [6, 18, 128]), (1, [6, 17, 64]), (0, [6, 16, 32])):
+        assert degenerate_torus_at(i, k, field, probe) == expected
 
     assert regularity_formula(spec, field) == 9
     assert regularity_bruteforce(spec, field) == 9
@@ -83,11 +81,10 @@ def test_criterion_3_three_hilbert_routes_agree():
         spec = CycleFamilySpec.single(k)
         reg = regularity_formula(spec, field)
         X = enumerate_toric_set(spec, field)
-        ranks = rank_table(X, reg + 1)
-        for d in range(reg + 2):
-            fp = hilbert_footprint(spec, field, d)
-            un = hilbert_union_formula(k, field, d)
-            assert fp == un == ranks[d], (q, k, d)
+        degrees = range(reg + 2)
+        fp = footprint_at(spec, field, degrees)
+        un = union_at(k, field, degrees)
+        assert fp == un == rank_at(X, degrees), (q, k)
     assert time.perf_counter() - t0 < 300.0
 
 
@@ -162,5 +159,5 @@ def test_criterion_8_code_parameters_sane():
     # From regularity on, the code is the whole space: distance exactly 1.
     for d in (reg, reg + 1):
         p = code_params(X, d)
-        assert p.dimension == len(X) == code_dimension(X, d)
+        assert [p.dimension] == [len(X)] == rank_at(X, [d])
         assert p.min_distance == 1

@@ -502,6 +502,24 @@ def test_out_json(tmp_path):
     assert json.loads(out.read_text())["betas"] == [-2, 3]
 
 
+@pytest.mark.parametrize("argv", [
+    ["card", "--q", "5", "--spec", "3"],
+    ["selftest"],
+])
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "missing" / "x"
+    assert cli.main(argv + ["--out", str(missing)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: cannot write {missing}: "
+                       "No such file or directory\n")
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: cannot write {tmp_path}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_repeated_runs_byte_identical():
     for args in (("ideal", "--q", "5", "--spec", "3"),
                  ("hilbert", "--q", "5", "--spec", "3", "--format", "csv")):
@@ -533,15 +551,25 @@ def test_only_array_commands_import_numpy(argv, loads_numpy):
     assert r.stderr == f"0 {loads_numpy}\n"
 
 
+def test_cli_import_loads_no_array_module():
+    code = ("import sys, cyclecodes.cli; "
+            "print(sorted(m for m in ('cyclecodes.codes', "
+            "'cyclecodes._packed', 'numpy') if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
+
+
 def test_package_names_resolve_lazily():
     import cyclecodes
 
     for name in cyclecodes.__all__:
         getattr(cyclecodes, name)
-    assert cyclecodes.code_params is codes.code_params
+    for name in cyclecodes._CODES_NAMES:
+        assert getattr(cyclecodes, name) is getattr(codes, name)
     with pytest.raises(AttributeError):
         cyclecodes.no_such_name
     namespace = {}
     exec("from cyclecodes import *", namespace)
     assert namespace["code_params"] is codes.code_params
-    assert namespace["rank_table"] is codes.rank_table
+    assert namespace["rank_at"] is codes.rank_at

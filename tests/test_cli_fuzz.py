@@ -3,6 +3,7 @@ contract (0 ok, 1 check failed, 2 usage, 3 budget), never a traceback."""
 
 import contextlib
 import io
+import os
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,8 @@ _BAD_D = ["-7", "1.5", "x"]
 _DMAX = ["0", "3", "10000"]
 _BAD_DMAX = ["-1", "x"]
 _BUDGET = ["0", "-1", "1000"]
+# An existing directory: --out can never write there.
+_OUT_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def _mostly(valid, malformed):
@@ -61,6 +64,8 @@ def _command_line(draw):
     if command in ("enumerate", "card", "groebner-check", "hilbert", "code") \
             and draw(st.booleans()):
         argv += ["--enum-budget", draw(st.sampled_from(_BUDGET))]
+    if draw(st.integers(0, 9)) == 0:
+        argv += ["--out", _OUT_DIR]
     return argv
 
 
@@ -94,6 +99,7 @@ def _run(argv):
                "--enum-budget", "-1", "--dist-budget", "-1"])
 @example(argv=["groebner-check", "--q", "3", "--spec", "13",
                "--enum-budget", "1000000"])
+@example(argv=["card", "--q", "5", "--spec", "3", "--out", _OUT_DIR])
 def test_any_argv_keeps_the_exit_code_contract(argv):
     code, err = _run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)

@@ -1,4 +1,4 @@
-"""Tests for evaluation matrices, rank tables, and code parameters."""
+"""Tests for evaluation matrices, the rank route, and code parameters."""
 
 import functools
 import itertools
@@ -17,17 +17,14 @@ from cyclecodes import (
     ToricSet,
     build_evaluation_matrix,
     cardinality_formula,
-    character_table,
-    code_dimension,
+    character_at,
     code_params,
     enumerate_toric_set,
     field_new,
-    footprint_table,
-    hilbert_footprint,
-    min_distance,
+    footprint_at,
     monomial_basis,
     parse_spec_string,
-    rank_table,
+    rank_at,
     regularity_formula,
     singleton_check,
     theta_map,
@@ -69,13 +66,6 @@ def test_monomial_basis_sorted_descending():
     assert len(basis) == len(set(basis))
 
 
-def test_monomial_basis_max_exponent_override():
-    loose = monomial_basis(2, 5, 6, max_exponent=6)
-    capped = monomial_basis(2, 5, 6)
-    assert set(capped) <= set(loose)
-    assert (4, 0) in loose and (4, 0) not in capped
-
-
 # -- evaluation matrices -----------------------------------------------------------
 
 
@@ -110,6 +100,13 @@ def test_matrix_rows_generic_binary_field():
     assert list(rows[(2, 0, 0)]) == [f.mul(p[0], p[0]) for p in pts]
 
 
+def _uncapped_basis(nvars, d):
+    """Every monomial of total degree <= d, exponents not capped at
+    q-2."""
+    return [m for m in itertools.product(range(d + 1), repeat=nvars)
+            if sum(m) <= d]
+
+
 def _entry_by_entry(X, monomials):
     """The evaluation matrix from the field's scalar operations, one
     entry at a time: the reference for the log-table build."""
@@ -139,17 +136,14 @@ _MATRIX_CHECK_CAP = 10_000
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(instance=st.sampled_from(_MATRIX_INSTANCES),
-       max_exponent=st.sampled_from([None, 3]), seed=st.integers(0, 2**32))
-def test_matrix_matches_entry_by_entry_evaluation(instance, max_exponent,
-                                                  seed):
-    # max_exponent = 3 lies above q-2 for q <= 4.
+       seed=st.integers(0, 2**32))
+def test_matrix_matches_entry_by_entry_evaluation(instance, seed):
     q, spec_text = instance
     X = _X(q, spec_text)
     rng = random.Random(seed)
     for d in range(4):
-        M = build_evaluation_matrix(X, d, max_exponent=max_exponent)
-        assert M.monomials == tuple(
-            monomial_basis(X.nvars, q, d, max_exponent))
+        M = build_evaluation_matrix(X, d)
+        assert M.monomials == tuple(monomial_basis(X.nvars, q, d))
         columns = list(range(len(X)))
         if len(M.monomials) * len(X) > _MATRIX_CHECK_CAP:
             columns = sorted(rng.sample(
@@ -162,11 +156,15 @@ def test_matrix_matches_entry_by_entry_evaluation(instance, max_exponent,
 @pytest.mark.parametrize("q, spec_text, d", [
     (2, "3", 3), (3, "3", 5), (4, "3", 6), (5, "3", 7), (8, "3", 9)])
 def test_matrix_entries_with_exponents_beyond_the_unit_order(q, spec_text, d):
-    # Exponents up to d exceed q-2, some even q-1: their logs wrap mod q-1.
+    # Exponents up to d exceed q-2, some even q-1; on units t^a equals
+    # t^(a mod q-1), so every uncapped row is a row of the capped matrix.
     X = _X(q, spec_text)
-    M = build_evaluation_matrix(X, d, max_exponent=d)
-    assert max(map(max, M.monomials)) == d
-    assert M.entries.tolist() == _entry_by_entry(X, M.monomials)
+    M = build_evaluation_matrix(X, d)
+    rows = dict(zip(M.monomials, M.entries.tolist()))
+    loose = _uncapped_basis(X.nvars, d)
+    assert max(map(max, loose)) == d
+    for mono, row in zip(loose, _entry_by_entry(X, loose)):
+        assert row == rows[tuple(e % (q - 1) for e in mono)]
 
 
 def test_matrix_budget():
@@ -182,6 +180,13 @@ def _rank(M):
     return len(codes._row_reduce(M.entries, M.field)[0])
 
 
+def _uncapped_rank(X, d):
+    """Rank of the degree-d evaluation matrix with exponents not capped
+    at q-2, evaluated entry by entry."""
+    rows = np.array(_entry_by_entry(X, _uncapped_basis(X.nvars, d)))
+    return len(codes._row_reduce(rows, X.field)[0])
+
+
 def test_rank_fixtures():
     assert _rank(build_evaluation_matrix(_X(5, "5"), 2)) == 21
     assert _rank(build_evaluation_matrix(_X(5, "5"), 9)) == 512
@@ -195,30 +200,34 @@ def test_code_dimension_matches_footprint():
         spec = parse_spec_string(spec_text)
         field = field_new(q)
         for d in range(dmax + 1):
-            assert code_dimension(X, d) == hilbert_footprint(spec, field, d)
+            assert rank_at(X, [d]) == footprint_at(spec, field, [d])
+            assert rank_at(X, [d]) == [_rank(build_evaluation_matrix(X, d))]
 
 
 def test_rank_table_matches_per_degree_ranks():
     X = _X(5, "3")
-    table = rank_table(X, 6)
-    assert table.source == "rank_oracle"
-    assert list(table.values) == [code_dimension(X, d) for d in range(7)]
-    assert list(table.values) == [1, 4, 10, 20, 29, 32, 32]
+    table = rank_at(X, range(7))
+    assert table == [rank_at(X, [d])[0] for d in range(7)]
+    assert table == [1, 4, 10, 20, 29, 32, 32]
+    # any order, repeats and negative degrees, read from one matrix
+    assert rank_at(X, [6, -1, 2, 2, 0, -5]) == [32, 0, 10, 10, 1, 0]
+    assert rank_at(X, [-1]) == [0]
+    assert rank_at(X, []) == []
 
 
 def test_rank_table_generic_binary_field():
     X = _X(4, "3")
-    table = rank_table(X, 7)
-    ft = footprint_table(parse_spec_string("3"), field_new(4), 7)
-    assert table.values == ft.values
+    assert rank_at(X, range(8)) \
+        == footprint_at(parse_spec_string("3"), field_new(4), range(8))
 
 
 def test_rank_reaches_cardinality_at_regularity():
     for q, spec_text in ((5, "3"), (3, "3"), (7, "3")):
         X = _X(q, spec_text)
         reg = regularity_formula(parse_spec_string(spec_text), field_new(q))
-        assert code_dimension(X, reg) == len(X)
-        assert code_dimension(X, reg - 1) < len(X)
+        below, at = rank_at(X, [reg - 1, reg])
+        assert at == len(X)
+        assert below < len(X)
 
 
 def test_exponent_cap_does_not_change_rank():
@@ -226,8 +235,7 @@ def test_exponent_cap_does_not_change_rank():
     X = _X(5, "3")
     for d in (4, 6):
         capped = _rank(build_evaluation_matrix(X, d))
-        loose = _rank(build_evaluation_matrix(X, d, max_exponent=d))
-        assert capped == loose
+        assert capped == _uncapped_rank(X, d)
 
 
 def test_rank_invariant_under_column_permutation():
@@ -246,14 +254,12 @@ def test_rank_invariant_under_column_permutation():
 
 
 def test_character_table_fixtures():
-    table = character_table(parse_spec_string("3"), field_new(5), 6)
-    assert table.source == "characters"
-    assert list(table.values) == [1, 4, 10, 20, 29, 32, 32]
-    assert character_table(parse_spec_string("5"), field_new(5), 9)[9] == 512
-    assert character_table(parse_spec_string("3"), field_new(2), 3).values \
-        == (1, 1, 1, 1)
-    assert character_table(parse_spec_string("3"), field_new(5), -1).values \
-        == ()
+    table = character_at(parse_spec_string("3"), field_new(5), range(7))
+    assert table == [1, 4, 10, 20, 29, 32, 32]
+    assert character_at(parse_spec_string("5"), field_new(5), [9]) == [512]
+    assert character_at(parse_spec_string("3"), field_new(2), range(4)) \
+        == [1, 1, 1, 1]
+    assert character_at(parse_spec_string("3"), field_new(5), [-1]) == [0]
 
 
 # Largest elimination the reference is run on, in field operations:
@@ -280,14 +286,14 @@ def test_character_table_matches_footprint_and_rank(q, families):
     spec = CycleFamilySpec(tuple(families))
     field = field_new(q)
     dmax = regularity_formula(spec, field) + 1
-    chars = character_table(spec, field, dmax)
-    assert chars.values == footprint_table(spec, field, dmax).values
+    chars = character_at(spec, field, range(dmax + 1))
+    assert chars == footprint_at(spec, field, range(dmax + 1))
     assert chars[dmax] == cardinality_formula(spec, q)
 
     d = _rank_dmax(spec, q, dmax)
     if d:
         X = enumerate_toric_set(spec, field)
-        assert rank_table(X, d).values == chars.values[:d + 1]
+        assert rank_at(X, range(d + 1)) == chars[:d + 1]
 
 
 # -- code parameters --------------------------------------------------------------------
@@ -351,12 +357,12 @@ def test_min_distance_weight_vs_direct_search():
                 word = [f.add(w, f.mul(c, r)) for w, r in zip(word, row)]
         w = sum(1 for v in word if v)
         best = w if best is None else min(best, w)
-    assert min_distance(X, 1) == best
+    assert code_params(X, 1).min_distance == best
 
 
 def test_min_distance_budget_fallback():
     X = _X(5, "3")
-    assert min_distance(X, 1, budget=1) is None
+    assert code_params(X, 1, dist_budget=1).min_distance is None
     p = code_params(X, 2, dist_budget=1)
     assert p.min_distance is None
     assert p.min_distance_bracket == (1, len(X) - p.dimension + 1)
@@ -449,7 +455,7 @@ def test_code_params_matches_rank_and_brute_force(instance, d):
     spec = parse_spec_string(spec_text)
     field = field_new(q)
     npoints = cardinality_formula(spec, q)
-    while d and q ** hilbert_footprint(spec, field, d) * npoints \
+    while d and q ** footprint_at(spec, field, [d])[0] * npoints \
             > _DISTANCE_WORK_CAP:
         d -= 1
     _check_distance(enumerate_toric_set(spec, field), d)
