@@ -12,14 +12,15 @@ divides (as long as the result stays within B), and the lcm is a
 field-wise max (Monagan and Pearce, Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors, CASC 2007).
 
+The check takes the set it is given as a whole; groebner-check hands
+it one cycle of each length (module ``ideal``).
+
 ``poly`` imports this module when it first builds a ``DivisorSet``
 or checks a Groebner basis, so commands that do neither do not load
 it.
 """
 
 from __future__ import annotations
-
-from itertools import compress
 
 from . import poly
 from .poly import Polynomial, _dividing
@@ -204,64 +205,9 @@ class PackedDivisors:
             else zero
 
 
-def distinct_components(gens: list[Polynomial]) -> list[list[Polynomial]]:
-    """The nonzero generators gens, of one field and variable count,
-    split into the components that the Groebner check takes one at a
-    time: one list per distinct component, in order of first
-    appearance, or ``[gens]`` itself when they form one component.
-
-    Two generators share a component when a chain of generators links
-    them, each sharing a variable with the next, counting the variables
-    of every term, not only the leading ones.  A component's S-pairs
-    and their reductions stay in its own variables, since no leading
-    monomial of another component divides a monomial there, and pairs
-    across components are coprime.  So the set is a Groebner basis
-    exactly when every component is one: Groebner bases of ideals in
-    disjoint variables unite to a Groebner basis.  Each component is
-    renamed onto its own variables in increasing order, which keeps
-    the graded-lex order and so the answer, and the components that
-    rename to the same generators, as the copies of one cycle do, are
-    listed once.  A nonzero constant generator keeps the whole set one
-    component, and so does a generator in every variable, which ends
-    the scan.
-    """
-    nvars = gens[0].nvars
-    variables = range(nvars)
-    supports = []  # the variables of each generator
-    for g in gens:
-        vs = {v for m, _ in g.terms for v in compress(variables, m)}
-        if len(vs) in (0, nvars):  # a constant, or every variable
-            return [gens]
-        supports.append(vs)
-    label = list(variables)  # variable -> its component
-    block = [[v] for v in label]  # component -> its variables
-    for vs in supports:
-        labels = {label[v] for v in vs}
-        if len(labels) > 1:  # merge into the largest block
-            r = max(labels, key=lambda x: len(block[x]))
-            for x in labels - {r}:
-                for v in block[x]:
-                    label[v] = r
-                block[r] += block[x]
-    groups: dict[int, list[int]] = {}
-    for i, vs in enumerate(supports):
-        groups.setdefault(label[min(vs)], []).append(i)
-    if len(groups) == 1:
-        return [gens]
-    distinct: dict[tuple, int] = {}  # renamed terms -> variable count
-    for r, members in groups.items():
-        keep = sorted(block[r])
-        key = tuple(tuple((tuple(map(m.__getitem__, keep)), c)
-                          for m, c in gens[i].terms) for i in members)
-        distinct.setdefault(key, len(keep))
-    field = gens[0].field
-    return [[Polynomial(field, width, terms) for terms in key]
-            for key, width in distinct.items()]
-
-
-def component_is_groebner(gens: list[Polynomial]) -> bool:
+def is_groebner(gens: list[Polynomial]) -> bool:
     """Buchberger's criterion on nonzero generators of one field and
-    variable count, usually one of ``distinct_components``.
+    variable count.
 
     The pairs {i, j} whose leading monomials share a variable are
     visited by increasing graded-lex lcm(LM g_i, LM g_j), ties by

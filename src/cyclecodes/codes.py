@@ -161,15 +161,13 @@ def _row_reduce(rows, field: Field) -> tuple[list[np.ndarray], list[int]]:
     return basis, ranks
 
 
-def rank_at(X: ToricSet, degrees,
-            max_entries: int = DEFAULT_MATRIX_BUDGET) -> list[int]:
+def rank_at(X: ToricSet, degrees) -> list[int]:
     """H(d) at each d of degrees as the dimension of the degree-d
     evaluation code, the rank oracle.  One matrix is built through the
     largest d: its basis comes in decreasing graded-lex order, so its
     rows taken in reverse go by increasing degree, and one incremental
     reduction yields every prefix rank."""
-    M = build_evaluation_matrix(X, max(max(degrees, default=0), 0),
-                                max_entries)
+    M = build_evaluation_matrix(X, max(max(degrees, default=0), 0))
     _, ranks = _row_reduce(M.entries[::-1], X.field)
     row_degrees = [sum(m) for m in reversed(M.monomials)]
     return [ranks[bisect_right(row_degrees, d) - 1] if d >= 0 else 0

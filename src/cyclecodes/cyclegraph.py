@@ -71,6 +71,11 @@ class CycleFamilySpec:
         """Total edge count = total vertex count."""
         return sum(k * m for k, m in self.components)
 
+    @property
+    def lengths(self) -> tuple[int, ...]:
+        """The distinct cycle lengths, in order of first appearance."""
+        return tuple(dict.fromkeys(k for k, _ in self.components))
+
     def blocks(self) -> list[tuple[int, int]]:
         """(k, offset) for every cycle copy, in layout order."""
         out = []

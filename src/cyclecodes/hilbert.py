@@ -162,8 +162,7 @@ def union_coefficients(k: int) -> list[int]:
             for j in range(gamma + 1)]
 
 
-def union_at(k: int, field: Field, degrees,
-             budget: int = DEFAULT_UNION_BUDGET) -> list[int]:
+def union_at(k: int, field: Field, degrees) -> list[int]:
     """H(d) at each d of degrees for a single k-cycle as the size of a
     union of boxes.
 
@@ -184,8 +183,8 @@ def union_at(k: int, field: Field, degrees,
     an alternating partial sum equal to (-1)^(gamma-j) C(k-j-1, gamma-j).
     So c_j = (-1)^(gamma-j) C(k, j) C(k-j-1, gamma-j) (union_coefficients).
     Its numerator is the c_j-sum of the j-boxes' numerators (_tori_sum),
-    k + gamma + 1 terms in y = x^((q-1)/2); the budget bounds the terms
-    times the degrees read before the numerator is built.
+    k + gamma + 1 terms in y = x^((q-1)/2); DEFAULT_UNION_BUDGET bounds
+    the terms times the degrees read before the numerator is built.
     """
     q = field.q
     if (q - 1) % 2 != 0:
@@ -195,10 +194,10 @@ def union_at(k: int, field: Field, degrees,
     half = (q - 1) // 2
     terms = k + gamma_of(k) + 1
     rows = len({min(d, (terms - 1) * half - k) for d in degrees if d >= 0})
-    if terms * rows > budget:
+    if terms * rows > DEFAULT_UNION_BUDGET:
         raise BudgetExceeded(
             f"union formula: {terms} numerator terms at {rows} degrees "
-            f"need {terms * rows} cells, budget is {budget}")
+            f"need {terms * rows} cells, budget is {DEFAULT_UNION_BUDGET}")
     return series_at((half, _tori_sum(union_coefficients(k), k)), k,
                      degrees)
 
@@ -224,7 +223,7 @@ def degenerate_torus_at(i: int, k: int, field: Field, degrees) -> list[int]:
         raise ValueError(f"index {i} outside 0..{gamma}")
     half = (q - 1) // 2
     bounds = [q - 2] * i + [half - 1] * (k - i)
-    return [count_box_degree(bounds, d) for d in degrees]
+    return series_at(box_numerator(bounds), k, degrees)
 
 
 # -- regularity -------------------------------------------------------------

@@ -17,6 +17,13 @@ part alone generates.
 
 The longer monomial of each cycle binomial is its leading term under
 graded lex, so the stored term order is stable.
+
+Each copy's generators lie in the copy's own variables, and Groebner
+bases of ideals in disjoint variables unite to a Groebner basis (Cox,
+Little, O'Shea, Ideals, Varieties, and Algorithms, Ch. 2 Sec. 9).  So
+the set is a Groebner basis exactly when the set of one k-cycle is,
+for each distinct length k: groebner-check builds and checks those
+sets only, and ``check_groebner_budget`` counts them.
 """
 
 from __future__ import annotations
@@ -62,46 +69,32 @@ def generator_count(spec: CycleFamilySpec, q: int) -> int:
     return n
 
 
-def distinct_component_sizes(spec: CycleFamilySpec, q: int) -> list[int]:
-    """The generator count of each distinct component that
-    ``poly.buchberger_is_groebner`` checks on these generators, counted
-    without building them.  When q-1 is even, a k-cycle copy's k torus
-    binomials and C(k, gamma) cycle binomials form one component, and
-    the copies of one length rename to the same one; when q is even,
-    every torus binomial is a component of its own, and all rename to
-    t1^(q-1) - 1."""
-    if (q - 1) % 2:
-        return [1]
-    lengths = dict.fromkeys(k for k, _ in spec.components)
-    return [k + comb(k, gamma_of(k)) for k in lengths]
-
-
 def check_groebner_budget(spec: CycleFamilySpec, q: int, budget: int) -> None:
     """Raise BudgetExceeded when the Groebner check of ``spec`` over F_q
-    would exceed ``budget``, before any generator is built.  Two stages
-    are counted, each against the budget:
+    would exceed ``budget``, before any generator is built.  The check
+    takes the generators of one k-cycle for each distinct length k of
+    ``spec.lengths``, G_k = ``generator_count`` of that cycle, and two
+    stages are counted, each against the budget:
 
     * the generator build allocates one exponent cell per variable in
-      each generator, n * nvars cells for n generators;
-    * the check tests each pair of a component's G generators against
-      its G leading monomials, G * G(G-1)/2 lead tests, summed over the
-      distinct components only (``distinct_component_sizes``): pairs
-      across components are coprime, and a repeated component is not
-      checked again.  This count is 0 for even q."""
-    n, nvars = generator_count(spec, q), spec.nvars
-    cells = n * nvars
+      each generator, the sum of G_k * k cells;
+    * the check tests each pair of G_k generators against their G_k
+      leading monomials, the sum of G_k * G_k(G_k-1)/2 lead tests.
+      This count is 0 for even q, where the leading monomials, the
+      torus binomials' t_i^(q-1), are pairwise coprime."""
+    sizes = [(generator_count(CycleFamilySpec.single(k), q), k)
+             for k in spec.lengths]
+    n = sum(g for g, _ in sizes)
+    cells = sum(g * k for g, k in sizes)
     if cells > budget:
         raise BudgetExceeded(
-            f"generator build of {n} generators on {nvars} variables "
-            f"needs {cells} exponent cells, budget is {budget}")
-    sizes = distinct_component_sizes(spec, q)
-    tests = sum(g * (g * (g - 1) // 2) for g in sizes)
+            f"generator build of {n} generators needs {cells} exponent "
+            f"cells, budget is {budget}")
+    tests = 0 if (q - 1) % 2 else \
+        sum(g * (g * (g - 1) // 2) for g, _ in sizes)
     if tests > budget:
-        copies = sum(m for _, m in spec.components)
-        split = "" if copies == 1 else \
-            f" in {copies} components, {len(sizes)} distinct,"
         raise BudgetExceeded(
-            f"Groebner check of {n} generators{split} needs {tests} lead "
+            f"Groebner check of {n} generators needs {tests} lead "
             f"tests, budget is {budget}")
 
 

@@ -10,7 +10,8 @@ field and the exponents of t1, ..., tn below it, every field 8 * b bits
 wide where b = B.bit_length() // 8 + 1 for a degree bound B, so the top
 bit of each field, its guard bit, stays clear.  Int order is then the
 graded lexicographic order, ``+`` and ``-`` multiply and divide, and
-the lcm is a field-wise max.
+the lcm is a field-wise max.  The Groebner check takes the set it is
+given as a whole.
 
 Polynomial text form (also accepted by the parser): terms in decreasing
 order joined by `` + `` / `` - ``, e.g. ``t1^3*t2 - t3^2 + 1``.  A bare
@@ -509,10 +510,9 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def buchberger_is_groebner(gens) -> bool:
     """Buchberger's criterion: every S-polynomial reduces to zero.
 
-    The generators are split into variable-disjoint components, each
-    distinct one is checked once, and only the S-pairs that the coprime
-    and chain criteria leave are reduced; module ``_packed`` holds the
-    check and the reasons it gives the all-pairs answer.
+    Only the S-pairs that the coprime and chain criteria leave are
+    reduced; module ``_packed`` holds the check and the reasons it
+    gives the all-pairs answer.
     """
     gens = list(gens)
     for g in gens:
@@ -524,5 +524,5 @@ def buchberger_is_groebner(gens) -> bool:
     for g in gens:
         if g.field is not first.field or g.nvars != first.nvars:
             first._check_compatible(g)
-    from ._packed import component_is_groebner, distinct_components
-    return all(map(component_is_groebner, distinct_components(gens)))
+    from ._packed import is_groebner
+    return is_groebner(gens)

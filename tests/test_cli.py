@@ -361,16 +361,19 @@ def test_groebner_check_over_budget_exits_3_before_building(monkeypatch,
 
 def test_groebner_check_budget_counts_distinct_components(monkeypatch,
                                                           capsys):
-    # 7x40: 40 copies of one 42-generator component, checked once
-    argv = ["groebner-check", "--q", "5", "--spec", "7x40"]
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == "groebner basis check: pass\n"
-    # 3x30000: 180000 generators on 90000 variables; nothing may be built
+    # 7x40 and 3x30000: one cycle stands for all copies, so only its
+    # 7 + 35 or 3 + 3 generators are built and checked
+    for spec in ("7x40", "3x30000"):
+        argv = ["groebner-check", "--q", "5", "--spec", spec]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "groebner basis check: pass\n"
+    # 9001 over F_4: 9001 generators on 9001 variables; nothing may be
+    # built
     monkeypatch.setattr(cli, "build_generators", None)
-    assert cli.main(["groebner-check", "--q", "5", "--spec", "3x30000"]) == 3
+    assert cli.main(["groebner-check", "--q", "4", "--spec", "9001"]) == 3
     assert capsys.readouterr().err == (
-        "error: generator build of 180000 generators on 90000 variables "
-        "needs 16200000000 exponent cells, budget is 67108864\n")
+        "error: generator build of 9001 generators needs 81018001 "
+        "exponent cells, budget is 67108864\n")
 
 
 def test_enumerate_golden():

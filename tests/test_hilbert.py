@@ -315,16 +315,19 @@ def test_union_formula_budget(monkeypatch):
         raise AssertionError("numerator built before the budget check")
 
     field = field_new(5)
-    values = union_at(7, field, range(101), budget=154)
+    monkeypatch.setattr(hilbert, "DEFAULT_UNION_BUDGET", 154)
+    values = union_at(7, field, range(101))
     assert values[12] < values[13] == values[100] == 2 ** 13
     monkeypatch.setattr(hilbert, "_tori_sum", built)
+    monkeypatch.setattr(hilbert, "DEFAULT_UNION_BUDGET", 153)
     with pytest.raises(BudgetExceeded) as exc:
-        union_at(7, field, range(101), budget=153)
+        union_at(7, field, range(101))
     assert str(exc.value) == (
         "union formula: 11 numerator terms at 14 degrees need 154 cells, "
         "budget is 153")
+    monkeypatch.setattr(hilbert, "DEFAULT_UNION_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        union_at(7, field, [1], budget=10)
+        union_at(7, field, [1])
 
 
 def _union_coefficients_by_sign_loop(k):

@@ -19,13 +19,9 @@ from cyclecodes import (
     vanishing_membership,
     verify_vanishing,
 )
+from cyclecodes import cli
 from cyclecodes.cyclegraph import DEFAULT_ENUM_BUDGET
-from cyclecodes import _packed
-from cyclecodes.ideal import (
-    check_groebner_budget,
-    distinct_component_sizes,
-    generator_count,
-)
+from cyclecodes.ideal import check_groebner_budget, generator_count
 
 
 # -- construction ---------------------------------------------------------------
@@ -80,60 +76,101 @@ def test_groebner_budget_counts_lead_tests():
 
 
 def test_groebner_budget_counts_the_generator_cells_first():
-    # 3x30000 over F_5: 180000 generators on 90000 variables; its one
-    # distinct component needs only 6 * 15 lead tests
-    spec = parse_spec_string("3x30000")
-    cells = 180000 * 90000
+    # 9001 over F_4: 9001 torus binomials on 9001 variables, whose
+    # leading monomials are pairwise coprime, so no lead tests
+    spec = parse_spec_string("9001")
+    cells = 9001 * 9001
     with pytest.raises(BudgetExceeded,
-                       match=f"^generator build of 180000 generators on "
-                             f"90000 variables needs {cells} exponent "
-                             f"cells, budget is {DEFAULT_ENUM_BUDGET}$"):
-        check_groebner_budget(spec, 5, DEFAULT_ENUM_BUDGET)
-    check_groebner_budget(spec, 5, cells)
+                       match=f"^generator build of 9001 generators needs "
+                             f"{cells} exponent cells, budget is "
+                             f"{DEFAULT_ENUM_BUDGET}$"):
+        check_groebner_budget(spec, 4, DEFAULT_ENUM_BUDGET)
+    check_groebner_budget(spec, 4, cells)
+    # even q: one cycle of each length, 3 * 3 + 5 * 5 cells
+    spec = parse_spec_string("3x100,5")
+    check_groebner_budget(spec, 8, 34)
     with pytest.raises(BudgetExceeded, match="exponent cells"):
-        check_groebner_budget(spec, 5, cells - 1)
-    # even q: every component is one torus binomial, so no lead tests
-    spec = parse_spec_string("3x100")
-    check_groebner_budget(spec, 8, 300 * 300)
-    with pytest.raises(BudgetExceeded, match="exponent cells"):
-        check_groebner_budget(spec, 8, 300 * 300 - 1)
+        check_groebner_budget(spec, 8, 33)
 
 
 def test_groebner_budget_counts_lead_tests_over_distinct_components():
-    # 7x40 over F_5: 1680 generators in 40 copies of one 42-generator
-    # component
+    # 7x40 over F_5: one 7-cycle of 7 + 35 generators stands for all 40
+    # copies, and 3x30000 one 3-cycle for its 30000
     spec = parse_spec_string("7x40")
     tests = 42 * (42 * 41 // 2)
-    assert distinct_component_sizes(spec, 5) == [42]
-    check_groebner_budget(spec, 5, DEFAULT_ENUM_BUDGET)
-    check_groebner_budget(spec, 5, max(tests, 1680 * 280))
-    # 3x2,5 over F_5: components of 3 + 3 and 5 + 10 generators
+    check_groebner_budget(spec, 5, tests)
+    with pytest.raises(BudgetExceeded, match="needs 36162 lead tests"):
+        check_groebner_budget(spec, 5, tests - 1)
+    check_groebner_budget(parse_spec_string("3x30000"), 5, 6 * 15)
+    # 3x2,5 over F_5: a 3-cycle of 3 + 3 and a 5-cycle of 5 + 10
+    # generators
     spec = parse_spec_string("3x2,5")
     tests = 6 * 15 + 15 * 105
     check_groebner_budget(spec, 5, tests)
     with pytest.raises(BudgetExceeded,
-                       match=f"^Groebner check of 27 generators in 3 "
-                             f"components, 2 distinct, needs {tests} lead "
-                             f"tests, budget is {tests - 1}$"):
+                       match=f"^Groebner check of 21 generators needs "
+                             f"{tests} lead tests, budget is {tests - 1}$"):
         check_groebner_budget(spec, 5, tests - 1)
 
 
 @pytest.mark.parametrize("spec_text", ["3", "5", "3x2", "3x2,5", "5,3,5",
                                        "7x3", "3,5x2,3"])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
-def test_budget_counts_the_components_the_check_runs(monkeypatch,
+def test_budget_counts_the_components_the_check_runs(monkeypatch, capsys,
                                                      spec_text, q):
+    # groebner-check checks one cycle of each distinct length, and the
+    # budget counts exactly the lists it checks
     spec = parse_spec_string(spec_text)
     checked = []
-    check = _packed.component_is_groebner
+    check = cli.buchberger_is_groebner
 
     def counted(gens):
-        checked.append(len(gens))
+        checked.append(gens)
         return check(gens)
 
-    monkeypatch.setattr(_packed, "component_is_groebner", counted)
-    assert buchberger_is_groebner(build_generators(spec, field_new(q)))
-    assert checked == distinct_component_sizes(spec, q)
+    monkeypatch.setattr(cli, "buchberger_is_groebner", counted)
+    assert cli.main(["groebner-check", "--q", str(q),
+                     "--spec", spec_text]) == 0
+    assert capsys.readouterr().out == "groebner basis check: pass\n"
+    field = field_new(q)
+    assert checked == [
+        build_generators(CycleFamilySpec.single(k), field).all_generators()
+        for k in spec.lengths]
+    sizes = [len(gens) for gens in checked]
+    cells = sum(g * gens[0].nvars for g, gens in zip(sizes, checked))
+    tests = 0 if q % 2 == 0 else sum(g * (g * (g - 1) // 2) for g in sizes)
+    need = max(cells, tests)
+    check_groebner_budget(spec, q, need)
+    with pytest.raises(BudgetExceeded):
+        check_groebner_budget(spec, q, need - 1)
+
+
+def _placed(g, off, nvars):
+    """g, a polynomial of one cycle, moved to the variables
+    off..off+k-1 of nvars."""
+    pad = nvars - off - g.nvars
+    return Polynomial(g.field, nvars, [((0,) * off + m + (0,) * pad, c)
+                                       for m, c in g.terms])
+
+
+@pytest.mark.parametrize("spec_text", ["3x2", "3x2,5", "5,3,5", "7x3",
+                                       "3,5x2,3"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+def test_generators_are_the_single_cycle_lists_at_the_block_offsets(
+        spec_text, q):
+    # the check of one cycle per length stands for the whole set
+    # because the whole set is made of exactly those lists
+    spec = parse_spec_string(spec_text)
+    field = field_new(q)
+    gens = build_generators(spec, field)
+    torus, cycle_parts = [], []
+    for k, off in spec.blocks():
+        one = build_generators(CycleFamilySpec.single(k), field)
+        torus += [_placed(g, off, spec.nvars) for g in one.torus_part]
+        cycle_parts += [tuple(_placed(g, off, spec.nvars) for g in part)
+                        for part in one.cycle_parts]
+    assert gens.torus_part == tuple(torus)
+    assert gens.cycle_parts == tuple(cycle_parts)
 
 
 def test_torus_generator_shape():

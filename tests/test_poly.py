@@ -27,7 +27,7 @@ from cyclecodes import (
     poly,
     s_polynomial,
 )
-from cyclecodes import _packed
+from cyclecodes import _packed, cli
 from cyclecodes.poly import mono_coprime, mono_div, mono_lcm, mono_mul
 from oracles import mono_divides
 
@@ -497,7 +497,7 @@ def _copied_sets(draw):
 
 
 def test_split_check_agrees_with_the_all_pairs_check():
-    outcomes, splits = set(), set()
+    outcomes = set()
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(gens=_copied_sets())
@@ -505,35 +505,24 @@ def test_split_check_agrees_with_the_all_pairs_check():
         got = buchberger_is_groebner(gens)
         assert got == _all_pairs_is_groebner(gens)
         outcomes.add(got)
-        splits.add(min(len(_packed.distinct_components(gens)), 2))
 
     check()
     assert outcomes == {True, False}
-    assert splits == {1, 2}
 
 
 def test_one_failing_copy_fails_the_split_check():
     # three copies of the basis of 3 over F_5, the last with one cycle
-    # binomial dropped: only that copy fails, and it is checked
+    # binomial dropped: only that copy fails, and the check finds it
     gens = build_generators(parse_spec_string("3x3"), F5).all_generators()
     assert buchberger_is_groebner(gens)
     broken = gens[:-1]
     assert not _all_pairs_is_groebner(broken)
     assert not buchberger_is_groebner(broken)
-    assert len(_packed.distinct_components(broken)) == 2
 
 
-def test_components_linked_through_a_tail_are_one():
-    # t1^2 - t2 links t1 and t2 although its leading monomial is t1^2
-    gens = [P("t1^2 - t2"), P("t2^2 - 1"), P("t3^2 - 1")]
-    assert [len(part) for part in _packed.distinct_components(gens)] == [2, 1]
-    # a constant keeps every generator in one component
-    assert _packed.distinct_components(gens + [P("2")]) == [gens + [P("2")]]
-
-
-def _reductions(monkeypatch, gens, check=None):
-    """Run the check on gens, which must pass, and count the S-pairs it
-    reduces: the calls of ``multivariate_divide``."""
+def _counted_divisions(monkeypatch):
+    """A list that gains one entry per call of ``multivariate_divide``:
+    each S-pair the check reduces."""
     calls = []
     divide = poly.multivariate_divide
 
@@ -542,7 +531,14 @@ def _reductions(monkeypatch, gens, check=None):
         return divide(f, divisors)
 
     monkeypatch.setattr(poly, "multivariate_divide", counted)
-    assert (check or poly.buchberger_is_groebner)(gens)
+    return calls
+
+
+def _reductions(monkeypatch, gens):
+    """Run the check on gens, which must pass, and count the S-pairs it
+    reduces."""
+    calls = _counted_divisions(monkeypatch)
+    assert buchberger_is_groebner(gens)
     return len(calls)
 
 
@@ -571,11 +567,10 @@ def test_chain_criterion_reduces_at_most_672_pairs_on_7x3(monkeypatch):
 def test_reduced_pair_counts_do_not_move(monkeypatch, q, spec, reduced):
     # The pairs are visited in (degree, lcm, i, j) order, so the chain
     # criterion skips the same pairs whatever the monomial encoding.
-    # Counted on the whole set as one component, without the split.
+    # Counted on the whole set, every copy included.
     gens = build_generators(parse_spec_string(spec),
                             field_new(q)).all_generators()
-    assert _reductions(monkeypatch, gens,
-                       _packed.component_is_groebner) == reduced
+    assert _reductions(monkeypatch, gens) == reduced
 
 
 @pytest.mark.parametrize("q, spec, reduced", [
@@ -583,12 +578,13 @@ def test_reduced_pair_counts_do_not_move(monkeypatch, q, spec, reduced):
     (8, "3x2", 0),
 ])
 def test_reduced_pair_counts_per_distinct_component_do_not_move(
-        monkeypatch, q, spec, reduced):
-    # Each distinct cycle block is checked once: the three copies of
-    # 7x3 cost what 7 alone does, and 3x2,5 what 3,5 does.
-    gens = build_generators(parse_spec_string(spec),
-                            field_new(q)).all_generators()
-    assert _reductions(monkeypatch, gens) == reduced
+        monkeypatch, capsys, q, spec, reduced):
+    # groebner-check checks one cycle of each distinct length: the three
+    # copies of 7x3 cost what 7 alone does, and 3x2,5 what 3,5 does.
+    calls = _counted_divisions(monkeypatch)
+    assert cli.main(["groebner-check", "--q", str(q), "--spec", spec]) == 0
+    assert capsys.readouterr().out == "groebner basis check: pass\n"
+    assert len(calls) == reduced
 
 
 def test_the_check_and_division_leave_no_reference_cycles():
