@@ -13,9 +13,7 @@ from .cyclegraph import (
     enumerate_toric_set,
     enumerated_cardinality,
     gamma_of,
-    is_affine_torus,
     parse_spec_string,
-    theta_map,
 )
 from .errors import (
     BudgetExceeded,
@@ -27,10 +25,8 @@ from .errors import (
     OddityError,
     ParseError,
     SingularSystem,
-    SupportsNotDisjoint,
     UnsupportedField,
     UnsupportedSpec,
-    ZeroCoordinate,
     ZeroDivisor,
     ZeroPolynomial,
 )
@@ -45,24 +41,14 @@ from .hilbert import (
     solve_betas,
     union_at,
 )
-from .ideal import (
-    GeneratorSet,
-    build_generators,
-    iter_disjoint_binomials,
-    vanishing_membership,
-    verify_vanishing,
-)
+from .ideal import GeneratorSet, build_generators
 from .poly import (
-    Binomial,
     DivisorSet,
     Monomial,
     Polynomial,
     buchberger_is_groebner,
-    grlex_cmp,
     grlex_key,
     multivariate_divide,
-    parse_polynomial,
-    s_polynomial,
 )
 
 __version__ = "0.1.0"

@@ -140,9 +140,10 @@ class PackedDivisors:
         return hits
 
     def s_pair(self, i: int, j: int, l: int) -> PackedPolynomial:
-        """``poly.s_polynomial(g_i, g_j)``, l the packed lcm of their
-        leading monomials: with a = l / LM g_i and b = l / LM g_j it is
-        b times the scaled tail of g_j minus a times that of g_i."""
+        """The S-polynomial (l / LT g_i) g_i - (l / LT g_j) g_j, l the
+        packed lcm of their leading monomials: with a = l / LM g_i and
+        b = l / LM g_j it is b times the scaled tail of g_j minus a
+        times that of g_i."""
         sub = self.field.sub
         a, b = l - self.leads[i], l - self.leads[j]
         work = {m + b: c for m, c in self.negtails[j]}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import hilbert
@@ -433,7 +434,13 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
     else:
-        print(out)
+        try:
+            print(out)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader has gone, as with `| head`: the rest of the
+            # output goes to devnull, so the flush at exit stays quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

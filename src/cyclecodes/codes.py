@@ -224,7 +224,7 @@ def character_at(spec: CycleFamilySpec, field: Field, degrees,
     checked against ``budget``, and against what one array can index,
     before any search starts."""
     r = field.q - 1
-    lengths = sorted({k for k, _m in spec.components})
+    lengths = sorted(spec.lengths)
     for k in lengths:
         check_search_budget(
             f"counting the characters of one {k}-cycle copy over "

@@ -24,13 +24,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    OddityError,
-    ParseError,
-    ZeroCoordinate,
-)
+from .errors import BudgetExceeded, OddityError, ParseError
 from .gf import Field
 
 DEFAULT_ENUM_BUDGET = 1 << 26
@@ -135,18 +129,7 @@ def parse_spec_string(text: str) -> CycleFamilySpec:
     return CycleFamilySpec(tuple(components))
 
 
-# -- the parameterization map and its image --------------------------------
-
-def theta_map(spec: CycleFamilySpec, field: Field, x) -> tuple[int, ...]:
-    """Edge-product map: one coordinate x_j * x_k per edge."""
-    n = spec.nvars
-    if len(x) != n:
-        raise DimensionMismatch(f"expected {n} coordinates, got {len(x)}")
-    for v in x:
-        if v == 0:
-            raise ZeroCoordinate("vertex values must be nonzero")
-    return tuple(field.mul(x[a], x[b]) for a, b in spec.edges())
-
+# -- the image of the parameterization map --------------------------------
 
 def check_search_budget(needs: str, work: int, budget: int) -> None:
     """Raise BudgetExceeded, before anything is allocated, when a search
@@ -241,10 +224,7 @@ class ToricSet:
 def enumerate_toric_set(spec: CycleFamilySpec, field: Field,
                         budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
     """Materialize X* by per-copy enumeration and Cartesian product."""
-    per_k: dict[int, list[tuple[int, ...]]] = {}
-    for k, _m in spec.components:
-        if k not in per_k:
-            per_k[k] = _single_cycle_points(k, field, budget)
+    per_k = {k: _single_cycle_points(k, field, budget) for k in spec.lengths}
     total = 1
     for k, m in spec.components:
         total *= len(per_k[k]) ** m
@@ -265,11 +245,10 @@ def enumerated_cardinality(spec: CycleFamilySpec, field: Field,
     counts, so specs whose full point set would exceed the budget can
     still be counted exactly.
     """
-    per_k: dict[int, int] = {}
+    per_k = {k: len(_single_cycle_codes(k, field, budget))
+             for k in spec.lengths}
     total = 1
     for k, m in spec.components:
-        if k not in per_k:
-            per_k[k] = len(_single_cycle_codes(k, field, budget))
         total *= per_k[k] ** m
     return total
 
@@ -285,7 +264,3 @@ def cardinality_formula(spec: CycleFamilySpec, q: int) -> int:
             total *= (q - 1) ** (k * m)
     return total
 
-
-def is_affine_torus(spec: CycleFamilySpec, q: int) -> bool:
-    """True when X* is the full torus of unit tuples (q-1 odd)."""
-    return (q - 1) % 2 == 1

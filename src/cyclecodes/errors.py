@@ -14,11 +14,7 @@ class DivisionByZero(CycleCodesError):
 
 
 class DimensionMismatch(CycleCodesError):
-    """Operands disagree on variable count or coordinate length."""
-
-
-class ZeroCoordinate(CycleCodesError):
-    """A coordinate that must be a unit is zero."""
+    """Operands disagree on field or variable count."""
 
 
 class ZeroPolynomial(CycleCodesError):
@@ -27,10 +23,6 @@ class ZeroPolynomial(CycleCodesError):
 
 class ZeroDivisor(CycleCodesError):
     """A divisor in multivariate division is the zero polynomial."""
-
-
-class SupportsNotDisjoint(CycleCodesError):
-    """Binomial operation requires monomials with disjoint supports."""
 
 
 class BudgetExceeded(CycleCodesError):
@@ -50,7 +42,7 @@ class NonIntegerBeta(CycleCodesError):
 
 
 class ParseError(CycleCodesError):
-    """Malformed textual input (polynomial or cycle spec grammar)."""
+    """Malformed cycle spec text."""
 
     def __init__(self, message: str, position: int | None = None):
         if position is not None:

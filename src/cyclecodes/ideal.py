@@ -1,4 +1,5 @@
-"""Generators of the vanishing ideal of X* and related checks.
+"""Generators of the vanishing ideal of X* and the budget of their
+Groebner check.
 
 For a disjoint union of odd cycles over F_q the vanishing ideal of the
 parameterized set X* is generated by binomials:
@@ -32,10 +33,10 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .cyclegraph import CycleFamilySpec, ToricSet, gamma_of
+from .cyclegraph import CycleFamilySpec, gamma_of
 from .errors import BudgetExceeded
 from .gf import Field
-from .poly import Binomial, Polynomial
+from .poly import Polynomial
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -129,34 +130,3 @@ def build_generators(spec: CycleFamilySpec, field: Field) -> GeneratorSet:
                     Polynomial.binomial(field, tuple(plus), tuple(minus)))
             cycle_parts.append(tuple(gens))
     return GeneratorSet(spec, field, torus, tuple(cycle_parts))
-
-
-def vanishing_membership(f: Polynomial, X: ToricSet) -> bool:
-    """True iff f evaluates to zero at every point of X."""
-    return all(f.evaluate(p) == 0 for p in X)
-
-
-def verify_vanishing(gens: GeneratorSet, X: ToricSet) -> bool:
-    """True iff every generator vanishes on all of X."""
-    return all(vanishing_membership(g, X) for g in gens)
-
-
-def iter_disjoint_binomials(nvars: int, q: int):
-    """All binomials t^a - t^b with disjoint supports and exponents at
-    most q-2, each unordered {a, b} pair yielded once, a != b.
-
-    Per variable the exponent pair is (0,0), (e,0) or (0,e) with
-    1 <= e <= q-2; the all-zero pair a = b = 0 is skipped.  Used by the
-    exhaustive ideal-completeness checks at small scale.
-    """
-    choices = [(0, 0)]
-    choices += [(e, 0) for e in range(1, q - 1)]
-    choices += [(0, e) for e in range(1, q - 1)]
-    for combo in itertools.product(choices, repeat=nvars):
-        a = tuple(c[0] for c in combo)
-        b = tuple(c[1] for c in combo)
-        if a <= b:
-            # keep one orientation of each {a, b} pair; skips a == b,
-            # which only happens for the all-zero pair
-            continue
-        yield Binomial(a, b)

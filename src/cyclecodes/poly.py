@@ -13,28 +13,20 @@ graded lexicographic order, ``+`` and ``-`` multiply and divide, and
 the lcm is a field-wise max.  The Groebner check takes the set it is
 given as a whole.
 
-Polynomial text form (also accepted by the parser): terms in decreasing
-order joined by `` + `` / `` - ``, e.g. ``t1^3*t2 - t3^2 + 1``.  A bare
+Polynomial text form: terms in decreasing order joined by `` + `` /
+`` - ``, e.g. ``t1^3*t2 - t3^2 + 1``.  In odd characteristic a bare
 ``-`` stands for coefficient ``q-1``; any other non-unit coefficient is
 written ``c*...``.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from operator import add, and_, getitem, or_, sub
+from operator import add, and_, getitem, or_
 
-from .errors import (
-    DimensionMismatch,
-    ParseError,
-    SupportsNotDisjoint,
-    ZeroDivisor,
-    ZeroPolynomial,
-)
+from .errors import DimensionMismatch, ZeroDivisor, ZeroPolynomial
 from .gf import Field
 
 Monomial = tuple[int, ...]
@@ -42,38 +34,13 @@ Monomial = tuple[int, ...]
 
 # -- monomial helpers -----------------------------------------------------
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Quotient a / b; caller must ensure b divides a."""
-    return tuple(map(sub, a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def grlex_key(m: Monomial):
     """Sort key: ascending under graded lex with t1 highest."""
     return (sum(m), m)
-
-
-def grlex_cmp(a: Monomial, b: Monomial) -> int:
-    if len(a) != len(b):
-        raise DimensionMismatch(
-            f"cannot compare monomials on {len(a)} and {len(b)} variables")
-    ka, kb = grlex_key(a), grlex_key(b)
-    return (ka > kb) - (ka < kb)
 
 
 # -- polynomials ----------------------------------------------------------
@@ -120,11 +87,6 @@ class Polynomial:
         return cls(field, nvars, [((0,) * nvars, c)])
 
     @classmethod
-    def monomial(cls, field: Field, mono: Monomial,
-                 coeff: int = 1) -> "Polynomial":
-        return cls(field, len(mono), [(mono, coeff)])
-
-    @classmethod
     def binomial(cls, field: Field, plus: Monomial,
                  minus: Monomial) -> "Polynomial":
         """The difference of two monomials, t^plus - t^minus."""
@@ -139,7 +101,7 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(mono_degree(m) for m, _ in self.terms)
+        return max(sum(m) for m, _ in self.terms)
 
     def leading_term(self) -> tuple[Monomial, int]:
         if not self.terms:
@@ -148,9 +110,6 @@ class Polynomial:
 
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[0]
-
-    def leading_coeff(self) -> int:
-        return self.leading_term()[1]
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.field != other.field or self.nvars != other.nvars:
@@ -181,37 +140,6 @@ class Polynomial:
                 out[m] = f.add(out.get(m, 0), f.mul(ca, cb))
         return Polynomial(f, self.nvars, out.items())
 
-    def scale(self, c: int) -> "Polynomial":
-        f = self.field
-        return Polynomial(f, self.nvars,
-                          [(m, f.mul(coeff, c)) for m, coeff in self.terms])
-
-    def term_mul(self, mono: Monomial, coeff: int) -> "Polynomial":
-        f = self.field
-        return Polynomial(f, self.nvars,
-                          [(mono_mul(m, mono), f.mul(c, coeff))
-                           for m, c in self.terms])
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
-        return self.scale(self.field.inv(self.leading_coeff()))
-
-    # evaluation
-    def evaluate(self, point) -> int:
-        if len(point) != self.nvars:
-            raise DimensionMismatch(
-                f"point has {len(point)} coordinates, expected {self.nvars}")
-        f = self.field
-        total = 0
-        for mono, coeff in self.terms:
-            v = coeff
-            for x, exp in zip(point, mono):
-                if exp:
-                    v = f.mul(v, f.pow(x, exp))
-            total = f.add(total, v)
-        return total
-
     # text form
     def _mono_text(self, mono: Monomial) -> str:
         names = []
@@ -229,7 +157,7 @@ class Polynomial:
         parts = []
         for idx, (mono, coeff) in enumerate(self.terms):
             is_const = not any(mono)
-            negative = q > 2 and coeff == q - 1
+            negative = q % 2 == 1 and coeff == q - 1
             if negative and is_const:
                 body = "1"
             elif negative or coeff == 1:
@@ -255,149 +183,6 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash((self.field.q, self.nvars, self.terms))
-
-
-# -- binomials ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Binomial:
-    """A difference of two monomials, t^plus - t^minus."""
-
-    plus: Monomial
-    minus: Monomial
-
-    def __post_init__(self):
-        if len(self.plus) != len(self.minus):
-            raise DimensionMismatch(
-                "the two monomials have different variable counts")
-
-    def supports_disjoint(self) -> bool:
-        return mono_coprime(self.plus, self.minus)
-
-    def normalized(self) -> "Binomial":
-        """Factor out the monomial gcd so supports become disjoint."""
-        g = tuple(min(a, b) for a, b in zip(self.plus, self.minus))
-        return Binomial(mono_div(self.plus, g), mono_div(self.minus, g))
-
-    def require_disjoint(self) -> None:
-        if not self.supports_disjoint():
-            raise SupportsNotDisjoint(
-                f"monomials {self.plus} and {self.minus} share variables")
-
-    def to_polynomial(self, field: Field) -> Polynomial:
-        return Polynomial.binomial(field, self.plus, self.minus)
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "Binomial":
-        """Extract t^a - t^b from a two-term polynomial with unit
-        coefficients 1 and -1 (any term order)."""
-        if len(p.terms) != 2:
-            raise ValueError("polynomial does not have exactly two terms")
-        (ma, ca), (mb, cb) = p.terms
-        one, minus_one = 1, p.field.neg(1)
-        if (ca, cb) == (one, minus_one):
-            return cls(ma, mb)
-        if (ca, cb) == (minus_one, one):
-            return cls(mb, ma)
-        raise ValueError("polynomial is not a difference of two monomials")
-
-
-# -- parsing --------------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(?:(?P<var>t(?P<idx>\d+))|(?P<int>\d+)"
-                    r"|(?P<op>[-+*^]))")
-
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            break
-        if m.group("var"):
-            out.append(("t", int(m.group("idx")), m.start("var")))
-        elif m.group("int"):
-            out.append(("int", int(m.group("int")), m.start("int")))
-        else:
-            out.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    if text[pos:].strip():
-        raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}",
-                         position=pos)
-    return out
-
-
-def parse_polynomial(text: str, field: Field, nvars: int) -> Polynomial:
-    """Parse the textual polynomial form produced by ``to_text``.
-
-    Accepts integer coefficients (reduced into the field), ``*`` between
-    factors, ``^`` for exponents, and leading/infix ``+``/``-``.
-    """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial text")
-    terms: list[tuple[Monomial, int]] = []
-    i = 0
-    sign_neg = False
-    first = True
-    n = len(tokens)
-    while i < n:
-        kind, val, pos = tokens[i]
-        if kind == "op" and val in "+-":
-            sign_neg = val == "-"
-            i += 1
-            if i >= n:
-                raise ParseError("dangling sign at end of input", position=pos)
-        elif not first:
-            raise ParseError("expected '+' or '-' before term", position=pos)
-        # parse one term: factors joined by '*'
-        coeff = field.neg(1) if sign_neg else 1
-        exps = [0] * nvars
-        expect_factor = True
-        saw_factor = False
-        while i < n:
-            kind, val, pos = tokens[i]
-            if kind == "op" and val == "*":
-                if expect_factor:
-                    raise ParseError("'*' without preceding factor",
-                                     position=pos)
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor:
-                break  # next term begins
-            if kind == "int":
-                c = val % field.q
-                coeff = field.mul(coeff, c)
-                i += 1
-            elif kind == "t":
-                var = val - 1
-                if not 0 <= var < nvars:
-                    raise ParseError(f"variable t{val} out of range",
-                                     position=pos)
-                i += 1
-                exp = 1
-                if i < n and tokens[i][0] == "op" and tokens[i][1] == "^":
-                    i += 1
-                    if i >= n or tokens[i][0] != "int":
-                        raise ParseError("'^' must be followed by an integer",
-                                         position=pos)
-                    exp = tokens[i][1]
-                    i += 1
-                exps[var] += exp
-            else:
-                raise ParseError(f"unexpected token {val!r}", position=pos)
-            expect_factor = False
-            saw_factor = True
-        if not saw_factor:
-            raise ParseError("empty term")
-        if expect_factor:
-            raise ParseError("dangling '*' at end of input")
-        terms.append((tuple(exps), coeff))
-        sign_neg = False
-        first = False
-    return Polynomial(field, nvars, terms)
 
 
 # -- division and Groebner machinery --------------------------------------
@@ -488,23 +273,6 @@ def multivariate_divide(f: Polynomial, divisors) -> tuple[list[Polynomial],
     if f.field is not dset.field or f.nvars != dset.nvars:
         f._check_compatible(dset.polys[0])
     return dset._packed.divide(f)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of two nonzero polynomials: with L the lcm of their
-    leading monomials, (L / LT f) f - (L / LT g) g.  The two leading
-    terms cancel exactly, so only the other terms are scaled."""
-    f._check_compatible(g)
-    lmf, lcf = f.leading_term()
-    lmg, lcg = g.leading_term()
-    l = mono_lcm(lmf, lmg)
-    field = f.field
-    a, ca = mono_div(l, lmf), field.inv(lcf)
-    b, cb = mono_div(l, lmg), field.neg(field.inv(lcg))
-    return Polynomial(
-        field, f.nvars,
-        [(mono_mul(m, a), field.mul(c, ca)) for m, c in f.terms[1:]]
-        + [(mono_mul(m, b), field.mul(c, cb)) for m, c in g.terms[1:]])
 
 
 def buchberger_is_groebner(gens) -> bool:

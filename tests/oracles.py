@@ -1,22 +1,121 @@
-"""Slow, plainly correct counterparts of the library's counting routes,
-kept for the tests to compare against.
+"""Slow, plainly correct counterparts of the library's routes, kept for
+the tests to compare against.
 
 The box counts and the footprint are built degree by degree as dense
 vectors, whose length grows linearly in q; the library reads the same
-counts from Hilbert-series numerators instead.
+counts from Hilbert-series numerators instead.  Points of X* come from
+the edge-product map and vanishing is checked by evaluation at every
+point; the library never evaluates a polynomial.  S-polynomials are
+built from the ring operators, and polynomial fixtures are read from
+their text form.
 """
 
 import itertools
+import re
 from math import comb
-from operator import le
+from operator import le, sub
 
-from cyclecodes import CycleFamilySpec, gamma_of
+from cyclecodes import CycleFamilySpec, DimensionMismatch, Polynomial, gamma_of
 from cyclecodes.hilbert import bareiss_rank, regularity_formula
+
+
+# -- monomials and polynomials ----------------------------------------------
 
 
 def mono_divides(a, b) -> bool:
     """True if monomial a divides monomial b."""
     return all(map(le, a, b))
+
+
+def mono_div(a, b):
+    """Quotient a / b; b must divide a."""
+    return tuple(map(sub, a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def s_polynomial(f, g):
+    """(L / LT f) f - (L / LT g) g, L the lcm of the two leading
+    monomials, each step a product or difference of polynomials."""
+    lmf, lcf = f.leading_term()
+    lmg, lcg = g.leading_term()
+    lcm = mono_lcm(lmf, lmg)
+    inv = f.field.inv
+    a = Polynomial(f.field, f.nvars, [(mono_div(lcm, lmf), inv(lcf))])
+    b = Polynomial(g.field, g.nvars, [(mono_div(lcm, lmg), inv(lcg))])
+    return a * f - b * g
+
+
+def parse_polynomial(text, field, nvars):
+    """The polynomial that ``Polynomial.to_text`` writes as text: signed
+    terms of ``*``-joined factors, each an integer coefficient (taken
+    mod q) or a variable ``ti`` with an optional ``^e``.  The text must
+    be well formed."""
+    terms = []
+    for sign, body in re.findall(r"([+-]?)\s*([^+-]+)", text):
+        coeff = field.neg(1) if sign == "-" else 1
+        exps = [0] * nvars
+        for factor in body.split("*"):
+            name, _, exp = factor.strip().partition("^")
+            if name.startswith("t"):
+                exps[int(name[1:]) - 1] += int(exp or 1)
+            else:
+                coeff = field.mul(coeff, int(name) % field.q)
+        terms.append((tuple(exps), coeff))
+    return Polynomial(field, nvars, terms)
+
+
+def evaluate(f, point) -> int:
+    """f at a point, term by term."""
+    if len(point) != f.nvars:
+        raise DimensionMismatch(
+            f"point has {len(point)} coordinates, expected {f.nvars}")
+    field = f.field
+    total = 0
+    for mono, coeff in f.terms:
+        v = coeff
+        for x, e in zip(point, mono):
+            if e:
+                v = field.mul(v, field.pow(x, e))
+        total = field.add(total, v)
+    return total
+
+
+# -- the point set and its vanishing ideal ------------------------------------
+
+
+def theta_map(spec, field, x):
+    """The edge-product map: one coordinate x_j * x_k per edge (j, k)
+    of ``spec.edges()``."""
+    return tuple(field.mul(x[a], x[b]) for a, b in spec.edges())
+
+
+def vanishing_membership(f, X) -> bool:
+    """True iff f evaluates to zero at every point of X."""
+    return all(evaluate(f, p) == 0 for p in X)
+
+
+def iter_disjoint_binomials(nvars, q):
+    """The exponent pairs (a, b) of all binomials t^a - t^b with
+    disjoint supports and exponents at most q-2, each unordered {a, b}
+    once, a != b.
+
+    Per variable the exponent pair is (0,0), (e,0) or (0,e) with
+    1 <= e <= q-2; the all-zero pair a = b = 0 is skipped.
+    """
+    choices = [(0, 0)]
+    choices += [(e, 0) for e in range(1, q - 1)]
+    choices += [(0, e) for e in range(1, q - 1)]
+    for combo in itertools.product(choices, repeat=nvars):
+        a = tuple(c[0] for c in combo)
+        b = tuple(c[1] for c in combo)
+        if a > b:  # one orientation of each pair; a == b only at zero
+            yield a, b
+
+
+# -- counting -----------------------------------------------------------------
 
 
 def count_box_by_degree(bounds, cap=None) -> list[int]:

@@ -523,6 +523,19 @@ def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_reader_that_closes_the_pipe_early_gets_exit_0():
+    # about 230 kB of csv, more than the pipe holds: the command is
+    # still writing when the reader closes its end after one line
+    with subprocess.Popen(
+            CLI + ["hilbert", "--q", "4099", "--spec", "3", "--format",
+                   "csv"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"d,footprint,union,rank\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (0, b"")
+
+
 def test_repeated_runs_byte_identical():
     for args in (("ideal", "--q", "5", "--spec", "3"),
                  ("hilbert", "--q", "5", "--spec", "3", "--format", "csv")):

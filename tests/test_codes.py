@@ -27,11 +27,11 @@ from cyclecodes import (
     rank_at,
     regularity_formula,
     singleton_check,
-    theta_map,
 )
 from cyclecodes import codes
 from cyclecodes.hilbert import count_box_degree
 from cyclecodes.poly import grlex_key
+from oracles import theta_map
 
 
 def _X(q, spec_text):

