@@ -21,10 +21,8 @@ from .errors import (
     CycleCodesError,
     DimensionMismatch,
     DivisionByZero,
-    NonIntegerBeta,
     OddityError,
     ParseError,
-    SingularSystem,
     UnsupportedField,
     UnsupportedSpec,
     ZeroDivisor,

@@ -3,9 +3,10 @@
 Subcommands: enumerate, card, ideal, groebner-check, hilbert,
 regularity, betas, code, selftest.  Exit codes: 0 success, 1 a
 cross-check failed, 2 usage error or an --out file that cannot be
-written, 3 budget exceeded.  Output is deterministic for a given
-invocation.  Only enumerate, card, code, selftest and hilbert
---with-rank import numpy; the counting commands run on integers alone.
+written, 3 budget exceeded, also when stderr is a closed pipe.  Output
+is deterministic for a given invocation.  Only enumerate, card, code,
+selftest and hilbert --with-rank import numpy; the counting commands
+run on integers alone.
 """
 
 from __future__ import annotations
@@ -307,8 +308,6 @@ def _cmd_betas(args) -> tuple[str, bool]:
                          indent=2)
     else:
         out = (f"betas = {' '.join(str(b) for b in deco.betas)}\n"
-               f"sample degrees = "
-               f"{' '.join(str(d) for d in deco.sample_degrees)}\n"
                f"identity verified through d = {deco.verified_through}")
     return out, True
 
@@ -406,33 +405,54 @@ _COMMANDS = {
 }
 
 
+def _error(message: str, code: int) -> int:
+    """Report message on stderr and return code.  A closed stderr, as
+    with `2>&1 >/dev/null | head -c0`, loses the message but not the
+    code: stderr then goes to devnull, so the flush at exit stays
+    quiet."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+        sys.stderr.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact counts such as |X*| can pass the 4300 digits that int -> str
+    # allows by default
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
+
+
+def _run(args) -> int:
     try:
         out, ok = _COMMANDS[args.command](args)
     except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _error(str(exc), EXIT_BUDGET)
     except MemoryError:
-        print("error: out of memory; a smaller --enum-budget stops such "
-              "work before it starts", file=sys.stderr)
-        return EXIT_BUDGET
+        return _error("out of memory; a smaller --enum-budget stops such "
+                      "work before it starts", EXIT_BUDGET)
     except (ParseError, OddityError, UnsupportedField,
             UnsupportedSpec) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(str(exc), EXIT_USAGE)
     except CycleCodesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _error(str(exc), EXIT_CHECK_FAILED)
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(out + "\n")
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            return _error(f"cannot write {args.out}: {exc.strerror or exc}",
+                          EXIT_USAGE)
     else:
         try:
             print(out)

@@ -33,14 +33,6 @@ class UnsupportedSpec(CycleCodesError):
     """Operation does not apply to this cycle family / field combination."""
 
 
-class SingularSystem(CycleCodesError):
-    """Linear system for the beta coefficients stayed singular."""
-
-
-class NonIntegerBeta(CycleCodesError):
-    """Beta coefficients came out non-integer; decomposition violated."""
-
-
 class ParseError(CycleCodesError):
     """Malformed cycle spec text."""
 

@@ -113,10 +113,11 @@ class Field:
             self.p = 2
             self.e = e
             self._build_binary_tables(e)
+        elif q > _PRIME_LIMIT:
+            # before the primality test, whose trial division runs to sqrt(q)
+            raise UnsupportedField(
+                f"field size {q} exceeds the prime limit {_PRIME_LIMIT}")
         elif _is_prime(q):
-            if q > _PRIME_LIMIT:
-                raise UnsupportedField(
-                    f"prime field size {q} exceeds limit {_PRIME_LIMIT}")
             self.q = q
             self.p = q
             self.e = 1

@@ -34,26 +34,20 @@ routes read H(d) = sum_e N_e C(d - e + n, n) at the degrees they need
 (series_at): deg N + 1 binomials per degree whatever q is, or n + 1
 running sums for a whole table.
 
-All counting is exact integer arithmetic; the beta linear system is
-solved by fraction-free Bareiss elimination.
+All counting is exact integer arithmetic.  The betas need no linear
+solve: they are the coordinates of the footprint numerator's cycle
+factor in the basis of the tori's numerators (solve_betas).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, gcd
 
 from .cyclegraph import CycleFamilySpec, cardinality_formula, gamma_of
-from .errors import (
-    BudgetExceeded,
-    CheckFailure,
-    NonIntegerBeta,
-    SingularSystem,
-    UnsupportedSpec,
-)
+from .errors import BudgetExceeded, CheckFailure, UnsupportedSpec
 from .gf import Field
 
 # union numerator terms x degrees read; a union numerator has under
@@ -269,131 +263,37 @@ class BetaDecomposition:
     H_i is the i-th degenerate-torus Hilbert function."""
 
     betas: tuple[int, ...]
-    sample_degrees: tuple[int, ...]
     verified_through: int
 
 
-def _bareiss_forward(mat: list[list[int]]) -> tuple[int, int, list[list[int]]]:
-    """Fraction-free forward elimination on an integer matrix.
-
-    Returns (rank, row-swap sign, echelon form).  All divisions are
-    exact by the Bareiss identity, so everything stays integral.
-    """
-    m = [[int(v) for v in row] for row in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    prev = 1
-    r = 0
-    sign = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-    return r, sign, m
-
-
-def bareiss_rank(mat) -> int:
-    if not mat:
-        return 0
-    rank, _, _ = _bareiss_forward(mat)
-    return rank
-
-
-def bareiss_det(mat) -> int:
-    """Exact determinant of a square integer matrix."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    rank, sign, m = _bareiss_forward(mat)
-    if rank < n:
-        return 0
-    return sign * m[n - 1][n - 1]
-
-
 def solve_betas(k: int, field: Field) -> BetaDecomposition:
-    """Solve for the beta coefficients of a single k-cycle.
+    """The beta coefficients of a single k-cycle, read off its
+    footprint numerator.
 
-    Builds one equation per sample degree 1..gamma+1 and solves the
-    square system exactly.  If these degrees give a singular system,
-    the degrees 0..regularity not yet tried follow in increasing order,
-    and a maximal independent subset is used: each degree is tested
-    once, against the rows already chosen.  In a
-    window [t*half, (t+1)*half), half = (q-1)/2, every torus count is a
-    polynomial of degree k in d, so once k+1 of its degrees are tried
-    the rest adds no rank and is skipped.  Degree 0 matters at q = 3,
-    where the boxes' bounds are 1 and 0, H_i(d) is sum_{e<=d} C(i, e),
-    and only degrees 0..gamma are independent.  The identity is checked
-    on the numerators over (1-x)^k, so it holds at every degree,
-    reported as through regularity + 1.
+    In y = x^((q-1)/2) the i-th torus has numerator (1-y)^k (1+y)^i
+    (_tori_sum) and the footprint (1-y)^k S_k(y), so the betas are the
+    coordinates of S_k in the basis (1+y)^i, i <= gamma.  Its
+    coefficients s_0..s_gamma are those of N/(1-y)^k, k running sums
+    of N's first gamma+1; with y = z - 1 they give
+    beta_i = sum_{v=i..gamma} s_v C(v, i) (-1)^(v-i).
+    The one check, sum beta_i N_i = N, catches a division that is not
+    exact and a quotient of degree above gamma.  It compares numerators
+    over (1-x)^k, so the identity holds at every degree, reported as
+    through regularity + 1.
     """
-    q = field.q
-    if (q - 1) % 2 != 0:
+    if (field.q - 1) % 2 != 0:
         raise UnsupportedSpec("beta decomposition needs q-1 even")
     gamma = gamma_of(k)
-    size = gamma + 1
     spec = CycleFamilySpec.single(k)
-    reg = regularity_formula(spec, field)
-    target = footprint_numerator(spec, field)
-    half = (q - 1) // 2
-    tori = [(half, _tori_sum([0] * i + [1], k)) for i in range(size)]
-
-    pool = range(1, size + 1)
-    window = defaultdict(set)  # the degrees tried in each window
-
-    def degrees():
-        yield from pool
-        d = 0
-        while d <= reg:
-            if len(window[d // half]) > k:
-                d = (d // half + 1) * half
-                continue
-            if d not in pool:
-                yield d
-            d += 1
-
-    a: list[list[int]] = []  # H_i(d) at the chosen degrees d
-    b: list[int] = []  # H(d) there
-    chosen_degrees: list[int] = []
-    for d in degrees():
-        window[d // half].add(d)
-        row = [series_at(num, k, [d])[0] for num in tori]
-        if bareiss_rank(a + [row]) > len(a):
-            a.append(row)
-            b += series_at(target, k, [d])
-            chosen_degrees.append(d)
-            if len(a) == size:
-                break
-    else:
-        raise SingularSystem(
-            f"no {size} independent sample degrees up to "
-            f"regularity {reg} for k={k}, q={q}")
-
-    det = bareiss_det(a)
-    betas = []
-    for i in range(size):
-        ai = [row[:i] + [b[r]] + row[i + 1:size]
-              for r, row in enumerate(a)]
-        di = bareiss_det(ai)
-        if di % det != 0:
-            raise NonIntegerBeta(
-                f"beta_{i} = {di}/{det} is not an integer for k={k}, q={q}")
-        betas.append(di // det)
-
-    if _tori_sum(betas, k) != target[1]:
+    target = footprint_numerator(spec, field)[1]
+    s = target[:gamma + 1]
+    for _ in range(k):
+        s = list(accumulate(s))
+    betas = [sum(s[v] * comb(v, i) * (-1) ** (v - i)
+                 for v in range(i, gamma + 1))
+             for i in range(gamma + 1)]
+    if _tori_sum(betas, k) != target:
         raise CheckFailure("beta identity fails: sum beta_i N_i is not "
                            "the footprint numerator")
-    return BetaDecomposition(tuple(betas), tuple(sorted(chosen_degrees)),
-                             reg + 1)
+    return BetaDecomposition(tuple(betas),
+                             regularity_formula(spec, field) + 1)

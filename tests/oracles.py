@@ -15,8 +15,7 @@ import re
 from math import comb
 from operator import le, sub
 
-from cyclecodes import CycleFamilySpec, DimensionMismatch, Polynomial, gamma_of
-from cyclecodes.hilbert import bareiss_rank, regularity_formula
+from cyclecodes import DimensionMismatch, Polynomial, gamma_of
 
 
 # -- monomials and polynomials ----------------------------------------------
@@ -183,24 +182,3 @@ def regularity_by_scan(spec, q):
     """Least d with H(d) = H(last degree), scanning the footprint."""
     prefix = cumulative(footprint_by_degree(spec, q))
     return prefix.index(prefix[-1])
-
-
-def sample_degrees_by_scan(k, field):
-    """The sample degrees solve_betas chooses, by testing the pool
-    1..gamma+1 and then every degree 0..regularity in turn against the
-    rows chosen so far; None when no gamma+1 of them are independent."""
-    q = field.q
-    size = gamma_of(k) + 1
-    reg = regularity_formula(CycleFamilySpec.single(k), field)
-    tori = [torus_prefix(i, k, q) for i in range(size)]
-    pool = range(1, size + 1)
-    rows, chosen = [], []
-    for d in itertools.chain(pool, (e for e in range(reg + 1)
-                                    if e not in pool)):
-        row = [prefix_at(t, d) for t in tori]
-        if bareiss_rank(rows + [row]) > len(rows):
-            rows.append(row)
-            chosen.append(d)
-            if len(rows) == size:
-                return tuple(sorted(chosen))
-    return None

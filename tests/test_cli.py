@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -209,7 +210,6 @@ def test_betas_plain_golden():
     assert r.returncode == 0
     assert r.stdout == (
         "betas = 6 -15 10\n"
-        "sample degrees = 1 2 4\n"
         "identity verified through d = 10\n"
     )
 
@@ -230,25 +230,28 @@ def test_betas_requires_single_cycle():
     assert "single-cycle" in r.stderr
 
 
-def test_betas_tiny_field_samples_degree_zero():
+def test_betas_tiny_field_golden():
     r = run_cli("betas", "--q", "3", "--spec", "5")
     assert r.returncode == 0
     assert r.stdout == (
         "betas = 6 -15 10\n"
-        "sample degrees = 0 1 2\n"
         "identity verified through d = 3\n"
     )
 
 
-def test_betas_singular_system_is_check_failure(monkeypatch, capsys):
-    # No sample degree ever adds to the rank, so the system stays
-    # singular once degrees 0..regularity are tried.
-    monkeypatch.setattr(hilbert, "bareiss_rank", lambda mat: 0)
+def test_betas_identity_failure_is_check_failure(monkeypatch, capsys):
+    # With one coefficient changed the footprint numerator is no longer
+    # (1-y)^k times a polynomial of degree <= gamma.
+    numerator = hilbert.footprint_numerator
+
+    def changed(spec, field):
+        step, num = numerator(spec, field)
+        return step, num[:-1] + [num[-1] + 1]
+
+    monkeypatch.setattr(hilbert, "footprint_numerator", changed)
     rc = cli.main(["betas", "--q", "5", "--spec", "3"])
     assert rc == 1
-    assert capsys.readouterr().err == (
-        "error: no 2 independent sample degrees up to regularity 5 "
-        "for k=3, q=5\n")
+    assert "beta identity" in capsys.readouterr().err
 
 
 # -- code --------------------------------------------------------------------------
@@ -415,8 +418,11 @@ def test_card_json_golden():
 # -- error paths and exit codes -----------------------------------------------------------
 
 
-def test_unsupported_field_exits_2():
-    r = run_cli("card", "--q", "12", "--spec", "3")
+# 2^61 - 1 is prime: trial division to its square root would run for
+# minutes, so the size limit must be checked first
+@pytest.mark.parametrize("q", ["12", str(2 ** 61 - 1)])
+def test_unsupported_field_exits_2(q):
+    r = run_cli("card", "--q", q, "--spec", "3", timeout=10)
     assert r.returncode == 2
     assert "error:" in r.stderr
 
@@ -534,6 +540,69 @@ def test_reader_that_closes_the_pipe_early_gets_exit_0():
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["card", "--q", "6", "--spec", "3"], 2),
+    (["card", "--q", "5", "--spec", "3", "--enum-budget", "1"], 3),
+    (["card", "--q", "5", "--spec", "3", "--out", "/nonexistent/dir/x"], 2),
+])
+def test_closed_stderr_keeps_the_exit_code(argv, code):
+    # the reader of stderr is gone before the error is written, as with
+    # `2>&1 >/dev/null | head -c0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(CLI + argv, stdout=subprocess.DEVNULL,
+                           stderr=write_end, timeout=60)
+    finally:
+        os.close(write_end)
+    assert r.returncode == code
+
+
+_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                  reason="no limit on int -> str digits")
+
+
+@pytest.fixture
+def long_int_text():
+    """Lift the limit on int -> str digits in this process, where
+    the test reads the CLI's numbers back."""
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(digits)
+
+
+@_digit_limit
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_card_prints_counts_past_4300_digits(long_int_text, fmt):
+    r = run_cli("card", "--q", "5", "--spec", "3x3000", "--format", fmt)
+    assert (r.returncode, r.stderr) == (0, "")
+    size = cardinality_formula(CycleFamilySpec.single(3, 3000), 5)
+    assert len(str(size)) > 4300
+    if fmt == "json":
+        doc = json.loads(r.stdout)
+        assert (doc["enumerated"], doc["formula"]) == (size, size)
+    else:
+        assert r.stdout == (f"enumerated |X*| = {size}\n"
+                            f"closed-form |X*| = {size}\n"
+                            "agree = true\n")
+
+
+@_digit_limit
+def test_enumerate_budget_message_past_4300_digits():
+    r = run_cli("enumerate", "--q", "5", "--spec", "3x3000")
+    assert r.returncode == 3
+    assert r.stderr.startswith("error: X* has ")
+
+
+@_digit_limit
+def test_main_restores_the_digit_limit():
+    digits = sys.get_int_max_str_digits()
+    assert cli.main(["card", "--q", "5", "--spec", "3",
+                     "--out", os.devnull]) == 0
+    assert sys.get_int_max_str_digits() == digits
 
 
 def test_repeated_runs_byte_identical():

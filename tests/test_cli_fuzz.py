@@ -26,7 +26,8 @@ _FORMATS = {
 # finishes in well under a second; the others are malformed or
 # unsupported on purpose.
 _Q = ["2", "3", "4", "5"]
-_BAD_Q = ["0", "1", "-3", "6", "9", "65537", str(2 ** 40), "x", ""]
+_BAD_Q = ["0", "1", "-3", "6", "9", "65537", str(2 ** 40), str(2 ** 61 - 1),
+          "x", ""]
 _SPEC = ["3", "5", "3x2"]
 _BAD_SPEC = ["", "1", "4", "0", "-3", "3x0", "3x-1", "3,,5", "3x2x2", "x",
              " 3 "]

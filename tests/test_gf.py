@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cyclecodes import DivisionByZero, Field, UnsupportedField, field_new
+from cyclecodes import DivisionByZero, Field, UnsupportedField, field_new, gf
 
 
 def test_prime_field_shape():
@@ -30,10 +30,21 @@ def test_largest_supported_binary():
         assert f.pow(a, 255) == 1
 
 
-@pytest.mark.parametrize("q", [0, 1, -5, 6, 9, 12, 25, 27, 512, 1024, 65537, 2**20])
+@pytest.mark.parametrize("q", [0, 1, -5, 6, 9, 12, 25, 27, 512, 1024, 65537, 2**20,
+                               2**61 - 1])
 def test_unsupported_sizes_rejected(q):
     with pytest.raises(UnsupportedField):
         field_new(q)
+
+
+def test_size_limit_comes_before_the_primality_test(monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr(gf, "_is_prime", no_trial_division)
+    for q in (65537, 65539, 2**61 - 1, 3**40):
+        with pytest.raises(UnsupportedField, match="exceeds"):
+            field_new(q)
 
 
 def test_f5_arithmetic_examples():

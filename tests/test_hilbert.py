@@ -1,4 +1,4 @@
-"""Tests for Hilbert-function counting, regularity, and the beta system."""
+"""Tests for Hilbert-function counting, regularity, and the betas."""
 
 import itertools
 import random
@@ -26,12 +26,7 @@ from cyclecodes import (
     union_at,
 )
 from cyclecodes import hilbert
-from cyclecodes.hilbert import (
-    _conv,
-    bareiss_det,
-    bareiss_rank,
-    union_coefficients,
-)
+from cyclecodes.hilbert import _conv, union_coefficients
 from cyclecodes.ideal import build_generators
 from oracles import (
     count_box_by_degree,
@@ -40,7 +35,6 @@ from oracles import (
     mono_divides,
     prefix_at,
     regularity_by_scan,
-    sample_degrees_by_scan,
     torus_prefix,
 )
 
@@ -474,66 +468,18 @@ def test_union_table_matches_footprint_table():
     assert union_at(5, f5, range(11)) == ft
 
 
-# -- Bareiss elimination ---------------------------------------------------------------
-
-
-def test_bareiss_det_fixtures():
-    assert bareiss_det([[2]]) == 2
-    assert bareiss_det([[1, 2], [3, 4]]) == -2
-    assert bareiss_det([[1, 2], [2, 4]]) == 0
-    assert bareiss_det([]) == 1
-    assert bareiss_det([[0, 1], [1, 0]]) == -1
-
-
-def test_bareiss_det_requires_square():
-    with pytest.raises(ValueError):
-        bareiss_det([[1, 2, 3], [4, 5, 6]])
-
-
-def test_bareiss_rank_fixtures():
-    assert bareiss_rank([]) == 0
-    assert bareiss_rank([[0, 0], [0, 0]]) == 0
-    assert bareiss_rank([[1, 2], [2, 4]]) == 1
-    assert bareiss_rank([[1, 2], [3, 4]]) == 2
-    assert bareiss_rank([[1, 0, 2], [0, 1, 3]]) == 2
-    assert bareiss_rank([[1], [2], [3]]) == 1
-
-
-def _cofactor_det(m):
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _cofactor_det(minor)
-    return total
-
-
-def test_bareiss_det_random_vs_cofactor():
-    rng = random.Random(59)
-    for _ in range(25):
-        n = rng.randrange(1, 5)
-        m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        assert bareiss_det(m) == _cofactor_det(m)
-
-
 # -- beta decomposition ------------------------------------------------------------------
 
 
 def test_betas_flagship():
     b = solve_betas(5, field_new(5))
     assert b.betas == (6, -15, 10)
-    assert b.sample_degrees == (1, 2, 4)
     assert b.verified_through == 10
 
 
 def test_betas_triangle():
     b = solve_betas(3, field_new(5))
     assert b.betas == (-2, 3)
-    assert b.sample_degrees == (1, 2)
     assert b.verified_through == 6
 
 
@@ -542,12 +488,6 @@ def test_betas_do_not_depend_on_field():
     assert solve_betas(5, field_new(13)).betas == (6, -15, 10)
     assert solve_betas(3, field_new(7)).betas == (-2, 3)
     assert solve_betas(5, field_new(7)).betas == (6, -15, 10)
-
-
-def test_betas_large_field_sample_degrees():
-    b = solve_betas(5, field_new(13))
-    assert b.sample_degrees == (1, 6, 12)
-    assert b.verified_through == 38
 
 
 def test_betas_identity_holds_at_every_degree():
@@ -571,39 +511,35 @@ def test_betas_sum_is_one():
     assert sum(beta * s for beta, s in zip(b.betas, sizes)) == 512
 
 
-def test_betas_at_q3_sample_degree_zero():
-    # At q = 3 only degrees 0..gamma give independent rows.
+def test_betas_at_q3():
+    # At q = 3 the boxes' bounds are 1 and 0 and y = x.
     f3 = field_new(3)
     b = solve_betas(3, f3)
     assert b.betas == (-2, 3)
-    assert b.sample_degrees == (0, 1)
     b = solve_betas(5, f3)
     assert b.betas == (6, -15, 10)
-    assert b.sample_degrees == (0, 1, 2)
     assert b.verified_through == 3
     for k in (7, 9, 11):
         assert list(solve_betas(k, f3).betas) == union_coefficients(k)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(q=st.sampled_from(_ODD_PRIMES), k=st.sampled_from([3, 5, 7, 9]))
-def test_betas_sample_degrees_match_full_scan(q, k):
-    # The scan skips the rest of a window [t*half, (t+1)*half) after
-    # k+1 of its degrees; testing every degree must choose the same.
+@given(q=st.sampled_from(_ODD_PRIMES),
+       k=st.integers(1, 20).map(lambda i: 2 * i + 1),
+       d=st.integers(0, 10 ** 9))
+def test_betas_match_union_coefficients_and_identity(q, k, d):
+    # The betas agree with the union formula's closed form, and the
+    # identity holds at the ends of the table and at a drawn degree.
     field = field_new(q)
     b = solve_betas(k, field)
-    assert b.sample_degrees == sample_degrees_by_scan(k, field)
     assert list(b.betas) == union_coefficients(k)
-
-
-def test_betas_sample_degrees_match_full_scan_at_q3_and_singular_pools():
-    # At q = 3 the pool 1..gamma+1 is singular and the scan completes it
-    # with degree 0.
-    f3 = field_new(3)
-    for k in (3, 5, 7, 9, 11):
-        b = solve_betas(k, f3)
-        assert b.sample_degrees == sample_degrees_by_scan(k, f3)
-        assert b.sample_degrees == tuple(range(gamma_of(k) + 1))
+    reg = regularity_formula(CycleFamilySpec.single(k), field)
+    degrees = [0, 1, reg, reg + 1, d]
+    tori = [degenerate_torus_at(i, k, field, degrees)
+            for i in range(len(b.betas))]
+    assert [sum(beta * h[j] for beta, h in zip(b.betas, tori))
+            for j in range(len(degrees))] \
+        == footprint_at(CycleFamilySpec.single(k), field, degrees)
 
 
 def test_betas_rejects_torus_fields():
