@@ -511,8 +511,17 @@ def test_betas_sum_is_one():
     assert sum(beta * s for beta, s in zip(b.betas, sizes)) == 512
 
 
-def test_betas_at_q3():
-    # At q = 3 the boxes' bounds are 1 and 0 and y = x.
+def test_betas_large_field_sample_degrees():
+    # At q = 13 a sampled solve had to reach degree 12; the numerator
+    # route reads the same betas and still verifies through regularity+1.
+    b = solve_betas(5, field_new(13))
+    assert b.betas == (6, -15, 10)
+    assert b.verified_through == 38
+
+
+def test_betas_at_q3_sample_degree_zero():
+    # At q = 3 the boxes' bounds are 1 and 0 and y = x, so the identity
+    # must already hold from degree 0.
     f3 = field_new(3)
     b = solve_betas(3, f3)
     assert b.betas == (-2, 3)
@@ -527,7 +536,7 @@ def test_betas_at_q3():
 @given(q=st.sampled_from(_ODD_PRIMES),
        k=st.integers(1, 20).map(lambda i: 2 * i + 1),
        d=st.integers(0, 10 ** 9))
-def test_betas_match_union_coefficients_and_identity(q, k, d):
+def test_betas_sample_degrees_match_full_scan(q, k, d):
     # The betas agree with the union formula's closed form, and the
     # identity holds at the ends of the table and at a drawn degree.
     field = field_new(q)
@@ -540,6 +549,22 @@ def test_betas_match_union_coefficients_and_identity(q, k, d):
     assert [sum(beta * h[j] for beta, h in zip(b.betas, tori))
             for j in range(len(degrees))] \
         == footprint_at(CycleFamilySpec.single(k), field, degrees)
+
+
+def test_betas_sample_degrees_match_full_scan_at_q3_and_singular_pools():
+    # At q = 3 only degrees 0..gamma differ, so the identity is checked
+    # at every degree through regularity + 1.
+    f3 = field_new(3)
+    for k in (3, 5, 7, 9, 11):
+        b = solve_betas(k, f3)
+        assert list(b.betas) == union_coefficients(k)
+        degrees = list(range(b.verified_through + 1))
+        assert degrees == list(range(gamma_of(k) + 2))
+        tori = [degenerate_torus_at(i, k, f3, degrees)
+                for i in range(len(b.betas))]
+        assert [sum(beta * h[d] for beta, h in zip(b.betas, tori))
+                for d in degrees] \
+            == footprint_at(CycleFamilySpec.single(k), f3, degrees)
 
 
 def test_betas_rejects_torus_fields():
