@@ -4,6 +4,8 @@ fields, with every closed form cross-checked against brute force.
 
 The names of the codes module are loaded on first access, so importing
 the package, or a command that builds no array, does not import numpy.
+``DivisorSet`` is loaded on first access too, with module ``_packed``,
+which only division needs.
 """
 
 from .cyclegraph import (
@@ -41,7 +43,6 @@ from .hilbert import (
 )
 from .ideal import GeneratorSet, build_generators
 from .poly import (
-    DivisorSet,
     Monomial,
     Polynomial,
     buchberger_is_groebner,
@@ -63,7 +64,7 @@ _CODES_NAMES = frozenset({
 })
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")]
-                 + ["codes", *_CODES_NAMES])
+                 + ["codes", "DivisorSet", *_CODES_NAMES])
 
 
 def __getattr__(name):
@@ -71,4 +72,8 @@ def __getattr__(name):
         from . import codes
 
         return getattr(codes, name)
+    if name == "DivisorSet":
+        from ._packed import DivisorSet
+
+        return DivisorSet
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,5 +1,5 @@
-"""Packed monomials, the one division loop behind
-``poly.multivariate_divide``, and the Groebner check behind
+"""Packed monomials, the prepared divisor set with the one division
+loop behind ``poly.multivariate_divide``, and the Groebner check behind
 ``poly.buchberger_is_groebner``.
 
 A monomial on n variables of total degree at most B is one int: the
@@ -15,15 +15,22 @@ arrays, heaps, and packed exponent vectors, CASC 2007).
 The check takes the set it is given as a whole; groebner-check hands
 it one cycle of each length (module ``ideal``).
 
-``poly`` imports this module when it first builds a ``DivisorSet``
-or checks a Groebner basis, so commands that do neither do not load
-it.
+``poly`` imports this module when it first divides or checks a
+Groebner basis, and the package when ``DivisorSet`` is first read, so
+commands that do neither do not load it.
 """
 
 from __future__ import annotations
 
+import copy
+from bisect import bisect_right
+from functools import reduce
+from itertools import accumulate
+from operator import and_, getitem, or_
+
 from . import poly
-from .poly import Polynomial, _dividing
+from .errors import ZeroDivisor
+from .poly import Polynomial
 
 
 class Packing:
@@ -95,46 +102,87 @@ class PackedPolynomial(Polynomial):
         return self._unpacked
 
 
-class PackedDivisors:
-    """The divisors of a ``poly.DivisorSet`` packed once for degrees up
-    to ``bound``: leading monomials, leading coefficients lc, and each
-    tail scaled by -1/lc.  ``index`` is the set's lead index
-    (exponents, masks, every divisor), which answers a packed monomial
-    once it is unpacked.  Holding the index and the divisors, not the
-    set, keeps the set and its packed divisors free of a reference
-    cycle, so reference counting frees them when a check ends.
+class DivisorSet:
+    """An ordered list of nonzero divisors, checked and prepared once
+    for many divisions.
 
-    ``memo``, if not None, caches those answers.  Only the set that one
-    Groebner check builds for itself keeps a memo, so it is freed with
-    the check.  A plain division would gain nothing from one: each step
-    adds only terms below its pivot, so no monomial is looked up twice.
+    Construction checks what ``poly.multivariate_divide`` needs: a
+    nonempty list, no zero polynomial (``ZeroDivisor``), one field and
+    variable count (``DimensionMismatch``).  It indexes the leading
+    monomials: for each variable v, ``exponents[v]`` holds the sorted
+    distinct leading exponents at v and ``masks[v][i + 1]`` the bitset
+    of the divisors whose leading exponent at v is at most
+    ``exponents[v][i]`` (``masks[v][0]`` is empty).  So ``dividing(m)``
+    is one bisect and one AND per variable, and the index stays small
+    however large q is.  It packs, for degrees up to twice the largest
+    leading degree, where every lcm of two leading monomials and every
+    term of an S-polynomial fit, the leading monomials ``leads``, the
+    leading coefficients ``lcs`` and each tail scaled by -1/lc,
+    ``negtails``.
+
+    ``memo``, if not None, caches the index answers for packed
+    monomials.  Only the set that one Groebner check builds for itself
+    keeps one, so it is freed with the check; a plain division would
+    gain nothing, as each step adds only terms below its pivot.
     """
 
-    __slots__ = ("field", "nvars", "polys", "index", "packing", "leads",
-                 "lcs", "negtails", "zero", "memo")
+    __slots__ = ("field", "nvars", "polys", "exponents", "masks", "_all",
+                 "packing", "leads", "lcs", "negtails", "zero", "memo")
 
-    def __init__(self, field, nvars: int, polys, index, bound: int):
-        self.field, self.nvars, self.polys, self.index = (field, nvars,
-                                                          polys, index)
-        self.packing = Packing(nvars, bound)
+    def __init__(self, divisors):
+        polys = tuple(divisors)
+        if not polys:
+            raise ZeroDivisor("need at least one divisor")
+        first = polys[0]
+        for g in polys:
+            if g.field is not first.field or g.nvars != first.nvars:
+                first._check_compatible(g)
+            if not g.terms:
+                raise ZeroDivisor("zero polynomial among the divisors")
+        self.field, self.nvars, self.polys = first.field, first.nvars, polys
+        exponents, masks = [], []
+        for column in zip(*(g.terms[0][0] for g in polys)):
+            at: dict[int, int] = {}  # exponent -> divisors with it
+            for k, e in enumerate(column):
+                at[e] = at.get(e, 0) | 1 << k
+            row = sorted(at)
+            exponents.append(tuple(row))
+            masks.append(tuple(accumulate((at[e] for e in row), or_,
+                                          initial=0)))
+        self.exponents, self.masks = tuple(exponents), tuple(masks)
+        self._all = (1 << len(polys)) - 1
+        self._pack(2 * max(sum(g.terms[0][0]) for g in polys))
+
+    def _pack(self, bound: int) -> None:
+        """Pack the divisors for degrees up to bound.  A memo is keyed
+        by packed monomials, so none outlives its packing."""
+        field = self.field
+        self.packing = Packing(self.nvars, bound)
         pack = self.packing.pack
         self.leads, self.lcs, self.negtails = [], [], []
-        for g in polys:
+        for g in self.polys:
             (lm, lc), *tail = g.terms
             neg = field.neg(field.inv(lc))
             self.leads.append(pack(lm))
             self.lcs.append(lc)
             self.negtails.append([(pack(m), field.mul(c, neg))
                                   for m, c in tail])
-        self.zero = PackedPolynomial(field, nvars, self.packing, {})
+        self.zero = PackedPolynomial(field, self.nvars, self.packing, {})
         self.memo = None
 
-    def dividing(self, x: int) -> int:
-        """``DivisorSet.dividing`` of the packed monomial x."""
+    def dividing(self, mono) -> int:
+        """Bitset of the divisors whose leading monomial divides mono;
+        its lowest set bit is the first such divisor in list order."""
+        return reduce(and_, map(getitem, self.masks,
+                                map(bisect_right, self.exponents, mono)),
+                      self._all)
+
+    def _lookup(self, x: int) -> int:
+        """``dividing`` of the packed monomial x, through the memo."""
         memo = self.memo
         hits = None if memo is None else memo.get(x)
         if hits is None:
-            hits = _dividing(*self.index, self.packing.unpack(x))
+            hits = self.dividing(self.packing.unpack(x))
             if memo is not None:
                 memo[x] = hits
         return hits
@@ -160,23 +208,23 @@ class PackedDivisors:
         """The quotients and remainder of ``poly.multivariate_divide``,
         for f of the divisors' field and variable count.  A dividend
         already packed at this width, as the check's S-pairs are, is
-        divided as it is.  Any other is packed, at a wider width if its
-        degree exceeds the bound; no term of the division has a degree
-        above f's."""
-        packed = self
+        divided as it is; any other is packed first.  One of degree
+        above the bound goes to a copy of the set packed wide enough
+        for it: no term of the division has a degree above f's."""
         if isinstance(f, PackedPolynomial) and f.packing is self.packing:
             work = dict(f.packed)
+        elif f.degree() > self.packing.bound:
+            wide = copy.copy(self)
+            wide._pack(f.degree())
+            return wide.divide(f)
         else:
-            if f.degree() > self.packing.bound:
-                packed = PackedDivisors(self.field, self.nvars, self.polys,
-                                        self.index, f.degree())
-            pack = packed.packing.pack
+            pack = self.packing.pack
             work = {pack(m): c for m, c in f.terms}
-        field, nvars, packing, zero = (self.field, self.nvars,
-                                       packed.packing, packed.zero)
+        field, nvars, packing, zero = (self.field, self.nvars, self.packing,
+                                       self.zero)
         add, mul, div = field.add, field.mul, field.div
-        leads, lcs, negtails = packed.leads, packed.lcs, packed.negtails
-        dividing = packed.dividing
+        leads, lcs, negtails = self.leads, self.lcs, self.negtails
+        dividing = self._lookup
         quotients: dict[int, dict[int, int]] = {}
         rem = {}
         # divide the largest term by the first divisor whose leading
@@ -207,8 +255,8 @@ class PackedDivisors:
 
 
 def is_groebner(gens: list[Polynomial]) -> bool:
-    """Buchberger's criterion on nonzero generators of one field and
-    variable count.
+    """Buchberger's criterion on nonzero generators; their
+    ``DivisorSet`` checks that they share one field and variable count.
 
     The pairs {i, j} whose leading monomials share a variable are
     visited by increasing graded-lex lcm(LM g_i, LM g_j), ties by
@@ -245,10 +293,9 @@ def is_groebner(gens: list[Polynomial]) -> bool:
     which takes it packed as it is.  The set memoizes its lead index
     lookups for the life of the check.
     """
-    dset = poly.DivisorSet(gens)
-    packed = dset._packed
-    packed.memo = {}
-    lcm, leads = packed.packing.lcm, packed.leads
+    dset = DivisorSet(gens)
+    dset.memo = {}
+    lcm, leads = dset.packing.lcm, dset.leads
     support = [sum(1 << v for v, e in enumerate(g.terms[0][0]) if e)
                for g in gens]
     settled = [0] * len(gens)
@@ -263,7 +310,7 @@ def is_groebner(gens: list[Polynomial]) -> bool:
                 settled[i] |= 1 << j
                 settled[j] |= 1 << i
     pairs.sort()
-    dividing, s_pair = packed.dividing, packed.s_pair
+    dividing, s_pair = dset._lookup, dset.s_pair
     for key in pairs:
         l, i, j = key >> 2 * k, key >> k & low, key & low
         common = settled[i] & settled[j]

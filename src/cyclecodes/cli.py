@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedSpec,
 )
 from .gf import field_new
-from .ideal import build_generators, check_groebner_budget
+from .ideal import build_generators, check_build_budget, check_groebner_budget
 from .poly import buchberger_is_groebner
 
 EXIT_OK = 0
@@ -192,6 +192,7 @@ def _generator_lines(spec: CycleFamilySpec, field) -> list[str]:
 def _cmd_ideal(args) -> tuple[str, bool]:
     field = field_new(args.q)
     spec = parse_spec_string(args.spec)
+    check_build_budget(spec, args.q, DEFAULT_ENUM_BUDGET)
     lines = _generator_lines(spec, field)
     if args.format == "json":
         out = json.dumps({"q": args.q, "spec": spec.to_string(),
@@ -225,11 +226,10 @@ def _hilbert_rows(args, spec, field, degrees):
     check a budget (union, then rank) come first, so a refused budget
     costs no footprint work."""
     unions: list[int | None] = [None] * len(degrees)
-    if len(spec.components) == 1 and spec.components[0][1] == 1:
-        try:
-            unions = hilbert.union_at(spec.components[0][0], field, degrees)
-        except UnsupportedSpec:
-            pass
+    try:
+        unions = hilbert.union_at(_single_cycle_k(spec), field, degrees)
+    except UnsupportedSpec:
+        pass
     ranks: list[int | None] = [None] * len(degrees)
     if args.with_rank:
         from . import codes
@@ -247,6 +247,12 @@ def _cmd_hilbert(args) -> tuple[str, bool]:
     else:
         dmax = args.dmax if args.dmax is not None \
             else hilbert.regularity_formula(spec, field) + 1
+        # the fixed budget, not --enum-budget, so that a table whose
+        # columns fit a small budget still prints
+        if 4 * (dmax + 1) > DEFAULT_ENUM_BUDGET:
+            raise BudgetExceeded(
+                f"hilbert table of {dmax + 1} rows needs {4 * (dmax + 1)} "
+                f"cells, budget is {DEFAULT_ENUM_BUDGET}")
         degrees = list(range(dmax + 1))
     rows = _hilbert_rows(args, spec, field, degrees)
     ok = all(u in (None, fp) and r in (None, fp)

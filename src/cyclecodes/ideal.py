@@ -1,5 +1,5 @@
-"""Generators of the vanishing ideal of X* and the budget of their
-Groebner check.
+"""Generators of the vanishing ideal of X* and the budgets of their
+build and their Groebner check.
 
 For a disjoint union of odd cycles over F_q the vanishing ideal of the
 parameterized set X* is generated by binomials:
@@ -70,6 +70,21 @@ def generator_count(spec: CycleFamilySpec, q: int) -> int:
     return n
 
 
+def check_build_budget(spec: CycleFamilySpec, q: int, budget: int) -> None:
+    """Raise BudgetExceeded when ``build_generators(spec, F_q)`` would
+    allocate more than ``budget`` exponent cells, one per variable in
+    each generator, before any generator is built."""
+    n = generator_count(spec, q)
+    _check_cells(n, n * spec.nvars, budget)
+
+
+def _check_cells(n: int, cells: int, budget: int) -> None:
+    if cells > budget:
+        raise BudgetExceeded(
+            f"generator build of {n} generators needs {cells} exponent "
+            f"cells, budget is {budget}")
+
+
 def check_groebner_budget(spec: CycleFamilySpec, q: int, budget: int) -> None:
     """Raise BudgetExceeded when the Groebner check of ``spec`` over F_q
     would exceed ``budget``, before any generator is built.  The check
@@ -86,11 +101,7 @@ def check_groebner_budget(spec: CycleFamilySpec, q: int, budget: int) -> None:
     sizes = [(generator_count(CycleFamilySpec.single(k), q), k)
              for k in spec.lengths]
     n = sum(g for g, _ in sizes)
-    cells = sum(g * k for g, k in sizes)
-    if cells > budget:
-        raise BudgetExceeded(
-            f"generator build of {n} generators needs {cells} exponent "
-            f"cells, budget is {budget}")
+    _check_cells(n, sum(g * k for g, k in sizes), budget)
     tests = 0 if (q - 1) % 2 else \
         sum(g * (g * (g - 1) // 2) for g, _ in sizes)
     if tests > budget:

@@ -5,13 +5,9 @@ sorted in decreasing graded lexicographic order with
 ``t1 > t2 > ... > tn``.
 
 Division and the Groebner check run on packed monomials instead, one
-int per monomial (module ``_packed``): the total degree in the top
-field and the exponents of t1, ..., tn below it, every field 8 * b bits
-wide where b = B.bit_length() // 8 + 1 for a degree bound B, so the top
-bit of each field, its guard bit, stays clear.  Int order is then the
-graded lexicographic order, ``+`` and ``-`` multiply and divide, and
-the lcm is a field-wise max.  The Groebner check takes the set it is
-given as a whole.
+int per monomial, against a ``DivisorSet`` that checks and prepares the
+divisors once (module ``_packed``).  The Groebner check takes the set
+it is given as a whole.
 
 Polynomial text form: terms in decreasing order joined by `` + `` /
 `` - ``, e.g. ``t1^3*t2 - t3^2 + 1``.  In odd characteristic a bare
@@ -21,12 +17,9 @@ written ``c*...``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from functools import reduce
-from itertools import accumulate
-from operator import add, and_, getitem, or_
+from operator import add
 
-from .errors import DimensionMismatch, ZeroDivisor, ZeroPolynomial
+from .errors import DimensionMismatch, ZeroPolynomial
 from .gf import Field
 
 Monomial = tuple[int, ...]
@@ -187,74 +180,10 @@ class Polynomial:
 
 # -- division and Groebner machinery --------------------------------------
 
-class DivisorSet:
-    """An ordered list of nonzero divisors with an index of their
-    leading monomials, built once and shared by many divisions.
-
-    Construction checks what ``multivariate_divide`` needs: a nonempty
-    list, no zero polynomial (``ZeroDivisor``), one field and variable
-    count (``DimensionMismatch``).  The index holds, for each variable
-    v, the sorted distinct leading exponents at v (``exponents[v]``)
-    and, in ``masks[v][i + 1]``, the bitset of the divisors whose
-    leading exponent at v is at most ``exponents[v][i]``; ``masks[v][0]``
-    is the empty set.  A leading monomial divides m exactly when its
-    exponent at every v is at most m[v], so ``dividing(m)`` is one
-    bisect and one AND per variable.  Only exponents that occur are
-    indexed, so the index stays small however large q is.
-
-    The set also packs its divisors once, each monomial one int, at
-    the field width for twice the largest leading degree: every lcm of
-    two leading monomials fits, and so does every term of an
-    S-polynomial.
-    """
-
-    __slots__ = ("field", "nvars", "polys", "exponents", "masks", "_all",
-                 "_packed")
-
-    def __init__(self, divisors):
-        polys = tuple(divisors)
-        if not polys:
-            raise ZeroDivisor("need at least one divisor")
-        first = polys[0]
-        for g in polys:
-            if g.field is not first.field or g.nvars != first.nvars:
-                first._check_compatible(g)
-            if not g.terms:
-                raise ZeroDivisor("zero polynomial among the divisors")
-        self.field, self.nvars, self.polys = first.field, first.nvars, polys
-        exponents, masks = [], []
-        for column in zip(*(g.terms[0][0] for g in polys)):
-            at: dict[int, int] = {}  # exponent -> divisors with it
-            for k, e in enumerate(column):
-                at[e] = at.get(e, 0) | 1 << k
-            row = sorted(at)
-            exponents.append(tuple(row))
-            masks.append(tuple(accumulate((at[e] for e in row), or_,
-                                          initial=0)))
-        self.exponents, self.masks = tuple(exponents), tuple(masks)
-        self._all = (1 << len(polys)) - 1
-        from ._packed import PackedDivisors
-        self._packed = PackedDivisors(
-            self.field, self.nvars, polys, (self.exponents, self.masks,
-                                            self._all),
-            2 * max(sum(g.terms[0][0]) for g in polys))
-
-    def dividing(self, mono: Monomial) -> int:
-        """Bitset of the divisors whose leading monomial divides mono;
-        its lowest set bit is the first such divisor in list order."""
-        return _dividing(self.exponents, self.masks, self._all, mono)
-
-
-def _dividing(exponents, masks, every: int, mono) -> int:
-    """The lead index lookup of ``DivisorSet.dividing``."""
-    return reduce(and_, map(getitem, masks, map(bisect_right, exponents,
-                                                mono)), every)
-
-
 def multivariate_divide(f: Polynomial, divisors) -> tuple[list[Polynomial],
                                                           Polynomial]:
     """Divide f by an ordered list of polynomials, given as a sequence
-    or as a prepared ``DivisorSet``.
+    or as a prepared ``_packed.DivisorSet``.
 
     Returns (quotients, remainder) with
     ``f = sum(q_i * g_i) + r`` and no term of r divisible by any
@@ -268,11 +197,13 @@ def multivariate_divide(f: Polynomial, divisors) -> tuple[list[Polynomial],
     call only, at the wider width its degree needs.  The results keep
     their terms packed until ``terms`` is read.
     """
-    dset = divisors if isinstance(divisors, DivisorSet) else \
-        DivisorSet(divisors)
+    dset = divisors
+    if not hasattr(dset, "divide"):  # a sequence, not a prepared set
+        from ._packed import DivisorSet
+        dset = DivisorSet(divisors)
     if f.field is not dset.field or f.nvars != dset.nvars:
         f._check_compatible(dset.polys[0])
-    return dset._packed.divide(f)
+    return dset.divide(f)
 
 
 def buchberger_is_groebner(gens) -> bool:
@@ -288,9 +219,5 @@ def buchberger_is_groebner(gens) -> bool:
             raise ZeroPolynomial("zero polynomial among the generators")
     if not gens:
         return True
-    first = gens[0]
-    for g in gens:
-        if g.field is not first.field or g.nvars != first.nvars:
-            first._check_compatible(g)
     from ._packed import is_groebner
     return is_groebner(gens)

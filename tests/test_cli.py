@@ -10,6 +10,7 @@ import pytest
 
 from cyclecodes import (
     CycleFamilySpec,
+    _packed,
     cardinality_formula,
     cli,
     codes,
@@ -143,6 +144,16 @@ def test_hilbert_union_over_budget_exits_3_before_the_footprint(monkeypatch,
     assert capsys.readouterr().err == (
         "error: union formula: 62 numerator terms at 100001 degrees need "
         "6200062 cells, budget is 3145728\n")
+
+
+def test_hilbert_table_over_budget_exits_3_at_once():
+    # 100000001 rows of 4 cells each pass the fixed budget of 2^26 cells
+    # whatever --enum-budget says; no degree list is built
+    r = run_cli("hilbert", "--q", "5", "--spec", "3", "--dmax", "100000000",
+                "--enum-budget", "1000000000", timeout=10)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == ("error: hilbert table of 100000001 rows needs "
+                        "400000004 cells, budget is 67108864\n")
 
 
 def test_hilbert_negative_dmax_is_usage_error():
@@ -342,6 +353,22 @@ def test_ideal_golden():
         "t1^2*t3^2 - t2^2\n"
         "t1^2*t2^2 - t3^2\n"
     )
+
+
+def test_ideal_over_budget_exits_3_before_building(monkeypatch, capsys):
+    # 3x2000 over F_5: 6000 torus and 6000 cycle binomials on 6000
+    # variables; nothing may be built
+    monkeypatch.setattr(cli, "build_generators", None)
+    assert cli.main(["ideal", "--q", "5", "--spec", "3x2000"]) == 3
+    assert capsys.readouterr().err == (
+        "error: generator build of 12000 generators needs 72000000 "
+        "exponent cells, budget is 67108864\n")
+    # 3x1000 needs 18000000 cells and is built
+    built = []
+    monkeypatch.setattr(cli, "build_generators",
+                        lambda spec, field: built.append(spec) or [])
+    assert cli.main(["ideal", "--q", "5", "--spec", "3x1000"]) == 0
+    assert len(built) == 1
 
 
 def test_groebner_check_passes():
@@ -657,6 +684,7 @@ def test_package_names_resolve_lazily():
         getattr(cyclecodes, name)
     for name in cyclecodes._CODES_NAMES:
         assert getattr(cyclecodes, name) is getattr(codes, name)
+    assert cyclecodes.DivisorSet is _packed.DivisorSet
     with pytest.raises(AttributeError):
         cyclecodes.no_such_name
     namespace = {}

@@ -33,7 +33,7 @@ _BAD_SPEC = ["", "1", "4", "0", "-3", "3x0", "3x-1", "3,,5", "3x2x2", "x",
              " 3 "]
 _D = ["0", "1", "2", "-1", "99999999999"]
 _BAD_D = ["-7", "1.5", "x"]
-_DMAX = ["0", "3", "10000"]
+_DMAX = ["0", "3", "10000", "100000000000000000000"]
 _BAD_DMAX = ["-1", "x"]
 _BUDGET = ["0", "-1", "1000"]
 # An existing directory: --out can never write there.

@@ -609,6 +609,17 @@ def test_empty_generator_set_is_groebner():
     assert buchberger_is_groebner([])
 
 
+@pytest.mark.parametrize("gens, error", [
+    # a zero generator is reported also when a mismatched one is present
+    ([P("t1"), P("t2", nvars=2), Polynomial.zero(F5, 3)], ZeroPolynomial),
+    ([P("t1"), P("t2", field=field_new(7))], DimensionMismatch),
+    ([P("t1"), P("t2", nvars=2)], DimensionMismatch),
+], ids=["zero", "fields", "nvars"])
+def test_the_groebner_check_refuses_a_bad_generator_set(gens, error):
+    with pytest.raises(error):
+        buchberger_is_groebner(gens)
+
+
 def test_groebner_check_over_a_large_prime_indexes_only_the_lead_exponents():
     gens = build_generators(parse_spec_string("3x2,5"),
                             field_new(65521)).all_generators()
@@ -685,7 +696,7 @@ def test_divisor_set_matches_the_ordered_scan():
 
 def test_packed_s_pairs_equal_s_polynomial():
     def same(gens):
-        packed = DivisorSet(gens)._packed
+        packed = DivisorSet(gens)
         lcm, leads = packed.packing.lcm, packed.leads
         for i, f in enumerate(gens):
             for j, g in enumerate(gens):
@@ -710,7 +721,7 @@ def test_a_dividend_above_the_set_bound_is_packed_wider():
     gens = [P("t1^4 - 1"), P("t2^4 - 1"), P("t3^4 - 1"),
             P("t1^2*t2 - 2*t3^2 + t1")]
     dset = DivisorSet(gens)
-    assert (dset._packed.packing.bound, dset._packed.packing.nbytes) == (8, 1)
+    assert (dset.packing.bound, dset.packing.nbytes) == (8, 1)
     for text in ["t1^3*t2^3*t3^2 + t2", "t1^50*t2^40*t3^30 - 3*t1^7*t2",
                  "t1^130*t2^170 + 2*t3^255 - t1*t2*t3",
                  "t1^40000*t2^3 + t2^33000*t3 + 4*t1^2*t2"]:
@@ -721,7 +732,7 @@ def test_a_dividend_above_the_set_bound_is_packed_wider():
         # a result packed at the wider width is divided as a plain dividend
         q = multivariate_divide(f, dset)[0][0]
         assert multivariate_divide(q, dset) == _ordered_scan_divide(q, gens)
-    assert dset._packed.packing.bound == 8
+    assert dset.packing.bound == 8
 
 
 def test_division_results_behave_as_polynomials():
@@ -745,7 +756,7 @@ def test_a_public_divisor_set_keeps_no_memo():
     for f in (gens[0] * gens[1], gens[2] * gens[3] + gens[4]):
         r = multivariate_divide(f, dset)[1]
         multivariate_divide(r, dset)
-    assert dset._packed.memo is None
+    assert dset.memo is None
 
 
 def test_divisor_set_checks_the_divisors_and_the_dividend():
