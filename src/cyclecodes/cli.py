@@ -4,15 +4,18 @@ Subcommands: enumerate, card, ideal, groebner-check, hilbert,
 regularity, betas, code, selftest.  Exit codes: 0 success, 1 a
 cross-check failed, 2 usage error or an --out file that cannot be
 written, 3 budget exceeded, also when stderr is a closed pipe.  Output
-is deterministic for a given invocation.  Only enumerate, card, code,
-selftest and hilbert --with-rank import numpy; the counting commands
-run on integers alone.
+is deterministic for a given invocation.  The hilbert formats share one
+row loop, which writes a table a few thousand rows at a time; its json,
+and that of enumerate, is the json.dumps(..., indent=2) layout, written
+directly.  Only enumerate, card, code, selftest and hilbert --with-rank
+import numpy; the counting commands run on integers alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -69,7 +72,7 @@ def _add_common(sp, *, spec=True, formats=("plain", "json"),
     sp.add_argument("--out", help="write the report to this file "
                                   "instead of stdout")
     if enum_budget:
-        sp.add_argument("--enum-budget", type=int,
+        sp.add_argument("--enum-budget", type=_nonnegative_int,
                         default=DEFAULT_ENUM_BUDGET,
                         help="max enumeration / matrix work; for "
                              "groebner-check, which checks one cycle of "
@@ -79,7 +82,7 @@ def _add_common(sp, *, spec=True, formats=("plain", "json"),
                              "is built "
                              f"(default {DEFAULT_ENUM_BUDGET})")
     if dist_budget:
-        sp.add_argument("--dist-budget", type=int,
+        sp.add_argument("--dist-budget", type=_nonnegative_int,
                         default=DEFAULT_DIST_BUDGET,
                         help="exact min distance only when q^dimension "
                              "is at most this budget, else a bracket; "
@@ -156,9 +159,11 @@ def _cmd_enumerate(args) -> tuple[str, bool]:
     spec = parse_spec_string(args.spec)
     X = enumerate_toric_set(spec, field, args.enum_budget)
     if args.format == "json":
-        out = json.dumps({"q": args.q, "spec": spec.to_string(),
-                          "cardinality": len(X),
-                          "points": [list(pt) for pt in X]}, indent=2)
+        # the layout of json.dumps(..., indent=2), written directly
+        point = "    [\n" + ",\n".join(["      {}"] * spec.nvars) + "\n    ]"
+        out = (f'{{\n  "q": {args.q},\n  "spec": "{spec}",\n'
+               f'  "cardinality": {len(X)},\n  "points": [\n'
+               + ",\n".join(itertools.starmap(point.format, X)) + "\n  ]\n}")
     else:
         out = X.serialize()
     return out, True
@@ -218,28 +223,25 @@ def _cmd_groebner(args) -> tuple[str, bool]:
     return out, ok
 
 
-def _hilbert_rows(args, spec, field, degrees):
-    """Per-degree (footprint, union-or-None, rank-or-None) triples.
-    The footprint and union columns evaluate their Hilbert-series
-    numerators at the requested degrees only; the rank column counts
-    characters once, through the largest degree.  The columns that
-    check a budget (union, then rank) come first, so a refused budget
-    costs no footprint work."""
-    unions: list[int | None] = [None] * len(degrees)
+def _hilbert_columns(args, spec, field, degrees):
+    """The footprint, union and rank columns, None where one does not
+    apply.  Footprint and union read Hilbert-series numerators at the
+    degrees only, rank counts characters once through the largest.
+    The columns that check a budget (union, then rank) come first, so
+    a refused budget costs no footprint work."""
     try:
         unions = hilbert.union_at(_single_cycle_k(spec), field, degrees)
     except UnsupportedSpec:
-        pass
-    ranks: list[int | None] = [None] * len(degrees)
+        unions = None
+    ranks = None
     if args.with_rank:
         from . import codes
 
         ranks = codes.character_at(spec, field, degrees, args.enum_budget)
-    footprints = hilbert.footprint_at(spec, field, degrees)
-    return list(zip(degrees, footprints, unions, ranks))
+    return hilbert.footprint_at(spec, field, degrees), unions, ranks
 
 
-def _cmd_hilbert(args) -> tuple[str, bool]:
+def _cmd_hilbert(args) -> tuple[itertools.chain, bool]:
     field = field_new(args.q)
     spec = parse_spec_string(args.spec)
     if args.d is not None:
@@ -253,31 +255,28 @@ def _cmd_hilbert(args) -> tuple[str, bool]:
             raise BudgetExceeded(
                 f"hilbert table of {dmax + 1} rows needs {4 * (dmax + 1)} "
                 f"cells, budget is {DEFAULT_ENUM_BUDGET}")
-        degrees = list(range(dmax + 1))
-    rows = _hilbert_rows(args, spec, field, degrees)
-    ok = all(u in (None, fp) and r in (None, fp)
-             for _, fp, u, r in rows)
-    if args.format == "json":
-        out = json.dumps(
-            {"q": args.q, "spec": spec.to_string(),
-             "rows": [{"d": d, "footprint": fp, "union": u, "rank": r}
-                      for d, fp, u, r in rows],
-             "agree": ok}, indent=2)
-    elif args.format == "csv":
-        lines = ["d,footprint,union,rank"]
-        for d, fp, u, r in rows:
-            lines.append(f"{d},{fp},{'' if u is None else u},"
-                         f"{'' if r is None else r}")
-        out = "\n".join(lines)
-    else:
-        lines = ["d\tfootprint\tunion\trank"]
-        for d, fp, u, r in rows:
-            lines.append(f"{d}\t{fp}\t{'-' if u is None else u}"
-                         f"\t{'-' if r is None else r}")
-        if not ok:
-            lines.append("WARNING: the routes disagree")
-        out = "\n".join(lines)
-    return out, ok
+        degrees = range(dmax + 1)
+    footprints, unions, ranks = _hilbert_columns(args, spec, field, degrees)
+    ok = unions in (None, footprints) and ranks in (None, footprints)
+    # each format: a header, a row template, the token for a column
+    # that does not apply, a row separator and a footer
+    head, row, missing, sep, foot = {
+        "csv": ("d,footprint,union,rank\n", "{},{},{},{}", "", "\n", ""),
+        "plain": ("d\tfootprint\tunion\trank\n", "{}\t{}\t{}\t{}", "-", "\n",
+                  "" if ok else "\nWARNING: the routes disagree"),
+        "json": (f'{{\n  "q": {args.q},\n  "spec": "{spec}",\n  "rows": [\n',
+                 '    {{\n      "d": {},\n      "footprint": {},\n'
+                 '      "union": {},\n      "rank": {}\n    }}', "null",
+                 ",\n", f'\n  ],\n  "agree": {str(ok).lower()}\n}}'),
+    }[args.format]
+    absent = itertools.repeat(missing)
+    rows = itertools.starmap(row.format, zip(
+        degrees, footprints, unions or absent, ranks or absent))
+    # written a few thousand rows at a time, so that a long table is
+    # never held as one string
+    chunks = ((sep if i else head) + sep.join(itertools.islice(rows, 4096))
+              for i in range(0, len(degrees), 4096))
+    return itertools.chain(chunks, [foot]), ok
 
 
 def _cmd_regularity(args) -> tuple[str, bool]:
@@ -452,16 +451,17 @@ def _run(args) -> int:
         return _error(str(exc), EXIT_USAGE)
     except CycleCodesError as exc:
         return _error(str(exc), EXIT_CHECK_FAILED)
+    pieces = itertools.chain([out] if isinstance(out, str) else out, ["\n"])
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out + "\n")
+                fh.writelines(pieces)
         except OSError as exc:
             return _error(f"cannot write {args.out}: {exc.strerror or exc}",
                           EXIT_USAGE)
     else:
         try:
-            print(out)
+            sys.stdout.writelines(pieces)
             sys.stdout.flush()
         except BrokenPipeError:
             # The reader has gone, as with `| head`: the rest of the

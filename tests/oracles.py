@@ -5,17 +5,27 @@ The box counts and the footprint are built degree by degree as dense
 vectors, whose length grows linearly in q; the library reads the same
 counts from Hilbert-series numerators instead.  Points of X* come from
 the edge-product map and vanishing is checked by evaluation at every
-point; the library never evaluates a polynomial.  S-polynomials are
+point; the library never evaluates a polynomial.  JSON reports are
+encoded by json.dumps with indent=2; the command line writes that
+layout directly.  S-polynomials are
 built from the ring operators, and polynomial fixtures are read from
 their text form.
 """
 
 import itertools
+import json
 import re
 from math import comb
 from operator import le, sub
 
-from cyclecodes import DimensionMismatch, Polynomial, gamma_of
+from cyclecodes import (
+    DimensionMismatch,
+    Polynomial,
+    codes,
+    field_new,
+    gamma_of,
+    hilbert,
+)
 
 
 # -- monomials and polynomials ----------------------------------------------
@@ -182,3 +192,40 @@ def regularity_by_scan(spec, q):
     """Least d with H(d) = H(last degree), scanning the footprint."""
     prefix = cumulative(footprint_by_degree(spec, q))
     return prefix.index(prefix[-1])
+
+
+# -- reports ------------------------------------------------------------------
+
+
+def hilbert_report_json(q, spec, degrees, with_rank=False) -> str:
+    """``hilbert --format json`` as json.dumps(payload, indent=2) of one
+    dict per row: the footprint, the union (null unless spec is one
+    cycle and q is odd) and the rank (null without with_rank) at each
+    degree, and whether every column present equals the footprint.
+    Run it with no limit on int -> str digits, as the command line
+    does."""
+    field = field_new(q)
+    footprints = hilbert.footprint_at(spec, field, degrees)
+    unions = ranks = [None] * len(degrees)
+    if q % 2 and len(spec.components) == 1 and spec.components[0][1] == 1:
+        unions = hilbert.union_at(spec.components[0][0], field, degrees)
+    if with_rank:
+        ranks = codes.character_at(spec, field, degrees)
+    rows = [{"d": d, "footprint": fp, "union": u, "rank": r}
+            for d, fp, u, r in zip(degrees, footprints, unions, ranks)]
+    agree = all(row[col] in (None, row["footprint"])
+                for row in rows for col in ("union", "rank"))
+    return json.dumps({"q": q, "spec": spec.to_string(), "rows": rows,
+                       "agree": agree}, indent=2)
+
+
+def enumerate_report_json(q, spec) -> str:
+    """``enumerate --format json`` as json.dumps(payload, indent=2),
+    the points of X* taken as the sorted image of the edge-product map
+    over all unit vertex weights."""
+    field = field_new(q)
+    points = sorted({theta_map(spec, field, x) for x in
+                     itertools.product(range(1, q), repeat=spec.nvars)})
+    return json.dumps({"q": q, "spec": spec.to_string(),
+                       "cardinality": len(points),
+                       "points": [list(p) for p in points]}, indent=2)

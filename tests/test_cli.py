@@ -312,6 +312,19 @@ def test_code_negative_degree_is_usage_error():
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["card", "--q", "5", "--spec", "3", "--enum-budget", "-1"],
+    ["code", "--q", "5", "--spec", "3", "--d", "1", "--dist-budget", "-5"],
+])
+def test_negative_budget_is_usage_error(argv):
+    r = run_cli(*argv)
+    assert (r.returncode, r.stdout) == (2, "")
+    flag, value = argv[-2:]
+    assert r.stderr.endswith(f"error: argument {flag}: must be >= 0, "
+                             f"got {value}\n")
+    assert "Traceback" not in r.stderr
+
+
 def test_code_matrix_over_budget_exits_3_before_listing_the_basis(
         monkeypatch, capsys):
     def listed(*args, **kwargs):

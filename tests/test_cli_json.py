@@ -1,0 +1,120 @@
+"""The JSON reports byte for byte: ``hilbert`` and ``enumerate`` write
+the layout of json.dumps(payload, indent=2) directly, so each is
+compared with that encoding of the payload rebuilt from the library's
+routes (tests/oracles.py)."""
+
+import contextlib
+import io
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclecodes import cli, hilbert, parse_spec_string
+from oracles import enumerate_report_json, hilbert_report_json
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Lift the limit on int -> str digits for the oracle, as cli.main
+    does for the command."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
+    yield
+    if digits is not None:
+        sys.set_int_max_str_digits(digits)
+
+
+_Q = [2, 3, 4, 5, 7, 8, 11, 31, 65521]
+_SPECS = ["3", "5", "7", "3x2", "3x2,5", "5,3x2"]
+
+
+@st.composite
+def _hilbert_cases(draw):
+    q = draw(st.sampled_from(_Q))
+    text = draw(st.sampled_from(_SPECS))
+    spec = parse_spec_string(text)
+    # the default table runs to the regularity, about nvars * q / 2
+    kind = draw(st.sampled_from(["d", "dmax"] + ["default"] * (q <= 31)))
+    if kind == "d":
+        d = draw(st.sampled_from([-5, -1, 0, 1, 2, 10**6, 10**12]))
+        degrees, flags = [d], ["--d", str(d)]
+    elif kind == "dmax":
+        dmax = draw(st.integers(0, 12))
+        degrees, flags = list(range(dmax + 1)), ["--dmax", str(dmax)]
+    else:
+        reg = hilbert.regularity_formula(spec, cli.field_new(q))
+        degrees, flags = list(range(reg + 2)), []
+    # the rank column searches (q-1)^k states per cycle length k
+    with_rank = q <= 8 and draw(st.booleans())
+    if with_rank:
+        flags.append("--with-rank")
+    return q, spec, degrees, with_rank, flags
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=_hilbert_cases())
+def test_hilbert_json_is_the_indent_2_encoding(case):
+    q, spec, degrees, with_rank, flags = case
+    code, out, err = run_main(["hilbert", "--q", str(q), "--spec",
+                               spec.to_string(), "--format", "json", *flags])
+    assert (code, err) == (0, "")
+    assert out == hilbert_report_json(q, spec, degrees, with_rank) + "\n"
+
+
+@pytest.mark.parametrize("with_rank", [False, True])
+def test_hilbert_json_when_the_routes_disagree(monkeypatch, with_rank):
+    union_at = hilbert.union_at
+    monkeypatch.setattr(hilbert, "union_at",
+                        lambda k, field, degrees: [h + 1 for h in union_at(
+                            k, field, degrees)])
+    spec = parse_spec_string("5")
+    flags = ["--with-rank"] * with_rank
+    code, out, err = run_main(["hilbert", "--q", "5", "--spec", "5",
+                               "--dmax", "4", "--format", "json", *flags])
+    assert (code, err) == (1, "")
+    want = hilbert_report_json(5, spec, list(range(5)), with_rank)
+    assert '"agree": false' in want
+    assert out == want + "\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int -> str digits")
+def test_hilbert_json_past_4300_digits(no_digit_limit):
+    spec = parse_spec_string("3x310")
+    code, out, err = run_main(["hilbert", "--q", "65521", "--spec", "3x310",
+                               "--d", "100000000", "--format", "json"])
+    assert (code, err) == (0, "")
+    want = hilbert_report_json(65521, spec, [100000000])
+    assert max(len(word) for word in want.split()) > 4300
+    assert out == want + "\n"
+
+
+def test_hilbert_json_across_row_blocks_to_stdout_and_file(tmp_path):
+    # the table is written in blocks of a few thousand rows
+    argv = ["hilbert", "--q", "7", "--spec", "3", "--dmax", "10000",
+            "--format", "json"]
+    want = hilbert_report_json(7, parse_spec_string("3"),
+                               list(range(10001))) + "\n"
+    assert run_main(argv) == (0, want, "")
+    path = tmp_path / "table.json"
+    assert run_main(argv + ["--out", str(path)]) == (0, "", "")
+    assert path.read_text() == want
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+@pytest.mark.parametrize("text", ["3", "5", "3x2"])
+def test_enumerate_json_is_the_indent_2_encoding(q, text):
+    code, out, err = run_main(["enumerate", "--q", str(q), "--spec", text,
+                               "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == enumerate_report_json(q, parse_spec_string(text)) + "\n"
