@@ -4,9 +4,9 @@ Subcommands: enumerate, card, ideal, groebner-check, hilbert,
 regularity, betas, code, selftest.  Exit codes: 0 success, 1 a
 cross-check failed, 2 usage error or an --out file that cannot be
 written, 3 budget exceeded, also when stderr is a closed pipe.  Output
-is deterministic for a given invocation.  The hilbert formats share one
-row loop, which writes a table a few thousand rows at a time; its json,
-and that of enumerate, is the json.dumps(..., indent=2) layout, written
+is deterministic for a given invocation.  The hilbert and enumerate
+formats share one row loop, which writes a report a few thousand rows
+at a time; their json is the json.dumps(..., indent=2) layout, written
 directly.  Only enumerate, card, code, selftest and hilbert --with-rank
 import numpy; the counting commands run on integers alone.
 """
@@ -19,6 +19,7 @@ import itertools
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 from . import hilbert
 from .cyclegraph import (
@@ -154,19 +155,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- individual commands -----------------------------------------------------
 
-def _cmd_enumerate(args) -> tuple[str, bool]:
+def _chunks(head: str, rows, sep: str, foot: str) -> Iterator[str]:
+    """head, the rows joined by sep 4,096 at a time, then foot: a long
+    report is never held as one string."""
+    rows = iter(rows)
+    yield head + sep.join(itertools.islice(rows, 4096))
+    for block in iter(lambda: sep.join(itertools.islice(rows, 4096)), ""):
+        yield sep + block
+    yield foot
+
+
+def _cmd_enumerate(args) -> tuple[Iterator[str], bool]:
     field = field_new(args.q)
     spec = parse_spec_string(args.spec)
     X = enumerate_toric_set(spec, field, args.enum_budget)
-    if args.format == "json":
-        # the layout of json.dumps(..., indent=2), written directly
-        point = "    [\n" + ",\n".join(["      {}"] * spec.nvars) + "\n    ]"
-        out = (f'{{\n  "q": {args.q},\n  "spec": "{spec}",\n'
-               f'  "cardinality": {len(X)},\n  "points": [\n'
-               + ",\n".join(itertools.starmap(point.format, X)) + "\n  ]\n}")
-    else:
-        out = X.serialize()
-    return out, True
+    head, row, sep, foot = {
+        "plain": ("", " ".join(["{}"] * spec.nvars), "\n", ""),
+        "json": (f'{{\n  "q": {args.q},\n  "spec": "{spec}",\n'
+                 f'  "cardinality": {len(X)},\n  "points": [\n',
+                 "    [\n" + ",\n".join(["      {}"] * spec.nvars) + "\n    ]",
+                 ",\n", "\n  ]\n}"),
+    }[args.format]
+    points = itertools.chain.from_iterable(
+        X.points[i:i + 4096].tolist() for i in range(0, len(X), 4096))
+    return _chunks(head, itertools.starmap(row.format, points), sep,
+                   foot), True
 
 
 def _cmd_card(args) -> tuple[str, bool]:
@@ -241,7 +254,7 @@ def _hilbert_columns(args, spec, field, degrees):
     return hilbert.footprint_at(spec, field, degrees), unions, ranks
 
 
-def _cmd_hilbert(args) -> tuple[itertools.chain, bool]:
+def _cmd_hilbert(args) -> tuple[Iterator[str], bool]:
     field = field_new(args.q)
     spec = parse_spec_string(args.spec)
     if args.d is not None:
@@ -272,11 +285,7 @@ def _cmd_hilbert(args) -> tuple[itertools.chain, bool]:
     absent = itertools.repeat(missing)
     rows = itertools.starmap(row.format, zip(
         degrees, footprints, unions or absent, ranks or absent))
-    # written a few thousand rows at a time, so that a long table is
-    # never held as one string
-    chunks = ((sep if i else head) + sep.join(itertools.islice(rows, 4096))
-              for i in range(0, len(degrees), 4096))
-    return itertools.chain(chunks, [foot]), ok
+    return _chunks(head, rows, sep, foot), ok
 
 
 def _cmd_regularity(args) -> tuple[str, bool]:

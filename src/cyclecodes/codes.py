@@ -54,7 +54,6 @@ from .gf import Field
 from .hilbert import _conv, count_box_degree
 from .poly import Monomial, grlex_key
 
-DEFAULT_MATRIX_BUDGET = 1 << 26
 # Most codeword cells in one block of the distance search, unless one
 # word's extensions by one row are more; it bounds the memory of the
 # search's blocks whatever the code's size.
@@ -73,17 +72,16 @@ def monomial_basis(nvars: int, q: int, d: int) -> list[Monomial]:
 
 @dataclass
 class EvaluationMatrix:
-    """Rows = basis monomials (decreasing graded-lex), columns = points
-    of X* in canonical order, entries = monomial values."""
+    """Rows = basis monomials (decreasing graded-lex), columns = the
+    rows of X.points in order, entries = monomial values."""
 
     field: Field
     monomials: tuple[Monomial, ...]
-    points: tuple[tuple[int, ...], ...]
     entries: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.monomials), len(self.points)
+        return self.entries.shape
 
 
 def check_matrix_budget(nvars: int, q: int, npoints: int, d: int,
@@ -100,7 +98,7 @@ def check_matrix_budget(nvars: int, q: int, npoints: int, d: int,
 
 
 def build_evaluation_matrix(X: ToricSet, d: int,
-                            max_entries: int = DEFAULT_MATRIX_BUDGET
+                            max_entries: int = DEFAULT_ENUM_BUDGET
                             ) -> EvaluationMatrix:
     """The degree-d evaluation matrix, as one integer matmul of the
     basis exponents with the points' discrete logs followed by one
@@ -109,11 +107,9 @@ def build_evaluation_matrix(X: ToricSet, d: int,
     check_matrix_budget(X.nvars, field.q, len(X), d, max_entries)
     monos = monomial_basis(X.nvars, field.q, d)
     exponents = np.array(monos, dtype=np.int64).reshape(len(monos), X.nvars)
-    logs = field.log[np.array(X.points).reshape(len(X), X.nvars)]
-    power_logs = exponents @ logs.T
+    power_logs = exponents @ field.log[X.points].T
     power_logs %= field.q - 1
-    return EvaluationMatrix(field, tuple(monos), X.points,
-                            field.exp[power_logs])
+    return EvaluationMatrix(field, tuple(monos), field.exp[power_logs])
 
 
 # -- row reduction -----------------------------------------------------------
@@ -366,7 +362,7 @@ def _min_weight(basis: np.ndarray, gens: np.ndarray, field: Field) -> int:
 
 def code_params(X: ToricSet, d: int,
                 dist_budget: int = DEFAULT_DIST_BUDGET,
-                max_entries: int = DEFAULT_MATRIX_BUDGET) -> CodeParams:
+                max_entries: int = DEFAULT_ENUM_BUDGET) -> CodeParams:
     """Length, dimension and (budget permitting) exact min distance.
 
     Every row of the evaluation matrix is a character of the group X*,

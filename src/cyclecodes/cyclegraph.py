@@ -14,15 +14,16 @@ The parameterized set X* is the image of the map sending a tuple of
 nonzero field elements (one per vertex) to the tuple of edge products
 x_j * x_k.  It is enumerated per cycle copy and combined by Cartesian
 product, which is valid because the map acts independently on each
-copy's block.
+copy's block.  X* is one read-only numpy array of coordinates, a row
+per point, rows in lexicographic order.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 import sys
 from dataclasses import dataclass
+from math import prod
 
 from .errors import BudgetExceeded, OddityError, ParseError
 from .gf import Field
@@ -177,62 +178,58 @@ def _single_cycle_codes(k: int, field: Field, budget: int) -> np.ndarray:
     return np.flatnonzero(seen)
 
 
-def _single_cycle_points(k: int, field: Field,
-                         budget: int) -> list[tuple[int, ...]]:
-    """Sorted distinct image points of one k-cycle copy."""
+def _single_cycle_points(k: int, field: Field, budget: int) -> np.ndarray:
+    """Sorted distinct image points of one k-cycle copy, a row each, in
+    the smallest unsigned dtype that holds q-1.  Antilogs do not keep
+    the order of the codes, so the rows are sorted once."""
     import numpy as np
 
     r = field.q - 1
     codes = _single_cycle_codes(k, field, budget)
-    logs = codes[:, None] // r ** np.arange(k - 1, -1, -1) % r
-    return sorted(map(tuple, field.exp[logs].tolist()))
+    exp = field.exp.astype(np.min_scalar_type(r))
+    points = np.stack([exp[codes // r ** (k - 1 - j) % r]
+                       for j in range(k)], axis=1)
+    return points[np.lexsort(points.T[::-1])]
 
 
+@dataclass(frozen=True, eq=False)
 class ToricSet:
-    """The enumerated point set X*, sorted and deduplicated."""
+    """The point set X* as a read-only (|X*|, nvars) coordinate array,
+    its rows distinct and in increasing lexicographic order."""
 
-    def __init__(self, spec: CycleFamilySpec, field: Field, points):
-        self.spec = spec
-        self.field = field
-        # dict.fromkeys keeps the input order, and a product of sorted
-        # copies is already sorted, which Timsort checks in linear time.
-        self._point_set = dict.fromkeys(points)
-        self.points = tuple(sorted(self._point_set))
+    spec: CycleFamilySpec
+    field: Field
+    points: np.ndarray
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __contains__(self, point) -> bool:
-        return tuple(point) in self._point_set
 
     @property
     def nvars(self) -> int:
         return self.spec.nvars
 
-    def serialize(self) -> str:
-        """One point per line, coordinates space-separated."""
-        return "\n".join(" ".join(str(c) for c in p) for p in self.points)
-
-    def __repr__(self) -> str:
-        return (f"ToricSet(spec={self.spec.to_string()!r}, "
-                f"q={self.field.q}, points={len(self.points)})")
-
 
 def enumerate_toric_set(spec: CycleFamilySpec, field: Field,
                         budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
-    """Materialize X* by per-copy enumeration and Cartesian product."""
+    """Materialize X* by per-copy enumeration and Cartesian product.
+    Copies take consecutive coordinates and the first varies slowest,
+    so the product of sorted copies is sorted and distinct."""
+    import numpy as np
+
     per_k = {k: _single_cycle_points(k, field, budget) for k in spec.lengths}
-    total = 1
-    for k, m in spec.components:
-        total *= len(per_k[k]) ** m
+    total = prod(len(per_k[k]) ** m for k, m in spec.components)
     if total > budget:
         raise BudgetExceeded(
             f"X* has {total} points, materialization budget is {budget}")
-    copy_sets = [per_k[k] for k, _off in spec.blocks()]
-    points = [sum(parts, ()) for parts in itertools.product(*copy_sets)]
+    points = np.empty((total, spec.nvars),
+                      dtype=np.min_scalar_type(field.q - 1))
+    outer = 1
+    for k, off in spec.blocks():
+        # a run of rows per row of the copy, once per earlier row
+        points.reshape(outer, len(per_k[k]), -1, spec.nvars)[
+            ..., off:off + k] = per_k[k][:, None]
+        outer *= len(per_k[k])
+    points.flags.writeable = False
     return ToricSet(spec, field, points)
 
 
@@ -247,10 +244,7 @@ def enumerated_cardinality(spec: CycleFamilySpec, field: Field,
     """
     per_k = {k: len(_single_cycle_codes(k, field, budget))
              for k in spec.lengths}
-    total = 1
-    for k, m in spec.components:
-        total *= per_k[k] ** m
-    return total
+    return prod(per_k[k] ** m for k, m in spec.components)
 
 
 def cardinality_formula(spec: CycleFamilySpec, q: int) -> int:

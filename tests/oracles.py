@@ -101,9 +101,14 @@ def theta_map(spec, field, x):
     return tuple(field.mul(x[a], x[b]) for a, b in spec.edges())
 
 
+def point_tuples(X) -> list[tuple[int, ...]]:
+    """The rows of X.points as tuples of Python ints, in order."""
+    return list(map(tuple, X.points.tolist()))
+
+
 def vanishing_membership(f, X) -> bool:
     """True iff f evaluates to zero at every point of X."""
-    return all(evaluate(f, p) == 0 for p in X)
+    return all(evaluate(f, p) == 0 for p in X.points.tolist())
 
 
 def iter_disjoint_binomials(nvars, q):
@@ -219,13 +224,15 @@ def hilbert_report_json(q, spec, degrees, with_rank=False) -> str:
                        "agree": agree}, indent=2)
 
 
-def enumerate_report_json(q, spec) -> str:
-    """``enumerate --format json`` as json.dumps(payload, indent=2),
-    the points of X* taken as the sorted image of the edge-product map
-    over all unit vertex weights."""
+def enumerate_report(q, spec, fmt) -> str:
+    """``enumerate`` in format fmt, the points of X* taken as the sorted
+    image of the edge-product map over all unit vertex weights: one
+    point per line, or json.dumps(payload, indent=2)."""
     field = field_new(q)
     points = sorted({theta_map(spec, field, x) for x in
                      itertools.product(range(1, q), repeat=spec.nvars)})
+    if fmt == "plain":
+        return "\n".join(" ".join(map(str, p)) for p in points)
     return json.dumps({"q": q, "spec": spec.to_string(),
                        "cardinality": len(points),
                        "points": [list(p) for p in points]}, indent=2)

@@ -1,7 +1,8 @@
 """The JSON reports byte for byte: ``hilbert`` and ``enumerate`` write
 the layout of json.dumps(payload, indent=2) directly, so each is
 compared with that encoding of the payload rebuilt from the library's
-routes (tests/oracles.py)."""
+routes (tests/oracles.py).  Plain ``enumerate`` output is compared with
+the same oracle's points."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclecodes import cli, hilbert, parse_spec_string
-from oracles import enumerate_report_json, hilbert_report_json
+from oracles import enumerate_report, hilbert_report_json
 
 
 def run_main(argv):
@@ -111,10 +112,19 @@ def test_hilbert_json_across_row_blocks_to_stdout_and_file(tmp_path):
     assert path.read_text() == want
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7])
-@pytest.mark.parametrize("text", ["3", "5", "3x2"])
-def test_enumerate_json_is_the_indent_2_encoding(q, text):
-    code, out, err = run_main(["enumerate", "--q", str(q), "--spec", text,
-                               "--format", "json"])
-    assert (code, err) == (0, "")
-    assert out == enumerate_report_json(q, parse_spec_string(text)) + "\n"
+# mixed lengths in both orders, a repeated copy beside another length,
+# and binary fields; the oracle walks at most about 10^5 assignments
+_ENUMERATE_CASES = (
+    [(text, q) for text in ("3", "5", "3x2") for q in (3, 4, 5, 7)]
+    + [(text, q) for text in ("3,5", "5,3") for q in (3, 4, 5)]
+    + [("3x2,5", 3), ("3x2", 8)])
+
+
+@pytest.mark.parametrize("text, q", _ENUMERATE_CASES)
+def test_enumerate_json_is_the_indent_2_encoding(text, q):
+    spec = parse_spec_string(text)
+    for fmt in ("json", "plain"):
+        code, out, err = run_main(["enumerate", "--q", str(q), "--spec",
+                                   text, "--format", fmt])
+        assert (code, err) == (0, "")
+        assert out == enumerate_report(q, spec, fmt) + "\n"

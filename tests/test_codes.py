@@ -31,7 +31,7 @@ from cyclecodes import (
 from cyclecodes import codes
 from cyclecodes.hilbert import count_box_degree
 from cyclecodes.poly import grlex_key
-from oracles import theta_map
+from oracles import point_tuples, theta_map
 
 
 def _X(q, spec_text):
@@ -77,7 +77,7 @@ def test_matrix_shape_flagship():
 def test_matrix_rows_are_evaluations():
     X = _X(5, "3")
     M = build_evaluation_matrix(X, 1)
-    pts = list(X)
+    pts = X.points.tolist()
     # Row for t_i carries coordinate i of every point; the constant row
     # is all ones.
     rows = {mono: [int(v) for v in row] for mono, row in zip(M.monomials,
@@ -94,7 +94,7 @@ def test_matrix_rows_are_evaluations():
 def test_matrix_rows_generic_binary_field():
     X = _X(4, "3")
     M = build_evaluation_matrix(X, 2)
-    pts = list(X)
+    pts = X.points.tolist()
     rows = dict(zip(M.monomials, M.entries))
     f = X.field
     assert list(rows[(2, 0, 0)]) == [f.mul(p[0], p[0]) for p in pts]
@@ -114,7 +114,7 @@ def _entry_by_entry(X, monomials):
     rows = []
     for mono in monomials:
         row = []
-        for pt in X.points:
+        for pt in X.points.tolist():
             val = 1
             for x, e in zip(pt, mono):
                 if e:
@@ -148,7 +148,7 @@ def test_matrix_matches_entry_by_entry_evaluation(instance, seed):
         if len(M.monomials) * len(X) > _MATRIX_CHECK_CAP:
             columns = sorted(rng.sample(
                 columns, _MATRIX_CHECK_CAP // len(M.monomials)))
-        sub = ToricSet(X.spec, X.field, [X.points[j] for j in columns])
+        sub = ToricSet(X.spec, X.field, X.points[columns])
         assert M.entries[:, columns].tolist() \
             == _entry_by_entry(sub, M.monomials)
 
@@ -245,8 +245,7 @@ def test_rank_invariant_under_column_permutation():
     perm = list(range(len(X)))
     rng.shuffle(perm)
     entries = M.entries[:, perm]
-    shuffled = EvaluationMatrix(M.field, M.monomials,
-                                [M.points[i] for i in perm], entries)
+    shuffled = EvaluationMatrix(M.field, M.monomials, entries)
     assert _rank(shuffled) == _rank(M)
 
 
@@ -524,7 +523,7 @@ def test_weight_is_constant_on_orbits_of_scalars_and_translations(
     s = data.draw(st.lists(ints, min_size=X.nvars, max_size=X.nvars))
     lam = int(field.exp[data.draw(ints)])
     g = theta_map(X.spec, field, [int(field.exp[v]) for v in s])
-    chi = basis[:, X.points.index(g)]
+    chi = basis[:, point_tuples(X).index(g)]
     assert not np.any((field.log[chi] - np.array(s) @ gens[1:]) % r)
     moved = [field.mul(lam, field.mul(int(c), m))
              for c, m in zip(chi, message)]
@@ -584,7 +583,7 @@ def test_orbit_walk_visits_one_message_per_orbit(q, spec_text):
     for v in range(X.nvars):
         g = theta_map(X.spec, field,
                       [int(field.exp[int(u == v)]) for u in range(X.nvars)])
-        columns.append(field.log[basis[:, X.points.index(g)]])
+        columns.append(field.log[basis[:, point_tuples(X).index(g)]])
     group = np.array([[1] * dim] + columns, dtype=np.int64) % r
     orbits = 0
     for size in range(1, dim + 1):

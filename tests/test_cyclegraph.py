@@ -11,7 +11,6 @@ from cyclecodes import (
     CycleFamilySpec,
     OddityError,
     ParseError,
-    ToricSet,
     cardinality_formula,
     cyclegraph,
     enumerate_toric_set,
@@ -20,7 +19,7 @@ from cyclecodes import (
     gamma_of,
     parse_spec_string,
 )
-from oracles import theta_map
+from oracles import point_tuples, theta_map
 
 
 # -- spec validation and layout ----------------------------------------------
@@ -162,23 +161,24 @@ def test_enumerate_counts():
 
 def test_enumerate_q2_single_point():
     x = enumerate_toric_set(CycleFamilySpec.single(3), field_new(2))
-    assert x.points == ((1, 1, 1),)
+    assert x.points.tolist() == [[1, 1, 1]]
 
 
 def test_enumerate_contains_image_points():
     f5 = field_new(5)
     spec = CycleFamilySpec.single(5)
-    x = enumerate_toric_set(spec, f5)
-    assert (1, 1, 1, 1, 1) in x
+    pts = set(point_tuples(enumerate_toric_set(spec, f5)))
+    assert (1, 1, 1, 1, 1) in pts
     rng = random.Random(41)
     for _ in range(25):
         v = tuple(rng.choice(f5.units()) for _ in range(5))
-        assert theta_map(spec, f5, v) in x
+        assert theta_map(spec, f5, v) in pts
 
 
 def test_enumerate_points_sorted_unique():
     x = enumerate_toric_set(CycleFamilySpec.single(3), field_new(7))
-    assert list(x.points) == sorted(set(x.points))
+    pts = point_tuples(x)
+    assert pts == sorted(set(pts))
     assert x.nvars == 3
 
 
@@ -187,14 +187,14 @@ def test_group_closure_and_inverses():
     # product and inverse.
     f5 = field_new(5)
     spec = CycleFamilySpec.single(5)
-    x = enumerate_toric_set(spec, f5)
+    pts = point_tuples(enumerate_toric_set(spec, f5))
+    members = set(pts)
     rng = random.Random(43)
-    pts = list(x.points)
     for _ in range(30):
         a = rng.choice(pts)
         b = rng.choice(pts)
-        assert tuple(f5.mul(u, v) for u, v in zip(a, b)) in x
-        assert tuple(f5.inv(u) for u in a) in x
+        assert tuple(f5.mul(u, v) for u, v in zip(a, b)) in members
+        assert tuple(f5.inv(u) for u in a) in members
 
 
 def test_enumerate_budget_exceeded():
@@ -226,7 +226,8 @@ def _image_points_by_assignment(k, field):
 def test_single_cycle_points_match_the_assignment_walk(q, k):
     f = field_new(q)
     want = _image_points_by_assignment(k, f)
-    assert cyclegraph._single_cycle_points(k, f, 10**6) == want
+    got = cyclegraph._single_cycle_points(k, f, 10**6)
+    assert got.tolist() == [list(p) for p in want]
     codes = cyclegraph._single_cycle_codes(k, f, 10**6)
     assert codes.size == len(want)
     assert enumerated_cardinality(CycleFamilySpec.single(k), f) == len(want)
@@ -284,7 +285,8 @@ def test_torus_case_fills_whole_torus():
     # When q-1 is odd every unit tuple is hit.
     f4 = field_new(4)
     x = enumerate_toric_set(CycleFamilySpec.single(3), f4)
-    assert set(x.points) == set(itertools.product(f4.units(), repeat=3))
+    assert set(point_tuples(x)) \
+        == set(itertools.product(f4.units(), repeat=3))
 
 
 def test_component_product_matches_monolithic_enumeration():
@@ -297,28 +299,27 @@ def test_component_product_matches_monolithic_enumeration():
         theta_map(spec, f, x)
         for x in itertools.product(f.units(), repeat=spec.nvars)
     }
-    got = set(enumerate_toric_set(spec, f).points)
+    got = set(point_tuples(enumerate_toric_set(spec, f)))
     assert got == expected
 
 
-def test_serialize_golden():
+def test_enumerate_points_golden():
     x = enumerate_toric_set(CycleFamilySpec.single(3), field_new(3))
-    assert x.serialize() == "1 1 1\n1 2 2\n2 1 2\n2 2 1"
+    assert x.points.tolist() == [[1, 1, 1], [1, 2, 2], [2, 1, 2], [2, 2, 1]]
 
 
-def test_toric_set_dedupes():
-    f3 = field_new(3)
-    spec = CycleFamilySpec.single(3)
-    x = ToricSet(spec, f3, [(1, 1, 1), (1, 1, 1), (2, 2, 1)])
-    assert len(x) == 2
-    assert [1, 1, 1] in x  # membership coerces to tuple
-
-
-def test_toric_set_sorts_unsorted_input():
-    f5 = field_new(5)
-    spec = CycleFamilySpec.single(3)
-    pts = [(4, 1, 2), (1, 3, 3), (4, 1, 2), (1, 1, 4), (2, 2, 1)]
-    x = ToricSet(spec, f5, pts)
-    assert x.points == ((1, 1, 4), (1, 3, 3), (2, 2, 1), (4, 1, 2))
-    assert all(p in x for p in pts)
-    assert (1, 2, 3) not in x
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_points_are_one_sorted_read_only_unsigned_array(q):
+    # Copies of different lengths, one of them repeated: the product of
+    # the sorted copies fills |X*| distinct rows in increasing order.
+    spec = parse_spec_string("3x2,5")
+    pts = enumerate_toric_set(spec, field_new(q)).points
+    assert pts.shape == (cardinality_formula(spec, q), spec.nvars)
+    assert pts.dtype == np.uint8
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1
+    # the first column where consecutive rows differ goes up
+    step = np.diff(pts.astype(np.int64), axis=0)
+    first = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+    assert (first > 0).all()

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -387,7 +388,7 @@ def test_degenerate_torus_is_rank_of_product_points():
     f5 = field_new(5)
     spec = CycleFamilySpec.single(3)
     pts = itertools.product(f5.units(), f5.squares(), f5.squares())
-    X = ToricSet(spec, f5, pts)
+    X = ToricSet(spec, f5, np.array(list(pts), dtype=np.uint8))
     table = rank_at(X, range(6))
     assert table == degenerate_torus_at(1, 3, f5, range(6))
     assert table == [1, 4, 8, 12, 15, 16]
