@@ -238,10 +238,8 @@ def _cmd_groebner(args) -> tuple[str, bool]:
 
 def _hilbert_columns(args, spec, field, degrees):
     """The footprint, union and rank columns, None where one does not
-    apply.  Footprint and union read Hilbert-series numerators at the
-    degrees only, rank counts characters once through the largest.
-    The columns that check a budget (union, then rank) come first, so
-    a refused budget costs no footprint work."""
+    apply.  The columns that check a budget (union, then rank) come
+    first, so a refused budget costs no footprint work."""
     try:
         unions = hilbert.union_at(_single_cycle_k(spec), field, degrees)
     except UnsupportedSpec:

@@ -11,8 +11,8 @@ for the counting routes in the hilbert module.
 The same rank is also counted without X* (character_at): every
 monomial restricts on X* to a character of the group X*, and distinct
 characters are linearly independent, so the rank is the number of
-distinct characters.  Row reduction (rank_at) stays as the
-linear-algebra reference for that count.
+distinct characters, read as a Hilbert series.  Row reduction
+(rank_at) stays as the linear-algebra reference for that count.
 
 For the same reason the distinct rows of the evaluation matrix are a
 basis of the code (code_params), so the code parameters need no row
@@ -51,7 +51,7 @@ from .cyclegraph import (
 )
 from .errors import BudgetExceeded
 from .gf import Field
-from .hilbert import _conv, count_box_degree
+from .hilbert import Series, _conv, count_box_degree
 from .poly import Monomial, grlex_key
 
 # Most codeword cells in one block of the distance search, unless one
@@ -205,9 +205,8 @@ def _cycle_character_degrees(k: int, r: int) -> list[int]:
 def character_at(spec: CycleFamilySpec, field: Field, degrees,
                  budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
     """H(d) at each d of degrees as counts of distinct characters,
-    from one count by least degree through the largest d or, sooner,
-    through the last degree at which a new character appears; needs
-    neither X* nor field arithmetic.
+    read as the series N(x)/(1-x)^0 with N the counts by least degree
+    cut at the largest d; needs neither X* nor field arithmetic.
 
     X* is the image of the edge-product map, a group homomorphism, so
     the monomial t^a restricts on X* to the character x -> x^(B^T a)
@@ -231,9 +230,7 @@ def character_at(spec: CycleFamilySpec, field: Field, degrees,
     for k, m in spec.components:
         for _ in range(m):
             vec = _conv(vec, per_k[k], dmax)
-    prefix = list(itertools.accumulate(vec))
-    return [prefix[min(d, len(prefix) - 1)] if d >= 0 else 0
-            for d in degrees]
+    return Series(1, vec, 0).at(degrees)
 
 
 # -- code parameters ----------------------------------------------------------

@@ -21,18 +21,12 @@ compute it:
   counting the distinct characters that monomials restrict to on X*
   (codes.character_at).
 
-Each route is one function with one contract: H(d) at each d of a list
-of degrees, as a list, 0 below degree 0 and constant past the last
-degree at which the count grows.  degenerate_torus_at reads the
-degenerate tori's Hilbert functions the same way.
-
-Each counting route builds the numerator N of its Hilbert series
-N(x)/(1-x)^n (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms,
-Ch. 9 §3).  A box {0 <= a_i <= b_i} has N = prod (1 - x^(b_i+1)), and
-with y = x^((q-1)/2) every route's N is a short polynomial in y.  The
-routes read H(d) = sum_e N_e C(d - e + n, n) at the degrees they need
-(series_at): deg N + 1 binomials per degree whatever q is, or n + 1
-running sums for a whole table.
+Each route is one function that returns H(d) at each d of a list of
+degrees, 0 below degree 0.  The counting routes and degenerate_torus_at
+build their Hilbert series N(x)/(1-x)^n as one Series value and read
+it with Series.at (Cox, Little, O'Shea, Ideals, Varieties, and
+Algorithms, Ch. 9 §3).  A box {0 <= a_i <= b_i} has N = prod (1 -
+x^(b_i+1)), and with y = x^((q-1)/2) every route's N is short in y.
 
 All counting is exact integer arithmetic.  The betas need no linear
 solve: they are the coordinates of the footprint numerator's cycle
@@ -43,8 +37,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, gcd
+from typing import NamedTuple
 
 from .cyclegraph import CycleFamilySpec, cardinality_formula, gamma_of
 from .errors import BudgetExceeded, CheckFailure, UnsupportedSpec
@@ -55,7 +50,7 @@ from .gf import Field
 DEFAULT_UNION_BUDGET = 3 << 20
 
 
-# -- Hilbert-series numerators ---------------------------------------------
+# -- Hilbert series ---------------------------------------------------------
 
 def _conv(a: list[int], b: list[int], cap: int | None = None) -> list[int]:
     """Coefficient convolution, optionally truncated at degree cap."""
@@ -73,50 +68,62 @@ def _conv(a: list[int], b: list[int], cap: int | None = None) -> list[int]:
     return out
 
 
-def series_at(num: tuple[int, list[int]], n: int, degrees) -> list[int]:
-    """H(d) = sum_{t*step <= d} N_t C(d - t*step + n, n) at each d of
-    degrees: the series N(x)/(1-x)^n, num = (step, [N_0, N_1, ...]).
+def _is_table(degrees) -> bool:
+    """Whether degrees is a table range(D + 1), D >= 0."""
+    return (isinstance(degrees, range) and len(degrees) > 0
+            and degrees == range(len(degrees)))
 
-    The exact-degree counts N(x)/(1-x)^n are a polynomial of degree
-    deg N - n, so H is constant from there on.  The run of degrees
-    0..D is read as n + 1 running sums of N through D; other degrees
-    as deg N + 1 binomials each."""
-    step, coeffs = num
-    top = (len(coeffs) - 1) * step - n
-    rows = sorted({min(d, top) for d in degrees if d >= 0})
-    if rows and rows[-1] == len(rows) - 1:
-        values = [0] * len(rows)
-        for t, c in enumerate(coeffs[:rows[-1] // step + 1]):
-            values[t * step] = c
-        for _ in range(n + 1):
-            values = list(accumulate(values))
-    else:
+
+class Series(NamedTuple):
+    """The Hilbert series N(x)/(1-x)^n, N = sum_t coeffs[t] x^(t*step).
+    Its exact-degree counts N(x)/(1-x)^n are a polynomial of degree
+    deg N - n, so H is constant from top = deg N - n on."""
+
+    step: int
+    coeffs: list[int]
+    n: int
+
+    @property
+    def top(self) -> int:
+        return (len(self.coeffs) - 1) * self.step - self.n
+
+    def at(self, degrees) -> list[int]:
+        """H(d) = sum_{t*step <= d} N_t C(d - t*step + n, n) at each d
+        of degrees: a table range(D + 1) takes n + 1 running sums of N
+        through min(D, top), other degrees deg N + 1 binomials each."""
+        step, coeffs, n, top = self.step, self.coeffs, self.n, self.top
+        if _is_table(degrees):
+            values = [0] * min(len(degrees), top + 1)
+            values[::step] = coeffs[:(len(values) + step - 1) // step]
+            for _ in range(n + 1):
+                values = list(accumulate(values))
+            values.extend(repeat(values[-1], len(degrees) - len(values)))
+            return values
         values = {d: sum(c * comb(d - t * step + n, n)
                          for t, c in enumerate(coeffs[:d // step + 1]))
-                  for d in rows}
-    return [values[min(d, top)] if d >= 0 else 0 for d in degrees]
+                  for d in {min(d, top) for d in degrees if d >= 0}}
+        return [values[min(d, top)] if d >= 0 else 0 for d in degrees]
 
 
-def box_numerator(bounds) -> tuple[int, list[int]]:
-    """N = prod (1 - x^(b+1)) of the box {0 <= a_i <= b_i}, as
-    (step, coefficients) in x^step, step the gcd of the b + 1."""
+def box_numerator(bounds) -> Series:
+    """The series of the box {0 <= a_i <= b_i}: N = prod (1 - x^(b+1))
+    in x^step, step the gcd of the b + 1."""
     step = gcd(*(b + 1 for b in bounds)) or 1
     num = [1]
     for b in bounds:
         num = _conv([1] + [0] * ((b + 1) // step - 1) + [-1], num)
-    return step, num
+    return Series(step, num, len(bounds))
 
 
 def count_box_degree(bounds, d: int) -> int:
     """#{a : 0 <= a_i <= b_i, sum(a) <= d}."""
-    return series_at(box_numerator(bounds), len(bounds), [d])[0]
+    return box_numerator(bounds).at([d])[0]
 
 
 # -- footprint route -------------------------------------------------------
 
-def footprint_numerator(spec: CycleFamilySpec,
-                        field: Field) -> tuple[int, list[int]]:
-    """The footprint's numerator over (1-x)^nvars.
+def footprint_numerator(spec: CycleFamilySpec, field: Field) -> Series:
+    """The footprint's series, its numerator over (1-x)^nvars.
 
     When q-1 is even a block's leading terms are t_i^(q-1) and all
     (gamma+1)-fold products of (q-1)/2-th powers, so a block exponent
@@ -133,17 +140,17 @@ def footprint_numerator(spec: CycleFamilySpec,
     q, n = field.q, spec.nvars
     num = [(-1) ** t * comb(n, t) for t in range(n + 1)]
     if (q - 1) % 2 != 0:
-        return q - 1, num
+        return Series(q - 1, num, n)
     for k, m in spec.components:
         mask = [comb(k, v) for v in range(gamma_of(k) + 1)]
         for _ in range(m):
             num = _conv(mask, num)
-    return (q - 1) // 2, num
+    return Series((q - 1) // 2, num, n)
 
 
 def footprint_at(spec: CycleFamilySpec, field: Field, degrees) -> list[int]:
     """H(d) at each d of degrees by the footprint."""
-    return series_at(footprint_numerator(spec, field), spec.nvars, degrees)
+    return footprint_numerator(spec, field).at(degrees)
 
 
 # -- union-of-boxes route ---------------------------------------------------
@@ -176,33 +183,34 @@ def union_at(k: int, field: Field, degrees) -> list[int]:
     the exact-intersection sum  sum_{i=0}^{gamma-j} (-1)^i C(k-j, i),
     an alternating partial sum equal to (-1)^(gamma-j) C(k-j-1, gamma-j).
     So c_j = (-1)^(gamma-j) C(k, j) C(k-j-1, gamma-j) (union_coefficients).
-    Its numerator is the c_j-sum of the j-boxes' numerators (_tori_sum),
-    k + gamma + 1 terms in y = x^((q-1)/2); DEFAULT_UNION_BUDGET bounds
-    the terms times the degrees read before the numerator is built.
+    Its series is the c_j-sum of the j-boxes' (_tori_sum), k + gamma + 1
+    numerator terms in y = x^((q-1)/2); DEFAULT_UNION_BUDGET bounds the
+    terms times the rows read before the numerator is built.
     """
     q = field.q
     if (q - 1) % 2 != 0:
         raise UnsupportedSpec(
             "the union formula needs q-1 even; for q even X* is the full "
             "torus and the footprint box applies")
-    half = (q - 1) // 2
     terms = k + gamma_of(k) + 1
-    rows = len({min(d, (terms - 1) * half - k) for d in degrees if d >= 0})
+    top = (terms - 1) * ((q - 1) // 2) - k  # the top of _tori_sum's value
+    rows = (min(len(degrees), top + 1) if _is_table(degrees)
+            else len({min(d, top) for d in degrees if d >= 0}))
     if terms * rows > DEFAULT_UNION_BUDGET:
         raise BudgetExceeded(
             f"union formula: {terms} numerator terms at {rows} degrees "
             f"need {terms * rows} cells, budget is {DEFAULT_UNION_BUDGET}")
-    return series_at((half, _tori_sum(union_coefficients(k), k)), k,
-                     degrees)
+    return _tori_sum(union_coefficients(k), k, field).at(degrees)
 
 
-def _tori_sum(weights: list[int], k: int) -> list[int]:
-    """sum_i weights[i] (1-y)^k (1+y)^i in y = x^((q-1)/2): the i-th
-    torus's box has i bounds q-2 and k-i bounds (q-1)/2 - 1, so its
-    numerator is (1-y^2)^i (1-y)^(k-i)."""
-    return _conv([(-1) ** t * comb(k, t) for t in range(k + 1)],
-                 [sum(w * comb(i, v) for i, w in enumerate(weights))
-                  for v in range(len(weights))])
+def _tori_sum(weights: list[int], k: int, field: Field) -> Series:
+    """The series of sum_i weights[i] H_i, H_i the i-th torus's: its
+    box has i bounds q-2 and k-i bounds (q-1)/2 - 1, so its numerator
+    is (1-y^2)^i (1-y)^(k-i) = (1-y)^k (1+y)^i in y = x^((q-1)/2)."""
+    return Series((field.q - 1) // 2, _conv(
+        [(-1) ** t * comb(k, t) for t in range(k + 1)],
+        [sum(w * comb(i, v) for i, w in enumerate(weights))
+         for v in range(len(weights))]), k)
 
 
 def degenerate_torus_at(i: int, k: int, field: Field, degrees) -> list[int]:
@@ -215,9 +223,8 @@ def degenerate_torus_at(i: int, k: int, field: Field, degrees) -> list[int]:
     gamma = gamma_of(k)
     if not 0 <= i <= gamma:
         raise ValueError(f"index {i} outside 0..{gamma}")
-    half = (q - 1) // 2
-    bounds = [q - 2] * i + [half - 1] * (k - i)
-    return series_at(box_numerator(bounds), k, degrees)
+    bounds = [q - 2] * i + [(q - 1) // 2 - 1] * (k - i)
+    return box_numerator(bounds).at(degrees)
 
 
 # -- regularity -------------------------------------------------------------
@@ -241,11 +248,11 @@ def regularity_bruteforce(spec: CycleFamilySpec, field: Field) -> int:
     """Least d with H(d) = |X*|, by bisecting the monotone footprint
     count over the degrees 0..nvars(q-2) of exponents <= q-2."""
     target = cardinality_formula(spec, field.q)
-    num = footprint_numerator(spec, field)
+    series = footprint_numerator(spec, field)
     top = spec.nvars * (field.q - 2)
 
     def h(d):
-        return series_at(num, spec.nvars, [d])[0]
+        return series.at([d])[0]
 
     d = bisect_left(range(top + 1), target, key=h)
     if d > top or h(d) != target:
@@ -273,26 +280,24 @@ def solve_betas(k: int, field: Field) -> BetaDecomposition:
     In y = x^((q-1)/2) the i-th torus has numerator (1-y)^k (1+y)^i
     (_tori_sum) and the footprint (1-y)^k S_k(y), so the betas are the
     coordinates of S_k in the basis (1+y)^i, i <= gamma.  Its
-    coefficients s_0..s_gamma are those of N/(1-y)^k, k running sums
-    of N's first gamma+1; with y = z - 1 they give
+    coefficients s_0..s_gamma are those of N/(1-y)^k, the series
+    N(y)/(1-y)^(k-1) read at 0..gamma; with y = z - 1 they give
     beta_i = sum_{v=i..gamma} s_v C(v, i) (-1)^(v-i).
     The one check, sum beta_i N_i = N, catches a division that is not
-    exact and a quotient of degree above gamma.  It compares numerators
-    over (1-x)^k, so the identity holds at every degree, reported as
+    exact and a quotient of degree above gamma.  It compares the two
+    series, so the identity holds at every degree, reported as
     through regularity + 1.
     """
     if (field.q - 1) % 2 != 0:
         raise UnsupportedSpec("beta decomposition needs q-1 even")
     gamma = gamma_of(k)
     spec = CycleFamilySpec.single(k)
-    target = footprint_numerator(spec, field)[1]
-    s = target[:gamma + 1]
-    for _ in range(k):
-        s = list(accumulate(s))
+    target = footprint_numerator(spec, field)
+    s = Series(1, target.coeffs, k - 1).at(range(gamma + 1))
     betas = [sum(s[v] * comb(v, i) * (-1) ** (v - i)
                  for v in range(i, gamma + 1))
              for i in range(gamma + 1)]
-    if _tori_sum(betas, k) != target:
+    if _tori_sum(betas, k, field) != target:
         raise CheckFailure("beta identity fails: sum beta_i N_i is not "
                            "the footprint numerator")
     return BetaDecomposition(tuple(betas),

@@ -251,13 +251,14 @@ def test_betas_tiny_field_samples_degree_zero():
 
 
 def test_betas_singular_system_is_check_failure(monkeypatch, capsys):
-    # With one coefficient changed the footprint numerator is no longer
-    # (1-y)^k times a polynomial of degree <= gamma.
+    # With its last coefficient changed the footprint numerator is no
+    # longer (1-y)^k times a polynomial of degree <= gamma.
     numerator = hilbert.footprint_numerator
 
     def changed(spec, field):
-        step, num = numerator(spec, field)
-        return step, num[:-1] + [num[-1] + 1]
+        series = numerator(spec, field)
+        return series._replace(
+            coeffs=series.coeffs[:-1] + [series.coeffs[-1] + 1])
 
     monkeypatch.setattr(hilbert, "footprint_numerator", changed)
     rc = cli.main(["betas", "--q", "5", "--spec", "3"])

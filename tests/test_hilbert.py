@@ -1,6 +1,7 @@
 """Tests for Hilbert-function counting, regularity, and the betas."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ from cyclecodes import (
     CycleFamilySpec,
     UnsupportedSpec,
     cardinality_formula,
+    character_at,
     count_box_degree,
     degenerate_torus_at,
     enumerate_toric_set,
@@ -467,6 +469,44 @@ def test_union_table_matches_footprint_table():
     f5 = field_new(5)
     ft = footprint_at(CycleFamilySpec.single(5), f5, range(11))
     assert union_at(5, f5, range(11)) == ft
+
+
+@pytest.mark.parametrize("q,spec_text",
+                         [(3, "5"), (5, "3"), (7, "3x2,5"), (8, "3"),
+                          (11, "5")])
+def test_series_table_reads_as_degree_list_and_is_constant_past_top(
+        q, spec_text):
+    # Each value is read as a table range(D + 1), by running sums, and as
+    # the same degrees in a list, by binomials; from top on every row is
+    # the value's final count.
+    field = field_new(q)
+    spec = parse_spec_string(spec_text)
+    size = cardinality_formula(spec, q)
+    footprint = hilbert.footprint_numerator(spec, field)
+    assert footprint.top == regularity_formula(spec, field)
+    bounds = [q - 2, 0, 3, 1]
+    box = hilbert.box_numerator(bounds)
+    assert box.top == sum(bounds)
+    readers = [(footprint.at, footprint.top, size),
+               (box.at, box.top, math.prod(b + 1 for b in bounds)),
+               (lambda degrees: character_at(spec, field, degrees),
+                footprint.top, size)]
+    if q % 2 and spec.components == ((spec.nvars, 1),):
+        k = spec.nvars
+        union = hilbert._tori_sum(union_coefficients(k), k, field)
+        assert union.top == footprint.top
+        readers.append((union.at, union.top, size))
+        for i in range(gamma_of(k) + 1):
+            torus = [q - 2] * i + [(q - 1) // 2 - 1] * (k - i)
+            readers.append((lambda degrees, i=i: degenerate_torus_at(
+                i, k, field, degrees), sum(torus),
+                (q - 1) ** i * ((q - 1) // 2) ** (k - i)))
+    for at, top, final in readers:
+        for dmax in (0, top - 1, top, top + 1, 10 ** 5):
+            table = at(range(dmax + 1))
+            assert len(table) == dmax + 1
+            assert table == at(list(range(dmax + 1)))
+            assert table[top:] == [final] * (dmax + 1 - top)
 
 
 # -- beta decomposition ------------------------------------------------------------------
