@@ -28,9 +28,7 @@ One arithmetic path serves both kinds of field.  Every point of X* is
 a unit, so the matrix is built in exponent space from the field's
 discrete-log tables: the value of t^a at x is exp[(a . log x) mod
 (q-1)].  The row reduction and the minimum-distance search use the
-array arithmetic of _field_arithmetic and _field_add, which alone know
-the field kind: residues mod q for prime fields, a product table and
-XOR for binary fields.
+field's own array arithmetic (Field.add, neg and scale).
 """
 
 from __future__ import annotations
@@ -114,33 +112,11 @@ def build_evaluation_matrix(X: ToricSet, d: int,
 
 # -- row reduction -----------------------------------------------------------
 
-def _field_add(field: Field):
-    """Addition on integer arrays of field elements: residues mod q for
-    prime fields, XOR for binary fields."""
-    if field.p == 2:
-        return np.bitwise_xor
-    q = field.q
-    return lambda a, b: (a + b) % q
-
-
-def _field_arithmetic(field: Field):
-    """(scale, add) on int64 arrays of field elements: residues mod q
-    for prime fields, the log/exp tables and XOR for binary fields."""
-    q, add = field.q, _field_add(field)
-    if field.p != 2:
-        return (lambda c, a: c * a % q), add
-    log = field.log
-    mul = field.exp[(log[:, None] + log) % (q - 1)]
-    mul[0] = 0
-    mul[:, 0] = 0
-    return (lambda c, a: mul[c][a]), add
-
-
 def _row_reduce(rows, field: Field) -> tuple[list[np.ndarray], list[int]]:
     """Incremental row reduction: each row is reduced against the basis
     so far and, when something is left, scaled to lead with 1 and
     appended.  Returns the basis and the rank after each row."""
-    scale, add = _field_arithmetic(field)
+    scale, add = field.scale, field.add
     basis: list[np.ndarray] = []
     pivots: list[int] = []
     ranks = []
@@ -172,14 +148,15 @@ def rank_at(X: ToricSet, degrees) -> list[int]:
 
 # -- distinct characters ----------------------------------------------------
 
-def _cycle_character_degrees(k: int, r: int) -> list[int]:
+def _cycle_character_degrees(k: int, r: int, dmax: int) -> list[int]:
     """How many distinct characters of one k-cycle copy first appear in
-    each degree, with exponents taken mod r = q-1.
+    each degree through dmax, with exponents taken mod r = q-1.
 
     A state is a vertex exponent vector in Z_r^k, packed as a base-r
     integer.  The monomial t_j moves a state by +1 at vertices j and
     j+1 mod k, so a breadth-first search from 0 reaches each character
-    first at the least degree of a monomial restricting to it."""
+    first at the least degree of a monomial restricting to it, and
+    stops once degree dmax is counted."""
     radix = r ** np.arange(k, dtype=np.int64)
     seen = np.zeros(r ** k, dtype=bool)
     seen[0] = True
@@ -190,6 +167,8 @@ def _cycle_character_degrees(k: int, r: int) -> list[int]:
     counts = []
     while frontier.size:
         counts.append(int(frontier.size))
+        if len(counts) > dmax:
+            break
         digits = frontier[:, None] // radix % r
         # +1 at one vertex, wrapping r-1 back to 0
         step = np.where(digits == r - 1, (1 - r) * radix, radix)
@@ -224,8 +203,8 @@ def character_at(spec: CycleFamilySpec, field: Field, degrees,
         check_search_budget(
             f"counting the characters of one {k}-cycle copy over "
             f"F_{field.q} needs {r ** k} states", r ** k, budget)
-    per_k = {k: _cycle_character_degrees(k, r) for k in lengths}
     dmax = max(max(degrees, default=0), 0)
+    per_k = {k: _cycle_character_degrees(k, r, dmax) for k in lengths}
     vec = [1]
     for k, m in spec.components:
         for _ in range(m):
@@ -321,7 +300,6 @@ def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
     # every multiple omega^x * row, x in [0, q-1), of every basis row
     shifted = [exp[(x + logs) % r] for logs in field.log.astype(dtype)[basis]]
     gens = [tuple(row) for row in gens.tolist()]
-    add = _field_add(field)
 
     def walk(start, words, gens):
         for j in range(dim - start):
@@ -331,8 +309,8 @@ def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
             child = [] if last else _stabilizer(gens, j, h, r)
             step = max(1, _TABLE_CELLS // (h * n))
             for i in range(0, len(words), step):
-                block = add(words[i:i + step, None],
-                            shifted[c][:h]).reshape(-1, n)
+                block = field.add(words[i:i + step, None],
+                                  shifted[c][:h]).reshape(-1, n)
                 yield block
                 if not last:
                     yield from walk(c + 1, block, child)

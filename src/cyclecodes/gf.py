@@ -6,21 +6,26 @@ rest of the package needs:
 * prime fields ``F_p`` for odd primes ``p <= 2**16`` — elements are the
   residues ``0..p-1`` with ordinary modular arithmetic;
 * binary fields ``F_{2^e}`` for ``1 <= e <= 8`` — elements are integers
-  ``0..2^e-1`` read as bit-vectors of polynomial coefficients, with
-  multiplication done through log/antilog tables built once per field.
+  ``0..2^e-1`` read as bit-vectors of polynomial coefficients, whose
+  product is the carry-less product modulo a fixed irreducible
+  polynomial.
 
-Both kinds expose the discrete-log and antilog tables of their unit
-group as numpy arrays (``Field.log``, ``Field.exp``), so array code
-multiplies units of either kind by adding logs mod q-1.  They are
-built, and numpy imported, on first use, so scalar work never pays for
-them.
+This module alone knows the kind: ``Field(q)`` returns the subclass for
+q's kind, which binds the kind's operations once.  Both kinds build
+their unit group the same way, from the least element of order q-1
+under the field's own product (the order test over the prime factors
+of q-1) and the list of its powers, made on first use.  That list gives
+the discrete-log and antilog tables ``Field.log`` and ``Field.exp``
+(numpy arrays, with which array code multiplies units of either kind
+by adding logs mod q-1) and the scalar products of binary fields, so
+scalar work on prime fields never builds it.  ``add``, ``neg`` and
+``scale`` also work on int arrays of elements.
 
 Odd prime-power fields (9, 25, 27, ...) are rejected: nothing downstream
 requires them, and supporting them would mean carrying general extension
 field arithmetic for no benefit.
 
-Elements are plain Python ints throughout; a :class:`Field` instance
-holds the arithmetic.
+Elements are plain Python ints throughout.
 """
 
 from __future__ import annotations
@@ -72,28 +77,12 @@ def _carryless_mul_mod(a: int, b: int, mask: int, e: int) -> int:
     return acc
 
 
-def _prime_generator_powers(p: int) -> list[int]:
-    """g^0, g^1, ..., g^(p-2) for the least generator g of F_p*: g
-    generates iff g^((p-1)/f) != 1 for every prime factor f of p-1."""
-    r = p - 1
-    factors, m, f = set(), r, 2
-    while f * f <= m:
-        while m % f == 0:
-            factors.add(f)
-            m //= f
-        f += 1
-    if m > 1:
-        factors.add(m)
-    g = next(g for g in range(2, p)
-             if all(pow(g, r // f, p) != 1 for f in factors))
-    powers = [1] * r
-    for i in range(1, r):
-        powers[i] = powers[i - 1] * g % p
-    return powers
-
-
 class Field:
     """Arithmetic for F_q, q an odd prime or a power of two.
+
+    ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and ``div`` take
+    elements; ``add`` and ``neg`` also take int arrays of elements, and
+    ``scale(c, a)`` multiplies an int64 array a by the element c.
 
     Attributes:
         q: field cardinality.
@@ -101,66 +90,64 @@ class Field:
         e: extension degree (1 for prime fields).
     """
 
-    def __init__(self, q: int):
+    def __new__(cls, q: int) -> Field:
         if not isinstance(q, int) or q < 2:
             raise UnsupportedField(f"field size must be an integer >= 2, got {q!r}")
         if q & (q - 1) == 0:  # power of two
-            e = q.bit_length() - 1
-            if e not in _BINARY_IRREDUCIBLE:
+            if q.bit_length() - 1 not in _BINARY_IRREDUCIBLE:
                 raise UnsupportedField(
                     f"binary field size {q} out of range (supported: 2..256)")
-            self.q = q
-            self.p = 2
-            self.e = e
-            self._build_binary_tables(e)
-        elif q > _PRIME_LIMIT:
+            return super().__new__(_BinaryField)
+        if q > _PRIME_LIMIT:
             # before the primality test, whose trial division runs to sqrt(q)
             raise UnsupportedField(
                 f"field size {q} exceeds the prime limit {_PRIME_LIMIT}")
-        elif _is_prime(q):
-            self.q = q
-            self.p = q
-            self.e = 1
-        else:
+        if not _is_prime(q):
             raise UnsupportedField(
                 f"{q} is not an odd prime or a power of two; "
                 "odd prime-power fields are not supported")
+        return super().__new__(_PrimeField)
 
-    def _build_binary_tables(self, e: int) -> None:
-        mask = _BINARY_IRREDUCIBLE[e]
-        q = self.q
-        # Find a multiplicative generator; x itself is not primitive for
-        # every irreducible above (e.g. degree 8), so search from the
-        # smallest candidate.  The group has q-1 elements, so a candidate
-        # works iff its powers enumerate all of them.
-        if q == 2:
-            self._exp = [1]
-            self._log = [0, 0]
-            return
-        for g in range(2, q):
-            exp = [0] * (q - 1)
-            log = [0] * q
-            val = 1
-            for i in range(q - 1):
-                exp[i] = val
-                log[val] = i
-                val = _carryless_mul_mod(val, g, mask, e)
-            if val == 1 and len(set(exp)) == q - 1:
-                self._exp = exp
-                self._log = log
-                return
-        raise UnsupportedField(f"internal error: no generator found for F_{q}")
+    # -- the unit group ---------------------------------------------------
 
-    # -- discrete logs ----------------------------------------------------
+    @cached_property
+    def _powers(self) -> list[int]:
+        """g^0, g^1, ..., g^(q-2) for the least g of order q-1 under the
+        field's own product: g has that order iff g^((q-1)/f) != 1 for
+        every prime factor f of q-1."""
+        r, product = self.q - 1, self._product
+        factors, m, f = set(), r, 2
+        while f * f <= m:
+            while m % f == 0:
+                factors.add(f)
+                m //= f
+            f += 1
+        if m > 1:
+            factors.add(m)
+
+        def power(a: int, n: int) -> int:
+            acc = 1
+            while n:
+                if n & 1:
+                    acc = product(acc, a)
+                a = product(a, a)
+                n >>= 1
+            return acc
+
+        g = next(g for g in range(1, self.q)
+                 if all(power(g, r // f) != 1 for f in factors))
+        powers = [1] * r
+        for i in range(1, r):
+            powers[i] = product(powers[i - 1], g)
+        return powers
 
     @cached_property
     def exp(self) -> np.ndarray:
-        """Antilogs: exp[i] = g^i for i = 0..q-2, g a fixed generator of
-        the unit group.  Read-only."""
+        """Antilogs: exp[i] = g^i for i = 0..q-2, g the least generator
+        of the unit group.  Read-only."""
         import numpy as np
 
-        exp = np.array(self._exp if self.p == 2
-                       else _prime_generator_powers(self.q), dtype=np.int64)
+        exp = np.array(self._powers, dtype=np.int64)
         exp.flags.writeable = False
         return exp
 
@@ -175,65 +162,8 @@ class Field:
         log.flags.writeable = False
         return log
 
-    # -- basic arithmetic -------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        return (-a) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        if self.p == 2:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return (a * b) % self.q
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
-        if self.p == 2:
-            return self._exp[(-self._log[a]) % (self.q - 1)]
-        return pow(a, self.q - 2, self.q)
-
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        if a == 0:
-            return 1 if n == 0 else 0
-        if self.p == 2:
-            return self._exp[(self._log[a] * n) % (self.q - 1)]
-        return pow(a, n, self.q)
-
-    # -- group structure --------------------------------------------------
-
-    def units(self) -> list[int]:
-        """All nonzero elements."""
-        return [a for a in range(1, self.q)]
-
-    def squares(self) -> list[int]:
-        """The subgroup {a^2 : a nonzero}, sorted.
-
-        Has (q-1)/2 elements when q is odd, q-1 elements in
-        characteristic two (squaring is a bijection there).
-        """
-        return sorted({self.mul(a, a) for a in self.units()})
-
-    def elements(self) -> list[int]:
-        return list(range(self.q))
 
     def __repr__(self) -> str:
         return f"Field({self.q})"
@@ -243,6 +173,84 @@ class Field:
 
     def __hash__(self) -> int:
         return hash(("Field", self.q))
+
+
+class _PrimeField(Field):
+    """F_p: residues mod p."""
+
+    def __init__(self, q: int):
+        self.q = self.p = q
+        self.e = 1
+
+    def add(self, a, b):
+        return (a + b) % self.q
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.q
+
+    def neg(self, a):
+        return (-a) % self.q
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.q
+
+    _product = mul
+
+    def scale(self, c: int, a):
+        return c * a % self.q
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise DivisionByZero("0 has no multiplicative inverse")
+        return pow(a, self.q - 2, self.q)
+
+
+class _BinaryField(Field):
+    """F_{2^e}: bit-vectors of GF(2)[x] residues; scalar products go
+    through the log tables of the unit group, array products through a
+    q x q table."""
+
+    def __init__(self, q: int):
+        self.q, self.p, self.e = q, 2, q.bit_length() - 1
+
+    def _product(self, a: int, b: int) -> int:
+        return _carryless_mul_mod(a, b, _BINARY_IRREDUCIBLE[self.e], self.e)
+
+    @cached_property
+    def _logs(self) -> list[int]:
+        logs = [0] * self.q
+        for i, a in enumerate(self._powers):
+            logs[a] = i
+        return logs
+
+    @cached_property
+    def _times(self) -> np.ndarray:
+        log = self.log
+        times = self.exp[(log[:, None] + log) % (self.q - 1)]
+        times[0] = 0
+        times[:, 0] = 0
+        return times
+
+    def add(self, a, b):
+        return a ^ b
+
+    sub = add
+
+    def neg(self, a):
+        return a
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return self._powers[(self._logs[a] + self._logs[b]) % (self.q - 1)]
+
+    def scale(self, c: int, a):
+        return self._times[c][a]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise DivisionByZero("0 has no multiplicative inverse")
+        return self._powers[-self._logs[a] % (self.q - 1)]
 
 
 def field_new(q: int) -> Field:

@@ -28,6 +28,33 @@ from cyclecodes import (
 )
 
 
+# -- field elements ------------------------------------------------------------
+
+
+def elements(field) -> list[int]:
+    """Every element of the field, in order."""
+    return list(range(field.q))
+
+
+def power(field, a, n) -> int:
+    """a^n by square and multiply; a^0 = 1 and negative n inverts."""
+    if n < 0:
+        return power(field, field.inv(a), -n)
+    acc = 1
+    while n:
+        if n & 1:
+            acc = field.mul(acc, a)
+        a = field.mul(a, a)
+        n >>= 1
+    return acc
+
+
+def squares(field) -> list[int]:
+    """The subgroup {a^2 : a nonzero}, sorted: (q-1)/2 elements for odd
+    q, all q-1 units in characteristic two."""
+    return sorted({field.mul(a, a) for a in range(1, field.q)})
+
+
 # -- monomials and polynomials ----------------------------------------------
 
 
@@ -87,7 +114,7 @@ def evaluate(f, point) -> int:
         v = coeff
         for x, e in zip(point, mono):
             if e:
-                v = field.mul(v, field.pow(x, e))
+                v = field.mul(v, power(field, x, e))
         total = field.add(total, v)
     return total
 

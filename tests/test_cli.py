@@ -118,6 +118,14 @@ def test_hilbert_default_table_at_a_large_field():
     assert lines[-1] == f"8194,{size},{size},"
 
 
+def test_hilbert_rank_searches_only_the_degrees_read():
+    # 7^9 states fit the default budget; the search stops at degree 0
+    r = run_cli("hilbert", "--q", "8", "--spec", "9", "--with-rank",
+                "--d", "0", timeout=10)
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[-1] == "0\t1\t-\t1"
+
+
 def test_hilbert_rank_over_budget_exits_3_before_the_search(monkeypatch,
                                                            capsys):
     def searched(*args, **kwargs):

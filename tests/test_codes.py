@@ -31,7 +31,7 @@ from cyclecodes import (
 from cyclecodes import codes
 from cyclecodes.hilbert import count_box_degree
 from cyclecodes.poly import grlex_key
-from oracles import point_tuples, theta_map
+from oracles import point_tuples, power, theta_map
 
 
 def _X(q, spec_text):
@@ -118,7 +118,7 @@ def _entry_by_entry(X, monomials):
             val = 1
             for x, e in zip(pt, mono):
                 if e:
-                    val = f.mul(val, f.pow(x, e))
+                    val = f.mul(val, power(f, x, e))
             row.append(val)
         rows.append(row)
     return rows
@@ -259,6 +259,17 @@ def test_character_table_fixtures():
     assert character_at(parse_spec_string("3"), field_new(2), range(4)) \
         == [1, 1, 1, 1]
     assert character_at(parse_spec_string("3"), field_new(5), [-1]) == [0]
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
+@pytest.mark.parametrize("k", [3, 5])
+def test_character_search_stops_at_dmax(q, k):
+    r = q - 1
+    full = codes._cycle_character_degrees(k, r, r ** k)
+    assert sum(full) == cardinality_formula(CycleFamilySpec.single(k), q)
+    last = len(full) - 1
+    for dmax in (0, last - 1, last, last + 1):
+        assert codes._cycle_character_degrees(k, r, dmax) == full[:dmax + 1]
 
 
 # Largest elimination the reference is run on, in field operations:

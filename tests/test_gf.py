@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from cyclecodes import DivisionByZero, Field, UnsupportedField, field_new, gf
+from oracles import elements, power, squares
 
 
 def test_prime_field_shape():
@@ -27,7 +29,7 @@ def test_largest_supported_binary():
     f = field_new(256)
     assert (f.p, f.e) == (2, 8)
     for a in (1, 2, 7, 255):
-        assert f.pow(a, 255) == 1
+        assert power(f, a, 255) == 1
 
 
 @pytest.mark.parametrize("q", [0, 1, -5, 6, 9, 12, 25, 27, 512, 1024, 65537, 2**20,
@@ -50,7 +52,7 @@ def test_size_limit_comes_before_the_primality_test(monkeypatch):
 def test_f5_arithmetic_examples():
     f = field_new(5)
     assert f.mul(2, 3) == 1
-    assert f.pow(3, 4) == 1
+    assert power(f, 3, 4) == 1
     assert f.add(4, 3) == 2
     assert f.sub(0, 1) == 4
     assert f.neg(2) == 3
@@ -75,31 +77,31 @@ def test_binary_multiplication_examples():
     f8 = field_new(8)
     assert f8.mul(2, 2) == 4
     assert f8.mul(2, 4) == 3  # x^3 = x + 1
-    assert f8.pow(2, 7) == 1
+    assert power(f8, 2, 7) == 1
 
 
 def test_unit_group_order_f8():
     f = field_new(8)
-    for a in f.units():
-        assert f.pow(a, 7) == 1
+    for a in range(1, 8):
+        assert power(f, a, 7) == 1
 
 
 def test_units_lists():
-    assert field_new(5).units() == [1, 2, 3, 4]
-    assert field_new(2).units() == [1]
-    assert field_new(8).units() == list(range(1, 8))
+    # the units are 1..q-1, each once in the unit group's antilogs
+    assert sorted(field_new(5).exp.tolist()) == [1, 2, 3, 4]
+    assert field_new(2).exp.tolist() == [1]
+    assert sorted(field_new(8).exp.tolist()) == list(range(1, 8))
 
 
 def test_squares_examples():
-    assert field_new(5).squares() == [1, 4]
-    f8 = field_new(8)
-    assert f8.squares() == f8.units()
+    assert squares(field_new(5)) == [1, 4]
+    assert squares(field_new(8)) == list(range(1, 8))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
 def test_square_subgroup_size_odd_q(q):
     f = field_new(q)
-    sq = f.squares()
+    sq = squares(f)
     assert len(sq) == (q - 1) // 2
     # Closed under multiplication.
     for a in sq:
@@ -110,7 +112,7 @@ def test_square_subgroup_size_odd_q(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 11, 13, 16])
 def test_field_axioms_exhaustive(q):
     f = field_new(q)
-    elems = f.elements()
+    elems = elements(f)
     for a in elems:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
@@ -136,16 +138,16 @@ def test_field_axioms_random_triples(q):
         assert f.sub(a, b) == f.add(a, f.neg(b))
         if b != 0:
             assert f.mul(f.div(a, b), b) == a
-        assert f.pow(a, 3) == f.mul(a, f.mul(a, a))
+        assert power(f, a, 3) == f.mul(a, f.mul(a, a))
 
 
 def test_pow_conventions():
     f = field_new(7)
-    assert f.pow(3, 0) == 1
-    assert f.pow(0, 0) == 1
-    assert f.pow(0, 5) == 0
-    assert f.pow(3, -1) == f.inv(3)
-    assert f.pow(3, -2) == f.inv(f.mul(3, 3))
+    assert power(f, 3, 0) == 1
+    assert power(f, 0, 0) == 1
+    assert power(f, 0, 5) == 0
+    assert power(f, 3, -1) == f.inv(3)
+    assert power(f, 3, -2) == f.inv(f.mul(3, 3))
 
 
 def test_field_equality_and_hash():
@@ -157,8 +159,12 @@ def test_field_equality_and_hash():
 
 
 def test_elements_order():
-    assert field_new(5).elements() == [0, 1, 2, 3, 4]
-    assert field_new(4).elements() == [0, 1, 2, 3]
+    assert elements(field_new(5)) == [0, 1, 2, 3, 4]
+    assert elements(field_new(4)) == [0, 1, 2, 3]
+    # the elements are exactly 0..q-1: adding 1 permutes them
+    for q in (4, 5):
+        f = field_new(q)
+        assert sorted(f.add(a, 1) for a in elements(f)) == elements(f)
 
 
 _SUPPORTED_UP_TO_64 = [q for q in range(2, 65)
@@ -169,13 +175,13 @@ _SUPPORTED_UP_TO_64 = [q for q in range(2, 65)
 @pytest.mark.parametrize("q", _SUPPORTED_UP_TO_64)
 def test_log_tables_multiply_every_pair_of_units(q):
     f = field_new(q)
-    r = q - 1
-    assert sorted(f.exp.tolist()) == f.units()
-    assert [f.exp[f.log[a]] for a in f.units()] == f.units()
+    r, units = q - 1, list(range(1, q))
+    assert sorted(f.exp.tolist()) == units
+    assert [f.exp[f.log[a]] for a in units] == units
     logs = f.log[1:]
     products = f.exp[(logs[:, None] + logs) % r]
-    assert products.tolist() == [[f.mul(a, b) for b in f.units()]
-                                 for a in f.units()]
+    assert products.tolist() == [[f.mul(a, b) for b in units]
+                                 for a in units]
 
 
 def test_log_tables_at_the_largest_prime():
@@ -186,7 +192,7 @@ def test_log_tables_at_the_largest_prime():
     for _ in range(200):
         a, b = rng.randrange(1, 65521), rng.randrange(1, 65521)
         assert f.exp[(f.log[a] + f.log[b]) % 65520] == f.mul(a, b)
-        assert f.exp[f.log[a] * 7 % 65520] == f.pow(a, 7)
+        assert f.exp[f.log[a] * 7 % 65520] == power(f, a, 7)
 
 
 def test_log_tables_are_read_only():
@@ -195,3 +201,44 @@ def test_log_tables_are_read_only():
         f.exp[0] = 2
     with pytest.raises(ValueError):
         f.log[1] = 2
+
+
+# The generator of each field's unit group, exp[1] (exp[0] for q = 2):
+# the least element of order q-1, pinned so that every table read
+# through exp and log keeps its values.
+_GENERATORS = {2: 1, 4: 2, 8: 2, 16: 2, 32: 2, 64: 2, 128: 2, 256: 3,
+               3: 2, 5: 2, 7: 3, 11: 2, 13: 2, 17: 3, 31: 3, 41: 6, 97: 5,
+               101: 2, 257: 3, 2027: 2, 4099: 2, 65521: 17}
+
+
+@pytest.mark.parametrize("q", sorted(_GENERATORS))
+def test_generator_is_pinned(q):
+    exp = field_new(q).exp
+    assert exp[min(1, q - 2)] == _GENERATORS[q]
+
+
+@pytest.mark.parametrize("q", [1 << e for e in range(1, 9)])
+def test_binary_products_match_the_carryless_product(q):
+    f = field_new(q)
+    e = f.e
+    for a in range(q):
+        for b in range(q):
+            assert f.mul(a, b) == gf._carryless_mul_mod(
+                a, b, gf._BINARY_IRREDUCIBLE[e], e)
+
+
+@pytest.mark.parametrize("q", _SUPPORTED_UP_TO_64 + [128, 256, 65521])
+def test_array_ops_match_scalar_ops(q):
+    f = field_new(q)
+    if q <= 256:  # every pair, and every multiple of every element
+        a, b = np.divmod(np.arange(q * q), q)
+        cs, xs = range(q), np.arange(q)
+    else:
+        rng = random.Random(q)
+        a, b = (np.array([rng.randrange(q) for _ in range(2000)])
+                for _ in "ab")
+        cs, xs = [0, 1, q - 1] + rng.sample(range(q), 20), a
+    assert f.add(a, b).tolist() == list(map(f.add, a.tolist(), b.tolist()))
+    assert f.neg(a).tolist() == list(map(f.neg, a.tolist()))
+    for c in cs:
+        assert f.scale(c, xs).tolist() == [f.mul(c, x) for x in xs.tolist()]

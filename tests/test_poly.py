@@ -219,7 +219,7 @@ def test_mixed_field_or_order_rejected():
 
 def test_evaluate_fermat():
     f = P("t1^4 - 1", nvars=1)
-    for a in F5.units():
+    for a in range(1, 5):
         assert evaluate(f, (a,)) == 0
     assert evaluate(f, (0,)) == 4
 
