@@ -38,6 +38,7 @@ from .errors import (
     ParseError,
     UnsupportedField,
     UnsupportedSpec,
+    check_budget,
 )
 from .gf import field_new
 from .ideal import build_generators, check_build_budget, check_groebner_budget
@@ -262,10 +263,8 @@ def _cmd_hilbert(args) -> tuple[Iterator[str], bool]:
             else hilbert.regularity_formula(spec, field) + 1
         # the fixed budget, not --enum-budget, so that a table whose
         # columns fit a small budget still prints
-        if 4 * (dmax + 1) > DEFAULT_ENUM_BUDGET:
-            raise BudgetExceeded(
-                f"hilbert table of {dmax + 1} rows needs {4 * (dmax + 1)} "
-                f"cells, budget is {DEFAULT_ENUM_BUDGET}")
+        check_budget(f"hilbert table of {dmax + 1} rows", 4 * (dmax + 1),
+                     "cells", DEFAULT_ENUM_BUDGET)
         degrees = range(dmax + 1)
     footprints, unions, ranks = _hilbert_columns(args, spec, field, degrees)
     ok = unions in (None, footprints) and ranks in (None, footprints)

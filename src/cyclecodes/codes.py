@@ -33,7 +33,6 @@ field's own array arithmetic (Field.add, neg and scale).
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
@@ -45,9 +44,8 @@ from .cyclegraph import (
     DEFAULT_ENUM_BUDGET,
     CycleFamilySpec,
     ToricSet,
-    check_search_budget,
 )
-from .errors import BudgetExceeded
+from .errors import check_budget
 from .gf import Field
 from .hilbert import Series, _conv, count_box_degree
 from .poly import Monomial, grlex_key
@@ -62,8 +60,10 @@ def monomial_basis(nvars: int, q: int, d: int) -> list[Monomial]:
     """Monomials with exponents <= q-2 and total degree <= d, sorted
     in decreasing graded-lex order."""
     cap = min(q - 2, d)
-    monos = [m for m in itertools.product(range(cap + 1), repeat=nvars)
-             if sum(m) <= d]
+    monos = [()]
+    for _ in range(nvars):  # extend only the prefixes of degree <= d
+        monos = [m + (e,) for m in monos
+                 for e in range(min(cap, d - sum(m)) + 1)]
     monos.sort(key=grlex_key, reverse=True)
     return monos
 
@@ -87,12 +87,8 @@ def check_matrix_budget(nvars: int, q: int, npoints: int, d: int,
     """Raise BudgetExceeded when the degree-d evaluation matrix on
     npoints points would have more than max_entries entries; the basis
     is counted, not listed."""
-    cap = min(q - 2, d)
-    nentries = count_box_degree([cap] * nvars, d) * npoints
-    if nentries > max_entries:
-        raise BudgetExceeded(
-            f"evaluation matrix needs {nentries} entries, "
-            f"budget is {max_entries}")
+    nentries = count_box_degree([min(q - 2, d)] * nvars, d) * npoints
+    check_budget("evaluation matrix", nentries, "entries", max_entries)
 
 
 def build_evaluation_matrix(X: ToricSet, d: int,
@@ -200,9 +196,8 @@ def character_at(spec: CycleFamilySpec, field: Field, degrees,
     r = field.q - 1
     lengths = sorted(spec.lengths)
     for k in lengths:
-        check_search_budget(
-            f"counting the characters of one {k}-cycle copy over "
-            f"F_{field.q} needs {r ** k} states", r ** k, budget)
+        check_budget(f"counting the characters of one {k}-cycle copy "
+                     f"over F_{field.q}", r ** k, "states", budget)
     dmax = max(max(degrees, default=0), 0)
     per_k = {k: _cycle_character_degrees(k, r, dmax) for k in lengths}
     vec = [1]
@@ -291,14 +286,15 @@ def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
     since scaling is in G).  A block extends every word of its parent
     block by every value of one more row, in slices of parent words so
     that a block holds at most _TABLE_CELLS cells, or one word's h
-    extensions when those alone are more.  The multiples of the rows
-    are tabled once, q-1 bytes per matrix entry for q <= 128."""
+    extensions when those alone are more.  A row's multiples
+    omega^x * row, x in [0, h), are built when the walk first reads h
+    of them and kept: n bytes each (2n for q > 128), not q-1 per row."""
     r = field.q - 1
     dim, n = basis.shape
     dtype = np.min_scalar_type(2 * r)
-    exp, x = field.exp.astype(dtype), np.arange(r, dtype=dtype)[:, None]
-    # every multiple omega^x * row, x in [0, q-1), of every basis row
-    shifted = [exp[(x + logs) % r] for logs in field.log.astype(dtype)[basis]]
+    exp, log = field.exp.astype(dtype), field.log.astype(dtype)
+    x = np.arange(r, dtype=dtype)[:, None]
+    multiples = {}  # row -> its first multiples, as many as were read
     gens = [tuple(row) for row in gens.tolist()]
 
     def walk(start, words, gens):
@@ -307,10 +303,12 @@ def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
             h = gcd(r, *(row[j] for row in gens))
             last = c + 1 == dim
             child = [] if last else _stabilizer(gens, j, h, r)
+            if len(multiples.get(c, ())) < h:
+                multiples[c] = exp[(x[:h] + log[basis[c]]) % r]
             step = max(1, _TABLE_CELLS // (h * n))
             for i in range(0, len(words), step):
                 block = field.add(words[i:i + step, None],
-                                  shifted[c][:h]).reshape(-1, n)
+                                  multiples[c][:h]).reshape(-1, n)
                 yield block
                 if not last:
                     yield from walk(c + 1, block, child)

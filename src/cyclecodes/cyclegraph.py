@@ -21,11 +21,10 @@ per point, rows in lexicographic order.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from math import prod
 
-from .errors import BudgetExceeded, OddityError, ParseError
+from .errors import OddityError, ParseError, check_budget
 from .gf import Field
 
 DEFAULT_ENUM_BUDGET = 1 << 26
@@ -132,16 +131,6 @@ def parse_spec_string(text: str) -> CycleFamilySpec:
 
 # -- the image of the parameterization map --------------------------------
 
-def check_search_budget(needs: str, work: int, budget: int) -> None:
-    """Raise BudgetExceeded, before anything is allocated, when a search
-    over ``work`` states exceeds ``budget`` or needs more states than
-    one numpy array can index.  ``needs`` says what needs the work."""
-    if work > budget:
-        raise BudgetExceeded(f"{needs}, budget is {budget}")
-    if work > sys.maxsize:
-        raise BudgetExceeded(f"{needs}, more than one array can index")
-
-
 def _single_cycle_codes(k: int, field: Field, budget: int) -> np.ndarray:
     """Sorted distinct image points of one k-cycle copy, each packed as
     a base-(q-1) integer from the discrete logs of its coordinates (every
@@ -157,9 +146,8 @@ def _single_cycle_codes(k: int, field: Field, budget: int) -> np.ndarray:
     import numpy as np
 
     r = field.q - 1
-    check_search_budget(
-        f"enumerating one {k}-cycle copy over F_{field.q} needs "
-        f"{r ** k} assignments", r ** k, budget)
+    check_budget(f"enumerating one {k}-cycle copy over F_{field.q}",
+                 r ** k, "assignments", budget)
     dtype = np.int32 if r ** k < 1 << 31 else np.int64
     rest = np.arange(r ** (k - 1), dtype=dtype)
 
@@ -218,9 +206,7 @@ def enumerate_toric_set(spec: CycleFamilySpec, field: Field,
 
     per_k = {k: _single_cycle_points(k, field, budget) for k in spec.lengths}
     total = prod(len(per_k[k]) ** m for k, m in spec.components)
-    if total > budget:
-        raise BudgetExceeded(
-            f"X* has {total} points, materialization budget is {budget}")
+    check_budget("materializing X*", total, "points", budget)
     points = np.empty((total, spec.nvars),
                       dtype=np.min_scalar_type(field.q - 1))
     outer = 1

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the budget check."""
+
+import sys
 
 
 class CycleCodesError(Exception):
@@ -26,7 +28,28 @@ class ZeroDivisor(CycleCodesError):
 
 
 class BudgetExceeded(CycleCodesError):
-    """An enumeration or memory budget would be exceeded."""
+    """A stage would need ``needed`` units of ``unit``, more than it is
+    ``allowed``: the budget, or sys.maxsize past what one numpy array can
+    index.  The text is made when read, so a count past the digits that
+    int -> str allows still raises BudgetExceeded."""
+
+    def __init__(self, stage: str, needed: int, unit: str, allowed: int):
+        super().__init__(stage, needed, unit, allowed)
+        self.stage, self.needed, self.unit, self.allowed = self.args
+
+    def __str__(self) -> str:
+        limit = ("more than one array can index" if self.allowed == sys.maxsize
+                 else f"budget is {self.allowed}")
+        return f"{self.stage} needs {self.needed} {self.unit}, {limit}"
+
+
+def check_budget(stage: str, needed: int, unit: str, budget: int) -> None:
+    """Raise BudgetExceeded, before ``stage`` does its work, when it
+    needs more than ``budget`` units or more than one array can index."""
+    if needed > budget:
+        raise BudgetExceeded(stage, needed, unit, budget)
+    if needed > sys.maxsize:
+        raise BudgetExceeded(stage, needed, unit, sys.maxsize)
 
 
 class UnsupportedSpec(CycleCodesError):

@@ -42,7 +42,7 @@ from math import comb, gcd
 from typing import NamedTuple
 
 from .cyclegraph import CycleFamilySpec, cardinality_formula, gamma_of
-from .errors import BudgetExceeded, CheckFailure, UnsupportedSpec
+from .errors import CheckFailure, UnsupportedSpec, check_budget
 from .gf import Field
 
 # union numerator terms x degrees read; a union numerator has under
@@ -196,10 +196,8 @@ def union_at(k: int, field: Field, degrees) -> list[int]:
     top = (terms - 1) * ((q - 1) // 2) - k  # the top of _tori_sum's value
     rows = (min(len(degrees), top + 1) if _is_table(degrees)
             else len({min(d, top) for d in degrees if d >= 0}))
-    if terms * rows > DEFAULT_UNION_BUDGET:
-        raise BudgetExceeded(
-            f"union formula: {terms} numerator terms at {rows} degrees "
-            f"need {terms * rows} cells, budget is {DEFAULT_UNION_BUDGET}")
+    check_budget(f"union formula of {terms} numerator terms at {rows} "
+                 "degrees", terms * rows, "cells", DEFAULT_UNION_BUDGET)
     return _tori_sum(union_coefficients(k), k, field).at(degrees)
 
 

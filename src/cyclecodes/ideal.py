@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .cyclegraph import CycleFamilySpec, gamma_of
-from .errors import BudgetExceeded
+from .errors import check_budget
 from .gf import Field
 from .poly import Polynomial
 
@@ -75,14 +75,8 @@ def check_build_budget(spec: CycleFamilySpec, q: int, budget: int) -> None:
     allocate more than ``budget`` exponent cells, one per variable in
     each generator, before any generator is built."""
     n = generator_count(spec, q)
-    _check_cells(n, n * spec.nvars, budget)
-
-
-def _check_cells(n: int, cells: int, budget: int) -> None:
-    if cells > budget:
-        raise BudgetExceeded(
-            f"generator build of {n} generators needs {cells} exponent "
-            f"cells, budget is {budget}")
+    check_budget(f"generator build of {n} generators", n * spec.nvars,
+                 "exponent cells", budget)
 
 
 def check_groebner_budget(spec: CycleFamilySpec, q: int, budget: int) -> None:
@@ -101,13 +95,12 @@ def check_groebner_budget(spec: CycleFamilySpec, q: int, budget: int) -> None:
     sizes = [(generator_count(CycleFamilySpec.single(k), q), k)
              for k in spec.lengths]
     n = sum(g for g, _ in sizes)
-    _check_cells(n, sum(g * k for g, k in sizes), budget)
+    check_budget(f"generator build of {n} generators",
+                 sum(g * k for g, k in sizes), "exponent cells", budget)
     tests = 0 if (q - 1) % 2 else \
         sum(g * (g * (g - 1) // 2) for g, _ in sizes)
-    if tests > budget:
-        raise BudgetExceeded(
-            f"Groebner check of {n} generators needs {tests} lead "
-            f"tests, budget is {budget}")
+    check_budget(f"Groebner check of {n} generators", tests, "lead tests",
+                 budget)
 
 
 def _unit_vector(n: int, i: int, value: int) -> tuple[int, ...]:

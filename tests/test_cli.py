@@ -150,8 +150,8 @@ def test_hilbert_union_over_budget_exits_3_before_the_footprint(monkeypatch,
                    "--dmax", "100000"])
     assert rc == 3
     assert capsys.readouterr().err == (
-        "error: union formula: 62 numerator terms at 100001 degrees need "
-        "6200062 cells, budget is 3145728\n")
+        "error: union formula of 62 numerator terms at 100001 degrees "
+        "needs 6200062 cells, budget is 3145728\n")
 
 
 def test_hilbert_table_over_budget_exits_3_at_once():
@@ -648,7 +648,7 @@ def test_card_prints_counts_past_4300_digits(long_int_text, fmt):
 def test_enumerate_budget_message_past_4300_digits():
     r = run_cli("enumerate", "--q", "5", "--spec", "3x3000")
     assert r.returncode == 3
-    assert r.stderr.startswith("error: X* has ")
+    assert r.stderr.startswith("error: materializing X* needs ")
 
 
 @_digit_limit

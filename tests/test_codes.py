@@ -66,6 +66,23 @@ def test_monomial_basis_sorted_descending():
     assert len(basis) == len(set(basis))
 
 
+@given(nvars=st.integers(1, 5), q=st.sampled_from([3, 4, 5, 8]),
+       d=st.integers(0, 6))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_monomial_basis_matches_the_product_filter(nvars, q, d):
+    product = [m for m in itertools.product(range(min(q - 2, d) + 1),
+                                            repeat=nvars) if sum(m) <= d]
+    assert monomial_basis(nvars, q, d) == sorted(product, key=grlex_key,
+                                                 reverse=True)
+
+
+def test_monomial_basis_lists_only_the_monomials_it_returns():
+    # the product of 2^40 exponent tuples is never walked
+    basis = monomial_basis(40, 3, 1)
+    assert len(basis) == 41
+    assert basis[-1] == (0,) * 40 and all(sum(m) == 1 for m in basis[:-1])
+
+
 # -- evaluation matrices -----------------------------------------------------------
 
 

@@ -321,8 +321,8 @@ def test_union_formula_budget(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         union_at(7, field, range(101))
     assert str(exc.value) == (
-        "union formula: 11 numerator terms at 14 degrees need 154 cells, "
-        "budget is 153")
+        "union formula of 11 numerator terms at 14 degrees needs 154 "
+        "cells, budget is 153")
     monkeypatch.setattr(hilbert, "DEFAULT_UNION_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
         union_at(7, field, [1])
