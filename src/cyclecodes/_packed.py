@@ -117,8 +117,9 @@ class DivisorSet:
     however large q is.  It packs, for degrees up to twice the largest
     leading degree, where every lcm of two leading monomials and every
     term of an S-polynomial fit, the leading monomials ``leads``, the
-    leading coefficients ``lcs`` and each tail scaled by -1/lc,
-    ``negtails``.
+    inverted leading coefficients ``inverses`` and each tail scaled by
+    -1/lc, ``negtails``; so a division multiplies by 1/lc and inverts
+    nothing.
 
     ``memo``, if not None, caches the index answers for packed
     monomials.  Only the set that one Groebner check builds for itself
@@ -127,7 +128,7 @@ class DivisorSet:
     """
 
     __slots__ = ("field", "nvars", "polys", "exponents", "masks", "_all",
-                 "packing", "leads", "lcs", "negtails", "zero", "memo")
+                 "packing", "leads", "inverses", "negtails", "zero", "memo")
 
     def __init__(self, divisors):
         polys = tuple(divisors)
@@ -159,12 +160,13 @@ class DivisorSet:
         field = self.field
         self.packing = Packing(self.nvars, bound)
         pack = self.packing.pack
-        self.leads, self.lcs, self.negtails = [], [], []
+        self.leads, self.inverses, self.negtails = [], [], []
         for g in self.polys:
             (lm, lc), *tail = g.terms
-            neg = field.neg(field.inv(lc))
+            inverse = field.inv(lc)
+            neg = field.neg(inverse)
             self.leads.append(pack(lm))
-            self.lcs.append(lc)
+            self.inverses.append(inverse)
             self.negtails.append([(pack(m), field.mul(c, neg))
                                   for m, c in tail])
         self.zero = PackedPolynomial(field, self.nvars, self.packing, {})
@@ -222,8 +224,8 @@ class DivisorSet:
             work = {pack(m): c for m, c in f.terms}
         field, nvars, packing, zero = (self.field, self.nvars, self.packing,
                                        self.zero)
-        add, mul, div = field.add, field.mul, field.div
-        leads, lcs, negtails = self.leads, self.lcs, self.negtails
+        add, mul = field.add, field.mul
+        leads, inverses, negtails = self.leads, self.inverses, self.negtails
         dividing = self._lookup
         quotients: dict[int, dict[int, int]] = {}
         rem = {}
@@ -239,7 +241,7 @@ class DivisorSet:
                 continue
             i = (hits & -hits).bit_length() - 1
             qm = mono - leads[i]
-            quotients.setdefault(i, {})[qm] = div(coeff, lcs[i])
+            quotients.setdefault(i, {})[qm] = mul(coeff, inverses[i])
             for gm, gc in negtails[i]:
                 gm += qm
                 c = add(work.get(gm, 0), mul(gc, coeff))

@@ -11,15 +11,14 @@ rest of the package needs:
   polynomial.
 
 This module alone knows the kind: ``Field(q)`` returns the subclass for
-q's kind, which binds the kind's operations once.  Both kinds build
-their unit group the same way, from the least element of order q-1
-under the field's own product (the order test over the prime factors
-of q-1) and the list of its powers, made on first use.  That list gives
-the discrete-log and antilog tables ``Field.log`` and ``Field.exp``
-(numpy arrays, with which array code multiplies units of either kind
-by adding logs mod q-1) and the scalar products of binary fields, so
-scalar work on prime fields never builds it.  ``add``, ``neg`` and
-``scale`` also work on int arrays of elements.
+q's kind, which defines the kind's product ``mul`` once.  ``Field``
+derives the rest from it: one square-and-multiply power serves ``inv``
+(a^(q-2)) and the unit group, whose generator is the least element of
+order q-1 (the order test over the prime factors of q-1).  Its powers,
+made on first use, are the antilog table ``Field.exp``, and
+``Field.log`` inverts it (numpy arrays, with which array code
+multiplies units of either kind by adding logs mod q-1).  ``add``,
+``neg`` and ``scale`` also work on int arrays of elements.
 
 Odd prime-power fields (9, 25, 27, ...) are rejected: nothing downstream
 requires them, and supporting them would mean carrying general extension
@@ -64,25 +63,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _carryless_mul_mod(a: int, b: int, mask: int, e: int) -> int:
-    """Multiply two GF(2)[x] residues and reduce by the field polynomial."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a >> e:
-            a ^= mask
-    return acc
-
-
 class Field:
     """Arithmetic for F_q, q an odd prime or a power of two.
 
-    ``add``, ``sub``, ``neg``, ``mul``, ``inv`` and ``div`` take
-    elements; ``add`` and ``neg`` also take int arrays of elements, and
-    ``scale(c, a)`` multiplies an int64 array a by the element c.
+    ``add``, ``sub``, ``neg``, ``mul`` and ``inv`` take elements;
+    ``add`` and ``neg`` also take int arrays of elements, and
+    ``scale(c, a)`` multiplies an int64 array a by the element c.  A
+    subclass defines ``mul``; ``inv`` and the unit group come from it.
 
     Attributes:
         q: field cardinality.
@@ -108,14 +95,31 @@ class Field:
                 "odd prime-power fields are not supported")
         return super().__new__(_PrimeField)
 
-    # -- the unit group ---------------------------------------------------
+    # -- powers and the unit group -----------------------------------------
+
+    def _power(self, a: int, n: int) -> int:
+        """a^n for n >= 0, by square-and-multiply under ``mul``."""
+        mul, acc = self.mul, 1
+        while n:
+            if n & 1:
+                acc = mul(acc, a)
+            a = mul(a, a)
+            n >>= 1
+        return acc
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise DivisionByZero("0 has no multiplicative inverse")
+        return self._power(a, self.q - 2)
 
     @cached_property
-    def _powers(self) -> list[int]:
-        """g^0, g^1, ..., g^(q-2) for the least g of order q-1 under the
-        field's own product: g has that order iff g^((q-1)/f) != 1 for
-        every prime factor f of q-1."""
-        r, product = self.q - 1, self._product
+    def exp(self) -> np.ndarray:
+        """Antilogs: exp[i] = g^i for i = 0..q-2, g the least element of
+        order q-1: g has that order iff g^((q-1)/f) != 1 for every prime
+        factor f of q-1.  Read-only."""
+        import numpy as np
+
+        r, mul = self.q - 1, self.mul
         factors, m, f = set(), r, 2
         while f * f <= m:
             while m % f == 0:
@@ -124,30 +128,12 @@ class Field:
             f += 1
         if m > 1:
             factors.add(m)
-
-        def power(a: int, n: int) -> int:
-            acc = 1
-            while n:
-                if n & 1:
-                    acc = product(acc, a)
-                a = product(a, a)
-                n >>= 1
-            return acc
-
         g = next(g for g in range(1, self.q)
-                 if all(power(g, r // f) != 1 for f in factors))
+                 if all(self._power(g, r // f) != 1 for f in factors))
         powers = [1] * r
         for i in range(1, r):
-            powers[i] = product(powers[i - 1], g)
-        return powers
-
-    @cached_property
-    def exp(self) -> np.ndarray:
-        """Antilogs: exp[i] = g^i for i = 0..q-2, g the least generator
-        of the unit group.  Read-only."""
-        import numpy as np
-
-        exp = np.array(self._powers, dtype=np.int64)
+            powers[i] = mul(powers[i - 1], g)
+        exp = np.array(powers, dtype=np.int64)
         exp.flags.writeable = False
         return exp
 
@@ -161,9 +147,6 @@ class Field:
         log[self.exp] = np.arange(self.q - 1)
         log.flags.writeable = False
         return log
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def __repr__(self) -> str:
         return f"Field({self.q})"
@@ -194,42 +177,16 @@ class _PrimeField(Field):
     def mul(self, a: int, b: int) -> int:
         return a * b % self.q
 
-    _product = mul
-
     def scale(self, c: int, a):
         return c * a % self.q
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
-        return pow(a, self.q - 2, self.q)
-
 
 class _BinaryField(Field):
-    """F_{2^e}: bit-vectors of GF(2)[x] residues; scalar products go
-    through the log tables of the unit group, array products through a
-    q x q table."""
+    """F_{2^e}: bit-vectors of GF(2)[x] residues; array products go
+    through a q x q table made from the log tables."""
 
     def __init__(self, q: int):
         self.q, self.p, self.e = q, 2, q.bit_length() - 1
-
-    def _product(self, a: int, b: int) -> int:
-        return _carryless_mul_mod(a, b, _BINARY_IRREDUCIBLE[self.e], self.e)
-
-    @cached_property
-    def _logs(self) -> list[int]:
-        logs = [0] * self.q
-        for i, a in enumerate(self._powers):
-            logs[a] = i
-        return logs
-
-    @cached_property
-    def _times(self) -> np.ndarray:
-        log = self.log
-        times = self.exp[(log[:, None] + log) % (self.q - 1)]
-        times[0] = 0
-        times[:, 0] = 0
-        return times
 
     def add(self, a, b):
         return a ^ b
@@ -240,17 +197,28 @@ class _BinaryField(Field):
         return a
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._powers[(self._logs[a] + self._logs[b]) % (self.q - 1)]
+        """The carry-less product of a and b modulo the field
+        polynomial ``_BINARY_IRREDUCIBLE[e]``."""
+        mask, e, acc = _BINARY_IRREDUCIBLE[self.e], self.e, 0
+        while b:
+            if b & 1:
+                acc ^= a
+            b >>= 1
+            a <<= 1
+            if a >> e:
+                a ^= mask
+        return acc
+
+    @cached_property
+    def _times(self) -> np.ndarray:
+        log = self.log
+        times = self.exp[(log[:, None] + log) % (self.q - 1)]
+        times[0] = 0
+        times[:, 0] = 0
+        return times
 
     def scale(self, c: int, a):
         return self._times[c][a]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
-        return self._powers[-self._logs[a] % (self.q - 1)]
 
 
 def field_new(q: int) -> Field:

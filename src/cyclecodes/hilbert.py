@@ -122,7 +122,8 @@ def count_box_degree(bounds, d: int) -> int:
 
 # -- footprint route -------------------------------------------------------
 
-def footprint_numerator(spec: CycleFamilySpec, field: Field) -> Series:
+def footprint_numerator(spec: CycleFamilySpec, field: Field,
+                        degrees=None) -> Series:
     """The footprint's series, its numerator over (1-x)^nvars.
 
     When q-1 is even a block's leading terms are t_i^(q-1) and all
@@ -136,21 +137,32 @@ def footprint_numerator(spec: CycleFamilySpec, field: Field) -> Series:
 
     When q-1 is odd there is no cycle part and every exponent is at
     most q-2: N = (1-y)^nvars with y = x^(q-1).
+
+    Given degrees, only the coefficients that ``Series.at(degrees)``
+    reads are built, through min(max degree, top) // step; the others
+    are left 0, so the value keeps its length and its top.
     """
     q, n = field.q, spec.nvars
-    num = [(-1) ** t * comb(n, t) for t in range(n + 1)]
-    if (q - 1) % 2 != 0:
-        return Series(q - 1, num, n)
-    for k, m in spec.components:
-        mask = [comb(k, v) for v in range(gamma_of(k) + 1)]
-        for _ in range(m):
-            num = _conv(mask, num)
-    return Series((q - 1) // 2, num, n)
+    step, masks = q - 1, []
+    if (q - 1) % 2 == 0:
+        step = (q - 1) // 2
+        for k, m in spec.components:
+            masks += [[comb(k, v) for v in range(gamma_of(k) + 1)]] * m
+    size = n + 1 + sum(len(mask) - 1 for mask in masks)
+    cap = size - 1
+    if degrees is not None:
+        last = (len(degrees) - 1 if _is_table(degrees)
+                else max(degrees, default=-1))
+        cap = max(min(last, cap * step - n), 0) // step
+    num = [(-1) ** t * comb(n, t) for t in range(min(n, cap) + 1)]
+    for mask in masks:
+        num = _conv(mask, num, cap)
+    return Series(step, num + [0] * (size - len(num)), n)
 
 
 def footprint_at(spec: CycleFamilySpec, field: Field, degrees) -> list[int]:
     """H(d) at each d of degrees by the footprint."""
-    return footprint_numerator(spec, field).at(degrees)
+    return footprint_numerator(spec, field, degrees).at(degrees)
 
 
 # -- union-of-boxes route ---------------------------------------------------

@@ -10,9 +10,9 @@ divisors once (module ``_packed``).  The Groebner check takes the set
 it is given as a whole.
 
 Polynomial text form: terms in decreasing order joined by `` + `` /
-`` - ``, e.g. ``t1^3*t2 - t3^2 + 1``.  In odd characteristic a bare
-``-`` stands for coefficient ``q-1``; any other non-unit coefficient is
-written ``c*...``.
+`` - ``, e.g. ``t1^3*t2 - t3^2 + 1``.  A bare ``-`` stands for the
+element -1, so it never appears in characteristic 2, where -1 = 1; any
+other coefficient but 1 is written ``c*...``.
 """
 
 from __future__ import annotations
@@ -50,12 +50,11 @@ class Polynomial:
             if len(mono) != nvars:
                 raise DimensionMismatch(
                     f"monomial {mono} has {len(mono)} exponents, expected {nvars}")
-            if field.e == 1:
-                coeff %= field.q
-            elif not 0 <= coeff < field.q:
+            c = field.add(0, coeff)  # mod p; a binary element stays
+            if not 0 <= c < field.q:
                 raise ValueError(
                     f"coefficient {coeff} is not an element of F_{field.q}")
-            c = field.add(merged.get(mono, 0), coeff)
+            c = field.add(merged.get(mono, 0), c)
             if c:
                 merged[mono] = c
             else:
@@ -146,11 +145,11 @@ class Polynomial:
     def to_text(self) -> str:
         if not self.terms:
             return "0"
-        q = self.field.q
+        minus_one = self.field.neg(1)
         parts = []
         for idx, (mono, coeff) in enumerate(self.terms):
             is_const = not any(mono)
-            negative = q % 2 == 1 and coeff == q - 1
+            negative = coeff == minus_one != 1
             if negative and is_const:
                 body = "1"
             elif negative or coeff == 1:

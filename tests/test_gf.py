@@ -57,7 +57,7 @@ def test_f5_arithmetic_examples():
     assert f.sub(0, 1) == 4
     assert f.neg(2) == 3
     assert f.inv(2) == 3
-    assert f.div(1, 2) == 3
+    assert f.mul(1, f.inv(2)) == 3
 
 
 def test_inverse_of_zero_raises():
@@ -66,7 +66,7 @@ def test_inverse_of_zero_raises():
         with pytest.raises(DivisionByZero):
             f.inv(0)
         with pytest.raises(DivisionByZero):
-            f.div(1, 0)
+            f.mul(1, f.inv(0))
 
 
 def test_binary_multiplication_examples():
@@ -137,7 +137,7 @@ def test_field_axioms_random_triples(q):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         assert f.sub(a, b) == f.add(a, f.neg(b))
         if b != 0:
-            assert f.mul(f.div(a, b), b) == a
+            assert f.mul(f.mul(a, f.inv(b)), b) == a
         assert power(f, a, 3) == f.mul(a, f.mul(a, a))
 
 
@@ -167,9 +167,10 @@ def test_elements_order():
         assert sorted(f.add(a, 1) for a in elements(f)) == elements(f)
 
 
-_SUPPORTED_UP_TO_64 = [q for q in range(2, 65)
-                       if q & (q - 1) == 0
-                       or all(q % f for f in range(2, q))]
+_SUPPORTED_UP_TO_256 = [q for q in range(2, 257)
+                        if q & (q - 1) == 0
+                        or all(q % f for f in range(2, q))]
+_SUPPORTED_UP_TO_64 = [q for q in _SUPPORTED_UP_TO_256 if q <= 64]
 
 
 @pytest.mark.parametrize("q", _SUPPORTED_UP_TO_64)
@@ -217,14 +218,41 @@ def test_generator_is_pinned(q):
     assert exp[min(1, q - 2)] == _GENERATORS[q]
 
 
+def _polynomial_product(a, b, e):
+    """a * b in GF(2)[x] / (_BINARY_IRREDUCIBLE[e]): the full carry-less
+    product, then the remainder by long division from the top bit."""
+    full = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            full ^= a << i
+    modulus = gf._BINARY_IRREDUCIBLE[e]
+    for top in range(full.bit_length() - 1, e - 1, -1):
+        if full >> top & 1:
+            full ^= modulus << top - e
+    return full
+
+
 @pytest.mark.parametrize("q", [1 << e for e in range(1, 9)])
 def test_binary_products_match_the_carryless_product(q):
+    # mul against the table product exp[(log a + log b) % (q-1)] (0 when
+    # a factor is 0) and against long division in GF(2)[x], for every pair
     f = field_new(q)
-    e = f.e
+    exp, log = f.exp.tolist(), f.log.tolist()
     for a in range(q):
         for b in range(q):
-            assert f.mul(a, b) == gf._carryless_mul_mod(
-                a, b, gf._BINARY_IRREDUCIBLE[e], e)
+            table = exp[(log[a] + log[b]) % (q - 1)] if a and b else 0
+            assert f.mul(a, b) == table == _polynomial_product(a, b, f.e)
+
+
+@pytest.mark.parametrize("q", _SUPPORTED_UP_TO_256 + [65521])
+def test_inverses_match_the_log_tables(q):
+    f = field_new(q)
+    exp, log = f.exp.tolist(), f.log.tolist()
+    units = (range(1, q) if q <= 256
+             else random.Random(q).sample(range(1, q), 2000))
+    for a in units:
+        assert f.mul(a, f.inv(a)) == 1
+        assert f.inv(a) == exp[-log[a] % (q - 1)]
 
 
 @pytest.mark.parametrize("q", _SUPPORTED_UP_TO_64 + [128, 256, 65521])

@@ -188,6 +188,39 @@ def test_capped_footprint_is_a_prefix_of_the_full_vector(q, spec_text):
                 == [prefix_at(prefix, d) for d in range(cap + 1)])
 
 
+@pytest.mark.parametrize("q", [3, 5, 4])
+@pytest.mark.parametrize("spec_text", ["3x200", "3,5", "7x3", "3x2,5"])
+def test_cut_footprint_reads_as_the_full_numerator(q, spec_text):
+    # footprint_at builds only the numerator coefficients that its
+    # degrees read; the value keeps the full numerator's length and top
+    field = field_new(q)
+    spec = parse_spec_string(spec_text)
+    full = hilbert.footprint_numerator(spec, field)
+    top = full.top
+    for d in (0, 1, top - 1, top, top + 1):
+        cut = hilbert.footprint_numerator(spec, field, [d])
+        assert len(cut.coeffs) == len(full.coeffs)
+        assert footprint_at(spec, field, [d]) == full.at([d])
+    table = range(top + 2)
+    assert footprint_at(spec, field, table) == full.at(table)
+
+
+@pytest.mark.parametrize("q", [3, 5, 4])
+def test_cut_footprint_of_2000_triangles_at_low_degrees(q):
+    # The full numerator of 3x2000 takes tens of seconds to build, degrees
+    # 0..2 read at most three of its coefficients.  Every monomial of
+    # degree <= 2 is standard for q = 4, 5; for q = 3 exponents are <= 1
+    # and each triangle holds at most gamma = 1 of them.
+    field = field_new(q)
+    spec = parse_spec_string("3x2000")
+    n = spec.nvars
+    two = (1 + n + 9 * math.comb(2000, 2) if q == 3
+           else math.comb(n + 2, 2))
+    assert footprint_at(spec, field, [0, 1, 2]) == [1, 1 + n, two]
+    assert (hilbert.footprint_numerator(spec, field, [2]).top
+            == regularity_formula(spec, field))
+
+
 # -- Hilbert-series numerators against the window-sum oracles --------------------
 
 _ODD_PRIMES = [p for p in range(3, 258, 2)

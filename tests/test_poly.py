@@ -647,7 +647,8 @@ def _ordered_scan_divide(f, divisors):
         for i, g in enumerate(divisors):
             lm, lc = g.leading_term()
             if mono_divides(lm, mono):
-                qm, qc = mono_div(mono, lm), field.div(coeff, lc)
+                qm = mono_div(mono, lm)
+                qc = field.mul(coeff, field.inv(lc))
                 quot[i].append((qm, qc))
                 for gm, gc in g.terms[1:]:
                     m2 = mono_mul(gm, qm)
