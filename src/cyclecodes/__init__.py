@@ -2,10 +2,11 @@
 sets parameterized by disjoint unions of odd cycles over small finite
 fields, with every closed form cross-checked against brute force.
 
-The names of the codes module are loaded on first access, so importing
-the package, or a command that builds no array, does not import numpy.
-``DivisorSet`` is loaded on first access too, with module ``_packed``,
-which only division needs.
+The names in ``_LAZY`` are loaded on first access, each with its
+module: those of codes (numpy), of ideal and poly (the polynomials),
+and ``DivisorSet`` of _packed, which only division needs.  So importing
+the package, or a command that counts without polynomials or arrays,
+loads none of those modules.
 """
 
 from .cyclegraph import (
@@ -41,39 +42,30 @@ from .hilbert import (
     solve_betas,
     union_at,
 )
-from .ideal import GeneratorSet, build_generators
-from .poly import (
-    Monomial,
-    Polynomial,
-    buchberger_is_groebner,
-    grlex_key,
-    multivariate_divide,
-)
 
 __version__ = "0.1.0"
 
-_CODES_NAMES = frozenset({
-    "CodeParams",
-    "EvaluationMatrix",
-    "build_evaluation_matrix",
-    "character_at",
-    "code_params",
-    "monomial_basis",
-    "rank_at",
-    "singleton_check",
-})
+# name -> the module that defines it; a module's own name is the module
+_LAZY = {
+    **dict.fromkeys(("codes", "CodeParams", "EvaluationMatrix",
+                     "build_evaluation_matrix", "character_at", "code_params",
+                     "monomial_basis", "rank_at", "singleton_check"),
+                    "codes"),
+    **dict.fromkeys(("ideal", "GeneratorSet", "build_generators"), "ideal"),
+    **dict.fromkeys(("poly", "Monomial", "Polynomial",
+                     "buchberger_is_groebner", "grlex_key",
+                     "multivariate_divide"), "poly"),
+    "DivisorSet": "_packed",
+}
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")]
-                 + ["codes", "DivisorSet", *_CODES_NAMES])
+                 + list(_LAZY))
 
 
 def __getattr__(name):
-    if name in _CODES_NAMES:
-        from . import codes
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(codes, name)
-    if name == "DivisorSet":
-        from ._packed import DivisorSet
-
-        return DivisorSet
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)

@@ -8,7 +8,10 @@ is deterministic for a given invocation.  The hilbert and enumerate
 formats share one row loop, which writes a report a few thousand rows
 at a time; their json is the json.dumps(..., indent=2) layout, written
 directly.  Only enumerate, card, code, selftest and hilbert --with-rank
-import numpy; the counting commands run on integers alone.
+import numpy; the counting commands run on integers alone.  Only ideal,
+groebner-check and selftest import the ideal module, and only those,
+code and hilbert --with-rank import poly, whose monomial order codes
+uses.  Importing cli loads neither module, nor dataclasses.
 """
 
 from __future__ import annotations
@@ -41,13 +44,26 @@ from .errors import (
     check_budget,
 )
 from .gf import field_new
-from .ideal import build_generators, check_build_budget, check_groebner_budget
-from .poly import buchberger_is_groebner
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+
+# The commands reach ideal and poly through these two names, which load
+# the module at the call: importing cli loads neither.  A caller that
+# wraps the layers, as perfbench/tracing.py does, replaces these names.
+def build_generators(spec: CycleFamilySpec, field):
+    from . import ideal
+
+    return ideal.build_generators(spec, field)
+
+
+def buchberger_is_groebner(gens) -> bool:
+    from . import poly
+
+    return poly.buchberger_is_groebner(gens)
 
 
 def _nonnegative_int(text: str) -> int:
@@ -209,6 +225,8 @@ def _generator_lines(spec: CycleFamilySpec, field) -> list[str]:
 
 
 def _cmd_ideal(args) -> tuple[str, bool]:
+    from .ideal import check_build_budget
+
     field = field_new(args.q)
     spec = parse_spec_string(args.spec)
     check_build_budget(spec, args.q, DEFAULT_ENUM_BUDGET)
@@ -222,6 +240,8 @@ def _cmd_ideal(args) -> tuple[str, bool]:
 
 
 def _cmd_groebner(args) -> tuple[str, bool]:
+    from .ideal import check_groebner_budget
+
     field = field_new(args.q)
     spec = parse_spec_string(args.spec)
     check_groebner_budget(spec, args.q, args.enum_budget)

@@ -34,8 +34,8 @@ field's own array arithmetic (Field.add, neg and scale).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ def monomial_basis(nvars: int, q: int, d: int) -> list[Monomial]:
     return monos
 
 
-@dataclass
-class EvaluationMatrix:
+class EvaluationMatrix(NamedTuple):
     """Rows = basis monomials (decreasing graded-lex), columns = the
     rows of X.points in order, entries = monomial values."""
 
@@ -209,8 +208,7 @@ def character_at(spec: CycleFamilySpec, field: Field, degrees,
 
 # -- code parameters ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(NamedTuple):
     """Parameters of one degree-d evaluation code.  Exactly one of
     min_distance / min_distance_bracket is set; singleton_slack
     (n - dimension + 1 - distance) accompanies an exact distance."""

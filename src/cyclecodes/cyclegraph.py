@@ -21,7 +21,6 @@ per point, rows in lexicographic order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import prod
 
 from .errors import OddityError, ParseError, check_budget
@@ -36,16 +35,16 @@ def gamma_of(k: int) -> int:
     return (k - 1) // 2
 
 
-@dataclass(frozen=True)
 class CycleFamilySpec:
-    """An ordered list of (cycle length k, multiplicity m) families."""
+    """An ordered list of (cycle length k, multiplicity m) families.
+    Immutable; two specs are equal when their components are."""
 
-    components: tuple[tuple[int, int], ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: tuple[tuple[int, int], ...]):
+        if not components:
             raise ValueError("need at least one cycle family")
-        for k, m in self.components:
+        for k, m in components:
             if k % 2 == 0:
                 raise OddityError(f"cycle length {k} is even; only odd "
                                   "cycles are supported")
@@ -54,7 +53,18 @@ class CycleFamilySpec:
             if m < 1:
                 raise ValueError(f"multiplicity must be >= 1, got {m}")
         object.__setattr__(self, "components", tuple(
-            (int(k), int(m)) for k, m in self.components))
+            (int(k), int(m)) for k, m in components))
+
+    def __setattr__(self, *_):
+        raise AttributeError("CycleFamilySpec is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash(self.components)
 
     @classmethod
     def single(cls, k: int, m: int = 1) -> "CycleFamilySpec":
@@ -180,14 +190,20 @@ def _single_cycle_points(k: int, field: Field, budget: int) -> np.ndarray:
     return points[np.lexsort(points.T[::-1])]
 
 
-@dataclass(frozen=True, eq=False)
 class ToricSet:
     """The point set X* as a read-only (|X*|, nvars) coordinate array,
     its rows distinct and in increasing lexicographic order."""
 
-    spec: CycleFamilySpec
-    field: Field
-    points: np.ndarray
+    __slots__ = ("spec", "field", "points")
+
+    def __init__(self, spec: CycleFamilySpec, field: Field,
+                 points: np.ndarray):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "points", points)
+
+    def __setattr__(self, *_):
+        raise AttributeError("ToricSet is immutable")
 
     def __len__(self) -> int:
         return len(self.points)

@@ -36,7 +36,7 @@ factor in the basis of the tori's numerators (solve_betas).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import Counter
 from itertools import accumulate, repeat
 from math import comb, gcd
 from typing import NamedTuple
@@ -105,19 +105,45 @@ class Series(NamedTuple):
         return [values[min(d, top)] if d >= 0 else 0 for d in degrees]
 
 
-def box_numerator(bounds) -> Series:
+def _last_read(degrees, size: int, step: int, n: int) -> int:
+    """The last coefficient index that ``Series.at(degrees)`` reads of a
+    numerator of size coefficients in x^step over (1-x)^n: through
+    min(max degree, top) // step, all of them when degrees is None."""
+    if degrees is None:
+        return size - 1
+    last = (len(degrees) - 1 if _is_table(degrees)
+            else max(degrees, default=-1))
+    return max(min(last, (size - 1) * step - n), 0) // step
+
+
+def _padded(step: int, num: list[int], size: int, n: int) -> Series:
+    """The series of num, padded with zeros to size coefficients: a
+    numerator cut at the last index read keeps its length and top."""
+    return Series(step, num + [0] * (size - len(num)), n)
+
+
+def box_numerator(bounds, degrees) -> Series:
     """The series of the box {0 <= a_i <= b_i}: N = prod (1 - x^(b+1))
-    in x^step, step the gcd of the b + 1."""
+    in x^step, step the gcd of the b + 1, one binomial factor
+    (1 - x^(b+1))^m per bound b that m of the b_i equal.  Only the
+    coefficients that ``Series.at(degrees)`` reads are built
+    (_last_read)."""
     step = gcd(*(b + 1 for b in bounds)) or 1
+    size = 1 + sum((b + 1) // step for b in bounds)
+    cap = _last_read(degrees, size, step, len(bounds))
     num = [1]
-    for b in bounds:
-        num = _conv([1] + [0] * ((b + 1) // step - 1) + [-1], num)
-    return Series(step, num, len(bounds))
+    for b, m in Counter(bounds).items():
+        e = (b + 1) // step
+        factor = [0] * (min(m * e, cap) + 1)
+        for t in range(min(m, cap // e) + 1):
+            factor[t * e] = (-1) ** t * comb(m, t)
+        num = _conv(factor, num, cap)
+    return _padded(step, num, size, len(bounds))
 
 
 def count_box_degree(bounds, d: int) -> int:
     """#{a : 0 <= a_i <= b_i, sum(a) <= d}."""
-    return box_numerator(bounds).at([d])[0]
+    return box_numerator(bounds, [d]).at([d])[0]
 
 
 # -- footprint route -------------------------------------------------------
@@ -139,8 +165,7 @@ def footprint_numerator(spec: CycleFamilySpec, field: Field,
     most q-2: N = (1-y)^nvars with y = x^(q-1).
 
     Given degrees, only the coefficients that ``Series.at(degrees)``
-    reads are built, through min(max degree, top) // step; the others
-    are left 0, so the value keeps its length and its top.
+    reads are built (_last_read).
     """
     q, n = field.q, spec.nvars
     step, masks = q - 1, []
@@ -149,15 +174,11 @@ def footprint_numerator(spec: CycleFamilySpec, field: Field,
         for k, m in spec.components:
             masks += [[comb(k, v) for v in range(gamma_of(k) + 1)]] * m
     size = n + 1 + sum(len(mask) - 1 for mask in masks)
-    cap = size - 1
-    if degrees is not None:
-        last = (len(degrees) - 1 if _is_table(degrees)
-                else max(degrees, default=-1))
-        cap = max(min(last, cap * step - n), 0) // step
+    cap = _last_read(degrees, size, step, n)
     num = [(-1) ** t * comb(n, t) for t in range(min(n, cap) + 1)]
     for mask in masks:
         num = _conv(mask, num, cap)
-    return Series(step, num + [0] * (size - len(num)), n)
+    return _padded(step, num, size, n)
 
 
 def footprint_at(spec: CycleFamilySpec, field: Field, degrees) -> list[int]:
@@ -196,8 +217,9 @@ def union_at(k: int, field: Field, degrees) -> list[int]:
     an alternating partial sum equal to (-1)^(gamma-j) C(k-j-1, gamma-j).
     So c_j = (-1)^(gamma-j) C(k, j) C(k-j-1, gamma-j) (union_coefficients).
     Its series is the c_j-sum of the j-boxes' (_tori_sum), k + gamma + 1
-    numerator terms in y = x^((q-1)/2); DEFAULT_UNION_BUDGET bounds the
-    terms times the rows read before the numerator is built.
+    numerator terms in y = x^((q-1)/2), of which only those that the
+    degrees read are built; DEFAULT_UNION_BUDGET bounds the terms times
+    the rows read before the numerator is built.
     """
     q = field.q
     if (q - 1) % 2 != 0:
@@ -210,17 +232,21 @@ def union_at(k: int, field: Field, degrees) -> list[int]:
             else len({min(d, top) for d in degrees if d >= 0}))
     check_budget(f"union formula of {terms} numerator terms at {rows} "
                  "degrees", terms * rows, "cells", DEFAULT_UNION_BUDGET)
-    return _tori_sum(union_coefficients(k), k, field).at(degrees)
+    return _tori_sum(union_coefficients(k), k, field, degrees).at(degrees)
 
 
-def _tori_sum(weights: list[int], k: int, field: Field) -> Series:
+def _tori_sum(weights: list[int], k: int, field: Field, degrees) -> Series:
     """The series of sum_i weights[i] H_i, H_i the i-th torus's: its
     box has i bounds q-2 and k-i bounds (q-1)/2 - 1, so its numerator
-    is (1-y^2)^i (1-y)^(k-i) = (1-y)^k (1+y)^i in y = x^((q-1)/2)."""
-    return Series((field.q - 1) // 2, _conv(
-        [(-1) ** t * comb(k, t) for t in range(k + 1)],
+    is (1-y^2)^i (1-y)^(k-i) = (1-y)^k (1+y)^i in y = x^((q-1)/2).
+    Only the coefficients that ``Series.at(degrees)`` reads are built
+    (_last_read)."""
+    step, size = (field.q - 1) // 2, k + len(weights)
+    cap = _last_read(degrees, size, step, k)
+    return _padded(step, _conv(
+        [(-1) ** t * comb(k, t) for t in range(min(k, cap) + 1)],
         [sum(w * comb(i, v) for i, w in enumerate(weights))
-         for v in range(len(weights))]), k)
+         for v in range(min(len(weights) - 1, cap) + 1)], cap), size, k)
 
 
 def degenerate_torus_at(i: int, k: int, field: Field, degrees) -> list[int]:
@@ -234,7 +260,7 @@ def degenerate_torus_at(i: int, k: int, field: Field, degrees) -> list[int]:
     if not 0 <= i <= gamma:
         raise ValueError(f"index {i} outside 0..{gamma}")
     bounds = [q - 2] * i + [(q - 1) // 2 - 1] * (k - i)
-    return box_numerator(bounds).at(degrees)
+    return box_numerator(bounds, degrees).at(degrees)
 
 
 # -- regularity -------------------------------------------------------------
@@ -274,8 +300,7 @@ def regularity_bruteforce(spec: CycleFamilySpec, field: Field) -> int:
 
 # -- beta decomposition ------------------------------------------------------
 
-@dataclass(frozen=True)
-class BetaDecomposition:
+class BetaDecomposition(NamedTuple):
     """Integer coefficients with H(d) = sum of beta_i * H_i(d), where
     H_i is the i-th degenerate-torus Hilbert function."""
 
@@ -307,7 +332,7 @@ def solve_betas(k: int, field: Field) -> BetaDecomposition:
     betas = [sum(s[v] * comb(v, i) * (-1) ** (v - i)
                  for v in range(i, gamma + 1))
              for i in range(gamma + 1)]
-    if _tori_sum(betas, k, field) != target:
+    if _tori_sum(betas, k, field, None) != target:
         raise CheckFailure("beta identity fails: sum beta_i N_i is not "
                            "the footprint numerator")
     return BetaDecomposition(tuple(betas),

@@ -30,7 +30,6 @@ sets only, and ``check_groebner_budget`` counts them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 from .cyclegraph import CycleFamilySpec, gamma_of
@@ -38,14 +37,22 @@ from .errors import check_budget
 from .gf import Field
 from .poly import Polynomial
 
-@dataclass(frozen=True)
+
 class GeneratorSet:
     """Torus binomials plus one list of cycle binomials per cycle copy."""
 
-    spec: CycleFamilySpec
-    field: Field
-    torus_part: tuple[Polynomial, ...]
-    cycle_parts: tuple[tuple[Polynomial, ...], ...]
+    __slots__ = ("spec", "field", "torus_part", "cycle_parts")
+
+    def __init__(self, spec: CycleFamilySpec, field: Field,
+                 torus_part: tuple[Polynomial, ...],
+                 cycle_parts: tuple[tuple[Polynomial, ...], ...]):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "torus_part", torus_part)
+        object.__setattr__(self, "cycle_parts", cycle_parts)
+
+    def __setattr__(self, *_):
+        raise AttributeError("GeneratorSet is immutable")
 
     def all_generators(self) -> list[Polynomial]:
         out = list(self.torus_part)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cyclecodes import BudgetExceeded, cli, codes, hilbert
+from cyclecodes import BudgetExceeded, cli, codes, hilbert, ideal, poly
 from cyclecodes.errors import check_budget
 
 
@@ -37,15 +37,15 @@ REFUSALS = [
      "union formula of 62 numerator terms at 100001 degrees needs "
      "6200062 cells, budget is 3145728"),
     ("ideal --q 5 --spec 3x2000",
-     [(cli, "build_generators")],
+     [(ideal, "build_generators")],
      "generator build of 12000 generators needs 72000000 exponent "
      "cells, budget is 67108864"),
     ("groebner-check --q 4 --spec 9001",
-     [(cli, "build_generators"), (cli, "buchberger_is_groebner")],
+     [(ideal, "build_generators"), (poly, "buchberger_is_groebner")],
      "generator build of 9001 generators needs 81018001 exponent "
      "cells, budget is 67108864"),
     ("groebner-check --q 3 --spec 13 --enum-budget 1000000",
-     [(cli, "build_generators"), (cli, "buchberger_is_groebner")],
+     [(ideal, "build_generators"), (poly, "buchberger_is_groebner")],
      f"Groebner check of 1729 generators needs {1729 * math.comb(1729, 2)} "
      "lead tests, budget is 1000000"),
     ("hilbert --q 5 --spec 3 --dmax 100000000 --enum-budget 1000000000",

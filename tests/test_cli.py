@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via subprocess."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from cyclecodes import (
     cli,
     codes,
     hilbert,
+    ideal,
 )
 
 CLI = [sys.executable, "-m", "cyclecodes.cli"]
@@ -359,6 +361,15 @@ def test_code_matrix_over_budget_exits_3_before_enumerating(monkeypatch,
     assert capsys.readouterr().err == (
         "error: evaluation matrix needs 477102080 entries, "
         "budget is 67108864\n")
+    # one basis monomial on 300000 variables times |X*| = 4^100000
+    # points: the basis count reads the box numerator at degree 0 only
+    r = run_cli("code", "--q", "3", "--spec", "3x100000", "--d", "0",
+                timeout=10)
+    head, tail = "error: evaluation matrix needs ", " entries, budget is "
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr.startswith(head)
+    assert r.stderr.endswith(tail + "67108864\n")
+    assert len(r.stderr[len(head):].split(" ")[0]) == 60206  # 4^100000
 
 
 # -- ideal / groebner-check / enumerate / card ------------------------------------------
@@ -380,14 +391,14 @@ def test_ideal_golden():
 def test_ideal_over_budget_exits_3_before_building(monkeypatch, capsys):
     # 3x2000 over F_5: 6000 torus and 6000 cycle binomials on 6000
     # variables; nothing may be built
-    monkeypatch.setattr(cli, "build_generators", None)
+    monkeypatch.setattr(ideal, "build_generators", None)
     assert cli.main(["ideal", "--q", "5", "--spec", "3x2000"]) == 3
     assert capsys.readouterr().err == (
         "error: generator build of 12000 generators needs 72000000 "
         "exponent cells, budget is 67108864\n")
     # 3x1000 needs 18000000 cells and is built
     built = []
-    monkeypatch.setattr(cli, "build_generators",
+    monkeypatch.setattr(ideal, "build_generators",
                         lambda spec, field: built.append(spec) or [])
     assert cli.main(["ideal", "--q", "5", "--spec", "3x1000"]) == 0
     assert len(built) == 1
@@ -402,7 +413,7 @@ def test_groebner_check_passes():
 def test_groebner_check_over_budget_exits_3_before_building(monkeypatch,
                                                              capsys):
     # 13 + C(13, 6) = 1729 generators; nothing may be built
-    monkeypatch.setattr(cli, "build_generators", None)
+    monkeypatch.setattr(ideal, "build_generators", None)
     argv = ["groebner-check", "--q", "3", "--spec", "13"]
     assert cli.main(argv + ["--enum-budget", "1000000"]) == 3
     err = capsys.readouterr().err
@@ -421,7 +432,7 @@ def test_groebner_check_budget_counts_distinct_components(monkeypatch,
         assert capsys.readouterr().out == "groebner basis check: pass\n"
     # 9001 over F_4: 9001 generators on 9001 variables; nothing may be
     # built
-    monkeypatch.setattr(cli, "build_generators", None)
+    monkeypatch.setattr(ideal, "build_generators", None)
     assert cli.main(["groebner-check", "--q", "4", "--spec", "9001"]) == 3
     assert capsys.readouterr().err == (
         "error: generator build of 9001 generators needs 81018001 "
@@ -682,18 +693,26 @@ def test_repeated_runs_byte_identical():
     (["hilbert", "--q", "5", "--spec", "3", "--with-rank"], True),
 ])
 def test_only_array_commands_import_numpy(argv, loads_numpy):
+    # ideal loads only for the commands that build generators, and poly
+    # for those and the ones that run codes, which orders its monomials
+    # by poly.grlex_key
+    loads_ideal = argv[0] in ("ideal", "groebner-check")
+    loads_poly = loads_ideal or argv[0] == "code" or "--with-rank" in argv
     code = ("import sys; from cyclecodes import cli; "
             f"rc = cli.main({argv!r}); "
-            "print(rc, 'numpy' in sys.modules, file=sys.stderr)")
+            "print(rc, *(m in sys.modules for m in ('numpy', "
+            "'cyclecodes.ideal', 'cyclecodes.poly')), file=sys.stderr)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True)
-    assert r.stderr == f"0 {loads_numpy}\n"
+    assert r.stderr == f"0 {loads_numpy} {loads_ideal} {loads_poly}\n"
 
 
 def test_cli_import_loads_no_array_module():
+    # nor the polynomial modules, nor dataclasses with its inspect
     code = ("import sys, cyclecodes.cli; "
             "print(sorted(m for m in ('cyclecodes.codes', "
-            "'cyclecodes._packed', 'numpy') if m in sys.modules))")
+            "'cyclecodes._packed', 'numpy', 'dataclasses', 'inspect', "
+            "'cyclecodes.ideal', 'cyclecodes.poly') if m in sys.modules))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True)
     assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
@@ -704,8 +723,10 @@ def test_package_names_resolve_lazily():
 
     for name in cyclecodes.__all__:
         getattr(cyclecodes, name)
-    for name in cyclecodes._CODES_NAMES:
-        assert getattr(cyclecodes, name) is getattr(codes, name)
+    for name, module_name in cyclecodes._LAZY.items():
+        module = importlib.import_module(f"cyclecodes.{module_name}")
+        want = module if name == module_name else getattr(module, name)
+        assert getattr(cyclecodes, name) is want
     assert cyclecodes.DivisorSet is _packed.DivisorSet
     with pytest.raises(AttributeError):
         cyclecodes.no_such_name

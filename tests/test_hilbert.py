@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -189,20 +190,29 @@ def test_capped_footprint_is_a_prefix_of_the_full_vector(q, spec_text):
 
 
 @pytest.mark.parametrize("q", [3, 5, 4])
-@pytest.mark.parametrize("spec_text", ["3x200", "3,5", "7x3", "3x2,5"])
+@pytest.mark.parametrize("spec_text",
+                         ["3x200", "3,5", "7x3", "3x2,5", "3", "5", "9"])
 def test_cut_footprint_reads_as_the_full_numerator(q, spec_text):
-    # footprint_at builds only the numerator coefficients that its
-    # degrees read; the value keeps the full numerator's length and top
+    # footprint_at, and union_at of a single cycle over a field with q-1
+    # even, build only the numerator coefficients that their degrees
+    # read; the value keeps the full numerator's length and top
     field = field_new(q)
     spec = parse_spec_string(spec_text)
-    full = hilbert.footprint_numerator(spec, field)
-    top = full.top
-    for d in (0, 1, top - 1, top, top + 1):
-        cut = hilbert.footprint_numerator(spec, field, [d])
-        assert len(cut.coeffs) == len(full.coeffs)
-        assert footprint_at(spec, field, [d]) == full.at([d])
-    table = range(top + 2)
-    assert footprint_at(spec, field, table) == full.at(table)
+    routes = [(partial(hilbert.footprint_numerator, spec, field),
+               partial(footprint_at, spec, field))]
+    if q % 2 and spec.components == ((spec.nvars, 1),):
+        k = spec.nvars
+        weights = union_coefficients(k)
+        routes.append((partial(hilbert._tori_sum, weights, k, field),
+                       partial(union_at, k, field)))
+    for numerator, at in routes:
+        full = numerator(None)
+        top = full.top
+        for d in (0, 1, top - 1, top, top + 1):
+            assert len(numerator([d]).coeffs) == len(full.coeffs)
+            assert at([d]) == full.at([d])
+        table = range(top + 2)
+        assert at(table) == full.at(table)
 
 
 @pytest.mark.parametrize("q", [3, 5, 4])
@@ -519,7 +529,7 @@ def test_series_table_reads_as_degree_list_and_is_constant_past_top(
     footprint = hilbert.footprint_numerator(spec, field)
     assert footprint.top == regularity_formula(spec, field)
     bounds = [q - 2, 0, 3, 1]
-    box = hilbert.box_numerator(bounds)
+    box = hilbert.box_numerator(bounds, None)
     assert box.top == sum(bounds)
     readers = [(footprint.at, footprint.top, size),
                (box.at, box.top, math.prod(b + 1 for b in bounds)),
@@ -527,7 +537,7 @@ def test_series_table_reads_as_degree_list_and_is_constant_past_top(
                 footprint.top, size)]
     if q % 2 and spec.components == ((spec.nvars, 1),):
         k = spec.nvars
-        union = hilbert._tori_sum(union_coefficients(k), k, field)
+        union = hilbert._tori_sum(union_coefficients(k), k, field, None)
         assert union.top == footprint.top
         readers.append((union.at, union.top, size))
         for i in range(gamma_of(k) + 1):
