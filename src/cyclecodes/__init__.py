@@ -3,10 +3,9 @@ sets parameterized by disjoint unions of odd cycles over small finite
 fields, with every closed form cross-checked against brute force.
 
 The names in ``_LAZY`` are loaded on first access, each with its
-module: those of codes (numpy), of ideal and poly (the polynomials),
-and ``DivisorSet`` of _packed, which only division needs.  So importing
-the package, or a command that counts without polynomials or arrays,
-loads none of those modules.
+module: those of codes (numpy) and of ideal and poly (the polynomials).
+So importing the package, or a command that counts without polynomials
+or arrays, loads none of those modules.
 """
 
 from .cyclegraph import (
@@ -52,10 +51,9 @@ _LAZY = {
                      "monomial_basis", "rank_at", "singleton_check"),
                     "codes"),
     **dict.fromkeys(("ideal", "GeneratorSet", "build_generators"), "ideal"),
-    **dict.fromkeys(("poly", "Monomial", "Polynomial",
+    **dict.fromkeys(("poly", "DivisorSet", "Monomial", "Polynomial",
                      "buchberger_is_groebner", "grlex_key",
                      "multivariate_divide"), "poly"),
-    "DivisorSet": "_packed",
 }
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")]

@@ -251,12 +251,11 @@ def enumerated_cardinality(spec: CycleFamilySpec, field: Field,
 
 def cardinality_formula(spec: CycleFamilySpec, q: int) -> int:
     """Closed-form |X*|: per family (q-1)^(km), halved per copy when
-    q-1 is even (opposite vertex assignments collide pairwise)."""
+    q-1 is even (opposite vertex assignments collide pairwise), so one
+    power ((q-1)^k / h)^m with h = 2 or 1 and no long division."""
+    h = 2 if (q - 1) % 2 == 0 else 1
     total = 1
     for k, m in spec.components:
-        if (q - 1) % 2 == 0:
-            total *= (q - 1) ** (k * m) // 2 ** m
-        else:
-            total *= (q - 1) ** (k * m)
+        total *= ((q - 1) ** k // h) ** m
     return total
 

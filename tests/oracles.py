@@ -7,20 +7,21 @@ counts from Hilbert-series numerators instead.  Points of X* come from
 the edge-product map and vanishing is checked by evaluation at every
 point; the library never evaluates a polynomial.  JSON reports are
 encoded by json.dumps with indent=2; the command line writes that
-layout directly.  S-polynomials are
-built from the ring operators, and polynomial fixtures are read from
-their text form.
+layout directly.  The ring operations on polynomials, which the library
+never needs, are plain functions here; S-polynomials are built from
+them, and polynomial fixtures are read from their text form.
 """
 
 import itertools
 import json
 import re
 from math import comb
-from operator import le, sub
+from operator import add, le, sub
 
 from cyclecodes import (
     DimensionMismatch,
     Polynomial,
+    ZeroPolynomial,
     codes,
     field_new,
     gamma_of,
@@ -58,6 +59,10 @@ def squares(field) -> list[int]:
 # -- monomials and polynomials ----------------------------------------------
 
 
+def mono_mul(a, b):
+    return tuple(map(add, a, b))
+
+
 def mono_divides(a, b) -> bool:
     """True if monomial a divides monomial b."""
     return all(map(le, a, b))
@@ -72,16 +77,58 @@ def mono_lcm(a, b):
     return tuple(map(max, a, b))
 
 
+def zero(field, nvars):
+    return Polynomial(field, nvars, [])
+
+
+def constant(field, nvars, c):
+    return Polynomial(field, nvars, [((0,) * nvars, c)])
+
+
+def leading_term(f):
+    """The first term (monomial, coefficient) of a nonzero f."""
+    if f.is_zero:
+        raise ZeroPolynomial("zero polynomial has no leading term")
+    return f.terms[0]
+
+
+def leading_monomial(f):
+    return leading_term(f)[0]
+
+
+def poly_add(f, g):
+    f._check_compatible(g)
+    return Polynomial(f.field, f.nvars, f.terms + g.terms)
+
+
+def poly_sub(f, g):
+    neg = g.field.neg
+    return poly_add(f, Polynomial(g.field, g.nvars,
+                                  [(m, neg(c)) for m, c in g.terms]))
+
+
+def poly_mul(f, g):
+    """The product, every pair of terms multiplied out."""
+    f._check_compatible(g)
+    field = f.field
+    out = {}
+    for ma, ca in f.terms:
+        for mb, cb in g.terms:
+            m = mono_mul(ma, mb)
+            out[m] = field.add(out.get(m, 0), field.mul(ca, cb))
+    return Polynomial(field, f.nvars, out.items())
+
+
 def s_polynomial(f, g):
     """(L / LT f) f - (L / LT g) g, L the lcm of the two leading
     monomials, each step a product or difference of polynomials."""
-    lmf, lcf = f.leading_term()
-    lmg, lcg = g.leading_term()
+    lmf, lcf = leading_term(f)
+    lmg, lcg = leading_term(g)
     lcm = mono_lcm(lmf, lmg)
     inv = f.field.inv
     a = Polynomial(f.field, f.nvars, [(mono_div(lcm, lmf), inv(lcf))])
     b = Polynomial(g.field, g.nvars, [(mono_div(lcm, lmg), inv(lcg))])
-    return a * f - b * g
+    return poly_sub(poly_mul(a, f), poly_mul(b, g))
 
 
 def parse_polynomial(text, field, nvars):

@@ -11,12 +11,12 @@ import pytest
 
 from cyclecodes import (
     CycleFamilySpec,
-    _packed,
     cardinality_formula,
     cli,
     codes,
     hilbert,
     ideal,
+    poly,
 )
 
 CLI = [sys.executable, "-m", "cyclecodes.cli"]
@@ -710,9 +710,9 @@ def test_only_array_commands_import_numpy(argv, loads_numpy):
 def test_cli_import_loads_no_array_module():
     # nor the polynomial modules, nor dataclasses with its inspect
     code = ("import sys, cyclecodes.cli; "
-            "print(sorted(m for m in ('cyclecodes.codes', "
-            "'cyclecodes._packed', 'numpy', 'dataclasses', 'inspect', "
-            "'cyclecodes.ideal', 'cyclecodes.poly') if m in sys.modules))")
+            "print(sorted(m for m in ('cyclecodes.codes', 'numpy', "
+            "'dataclasses', 'inspect', 'cyclecodes.ideal', "
+            "'cyclecodes.poly') if m in sys.modules))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True)
     assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")
@@ -727,7 +727,7 @@ def test_package_names_resolve_lazily():
         module = importlib.import_module(f"cyclecodes.{module_name}")
         want = module if name == module_name else getattr(module, name)
         assert getattr(cyclecodes, name) is want
-    assert cyclecodes.DivisorSet is _packed.DivisorSet
+    assert cyclecodes.DivisorSet is poly.DivisorSet
     with pytest.raises(AttributeError):
         cyclecodes.no_such_name
     namespace = {}

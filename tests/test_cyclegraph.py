@@ -281,6 +281,22 @@ def test_cardinality_formula_fixtures():
     assert cardinality_formula(CycleFamilySpec.single(3), 2) == 1
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+def test_cardinality_formula_is_the_torus_power_halved_per_copy(q):
+    def family(k, m):
+        n = (q - 1) ** (k * m)
+        return n // 2 ** m if (q - 1) % 2 == 0 else n
+
+    for k in (3, 5, 7):
+        for m in (1, 2, 3, 5):
+            assert cardinality_formula(CycleFamilySpec.single(k, m), q) \
+                == family(k, m)
+    assert cardinality_formula(parse_spec_string("3x2,5x3"), q) \
+        == family(3, 2) * family(5, 3)
+    assert cardinality_formula(CycleFamilySpec.single(3, 3000), q) \
+        == family(3, 3000)
+
+
 def test_torus_case_fills_whole_torus():
     # When q-1 is odd every unit tuple is hit.
     f4 = field_new(4)

@@ -36,6 +36,7 @@ from oracles import (
     count_box_by_degree,
     cumulative,
     footprint_by_degree,
+    leading_monomial,
     mono_divides,
     prefix_at,
     regularity_by_scan,
@@ -131,7 +132,7 @@ def test_footprint_negative_degree():
 def hilbert_footprint_slow(spec, field, d):
     """Lattice-walk oracle: enumerate every monomial of degree <= d and
     test divisibility against each leading term.  Tiny instances only."""
-    leads = [g.leading_monomial() for g in build_generators(spec, field)]
+    leads = [leading_monomial(g) for g in build_generators(spec, field)]
     count = 0
     for mono in itertools.product(range(d + 1), repeat=spec.nvars):
         if sum(mono) > d:

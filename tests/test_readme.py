@@ -1,4 +1,5 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its module table
+names the package's modules."""
 
 import re
 from pathlib import Path
@@ -12,3 +13,12 @@ def test_readme_library_example_runs(capsys):
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("CodeParams(")
+
+
+def test_readme_module_table_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\n| module ", 1)[1].split("\n\n", 1)[0]
+    named = re.findall(r"^\| `(\w+)` ", table, re.M)
+    package = README.parent / "src" / "cyclecodes"
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+    assert sorted(named) == sorted(modules)
