@@ -9,10 +9,9 @@ formats share one row loop, which writes a report a few thousand rows
 at a time; their json is the json.dumps(..., indent=2) layout, written
 directly.  Only enumerate, card, code, selftest and hilbert --with-rank
 import numpy; the counting commands run on integers alone.  Only ideal,
-groebner-check and selftest import the ideal module, and only those,
-code and hilbert --with-rank import poly, which holds the polynomials,
-their division and the Groebner check, and whose monomial order codes
-uses.  Importing cli loads neither module, nor dataclasses.
+groebner-check and selftest import the ideal module and with it poly,
+which holds the polynomials, their division and the Groebner check.
+Importing cli loads neither module, nor dataclasses.
 """
 
 from __future__ import annotations

@@ -48,7 +48,8 @@ from .cyclegraph import (
 from .errors import check_budget
 from .gf import Field
 from .hilbert import Series, _conv, count_box_degree
-from .poly import Monomial, grlex_key
+
+Monomial = tuple[int, ...]
 
 # Most codeword cells in one block of the distance search, unless one
 # word's extensions by one row are more; it bounds the memory of the
@@ -64,7 +65,7 @@ def monomial_basis(nvars: int, q: int, d: int) -> list[Monomial]:
     for _ in range(nvars):  # extend only the prefixes of degree <= d
         monos = [m + (e,) for m in monos
                  for e in range(min(cap, d - sum(m)) + 1)]
-    monos.sort(key=grlex_key, reverse=True)
+    monos.sort(key=lambda m: (sum(m), m), reverse=True)  # graded lex
     return monos
 
 

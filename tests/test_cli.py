@@ -693,11 +693,9 @@ def test_repeated_runs_byte_identical():
     (["hilbert", "--q", "5", "--spec", "3", "--with-rank"], True),
 ])
 def test_only_array_commands_import_numpy(argv, loads_numpy):
-    # ideal loads only for the commands that build generators, and poly
-    # for those and the ones that run codes, which orders its monomials
-    # by poly.grlex_key
-    loads_ideal = argv[0] in ("ideal", "groebner-check")
-    loads_poly = loads_ideal or argv[0] == "code" or "--with-rank" in argv
+    # ideal, and poly with it, load only for the commands that build
+    # generators; codes orders its monomials without poly
+    loads_ideal = loads_poly = argv[0] in ("ideal", "groebner-check")
     code = ("import sys; from cyclecodes import cli; "
             f"rc = cli.main({argv!r}); "
             "print(rc, *(m in sys.modules for m in ('numpy', "
