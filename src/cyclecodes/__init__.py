@@ -50,7 +50,7 @@ _LAZY = {
                      "build_evaluation_matrix", "character_at", "code_params",
                      "monomial_basis", "rank_at", "singleton_check"),
                     "codes"),
-    **dict.fromkeys(("ideal", "GeneratorSet", "build_generators"), "ideal"),
+    **dict.fromkeys(("ideal", "build_generators"), "ideal"),
     **dict.fromkeys(("poly", "DivisorSet", "Monomial", "Polynomial",
                      "buchberger_is_groebner", "grlex_key",
                      "multivariate_divide"), "poly"),

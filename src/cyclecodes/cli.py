@@ -4,14 +4,18 @@ Subcommands: enumerate, card, ideal, groebner-check, hilbert,
 regularity, betas, code, selftest.  Exit codes: 0 success, 1 a
 cross-check failed, 2 usage error or an --out file that cannot be
 written, 3 budget exceeded, also when stderr is a closed pipe.  Output
-is deterministic for a given invocation.  The hilbert and enumerate
-formats share one row loop, which writes a report a few thousand rows
-at a time; their json is the json.dumps(..., indent=2) layout, written
-directly.  Only enumerate, card, code, selftest and hilbert --with-rank
-import numpy; the counting commands run on integers alone.  Only ideal,
-groebner-check and selftest import the ideal module and with it poly,
-which holds the polynomials, their division and the Groebner check.
-Importing cli loads neither module, nor dataclasses.
+is deterministic for a given invocation.  Every command but selftest
+has --q checked (gf.field_new) and then --spec parsed once, in _run,
+before its own budgets; the counting commands then take q alone.  The
+hilbert and enumerate formats share one row loop, which writes a
+report a few thousand rows at a time; their json, and card's, is the
+json.dumps(..., indent=2) layout, written directly, and card writes
+its counts through errors.decimal_text.  Only enumerate, card, code,
+selftest and hilbert --with-rank import numpy; the counting commands
+run on integers alone.  Only ideal, groebner-check and selftest import
+the ideal module and with it poly, which holds the polynomials, their
+division and the Groebner check.  Importing cli loads neither module,
+nor dataclasses.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .errors import (
     UnsupportedField,
     UnsupportedSpec,
     check_budget,
+    decimal_text,
 )
 from .gf import field_new
 
@@ -77,14 +82,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_common(sp, *, spec=True, formats=("plain", "json"),
-                enum_budget=False, dist_budget=False):
+def _add_common(sp, *, formats=("plain", "json"), enum_budget=False,
+                dist_budget=False):
     sp.add_argument("--q", type=int, required=True,
                     help="field size (odd prime or power of two)")
-    if spec:
-        sp.add_argument("--spec", required=True,
-                        help="cycle spec: comma-separated k or kxm, "
-                             "e.g. '5' or '3x2,5'")
+    sp.add_argument("--spec", required=True,
+                    help="cycle spec: comma-separated k or kxm, "
+                         "e.g. '5' or '3x2,5'")
     sp.add_argument("--format", choices=list(formats), default="plain",
                     help="output format")
     sp.add_argument("--out", help="write the report to this file "
@@ -182,9 +186,7 @@ def _chunks(head: str, rows, sep: str, foot: str) -> Iterator[str]:
     yield foot
 
 
-def _cmd_enumerate(args) -> tuple[Iterator[str], bool]:
-    field = field_new(args.q)
-    spec = parse_spec_string(args.spec)
+def _cmd_enumerate(args, field, spec) -> tuple[Iterator[str], bool]:
     X = enumerate_toric_set(spec, field, args.enum_budget)
     head, row, sep, foot = {
         "plain": ("", " ".join(["{}"] * spec.nvars), "\n", ""),
@@ -199,38 +201,28 @@ def _cmd_enumerate(args) -> tuple[Iterator[str], bool]:
                    foot), True
 
 
-def _cmd_card(args) -> tuple[str, bool]:
-    field = field_new(args.q)
-    spec = parse_spec_string(args.spec)
+def _cmd_card(args, field, spec) -> tuple[str, bool]:
     enumerated = enumerated_cardinality(spec, field, args.enum_budget)
     formula = cardinality_formula(spec, args.q)
     agree = enumerated == formula
-    if args.format == "json":
-        out = json.dumps({"q": args.q, "spec": spec.to_string(),
-                          "enumerated": enumerated, "formula": formula,
-                          "agree": agree}, indent=2)
-    elif args.format == "csv":
-        out = "enumerated,formula,agree\n" \
-              f"{enumerated},{formula},{str(agree).lower()}"
-    else:
-        out = (f"enumerated |X*| = {enumerated}\n"
-               f"closed-form |X*| = {formula}\n"
-               f"agree = {str(agree).lower()}")
-    return out, agree
+    # the json.dumps(..., indent=2) layout, written directly: json.dumps
+    # would turn the counts into text by the quadratic int -> str
+    template = {
+        "json": '{{\n  "q": {q},\n  "spec": "{spec}",\n  "enumerated": {0},'
+                '\n  "formula": {1},\n  "agree": {2}\n}}',
+        "csv": "enumerated,formula,agree\n{0},{1},{2}",
+        "plain": "enumerated |X*| = {0}\nclosed-form |X*| = {1}\n"
+                 "agree = {2}",
+    }[args.format]
+    return template.format(decimal_text(enumerated), decimal_text(formula),
+                           str(agree).lower(), q=args.q, spec=spec), agree
 
 
-def _generator_lines(spec: CycleFamilySpec, field) -> list[str]:
-    gens = build_generators(spec, field)
-    return [g.to_text() for g in gens]
-
-
-def _cmd_ideal(args) -> tuple[str, bool]:
+def _cmd_ideal(args, field, spec) -> tuple[str, bool]:
     from .ideal import check_build_budget
 
-    field = field_new(args.q)
-    spec = parse_spec_string(args.spec)
     check_build_budget(spec, args.q, DEFAULT_ENUM_BUDGET)
-    lines = _generator_lines(spec, field)
+    lines = [g.to_text() for g in build_generators(spec, field)]
     if args.format == "json":
         out = json.dumps({"q": args.q, "spec": spec.to_string(),
                           "generators": lines}, indent=2)
@@ -239,16 +231,13 @@ def _cmd_ideal(args) -> tuple[str, bool]:
     return out, True
 
 
-def _cmd_groebner(args) -> tuple[str, bool]:
+def _cmd_groebner(args, field, spec) -> tuple[str, bool]:
     from .ideal import check_groebner_budget
 
-    field = field_new(args.q)
-    spec = parse_spec_string(args.spec)
     check_groebner_budget(spec, args.q, args.enum_budget)
     # one cycle per distinct length decides, see the ``ideal`` docstring
     ok = all(buchberger_is_groebner(build_generators(
-        CycleFamilySpec.single(k), field).all_generators())
-        for k in spec.lengths)
+        CycleFamilySpec.single(k), field)) for k in spec.lengths)
     if args.format == "json":
         out = json.dumps({"q": args.q, "spec": spec.to_string(),
                           "groebner": ok}, indent=2)
@@ -257,36 +246,34 @@ def _cmd_groebner(args) -> tuple[str, bool]:
     return out, ok
 
 
-def _hilbert_columns(args, spec, field, degrees):
+def _hilbert_columns(args, spec, degrees):
     """The footprint, union and rank columns, None where one does not
     apply.  The columns that check a budget (union, then rank) come
     first, so a refused budget costs no footprint work."""
     try:
-        unions = hilbert.union_at(_single_cycle_k(spec), field, degrees)
+        unions = hilbert.union_at(_single_cycle_k(spec), args.q, degrees)
     except UnsupportedSpec:
         unions = None
     ranks = None
     if args.with_rank:
         from . import codes
 
-        ranks = codes.character_at(spec, field, degrees, args.enum_budget)
-    return hilbert.footprint_at(spec, field, degrees), unions, ranks
+        ranks = codes.character_at(spec, args.q, degrees, args.enum_budget)
+    return hilbert.footprint_at(spec, args.q, degrees), unions, ranks
 
 
-def _cmd_hilbert(args) -> tuple[Iterator[str], bool]:
-    field = field_new(args.q)
-    spec = parse_spec_string(args.spec)
+def _cmd_hilbert(args, field, spec) -> tuple[Iterator[str], bool]:
     if args.d is not None:
         degrees = [args.d]
     else:
         dmax = args.dmax if args.dmax is not None \
-            else hilbert.regularity_formula(spec, field) + 1
+            else hilbert.regularity_formula(spec, args.q) + 1
         # the fixed budget, not --enum-budget, so that a table whose
         # columns fit a small budget still prints
         check_budget(f"hilbert table of {dmax + 1} rows", 4 * (dmax + 1),
                      "cells", DEFAULT_ENUM_BUDGET)
         degrees = range(dmax + 1)
-    footprints, unions, ranks = _hilbert_columns(args, spec, field, degrees)
+    footprints, unions, ranks = _hilbert_columns(args, spec, degrees)
     ok = unions in (None, footprints) and ranks in (None, footprints)
     # each format: a header, a row template, the token for a column
     # that does not apply, a row separator and a footer
@@ -305,11 +292,9 @@ def _cmd_hilbert(args) -> tuple[Iterator[str], bool]:
     return _chunks(head, rows, sep, foot), ok
 
 
-def _cmd_regularity(args) -> tuple[str, bool]:
-    field = field_new(args.q)
-    spec = parse_spec_string(args.spec)
-    formula = hilbert.regularity_formula(spec, field)
-    brute = hilbert.regularity_bruteforce(spec, field)
+def _cmd_regularity(args, field, spec) -> tuple[str, bool]:
+    formula = hilbert.regularity_formula(spec, args.q)
+    brute = hilbert.regularity_bruteforce(spec, args.q)
     agree = formula == brute
     if args.format == "json":
         out = json.dumps({"q": args.q, "spec": spec.to_string(),
@@ -329,10 +314,9 @@ def _single_cycle_k(spec: CycleFamilySpec) -> int:
     return spec.components[0][0]
 
 
-def _cmd_betas(args) -> tuple[str, bool]:
-    field = field_new(args.q)
-    k = _single_cycle_k(parse_spec_string(args.spec))
-    deco = hilbert.solve_betas(k, field)
+def _cmd_betas(args, field, spec) -> tuple[str, bool]:
+    k = _single_cycle_k(spec)
+    deco = hilbert.solve_betas(k, args.q)
     if args.format == "json":
         out = json.dumps({"k": k, "q": args.q, "betas": list(deco.betas),
                           "verified_through": deco.verified_through},
@@ -343,11 +327,9 @@ def _cmd_betas(args) -> tuple[str, bool]:
     return out, True
 
 
-def _cmd_code(args) -> tuple[str, bool]:
+def _cmd_code(args, field, spec) -> tuple[str, bool]:
     from . import codes
 
-    field = field_new(args.q)
-    spec = parse_spec_string(args.spec)
     codes.check_matrix_budget(spec.nvars, args.q,
                               cardinality_formula(spec, args.q), args.d,
                               args.enum_budget)
@@ -381,7 +363,7 @@ def _cmd_code(args) -> tuple[str, bool]:
     return out, ok
 
 
-def _cmd_selftest(args) -> tuple[str, bool]:
+def _cmd_selftest() -> tuple[str, bool]:
     from . import codes
 
     field = field_new(5)
@@ -402,22 +384,21 @@ def _cmd_selftest(args) -> tuple[str, bool]:
     check("|X*| closed form", cardinality_formula(spec, 5), 512)
     probe = (1, 2, 9)
     check("H footprint at d=1,2,9",
-          tuple(hilbert.footprint_at(spec, field, probe)), (6, 21, 512))
+          tuple(hilbert.footprint_at(spec, 5, probe)), (6, 21, 512))
     check("H union formula at d=1,2,9",
-          tuple(hilbert.union_at(5, field, probe)), (6, 21, 512))
+          tuple(hilbert.union_at(5, 5, probe)), (6, 21, 512))
     check("H rank oracle at d=1,2,9",
           tuple(codes.rank_at(X, probe)), (6, 21, 512))
     for i, want in ((2, (6, 18, 128)), (1, (6, 17, 64)), (0, (6, 16, 32))):
         check(f"degenerate torus i={i} at d=1,2,9",
-              tuple(hilbert.degenerate_torus_at(i, 5, field, probe)), want)
-    check("regularity formula", hilbert.regularity_formula(spec, field), 9)
+              tuple(hilbert.degenerate_torus_at(i, 5, 5, probe)), want)
+    check("regularity formula", hilbert.regularity_formula(spec, 5), 9)
     check("regularity brute force",
-          hilbert.regularity_bruteforce(spec, field), 9)
-    check("betas", hilbert.solve_betas(5, field).betas, (6, -15, 10))
+          hilbert.regularity_bruteforce(spec, 5), 9)
+    check("betas", hilbert.solve_betas(5, 5).betas, (6, -15, 10))
     gens = build_generators(spec, field)
     check("generator count", len(gens), 15)
-    check("groebner basis check",
-          buchberger_is_groebner(gens.all_generators()), True)
+    check("groebner basis check", buchberger_is_groebner(gens), True)
     passed = sum(1 for line in lines if line.startswith("PASS"))
     lines.append(f"selftest: {passed}/{len(lines)} checks passed")
     return "\n".join(lines), ok
@@ -432,7 +413,6 @@ _COMMANDS = {
     "regularity": _cmd_regularity,
     "betas": _cmd_betas,
     "code": _cmd_code,
-    "selftest": _cmd_selftest,
 }
 
 
@@ -466,7 +446,14 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        out, ok = _COMMANDS[args.command](args)
+        if args.command == "selftest":
+            out, ok = _cmd_selftest()
+        else:
+            # q is checked where it enters, then the spec, then each
+            # command's budgets
+            field = field_new(args.q)
+            spec = parse_spec_string(args.spec)
+            out, ok = _COMMANDS[args.command](args, field, spec)
     except BudgetExceeded as exc:
         return _error(str(exc), EXIT_BUDGET)
     except MemoryError:

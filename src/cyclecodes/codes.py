@@ -177,7 +177,7 @@ def _cycle_character_degrees(k: int, r: int, dmax: int) -> list[int]:
     return counts
 
 
-def character_at(spec: CycleFamilySpec, field: Field, degrees,
+def character_at(spec: CycleFamilySpec, q: int, degrees,
                  budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
     """H(d) at each d of degrees as counts of distinct characters,
     read as the series N(x)/(1-x)^0 with N the counts by least degree
@@ -193,11 +193,11 @@ def character_at(spec: CycleFamilySpec, field: Field, degrees,
     distinct cycle length k searches (q-1)^k states; all of them are
     checked against ``budget``, and against what one array can index,
     before any search starts."""
-    r = field.q - 1
+    r = q - 1
     lengths = sorted(spec.lengths)
     for k in lengths:
         check_budget(f"counting the characters of one {k}-cycle copy "
-                     f"over F_{field.q}", r ** k, "states", budget)
+                     f"over F_{q}", r ** k, "states", budget)
     dmax = max(max(degrees, default=0), 0)
     per_k = {k: _cycle_character_degrees(k, r, dmax) for k in lengths}
     vec = [1]

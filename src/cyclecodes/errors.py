@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the budget check."""
+"""Exception types shared across the package, the budget check, and
+the decimal text of an exact count."""
 
 import sys
+from functools import cache
 
 
 class CycleCodesError(Exception):
@@ -27,11 +29,40 @@ class ZeroDivisor(CycleCodesError):
     """A divisor in multivariate division is the zero polynomial."""
 
 
+def decimal_text(n: int) -> str:
+    """str(n) in subquadratic time, with no limit on its digits: n is
+    split into binary halves, n = lo + hi * 2^half, and joined by the
+    stdlib decimal module's fast products, as CPython 3.12's _pylong
+    does.  A small n is str(n), well below the digits that int -> str
+    allows by default."""
+    if n.bit_length() <= 8192:
+        return str(n)
+    import decimal
+
+    @cache
+    def power(w):  # 2^w
+        return (decimal.Decimal(2) ** w if w <= 1024
+                else power(w >> 1) * power(w - (w >> 1)))
+
+    def convert(n, w):  # n of about w bits
+        if w <= 1024:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(n - (hi << half), half) \
+            + convert(hi, w - half) * power(half)
+
+    with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC,
+                                              Emax=decimal.MAX_EMAX)):
+        return str(convert(n, n.bit_length()))
+
+
 class BudgetExceeded(CycleCodesError):
     """A stage would need ``needed`` units of ``unit``, more than it is
     ``allowed``: the budget, or sys.maxsize past what one numpy array can
-    index.  The text is made when read, so a count past the digits that
-    int -> str allows still raises BudgetExceeded."""
+    index.  The text is made when read, through decimal_text, so a count
+    of any size reads in subquadratic time and still raises
+    BudgetExceeded."""
 
     def __init__(self, stage: str, needed: int, unit: str, allowed: int):
         super().__init__(stage, needed, unit, allowed)
@@ -40,7 +71,8 @@ class BudgetExceeded(CycleCodesError):
     def __str__(self) -> str:
         limit = ("more than one array can index" if self.allowed == sys.maxsize
                  else f"budget is {self.allowed}")
-        return f"{self.stage} needs {self.needed} {self.unit}, {limit}"
+        return (f"{self.stage} needs {decimal_text(self.needed)} "
+                f"{self.unit}, {limit}")
 
 
 def check_budget(stage: str, needed: int, unit: str, budget: int) -> None:

@@ -28,14 +28,16 @@ it with Series.at (Cox, Little, O'Shea, Ideals, Varieties, and
 Algorithms, Ch. 9 §3).  A box {0 <= a_i <= b_i} has N = prod (1 -
 x^(b_i+1)), and with y = x^((q-1)/2) every route's N is short in y.
 
-All counting is exact integer arithmetic.  The betas need no linear
+All counting is exact integer arithmetic on q = |K| alone: no route
+uses field arithmetic, so each holds over any finite field K, as the
+paper's counts do, and takes q as an int.  Its caller validates q (the
+command line, through gf.field_new).  The betas need no linear
 solve: they are the coordinates of the footprint numerator's cycle
 factor in the basis of the tori's numerators (solve_betas).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, repeat
 from math import comb, gcd
@@ -43,7 +45,6 @@ from typing import NamedTuple
 
 from .cyclegraph import CycleFamilySpec, cardinality_formula, gamma_of
 from .errors import CheckFailure, UnsupportedSpec, check_budget
-from .gf import Field
 
 # union numerator terms x degrees read; a union numerator has under
 # 3(gamma+1) terms, three times the gamma+1 box counts it combines
@@ -125,14 +126,15 @@ def _padded(step: int, num: list[int], size: int, n: int) -> Series:
 def box_numerator(bounds, degrees) -> Series:
     """The series of the box {0 <= a_i <= b_i}: N = prod (1 - x^(b+1))
     in x^step, step the gcd of the b + 1, one binomial factor
-    (1 - x^(b+1))^m per bound b that m of the b_i equal.  Only the
-    coefficients that ``Series.at(degrees)`` reads are built
-    (_last_read)."""
-    step = gcd(*(b + 1 for b in bounds)) or 1
-    size = 1 + sum((b + 1) // step for b in bounds)
+    (1 - x^(b+1))^m per bound b that m of the b_i equal, so the bounds
+    are walked once, to count them.  Only the coefficients that
+    ``Series.at(degrees)`` reads are built (_last_read)."""
+    counts = Counter(bounds)
+    step = gcd(*(b + 1 for b in counts)) or 1
+    size = 1 + sum(m * ((b + 1) // step) for b, m in counts.items())
     cap = _last_read(degrees, size, step, len(bounds))
     num = [1]
-    for b, m in Counter(bounds).items():
+    for b, m in counts.items():
         e = (b + 1) // step
         factor = [0] * (min(m * e, cap) + 1)
         for t in range(min(m, cap // e) + 1):
@@ -148,7 +150,7 @@ def count_box_degree(bounds, d: int) -> int:
 
 # -- footprint route -------------------------------------------------------
 
-def footprint_numerator(spec: CycleFamilySpec, field: Field,
+def footprint_numerator(spec: CycleFamilySpec, q: int,
                         degrees=None) -> Series:
     """The footprint's series, its numerator over (1-x)^nvars.
 
@@ -167,7 +169,7 @@ def footprint_numerator(spec: CycleFamilySpec, field: Field,
     Given degrees, only the coefficients that ``Series.at(degrees)``
     reads are built (_last_read).
     """
-    q, n = field.q, spec.nvars
+    n = spec.nvars
     step, masks = q - 1, []
     if (q - 1) % 2 == 0:
         step = (q - 1) // 2
@@ -181,9 +183,9 @@ def footprint_numerator(spec: CycleFamilySpec, field: Field,
     return _padded(step, num, size, n)
 
 
-def footprint_at(spec: CycleFamilySpec, field: Field, degrees) -> list[int]:
+def footprint_at(spec: CycleFamilySpec, q: int, degrees) -> list[int]:
     """H(d) at each d of degrees by the footprint."""
-    return footprint_numerator(spec, field, degrees).at(degrees)
+    return footprint_numerator(spec, q, degrees).at(degrees)
 
 
 # -- union-of-boxes route ---------------------------------------------------
@@ -196,7 +198,7 @@ def union_coefficients(k: int) -> list[int]:
             for j in range(gamma + 1)]
 
 
-def union_at(k: int, field: Field, degrees) -> list[int]:
+def union_at(k: int, q: int, degrees) -> list[int]:
     """H(d) at each d of degrees for a single k-cycle as the size of a
     union of boxes.
 
@@ -221,7 +223,6 @@ def union_at(k: int, field: Field, degrees) -> list[int]:
     degrees read are built; DEFAULT_UNION_BUDGET bounds the terms times
     the rows read before the numerator is built.
     """
-    q = field.q
     if (q - 1) % 2 != 0:
         raise UnsupportedSpec(
             "the union formula needs q-1 even; for q even X* is the full "
@@ -232,16 +233,16 @@ def union_at(k: int, field: Field, degrees) -> list[int]:
             else len({min(d, top) for d in degrees if d >= 0}))
     check_budget(f"union formula of {terms} numerator terms at {rows} "
                  "degrees", terms * rows, "cells", DEFAULT_UNION_BUDGET)
-    return _tori_sum(union_coefficients(k), k, field, degrees).at(degrees)
+    return _tori_sum(union_coefficients(k), k, q, degrees).at(degrees)
 
 
-def _tori_sum(weights: list[int], k: int, field: Field, degrees) -> Series:
+def _tori_sum(weights: list[int], k: int, q: int, degrees) -> Series:
     """The series of sum_i weights[i] H_i, H_i the i-th torus's: its
     box has i bounds q-2 and k-i bounds (q-1)/2 - 1, so its numerator
     is (1-y^2)^i (1-y)^(k-i) = (1-y)^k (1+y)^i in y = x^((q-1)/2).
     Only the coefficients that ``Series.at(degrees)`` reads are built
     (_last_read)."""
-    step, size = (field.q - 1) // 2, k + len(weights)
+    step, size = (q - 1) // 2, k + len(weights)
     cap = _last_read(degrees, size, step, k)
     return _padded(step, _conv(
         [(-1) ** t * comb(k, t) for t in range(min(k, cap) + 1)],
@@ -249,11 +250,10 @@ def _tori_sum(weights: list[int], k: int, field: Field, degrees) -> Series:
          for v in range(min(len(weights) - 1, cap) + 1)], cap), size, k)
 
 
-def degenerate_torus_at(i: int, k: int, field: Field, degrees) -> list[int]:
+def degenerate_torus_at(i: int, k: int, q: int, degrees) -> list[int]:
     """H(d) at each d of degrees for the i-th degenerate torus: i unit
     factors and k-i squares factors, i.e. the box with i bounds q-2 and
     k-i bounds (q-1)/2 - 1."""
-    q = field.q
     if (q - 1) % 2 != 0:
         raise UnsupportedSpec("degenerate tori need q-1 even")
     gamma = gamma_of(k)
@@ -265,14 +265,13 @@ def degenerate_torus_at(i: int, k: int, field: Field, degrees) -> list[int]:
 
 # -- regularity -------------------------------------------------------------
 
-def regularity_formula(spec: CycleFamilySpec, field: Field) -> int:
+def regularity_formula(spec: CycleFamilySpec, q: int) -> int:
     """Closed-form stabilization degree of the Hilbert function.
 
     For q-1 even: sum over families of m(k+gamma)(q-1)/2 - km.  For
     q-1 odd X* is the full torus and the footprint is the plain box
     with all bounds q-2, which saturates at degree s(q-2).
     """
-    q = field.q
     if (q - 1) % 2 == 0:
         half = (q - 1) // 2
         return sum(m * (k + gamma_of(k)) * half - k * m
@@ -280,22 +279,29 @@ def regularity_formula(spec: CycleFamilySpec, field: Field) -> int:
     return spec.nvars * (q - 2)
 
 
-def regularity_bruteforce(spec: CycleFamilySpec, field: Field) -> int:
+def regularity_bruteforce(spec: CycleFamilySpec, q: int) -> int:
     """Least d with H(d) = |X*|, by bisecting the monotone footprint
-    count over the degrees 0..nvars(q-2) of exponents <= q-2."""
-    target = cardinality_formula(spec, field.q)
-    series = footprint_numerator(spec, field)
-    top = spec.nvars * (field.q - 2)
+    count over the degrees 0..nvars(q-2) of exponents <= q-2, on plain
+    ints, so top may pass what a range can index."""
+    target = cardinality_formula(spec, q)
+    series = footprint_numerator(spec, q)
+    top = spec.nvars * (q - 2)
 
     def h(d):
         return series.at([d])[0]
 
-    d = bisect_left(range(top + 1), target, key=h)
-    if d > top or h(d) != target:
+    lo, hi = 0, top + 1  # the least d with h(d) >= target, or top + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if h(mid) < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo > top or h(lo) != target:
         raise CheckFailure(
             f"footprint total {h(top)} never reached |X*| = {target}; "
             "the two routes disagree")
-    return d
+    return lo
 
 
 # -- beta decomposition ------------------------------------------------------
@@ -308,7 +314,7 @@ class BetaDecomposition(NamedTuple):
     verified_through: int
 
 
-def solve_betas(k: int, field: Field) -> BetaDecomposition:
+def solve_betas(k: int, q: int) -> BetaDecomposition:
     """The beta coefficients of a single k-cycle, read off its
     footprint numerator.
 
@@ -323,17 +329,17 @@ def solve_betas(k: int, field: Field) -> BetaDecomposition:
     series, so the identity holds at every degree, reported as
     through regularity + 1.
     """
-    if (field.q - 1) % 2 != 0:
+    if (q - 1) % 2 != 0:
         raise UnsupportedSpec("beta decomposition needs q-1 even")
     gamma = gamma_of(k)
     spec = CycleFamilySpec.single(k)
-    target = footprint_numerator(spec, field)
+    target = footprint_numerator(spec, q)
     s = Series(1, target.coeffs, k - 1).at(range(gamma + 1))
     betas = [sum(s[v] * comb(v, i) * (-1) ** (v - i)
                  for v in range(i, gamma + 1))
              for i in range(gamma + 1)]
-    if _tori_sum(betas, k, field, None) != target:
+    if _tori_sum(betas, k, q, None) != target:
         raise CheckFailure("beta identity fails: sum beta_i N_i is not "
                            "the footprint numerator")
     return BetaDecomposition(tuple(betas),
-                             regularity_formula(spec, field) + 1)
+                             regularity_formula(spec, q) + 1)

@@ -16,6 +16,10 @@ parameterized set X* is generated by binomials:
 When q-1 is odd (q a power of two) X* is the full torus and the torus
 part alone generates.
 
+``build_generators`` returns one tuple: the torus part in variable
+order, then each copy's cycle part in block order, a copy's binomials
+in the lexicographic order of their gamma-subsets.
+
 The longer monomial of each cycle binomial is its leading term under
 graded lex, so the stored term order is stable.
 
@@ -36,35 +40,6 @@ from .cyclegraph import CycleFamilySpec, gamma_of
 from .errors import check_budget
 from .gf import Field
 from .poly import Polynomial
-
-
-class GeneratorSet:
-    """Torus binomials plus one list of cycle binomials per cycle copy."""
-
-    __slots__ = ("spec", "field", "torus_part", "cycle_parts")
-
-    def __init__(self, spec: CycleFamilySpec, field: Field,
-                 torus_part: tuple[Polynomial, ...],
-                 cycle_parts: tuple[tuple[Polynomial, ...], ...]):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "torus_part", torus_part)
-        object.__setattr__(self, "cycle_parts", cycle_parts)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GeneratorSet is immutable")
-
-    def all_generators(self) -> list[Polynomial]:
-        out = list(self.torus_part)
-        for part in self.cycle_parts:
-            out.extend(part)
-        return out
-
-    def __iter__(self):
-        return iter(self.all_generators())
-
-    def __len__(self) -> int:
-        return len(self.torus_part) + sum(len(p) for p in self.cycle_parts)
 
 
 def generator_count(spec: CycleFamilySpec, q: int) -> int:
@@ -116,19 +91,17 @@ def _unit_vector(n: int, i: int, value: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def build_generators(spec: CycleFamilySpec, field: Field) -> GeneratorSet:
-    """The generator set described in the module docstring."""
+def build_generators(spec: CycleFamilySpec,
+                     field: Field) -> tuple[Polynomial, ...]:
+    """The generators described in the module docstring, in its order."""
     n = spec.nvars
     q = field.q
-    torus = tuple(
-        Polynomial.binomial(field, _unit_vector(n, i, q - 1), (0,) * n)
-        for i in range(n))
-    cycle_parts = []
+    gens = [Polynomial.binomial(field, _unit_vector(n, i, q - 1), (0,) * n)
+            for i in range(n)]
     if (q - 1) % 2 == 0:
         half = (q - 1) // 2
         for k, off in spec.blocks():
             block_vars = list(range(off, off + k))
-            gens = []
             for alpha in itertools.combinations(block_vars, gamma_of(k)):
                 w = [v for v in block_vars if v not in alpha]
                 plus = [0] * n
@@ -139,5 +112,4 @@ def build_generators(spec: CycleFamilySpec, field: Field) -> GeneratorSet:
                     minus[v] = half
                 gens.append(
                     Polynomial.binomial(field, tuple(plus), tuple(minus)))
-            cycle_parts.append(tuple(gens))
-    return GeneratorSet(spec, field, torus, tuple(cycle_parts))
+    return tuple(gens)

@@ -283,13 +283,12 @@ def hilbert_report_json(q, spec, degrees, with_rank=False) -> str:
     degree, and whether every column present equals the footprint.
     Run it with no limit on int -> str digits, as the command line
     does."""
-    field = field_new(q)
-    footprints = hilbert.footprint_at(spec, field, degrees)
+    footprints = hilbert.footprint_at(spec, q, degrees)
     unions = ranks = [None] * len(degrees)
     if q % 2 and len(spec.components) == 1 and spec.components[0][1] == 1:
-        unions = hilbert.union_at(spec.components[0][0], field, degrees)
+        unions = hilbert.union_at(spec.components[0][0], q, degrees)
     if with_rank:
-        ranks = codes.character_at(spec, field, degrees)
+        ranks = codes.character_at(spec, q, degrees)
     rows = [{"d": d, "footprint": fp, "union": u, "rank": r}
             for d, fp, u, r in zip(degrees, footprints, unions, ranks)]
     agree = all(row[col] in (None, row["footprint"])

@@ -2,14 +2,23 @@
 before any of the work is done."""
 
 import math
+import random
 import shlex
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from cyclecodes import BudgetExceeded, cli, codes, hilbert, ideal, poly
-from cyclecodes.errors import check_budget
+from cyclecodes.errors import check_budget, decimal_text
+
+
+def _command_args(argv):
+    """What the command line hands a command: the parsed arguments, the
+    field of --q and the parsed --spec."""
+    args = cli.build_parser().parse_args(shlex.split(argv))
+    return args, cli.field_new(args.q), cli.parse_spec_string(args.spec)
 
 
 def _refused(*args, **kwargs):
@@ -64,11 +73,11 @@ REFUSALS = [
                          ids=[argv for argv, _, _ in REFUSALS])
 def test_each_stage_refuses_before_its_work(monkeypatch, capsys, argv,
                                             work, text):
-    args = cli.build_parser().parse_args(shlex.split(argv))
+    args = _command_args(argv)
     for module, name in work:
         monkeypatch.setattr(module, name, _refused)
     with pytest.raises(BudgetExceeded) as exc:
-        cli._COMMANDS[args.command](args)
+        cli._COMMANDS[args[0].command](*args)
     exc = exc.value
     assert exc.needed > exc.allowed
     assert str(exc) == f"{exc.stage} needs {exc.needed} {exc.unit}, " + (
@@ -100,3 +109,41 @@ def test_a_refusal_past_the_digit_limit_is_still_a_refusal():
     with pytest.raises(BudgetExceeded) as exc:
         check_budget("materializing X*", 10 ** 5000, "points", 10)
     assert (exc.value.needed, exc.value.allowed) == (10 ** 5000, 10)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int -> str digits")
+def test_decimal_text_is_str_of_any_size():
+    # around the cut to the decimal module and its 1024-bit leaves, far
+    # past the digits that int -> str allows by default, and negative
+    rng = random.Random(7)
+    numbers = [0, 1, 10 ** 5000, 10 ** 30000 - 1, 10 ** 30000, 2 ** 8192,
+               2 ** 8193 - 1, 2 ** 8193]
+    numbers += [rng.getrandbits(b) for b in (63, 1025, 8193, 8194, 20000,
+                                             100003)]
+    numbers += [-n for n in numbers]
+    texts = [decimal_text(n) for n in numbers]
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert texts == [str(n) for n in numbers]
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+def test_a_refusal_of_a_huge_count_reads_fast():
+    # the entry count of a million triangles over F_3 is |X*| = 4^1000000,
+    # 602,060 digits; its text comes from decimal_text, where the
+    # quadratic int -> str of Python 3.11 takes seconds
+    argv = "code --q 3 --spec 3x1000000 --d 0"
+    with pytest.raises(BudgetExceeded) as exc:
+        cli._COMMANDS["code"](*_command_args(argv))
+    assert exc.value.needed == 4 ** 1000000
+    start = time.perf_counter()
+    text = str(exc.value)
+    assert time.perf_counter() - start < 2
+    assert text == ("evaluation matrix needs "
+                    f"{decimal_text(4 ** 1000000)} entries, "
+                    "budget is 67108864")
+    assert len(text) == len("evaluation matrix needs  entries, budget is "
+                            "67108864") + 602060

@@ -18,6 +18,7 @@ from cyclecodes import (
     ideal,
     poly,
 )
+from cyclecodes.errors import decimal_text
 
 CLI = [sys.executable, "-m", "cyclecodes.cli"]
 
@@ -484,6 +485,16 @@ def test_unsupported_field_exits_2():
     assert "error:" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["hilbert", "regularity", "betas"])
+def test_counting_commands_refuse_odd_prime_powers(capsys, command):
+    # the counting routes would run over F_9, but the command line still
+    # checks q as the arithmetic commands do
+    assert cli.main([command, "--q", "9", "--spec", "3"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: 9 is not an odd prime or a power of two; odd prime-power "
+        "fields are not supported\n"))
+
+
 def test_large_prime_field_exits_2_at_once():
     # 2^61 - 1 is prime: trial division to its square root would run for
     # minutes, so the size limit must be checked first
@@ -653,6 +664,18 @@ def test_card_prints_counts_past_4300_digits(long_int_text, fmt):
         assert r.stdout == (f"enumerated |X*| = {size}\n"
                             f"closed-form |X*| = {size}\n"
                             "agree = true\n")
+
+
+def test_card_prints_a_million_copies_in_seconds():
+    # |X*| = 4^1000000 has 602,060 digits: int -> str, quadratic in
+    # Python 3.11, would take many seconds for each of the two counts
+    r = run_cli("card", "--q", "3", "--spec", "3x1000000", timeout=10)
+    assert (r.returncode, r.stderr) == (0, "")
+    size = decimal_text(4 ** 1000000)
+    assert len(size) == 602060
+    assert r.stdout == (f"enumerated |X*| = {size}\n"
+                        f"closed-form |X*| = {size}\n"
+                        "agree = true\n")
 
 
 @_digit_limit

@@ -1,18 +1,19 @@
-"""The JSON reports byte for byte: ``hilbert`` and ``enumerate`` write
-the layout of json.dumps(payload, indent=2) directly, so each is
+"""The JSON reports byte for byte: ``hilbert``, ``enumerate`` and
+``card`` write the layout of json.dumps(payload, indent=2) directly, so each is
 compared with that encoding of the payload rebuilt from the library's
 routes (tests/oracles.py).  Plain ``enumerate`` output is compared with
 the same oracle's points."""
 
 import contextlib
 import io
+import json
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecodes import cli, hilbert, parse_spec_string
+from cyclecodes import cardinality_formula, cli, hilbert, parse_spec_string
 from oracles import enumerate_report, hilbert_report_json
 
 
@@ -53,7 +54,7 @@ def _hilbert_cases(draw):
         dmax = draw(st.integers(0, 12))
         degrees, flags = list(range(dmax + 1)), ["--dmax", str(dmax)]
     else:
-        reg = hilbert.regularity_formula(spec, cli.field_new(q))
+        reg = hilbert.regularity_formula(spec, q)
         degrees, flags = list(range(reg + 2)), []
     # the rank column searches (q-1)^k states per cycle length k
     with_rank = q <= 8 and draw(st.booleans())
@@ -76,8 +77,8 @@ def test_hilbert_json_is_the_indent_2_encoding(case):
 def test_hilbert_json_when_the_routes_disagree(monkeypatch, with_rank):
     union_at = hilbert.union_at
     monkeypatch.setattr(hilbert, "union_at",
-                        lambda k, field, degrees: [h + 1 for h in union_at(
-                            k, field, degrees)])
+                        lambda k, q, degrees: [h + 1 for h in union_at(
+                            k, q, degrees)])
     spec = parse_spec_string("5")
     flags = ["--with-rank"] * with_rank
     code, out, err = run_main(["hilbert", "--q", "5", "--spec", "5",
@@ -128,3 +129,20 @@ def test_enumerate_json_is_the_indent_2_encoding(text, q):
                                    text, "--format", fmt])
         assert (code, err) == (0, "")
         assert out == enumerate_report(q, spec, fmt) + "\n"
+
+
+@pytest.mark.parametrize("q, text", [(5, "5"), (3, "3x2,5"), (4, "3"),
+                                     (5, "3x3000"), (7, "5x2")])
+def test_card_json_is_the_indent_2_encoding(no_digit_limit, q, text):
+    # the counts agree, so the closed form stands for both
+    size = cardinality_formula(parse_spec_string(text), q)
+    code, out, err = run_main(["card", "--q", str(q), "--spec", text,
+                               "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"q": q, "spec": text, "enumerated": size,
+                              "formula": size, "agree": True},
+                             indent=2) + "\n"
+    code, out, err = run_main(["card", "--q", str(q), "--spec", text,
+                               "--format", "csv"])
+    assert (code, out, err) == (
+        0, f"enumerated,formula,agree\n{size},{size},true\n", "")

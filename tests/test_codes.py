@@ -215,9 +215,8 @@ def test_code_dimension_matches_footprint():
                                (4, "3", 7), (5, "3x2", 4), (2, "3", 2)):
         X = _X(q, spec_text)
         spec = parse_spec_string(spec_text)
-        field = field_new(q)
         for d in range(dmax + 1):
-            assert rank_at(X, [d]) == footprint_at(spec, field, [d])
+            assert rank_at(X, [d]) == footprint_at(spec, q, [d])
             assert rank_at(X, [d]) == [_rank(build_evaluation_matrix(X, d))]
 
 
@@ -235,13 +234,13 @@ def test_rank_table_matches_per_degree_ranks():
 def test_rank_table_generic_binary_field():
     X = _X(4, "3")
     assert rank_at(X, range(8)) \
-        == footprint_at(parse_spec_string("3"), field_new(4), range(8))
+        == footprint_at(parse_spec_string("3"), 4, range(8))
 
 
 def test_rank_reaches_cardinality_at_regularity():
     for q, spec_text in ((5, "3"), (3, "3"), (7, "3")):
         X = _X(q, spec_text)
-        reg = regularity_formula(parse_spec_string(spec_text), field_new(q))
+        reg = regularity_formula(parse_spec_string(spec_text), q)
         below, at = rank_at(X, [reg - 1, reg])
         assert at == len(X)
         assert below < len(X)
@@ -270,12 +269,12 @@ def test_rank_invariant_under_column_permutation():
 
 
 def test_character_table_fixtures():
-    table = character_at(parse_spec_string("3"), field_new(5), range(7))
+    table = character_at(parse_spec_string("3"), 5, range(7))
     assert table == [1, 4, 10, 20, 29, 32, 32]
-    assert character_at(parse_spec_string("5"), field_new(5), [9]) == [512]
-    assert character_at(parse_spec_string("3"), field_new(2), range(4)) \
+    assert character_at(parse_spec_string("5"), 5, [9]) == [512]
+    assert character_at(parse_spec_string("3"), 2, range(4)) \
         == [1, 1, 1, 1]
-    assert character_at(parse_spec_string("3"), field_new(5), [-1]) == [0]
+    assert character_at(parse_spec_string("3"), 5, [-1]) == [0]
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8])
@@ -312,9 +311,9 @@ def _rank_dmax(spec, q, dmax):
 def test_character_table_matches_footprint_and_rank(q, families):
     spec = CycleFamilySpec(tuple(families))
     field = field_new(q)
-    dmax = regularity_formula(spec, field) + 1
-    chars = character_at(spec, field, range(dmax + 1))
-    assert chars == footprint_at(spec, field, range(dmax + 1))
+    dmax = regularity_formula(spec, q) + 1
+    chars = character_at(spec, q, range(dmax + 1))
+    assert chars == footprint_at(spec, q, range(dmax + 1))
     assert chars[dmax] == cardinality_formula(spec, q)
 
     d = _rank_dmax(spec, q, dmax)
@@ -423,7 +422,7 @@ def test_distance_non_increasing_as_dimension_grows():
 def test_full_space_code_has_distance_one():
     # At d >= regularity the code is all of F_q^n.
     X = _X(3, "3")
-    reg = regularity_formula(parse_spec_string("3"), field_new(3))
+    reg = regularity_formula(parse_spec_string("3"), 3)
     p = code_params(X, reg)
     assert p.dimension == len(X)
     assert p.min_distance == 1
@@ -482,7 +481,7 @@ def test_code_params_matches_rank_and_brute_force(instance, d):
     spec = parse_spec_string(spec_text)
     field = field_new(q)
     npoints = cardinality_formula(spec, q)
-    while d and q ** footprint_at(spec, field, [d])[0] * npoints \
+    while d and q ** footprint_at(spec, q, [d])[0] * npoints \
             > _DISTANCE_WORK_CAP:
         d -= 1
     _check_distance(enumerate_toric_set(spec, field), d)

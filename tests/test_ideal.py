@@ -29,29 +29,47 @@ from oracles import (
 # -- construction ---------------------------------------------------------------
 
 
+def _torus(field, n):
+    """The torus binomials t_i^(q-1) - 1 in variable order, which
+    ``build_generators`` puts first."""
+    return tuple(Polynomial.binomial(field, tuple(
+        (field.q - 1) * (j == i) for j in range(n)), (0,) * n)
+        for i in range(n))
+
+
+def _cycle_binomial(g, half):
+    """Whether g is a difference of two monomials in (q-1)/2-th powers,
+    as every cycle binomial is."""
+    return len(g.terms) == 2 and {e for m, _ in g.terms for e in m} \
+        == {0, half}
+
+
 def test_generator_count_flagship():
-    # 5 torus relations + C(5,2) = 10 cycle binomials.
-    gens = build_generators(CycleFamilySpec.single(5), field_new(5))
-    assert len(gens.torus_part) == 5
-    assert len(gens.cycle_parts) == 1
-    assert len(gens.cycle_parts[0]) == 10
+    # 5 torus relations, then C(5,2) = 10 cycle binomials.
+    field = field_new(5)
+    gens = build_generators(CycleFamilySpec.single(5), field)
+    assert type(gens) is tuple
     assert len(gens) == 15
-    assert len(gens.all_generators()) == 15
+    assert gens[:5] == _torus(field, 5)
+    assert all(_cycle_binomial(g, 2) for g in gens[5:])
 
 
 def test_generator_count_torus_field():
     # q - 1 odd: no cycle part at all.
-    gens = build_generators(CycleFamilySpec.single(3), field_new(4))
-    assert len(gens.torus_part) == 3
-    assert gens.cycle_parts == ()
+    field = field_new(4)
+    gens = build_generators(CycleFamilySpec.single(3), field)
+    assert gens == _torus(field, 3)
     assert len(gens) == 3
 
 
 def test_generator_count_two_copies():
-    gens = build_generators(CycleFamilySpec.single(3, 2), field_new(5))
-    # 6 torus + C(3,1) = 3 per copy.
-    assert len(gens.torus_part) == 6
-    assert [len(p) for p in gens.cycle_parts] == [3, 3]
+    field = field_new(5)
+    gens = build_generators(CycleFamilySpec.single(3, 2), field)
+    # 6 torus + C(3,1) = 3 per copy, the copies in block order.
+    assert gens[:6] == _torus(field, 6)
+    assert all(_cycle_binomial(g, 2) for g in gens[6:])
+    assert not any(any(m[3:]) for g in gens[6:9] for m, _ in g.terms)
+    assert not any(any(m[:3]) for g in gens[9:] for m, _ in g.terms)
     assert len(gens) == 12
 
 
@@ -135,9 +153,8 @@ def test_budget_counts_the_components_the_check_runs(monkeypatch, capsys,
                      "--spec", spec_text]) == 0
     assert capsys.readouterr().out == "groebner basis check: pass\n"
     field = field_new(q)
-    assert checked == [
-        build_generators(CycleFamilySpec.single(k), field).all_generators()
-        for k in spec.lengths]
+    assert checked == [build_generators(CycleFamilySpec.single(k), field)
+                       for k in spec.lengths]
     sizes = [len(gens) for gens in checked]
     cells = sum(g * gens[0].nvars for g, gens in zip(sizes, checked))
     tests = 0 if q % 2 == 0 else sum(g * (g * (g - 1) // 2) for g in sizes)
@@ -165,26 +182,24 @@ def test_generators_are_the_single_cycle_lists_at_the_block_offsets(
     spec = parse_spec_string(spec_text)
     field = field_new(q)
     gens = build_generators(spec, field)
-    torus, cycle_parts = [], []
+    torus, cycles = [], []
     for k, off in spec.blocks():
         one = build_generators(CycleFamilySpec.single(k), field)
-        torus += [_placed(g, off, spec.nvars) for g in one.torus_part]
-        cycle_parts += [tuple(_placed(g, off, spec.nvars) for g in part)
-                        for part in one.cycle_parts]
-    assert gens.torus_part == tuple(torus)
-    assert gens.cycle_parts == tuple(cycle_parts)
+        torus += [_placed(g, off, spec.nvars) for g in one[:k]]
+        cycles += [_placed(g, off, spec.nvars) for g in one[k:]]
+    assert gens == tuple(torus + cycles)
 
 
 def test_torus_generator_shape():
     gens = build_generators(CycleFamilySpec.single(3), field_new(5))
     f5 = field_new(5)
-    assert gens.torus_part[0] == Polynomial.binomial(f5, (4, 0, 0), (0, 0, 0))
-    assert gens.torus_part[2] == Polynomial.binomial(f5, (0, 0, 4), (0, 0, 0))
+    assert gens[0] == Polynomial.binomial(f5, (4, 0, 0), (0, 0, 0))
+    assert gens[2] == Polynomial.binomial(f5, (0, 0, 4), (0, 0, 0))
 
 
 def test_cycle_generator_shape():
     gens = build_generators(CycleFamilySpec.single(3), field_new(5))
-    texts = sorted(g.to_text() for g in gens.cycle_parts[0])
+    texts = sorted(g.to_text() for g in gens[3:])
     assert texts == [
         "t1^2*t2^2 - t3^2",
         "t1^2*t3^2 - t2^2",
@@ -198,7 +213,7 @@ def test_cycle_generators_supports_disjoint_and_leading_longer():
         gens = build_generators(CycleFamilySpec.single(k), field)
         gamma = gamma_of(k)
         half = (q - 1) // 2
-        for g in gens.cycle_parts[0]:
+        for g in gens[k:]:
             (plus, one), (minus, minus_one) = g.terms
             assert (one, minus_one) == (1, field.neg(1))
             assert not any(map(min, plus, minus))
@@ -208,7 +223,7 @@ def test_cycle_generators_supports_disjoint_and_leading_longer():
 
 def test_second_block_generators_use_second_block_vars():
     gens = build_generators(CycleFamilySpec.single(3, 2), field_new(5))
-    for g in gens.cycle_parts[1]:
+    for g in gens[9:]:  # after 6 torus and 3 first-copy binomials
         for mono, _ in g.terms:
             assert all(e == 0 for e in mono[:3])
             assert any(e for e in mono[3:])
@@ -231,7 +246,7 @@ def test_perturbed_generator_does_not_vanish():
     spec = CycleFamilySpec.single(5)
     gens = build_generators(spec, field)
     X = enumerate_toric_set(spec, field)
-    g = gens.cycle_parts[0][0]
+    g = gens[5]  # the first cycle binomial, after 5 torus binomials
     (mp, cp), (mm, cm) = g.terms
     bumped = list(mp)
     bumped[next(i for i, e in enumerate(mp) if e)] += 1
@@ -244,7 +259,7 @@ def test_torus_part_vanishes_on_any_unit_tuples():
     spec = CycleFamilySpec.single(3)
     gens = build_generators(spec, field)
     X = enumerate_toric_set(spec, field)
-    for g in gens.torus_part:
+    for g in gens[:3]:
         assert vanishing_membership(g, X)
 
 
@@ -261,7 +276,7 @@ def test_vanishing_membership_basics():
 def test_groebner_property_small():
     field = field_new(5)
     gens = build_generators(CycleFamilySpec.single(3), field)
-    assert buchberger_is_groebner(gens.all_generators())
+    assert buchberger_is_groebner(gens)
 
 
 # -- the space of candidate binomials ----------------------------------------------

@@ -399,7 +399,7 @@ def _generator_sets(draw):
     kind = draw(st.sampled_from(["binomials", "polynomials", "ideal"]))
     if kind == "ideal":
         spec = parse_spec_string(draw(st.sampled_from(["3", "5", "3x2"])))
-        gens = build_generators(spec, field).all_generators()
+        gens = list(build_generators(spec, field))
         nvars = spec.nvars
         i = draw(st.integers(0, len(gens) - 1))
         if draw(st.booleans()):
@@ -471,8 +471,7 @@ def _copied_sets(draw):
     robin or shuffled."""
     field = draw(st.sampled_from(_FIELDS))
     if draw(st.booleans()):
-        base = build_generators(parse_spec_string("3"),
-                                field).all_generators()
+        base = build_generators(parse_spec_string("3"), field)
     else:
         base = draw(st.lists(_polynomial(field, draw(st.integers(1, 2)), 2),
                              min_size=1, max_size=3))
@@ -525,7 +524,7 @@ def test_split_check_agrees_with_the_all_pairs_check():
 def test_one_failing_copy_fails_the_split_check():
     # three copies of the basis of 3 over F_5, the last with one cycle
     # binomial dropped: only that copy fails, and the check finds it
-    gens = build_generators(parse_spec_string("3x3"), F5).all_generators()
+    gens = build_generators(parse_spec_string("3x3"), F5)
     assert buchberger_is_groebner(gens)
     broken = gens[:-1]
     assert not _all_pairs_is_groebner(broken)
@@ -557,7 +556,7 @@ def _reductions(monkeypatch, gens):
 def test_chain_criterion_cuts_the_reductions(monkeypatch):
     # build_generators(7x3) over F_5: 126 generators, 2205 pairs whose
     # leading monomials share a variable.
-    gens = build_generators(parse_spec_string("7x3"), F5).all_generators()
+    gens = build_generators(parse_spec_string("7x3"), F5)
     pairs = sum(not _coprime(leading_monomial(a), leading_monomial(b))
                 for i, a in enumerate(gens) for b in gens[i + 1:])
     assert pairs == 2205
@@ -568,7 +567,7 @@ def test_chain_criterion_reduces_at_most_672_pairs_on_7x3(monkeypatch):
     # Visiting the pairs by increasing lcm lets the chain criterion use
     # every pair settled so far: 672 of the 2205 pairs are reduced when
     # all three copies are checked, 224 when one copy stands for all.
-    gens = build_generators(parse_spec_string("7x3"), F5).all_generators()
+    gens = build_generators(parse_spec_string("7x3"), F5)
     assert 0 < _reductions(monkeypatch, gens) <= 672
 
 
@@ -580,8 +579,7 @@ def test_reduced_pair_counts_do_not_move(monkeypatch, q, spec, reduced):
     # The pairs are visited in (degree, lcm, i, j) order, so the chain
     # criterion skips the same pairs whatever the monomial encoding.
     # Counted on the whole set, every copy included.
-    gens = build_generators(parse_spec_string(spec),
-                            field_new(q)).all_generators()
+    gens = build_generators(parse_spec_string(spec), field_new(q))
     assert _reductions(monkeypatch, gens) == reduced
 
 
@@ -603,7 +601,7 @@ def test_the_check_and_division_leave_no_reference_cycles():
     # a divisor set, its packed divisors and the division results are
     # freed by reference counting, so the memo and the pair list go
     # when the check returns
-    gens = build_generators(parse_spec_string("5"), F5).all_generators()
+    gens = build_generators(parse_spec_string("5"), F5)
     gc.collect()
     gc.disable()
     try:
@@ -630,8 +628,7 @@ def test_the_groebner_check_refuses_a_bad_generator_set(gens, error):
 
 
 def test_groebner_check_over_a_large_prime_indexes_only_the_lead_exponents():
-    gens = build_generators(parse_spec_string("3x2,5"),
-                            field_new(65521)).all_generators()
+    gens = build_generators(parse_spec_string("3x2,5"), field_new(65521))
     assert buchberger_is_groebner(gens)
     dset = DivisorSet(gens)
     for v, (row, masks) in enumerate(zip(dset.exponents, dset.masks)):
@@ -721,8 +718,7 @@ def test_packed_s_pairs_equal_s_polynomial():
 
     check()
     for q, spec in [(5, "3x2"), (8, "3x2"), (65521, "3x2,5")]:
-        same(build_generators(parse_spec_string(spec),
-                              field_new(q)).all_generators())
+        same(build_generators(parse_spec_string(spec), field_new(q)))
 
 
 def test_a_dividend_above_the_set_bound_is_packed_wider():
@@ -761,7 +757,7 @@ def test_division_results_behave_as_polynomials():
 
 
 def test_a_public_divisor_set_keeps_no_memo():
-    gens = build_generators(parse_spec_string("5"), F5).all_generators()
+    gens = build_generators(parse_spec_string("5"), F5)
     dset = DivisorSet(gens)
     for f in (poly_mul(gens[0], gens[1]),
               poly_add(poly_mul(gens[2], gens[3]), gens[4])):
