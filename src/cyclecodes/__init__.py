@@ -52,8 +52,7 @@ _LAZY = {
                     "codes"),
     **dict.fromkeys(("ideal", "build_generators"), "ideal"),
     **dict.fromkeys(("poly", "DivisorSet", "Monomial", "Polynomial",
-                     "buchberger_is_groebner", "grlex_key",
-                     "multivariate_divide"), "poly"),
+                     "buchberger_is_groebner", "grlex_key"), "poly"),
 }
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")]

@@ -87,7 +87,7 @@ def check_matrix_budget(nvars: int, q: int, npoints: int, d: int,
     """Raise BudgetExceeded when the degree-d evaluation matrix on
     npoints points would have more than max_entries entries; the basis
     is counted, not listed."""
-    nentries = count_box_degree([min(q - 2, d)] * nvars, d) * npoints
+    nentries = count_box_degree({min(q - 2, d): nvars}, d) * npoints
     check_budget("evaluation matrix", nentries, "entries", max_entries)
 
 

@@ -38,7 +38,7 @@ factor in the basis of the tori's numerators (solve_betas).
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
 from itertools import accumulate, repeat
 from math import comb, gcd
 from typing import NamedTuple
@@ -123,16 +123,17 @@ def _padded(step: int, num: list[int], size: int, n: int) -> Series:
     return Series(step, num + [0] * (size - len(num)), n)
 
 
-def box_numerator(bounds, degrees) -> Series:
-    """The series of the box {0 <= a_i <= b_i}: N = prod (1 - x^(b+1))
-    in x^step, step the gcd of the b + 1, one binomial factor
-    (1 - x^(b+1))^m per bound b that m of the b_i equal, so the bounds
-    are walked once, to count them.  Only the coefficients that
-    ``Series.at(degrees)`` reads are built (_last_read)."""
-    counts = Counter(bounds)
+def box_numerator(box, degrees) -> Series:
+    """The series of the box {0 <= a_i <= b_i}, given as a mapping
+    {bound b: the number m of the b_i equal to b}: N = prod (1 -
+    x^(b+1))^m in x^step, step the gcd of the b + 1 over the bounds of
+    nonzero m, one binomial factor per bound.  Only the coefficients
+    that ``Series.at(degrees)`` reads are built (_last_read)."""
+    counts = {b: m for b, m in box.items() if m}
     step = gcd(*(b + 1 for b in counts)) or 1
     size = 1 + sum(m * ((b + 1) // step) for b, m in counts.items())
-    cap = _last_read(degrees, size, step, len(bounds))
+    n = sum(counts.values())
+    cap = _last_read(degrees, size, step, n)
     num = [1]
     for b, m in counts.items():
         e = (b + 1) // step
@@ -140,12 +141,13 @@ def box_numerator(bounds, degrees) -> Series:
         for t in range(min(m, cap // e) + 1):
             factor[t * e] = (-1) ** t * comb(m, t)
         num = _conv(factor, num, cap)
-    return _padded(step, num, size, len(bounds))
+    return _padded(step, num, size, n)
 
 
-def count_box_degree(bounds, d: int) -> int:
-    """#{a : 0 <= a_i <= b_i, sum(a) <= d}."""
-    return box_numerator(bounds, [d]).at([d])[0]
+def count_box_degree(box, d: int) -> int:
+    """#{a : 0 <= a_i <= b_i, sum(a) <= d}, the box given as
+    box_numerator takes it."""
+    return box_numerator(box, [d]).at([d])[0]
 
 
 # -- footprint route -------------------------------------------------------
@@ -167,19 +169,21 @@ def footprint_numerator(spec: CycleFamilySpec, q: int,
     most q-2: N = (1-y)^nvars with y = x^(q-1).
 
     Given degrees, only the coefficients that ``Series.at(degrees)``
-    reads are built (_last_read).
+    reads are built (_last_read).  A numerator longer than one list
+    can index is refused before any list is built.
     """
     n = spec.nvars
-    step, masks = q - 1, []
+    step, blocks = q - 1, ()
     if (q - 1) % 2 == 0:
-        step = (q - 1) // 2
-        for k, m in spec.components:
-            masks += [[comb(k, v) for v in range(gamma_of(k) + 1)]] * m
-    size = n + 1 + sum(len(mask) - 1 for mask in masks)
+        step, blocks = (q - 1) // 2, spec.components
+    size = n + 1 + sum(m * gamma_of(k) for k, m in blocks)
+    check_budget("footprint numerator", size, "coefficients", sys.maxsize)
     cap = _last_read(degrees, size, step, n)
     num = [(-1) ** t * comb(n, t) for t in range(min(n, cap) + 1)]
-    for mask in masks:
-        num = _conv(mask, num, cap)
+    for k, m in blocks:
+        mask = [comb(k, v) for v in range(min(gamma_of(k), cap) + 1)]
+        for _ in range(m):
+            num = _conv(mask, num, cap)
     return _padded(step, num, size, n)
 
 
@@ -259,8 +263,8 @@ def degenerate_torus_at(i: int, k: int, q: int, degrees) -> list[int]:
     gamma = gamma_of(k)
     if not 0 <= i <= gamma:
         raise ValueError(f"index {i} outside 0..{gamma}")
-    bounds = [q - 2] * i + [(q - 1) // 2 - 1] * (k - i)
-    return box_numerator(bounds, degrees).at(degrees)
+    box = {q - 2: i, (q - 1) // 2 - 1: k - i}
+    return box_numerator(box, degrees).at(degrees)
 
 
 # -- regularity -------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Multivariate polynomials over a small finite field, their division
-by a prepared divisor set and the Groebner check.
+"""Multivariate polynomials over a small finite field and the Groebner
+check, whose S-pairs are reduced by a prepared divisor set.
 
 Monomials are exponent tuples; a polynomial stores its nonzero terms
 sorted in decreasing graded lexicographic order with
 ``t1 > t2 > ... > tn``.
 
-Division and the Groebner check run on packed monomials instead, one
-int per monomial, against a ``DivisorSet`` that checks and prepares the
-divisors once.  A monomial on n variables of total degree at most B is
+The Groebner check runs on packed monomials instead, one int per
+monomial, against a ``DivisorSet`` that checks and prepares the
+generators once.  A monomial on n variables of total degree at most B is
 one int: the total degree in the top field, then the exponents of t1,
 ..., tn, t1 the most significant, every field 8 * b bits wide with
 b = B.bit_length() // 8 + 1.  A value up to B leaves the top bit of
@@ -28,7 +28,6 @@ other coefficient but 1 is written ``c*...``.
 
 from __future__ import annotations
 
-import copy
 from bisect import bisect_right
 from functools import reduce
 from itertools import accumulate
@@ -87,12 +86,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m, _ in self.terms)
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.field != other.field or self.nvars != other.nvars:
@@ -190,60 +183,30 @@ class Packing:
         return m | (m * self.low & self.top) << self.width
 
 
-class PackedPolynomial(Polynomial):
-    """A polynomial held as a dict of packed terms, ``packed``; its
-    ``terms`` are unpacked, in decreasing order, when first read."""
-
-    __slots__ = ("packing", "packed", "_unpacked")
-
-    def __init__(self, field, nvars: int, packing: Packing,
-                 packed: dict[int, int]):
-        init = object.__setattr__  # Polynomial refuses plain assignment
-        init(self, "field", field)
-        init(self, "nvars", nvars)
-        init(self, "packing", packing)
-        init(self, "packed", packed)
-        init(self, "_unpacked", None)
-
-    @property
-    def terms(self):
-        if self._unpacked is None:
-            unpack = self.packing.unpack
-            object.__setattr__(self, "_unpacked", tuple(
-                (unpack(m), c)
-                for m, c in sorted(self.packed.items(), reverse=True)))
-        return self._unpacked
-
-
-# -- division and the Groebner check --------------------------------------
+# -- the Groebner check ---------------------------------------------------
 
 class DivisorSet:
-    """An ordered list of nonzero divisors, checked and prepared once
-    for many divisions.
+    """The nonzero generators of one Groebner check, checked and
+    prepared once for all of its reductions.
 
-    Construction checks what ``multivariate_divide`` needs: a nonempty
-    list, no zero polynomial (``ZeroDivisor``), one field and variable
-    count (``DimensionMismatch``).  It indexes the leading monomials:
-    for each variable v, ``exponents[v]`` holds the sorted distinct
-    leading exponents at v and ``masks[v][i + 1]`` the bitset of the
-    divisors whose leading exponent at v is at most
-    ``exponents[v][i]`` (``masks[v][0]`` is empty).  So ``dividing(m)``
-    is one bisect and one AND per variable, and the index stays small
-    however large q is.  It packs, for degrees up to twice the largest
-    leading degree, where every lcm of two leading monomials and every
-    term of an S-polynomial fit, the leading monomials ``leads``, the
-    inverted leading coefficients ``inverses`` and each tail scaled by
-    -1/lc, ``negtails``; so a division multiplies by 1/lc and inverts
-    nothing.
-
-    ``memo``, if not None, caches the index answers for packed
-    monomials.  Only the set that one Groebner check builds for itself
-    keeps one, so it is freed with the check; a plain division would
-    gain nothing, as each step adds only terms below its pivot.
+    Construction checks the generators: a nonempty list, no zero
+    polynomial (``ZeroDivisor``), one field and variable count
+    (``DimensionMismatch``).  It indexes the leading monomials: for
+    each variable v, ``exponents[v]`` holds the sorted distinct leading
+    exponents at v and ``masks[v][i + 1]`` the bitset of the divisors
+    whose leading exponent at v is at most ``exponents[v][i]``
+    (``masks[v][0]`` is empty).  So ``dividing(m)`` is one bisect and
+    one AND per variable, and the index stays small however large q
+    is.  It packs, for degrees up to twice the largest leading degree,
+    where every lcm of two leading monomials and every term of an
+    S-polynomial fit, the leading monomials ``leads`` and each tail
+    scaled by -1/lc, ``negtails``; so a reduction step inverts nothing.
+    ``memo`` caches the index answers for packed monomials for the
+    life of the set, that is of the check.
     """
 
-    __slots__ = ("field", "nvars", "polys", "exponents", "masks", "_all",
-                 "packing", "leads", "inverses", "negtails", "zero", "memo")
+    __slots__ = ("field", "exponents", "masks", "_all", "packing", "leads",
+                 "negtails", "memo")
 
     def __init__(self, divisors):
         polys = tuple(divisors)
@@ -255,7 +218,7 @@ class DivisorSet:
                 first._check_compatible(g)
             if not g.terms:
                 raise ZeroDivisor("zero polynomial among the divisors")
-        self.field, self.nvars, self.polys = first.field, first.nvars, polys
+        field = self.field = first.field
         exponents, masks = [], []
         for column in zip(*(g.terms[0][0] for g in polys)):
             at: dict[int, int] = {}  # exponent -> divisors with it
@@ -267,25 +230,17 @@ class DivisorSet:
                                           initial=0)))
         self.exponents, self.masks = tuple(exponents), tuple(masks)
         self._all = (1 << len(polys)) - 1
-        self._pack(2 * max(sum(g.terms[0][0]) for g in polys))
-
-    def _pack(self, bound: int) -> None:
-        """Pack the divisors for degrees up to bound.  A memo is keyed
-        by packed monomials, so none outlives its packing."""
-        field = self.field
-        self.packing = Packing(self.nvars, bound)
+        self.packing = Packing(first.nvars,
+                               2 * max(sum(g.terms[0][0]) for g in polys))
         pack = self.packing.pack
-        self.leads, self.inverses, self.negtails = [], [], []
-        for g in self.polys:
+        self.leads, self.negtails = [], []
+        for g in polys:
             (lm, lc), *tail = g.terms
-            inverse = field.inv(lc)
-            neg = field.neg(inverse)
+            neg = field.neg(field.inv(lc))
             self.leads.append(pack(lm))
-            self.inverses.append(inverse)
             self.negtails.append([(pack(m), field.mul(c, neg))
                                   for m, c in tail])
-        self.zero = PackedPolynomial(field, self.nvars, self.packing, {})
-        self.memo = None
+        self.memo = {}
 
     def dividing(self, mono) -> int:
         """Bitset of the divisors whose leading monomial divides mono;
@@ -296,19 +251,16 @@ class DivisorSet:
 
     def _lookup(self, x: int) -> int:
         """``dividing`` of the packed monomial x, through the memo."""
-        memo = self.memo
-        hits = None if memo is None else memo.get(x)
+        hits = self.memo.get(x)
         if hits is None:
-            hits = self.dividing(self.packing.unpack(x))
-            if memo is not None:
-                memo[x] = hits
+            hits = self.memo[x] = self.dividing(self.packing.unpack(x))
         return hits
 
-    def s_pair(self, i: int, j: int, l: int) -> PackedPolynomial:
-        """The S-polynomial (l / LT g_i) g_i - (l / LT g_j) g_j, l the
-        packed lcm of their leading monomials: with a = l / LM g_i and
-        b = l / LM g_j it is b times the scaled tail of g_j minus a
-        times that of g_i."""
+    def s_pair(self, i: int, j: int, l: int) -> dict[int, int]:
+        """The S-polynomial (l / LT g_i) g_i - (l / LT g_j) g_j as packed
+        terms {monomial: coefficient}, l the packed lcm of their leading
+        monomials: with a = l / LM g_i and b = l / LM g_j it is b times
+        the scaled tail of g_j minus a times that of g_i."""
         sub = self.field.sub
         a, b = l - self.leads[i], l - self.leads[j]
         work = {m + b: c for m, c in self.negtails[j]}
@@ -319,80 +271,42 @@ class DivisorSet:
                 work[m] = c
             else:
                 del work[m]
-        return PackedPolynomial(self.field, self.nvars, self.packing, work)
-
-    def divide(self, f: Polynomial):
-        """The quotients and remainder of ``multivariate_divide``, for f
-        of the divisors' field and variable count.  A dividend already
-        packed at this width, as the check's S-pairs are, is divided as
-        it is; any other is packed first.  One of degree above the bound
-        goes to a copy of the set packed wide enough for it: no term of
-        the division has a degree above f's."""
-        if isinstance(f, PackedPolynomial) and f.packing is self.packing:
-            work = dict(f.packed)
-        elif f.degree() > self.packing.bound:
-            wide = copy.copy(self)
-            wide._pack(f.degree())
-            return wide.divide(f)
-        else:
-            pack = self.packing.pack
-            work = {pack(m): c for m, c in f.terms}
-        field, nvars, packing, zero = (self.field, self.nvars, self.packing,
-                                       self.zero)
-        add, mul = field.add, field.mul
-        leads, inverses, negtails = self.leads, self.inverses, self.negtails
-        dividing = self._lookup
-        quotients: dict[int, dict[int, int]] = {}
-        rem = {}
-        # divide the largest term by the first divisor whose leading
-        # monomial divides it and add the quotient term times that
-        # divisor's scaled tail
-        while work:
-            mono = max(work)
-            coeff = work.pop(mono)
-            hits = dividing(mono)
-            if not hits:
-                rem[mono] = coeff
-                continue
-            i = (hits & -hits).bit_length() - 1
-            qm = mono - leads[i]
-            quotients.setdefault(i, {})[qm] = mul(coeff, inverses[i])
-            for gm, gc in negtails[i]:
-                gm += qm
-                c = add(work.get(gm, 0), mul(gc, coeff))
-                if c:
-                    work[gm] = c
-                else:
-                    del work[gm]
-        qs = [zero] * len(self.polys)
-        for i, terms in quotients.items():
-            qs[i] = PackedPolynomial(field, nvars, packing, terms)
-        return qs, PackedPolynomial(field, nvars, packing, rem) if rem \
-            else zero
+        return work
 
 
-def multivariate_divide(f: Polynomial, divisors) -> tuple[list[Polynomial],
-                                                          Polynomial]:
-    """Divide f by an ordered list of polynomials, given as a sequence
-    or as a prepared ``DivisorSet``.
+def multivariate_divide(work: dict[int, int],
+                        dset: DivisorSet) -> dict[int, int]:
+    """The remainder of work, packed terms {monomial: coefficient} of
+    degree at most the set's packing bound, on division by the set's
+    divisors in list order, as packed terms; work is used up.
 
-    Returns (quotients, remainder) with
-    ``f = sum(q_i * g_i) + r`` and no term of r divisible by any
-    leading monomial of the divisors.  Each step divides the largest
-    remaining term by the first divisor in list order whose leading
-    monomial divides it, found through the set's lead index.  Divisors
-    that receive no quotient term share one zero quotient.
-
-    The division runs on the set's packed divisors; a dividend of
-    degree above the set's bound is packed, with the divisors for this
-    call only, at the wider width its degree needs.  The results keep
-    their terms packed until ``terms`` is read.
+    Each step takes the largest remaining term and, if some leading
+    monomial divides it, the first such divisor, found through the
+    set's lead index, and adds the term's multiple of that divisor's
+    scaled tail; no term of the remainder is divisible by any leading
+    monomial.  No step raises a degree, so every term stays within
+    the bound.
     """
-    dset = divisors if isinstance(divisors, DivisorSet) \
-        else DivisorSet(divisors)
-    if f.field is not dset.field or f.nvars != dset.nvars:
-        f._check_compatible(dset.polys[0])
-    return dset.divide(f)
+    add, mul = dset.field.add, dset.field.mul
+    leads, negtails, dividing = dset.leads, dset.negtails, dset._lookup
+    rem = {}
+    while work:
+        mono = max(work)
+        coeff = work.pop(mono)
+        hits = dividing(mono)
+        if not hits:
+            rem[mono] = coeff
+            continue
+        i = (hits & -hits).bit_length() - 1
+        qm = mono - leads[i]
+        for gm, gc in negtails[i]:
+            gm += qm
+            c = add(work.get(gm, 0), mul(gc, coeff))
+            if c:
+                work[gm] = c
+            else:
+                del work[gm]
+    return rem
 
 
 def buchberger_is_groebner(gens) -> bool:
@@ -431,9 +345,9 @@ def buchberger_is_groebner(gens) -> bool:
     Each pair is one int, its packed lcm above i above j, so sorting
     the ints sorts the pairs by graded-lex lcm, ties by (i, j).  Every
     other pair's S-polynomial is built as packed terms straight from
-    the set's scaled tails and divided by ``multivariate_divide``,
-    which takes it packed as it is.  The set memoizes its lead index
-    lookups for the life of the check.
+    the set's scaled tails and reduced by ``multivariate_divide``; the
+    check fails on the first nonzero remainder.  The set memoizes its
+    lead index lookups for the life of the check.
     """
     gens = list(gens)
     for g in gens:
@@ -442,7 +356,6 @@ def buchberger_is_groebner(gens) -> bool:
     if not gens:
         return True
     dset = DivisorSet(gens)
-    dset.memo = {}
     lcm, leads = dset.packing.lcm, dset.leads
     support = [sum(1 << v for v, e in enumerate(g.terms[0][0]) if e)
                for g in gens]
@@ -463,7 +376,7 @@ def buchberger_is_groebner(gens) -> bool:
         l, i, j = key >> 2 * k, key >> k & low, key & low
         common = settled[i] & settled[j]
         if not (common and common & dividing(l)):
-            if not multivariate_divide(s_pair(i, j, l), dset)[1].is_zero:
+            if multivariate_divide(s_pair(i, j, l), dset):
                 return False
         settled[i] |= 1 << j
         settled[j] |= 1 << i

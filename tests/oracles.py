@@ -9,7 +9,9 @@ point; the library never evaluates a polynomial.  JSON reports are
 encoded by json.dumps with indent=2; the command line writes that
 layout directly.  The ring operations on polynomials, which the library
 never needs, are plain functions here; S-polynomials are built from
-them, and polynomial fixtures are read from their text form.
+them, division with quotients scans the divisors in order on
+unpacked monomials, and polynomial fixtures are read from their text
+form.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from cyclecodes import (
     codes,
     field_new,
     gamma_of,
+    grlex_key,
     hilbert,
 )
 
@@ -96,6 +99,13 @@ def leading_monomial(f):
     return leading_term(f)[0]
 
 
+def degree(f) -> int:
+    """Total degree; -1 for the zero polynomial."""
+    if not f.terms:
+        return -1
+    return max(sum(m) for m, _ in f.terms)
+
+
 def poly_add(f, g):
     f._check_compatible(g)
     return Polynomial(f.field, f.nvars, f.terms + g.terms)
@@ -129,6 +139,36 @@ def s_polynomial(f, g):
     a = Polynomial(f.field, f.nvars, [(mono_div(lcm, lmf), inv(lcf))])
     b = Polynomial(g.field, g.nvars, [(mono_div(lcm, lmg), inv(lcg))])
     return poly_sub(poly_mul(a, f), poly_mul(b, g))
+
+
+def ordered_scan_divide(f, divisors):
+    """Division that scans the divisors in order at every step and
+    divides by the first whose leading monomial divides the term."""
+    field, nvars = f.field, f.nvars
+    quot = [[] for _ in divisors]
+    rem = []
+    work = dict(f.terms)
+    while work:
+        mono = max(work, key=grlex_key)
+        coeff = work.pop(mono)
+        for i, g in enumerate(divisors):
+            lm, lc = leading_term(g)
+            if mono_divides(lm, mono):
+                qm = mono_div(mono, lm)
+                qc = field.mul(coeff, field.inv(lc))
+                quot[i].append((qm, qc))
+                for gm, gc in g.terms[1:]:
+                    m2 = mono_mul(gm, qm)
+                    c2 = field.sub(work.get(m2, 0), field.mul(gc, qc))
+                    if c2:
+                        work[m2] = c2
+                    else:
+                        work.pop(m2, None)
+                break
+        else:
+            rem.append((mono, coeff))
+    return ([Polynomial(field, nvars, ts) for ts in quot],
+            Polynomial(field, nvars, rem))
 
 
 def parse_polynomial(text, field, nvars):

@@ -167,6 +167,19 @@ def test_hilbert_table_over_budget_exits_3_at_once():
                         "400000004 cells, budget is 67108864\n")
 
 
+@pytest.mark.parametrize("degrees", [["--d", "0"], ["--dmax", "3"]])
+def test_hilbert_numerator_past_one_list_exits_3(degrees):
+    # 10^20 - 1 copies of a triangle: the footprint numerator's length
+    # is refused before any list of the copies or coefficients is built
+    r = run_cli("hilbert", "--q", "5", "--spec", "3x99999999999999999999",
+                *degrees, timeout=10)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == ("error: footprint numerator needs "
+                        "399999999999999999997 coefficients, more than one "
+                        "array can index\n")
+    assert "Traceback" not in r.stderr
+
+
 def test_hilbert_negative_dmax_is_usage_error():
     for extra in ((), ("--with-rank",)):
         r = run_cli("hilbert", "--q", "5", "--spec", "3", "--dmax", "-1",

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -297,7 +298,7 @@ def _rank_dmax(spec, q, dmax):
     """Highest degree <= dmax whose evaluation matrix fits the cap."""
     npoints = cardinality_formula(spec, q)
     for d in range(dmax, 0, -1):
-        rows = count_box_degree([min(q - 2, d)] * spec.nvars, d)
+        rows = count_box_degree(Counter([min(q - 2, d)] * spec.nvars), d)
         if rows * npoints * min(rows, npoints) <= _RANK_WORK_CAP:
             return d
     return 0

@@ -17,13 +17,13 @@ from cyclecodes import (
     build_generators,
     field_new,
     grlex_key,
-    multivariate_divide,
     parse_spec_string,
     poly,
 )
 from cyclecodes import cli
 from oracles import (
     constant,
+    degree,
     evaluate,
     leading_monomial,
     leading_term,
@@ -31,6 +31,7 @@ from oracles import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    ordered_scan_divide,
     parse_polynomial,
     poly_add,
     poly_mul,
@@ -44,6 +45,22 @@ F5 = field_new(5)
 
 def P(text, nvars=3, field=F5):
     return parse_polynomial(text, field, nvars)
+
+
+def _unpacked(dset, packed):
+    """The polynomial of packed terms at the divisor set's width."""
+    packing = dset.packing
+    return Polynomial(dset.field, packing.nvars,
+                      [(packing.unpack(m), c) for m, c in packed.items()])
+
+
+def _remainder(f, dset):
+    """The remainder of f by the divisor set: f packed at the set's
+    width, reduced by ``poly.multivariate_divide`` and unpacked."""
+    packing = dset.packing
+    assert degree(f) <= packing.bound
+    return _unpacked(dset, poly.multivariate_divide(
+        {packing.pack(m): c for m, c in f.terms}, dset))
 
 
 # -- monomial helpers -------------------------------------------------------
@@ -208,11 +225,11 @@ def test_arithmetic_ring_identities():
 
 def test_degree_and_monic():
     f = P("2*t1^3 + t2")
-    assert f.degree() == 3
+    assert degree(f) == 3
     monic = poly_mul(f, constant(F5, 3, F5.inv(2)))
     assert leading_term(monic) == ((3, 0, 0), 1)
     assert poly_mul(monic, constant(F5, 3, 2)) == f
-    assert zero(F5, 3).degree() == -1
+    assert degree(zero(F5, 3)) == -1
 
 
 def test_mixed_field_or_order_rejected():
@@ -253,37 +270,44 @@ def test_evaluate_dimension_mismatch():
 
 
 # -- division ----------------------------------------------------------------
+#
+# The library reduces only the check's own S-pairs; division with
+# quotients of any dividend is the oracle's, checked here for the
+# identity the S-pair remainders are compared against.
 
 
 def test_divide_exact():
     f = P("t1^4 - 1", nvars=1)
-    qs, r = multivariate_divide(f, [f])
+    qs, r = ordered_scan_divide(f, [f])
     assert qs == [constant(F5, 1, 1)]
     assert r.is_zero
+    assert _remainder(f, DivisorSet([f])).is_zero
 
 
 def test_divide_with_remainder():
     f = P("t1^5", nvars=1)
     g = P("t1^4 - 1", nvars=1)
-    qs, r = multivariate_divide(f, [g])
+    qs, r = ordered_scan_divide(f, [g])
     assert qs == [P("t1", nvars=1)]
     assert r == P("t1", nvars=1)
+    assert _remainder(f, DivisorSet([g])) == r
 
 
 def test_divide_by_zero_polynomial():
     with pytest.raises(ZeroDivisor):
-        multivariate_divide(P("t1"), [zero(F5, 3)])
+        DivisorSet([zero(F5, 3)])
 
 
 def test_divide_invariants_random():
     rng = random.Random(23)
     f7 = field_new(7)
     torus = [parse_polynomial(f"t{i}^6 - 1", f7, 3) for i in (1, 2, 3)]
+    dset = DivisorSet(torus)
     for _ in range(30):
         terms = [(tuple(rng.randrange(8) for _ in range(3)), rng.randrange(1, 7))
                  for _ in range(rng.randrange(1, 6))]
         f = Polynomial(f7, 3, terms)
-        qs, r = multivariate_divide(f, torus)
+        qs, r = ordered_scan_divide(f, torus)
         # Exact polynomial identity f = sum q_i g_i + r.
         total = r
         for q, g in zip(qs, torus):
@@ -299,36 +323,35 @@ def test_divide_invariants_random():
             if not q.is_zero:
                 prod = poly_mul(q, g)
                 assert grlex_key(leading_monomial(prod)) <= fkey
+        if degree(f) <= dset.packing.bound:
+            assert _remainder(f, dset) == r
 
 
 def test_divide_checks_every_divisor():
-    f = P("t1^2 + t2")
-    # an equal field built separately is compatible
-    qs, r = multivariate_divide(f, [P("t1"), P("t2", field=field_new(5))])
-    assert r.is_zero
-    assert qs == [P("t1"), P("1")]
-    for bad in (P("t1", nvars=2), P("t1", field=field_new(7))):
-        with pytest.raises(DimensionMismatch):
-            multivariate_divide(f, [P("t3"), bad])
-    with pytest.raises(ZeroDivisor):
-        multivariate_divide(f, [P("t3"), zero(F5, 3)])
-    with pytest.raises(ZeroDivisor):
-        multivariate_divide(f, [])
+    # a bad divisor is refused wherever it stands in the list
+    gens = [P("t1"), P("t2"), P("t3")]
+    for bad, error in [(zero(F5, 3), ZeroDivisor),
+                       (P("t1", nvars=2), DimensionMismatch),
+                       (P("t1", field=field_new(7)), DimensionMismatch)]:
+        for k in range(len(gens) + 1):
+            with pytest.raises(error):
+                DivisorSet(gens[:k] + [bad] + gens[k:])
 
 
 def test_divide_leaves_unused_divisors_a_zero_quotient():
-    qs, r = multivariate_divide(P("t1^3 + t2"), [P("t3"), P("t1^2 - 1"),
-                                                  P("t2^2")])
+    gens = [P("t3"), P("t1^2 - 1"), P("t2^2")]
+    qs, r = ordered_scan_divide(P("t1^3 + t2"), gens)
     assert [q.is_zero for q in qs] == [True, False, True]
     assert qs[1] == P("t1")
     assert r == P("t1 + t2")
+    assert _remainder(P("t1^3 + t2"), DivisorSet(gens)) == r
 
 
 def test_divide_remainder_exponents_reduced():
     # Dividing by the torus relations reduces all exponents below q-1.
     f = P("t1^9*t2^5 + 3*t3^4")
     gens = [P(f"t{i}^4 - 1") for i in (1, 2, 3)]
-    _, r = multivariate_divide(f, gens)
+    _, r = ordered_scan_divide(f, gens)
     assert all(all(e < 4 for e in mono) for mono, _ in r.terms)
     assert r == P("t1*t2 + 3")
 
@@ -371,7 +394,7 @@ def _all_pairs_is_groebner(gens):
             if _coprime(leading_monomial(gens[i]),
                         leading_monomial(gens[j])):
                 continue
-            _, r = multivariate_divide(s_polynomial(gens[i], gens[j]), gens)
+            _, r = ordered_scan_divide(s_polynomial(gens[i], gens[j]), gens)
             if not r.is_zero:
                 return False
     return True
@@ -436,7 +459,7 @@ def test_chain_criterion_agrees_with_the_all_pairs_check():
         got = buchberger_is_groebner(gens)
         assert got == _all_pairs_is_groebner(gens)
         outcomes.add(got)
-        qs, r = multivariate_divide(f, gens)
+        qs, r = ordered_scan_divide(f, gens)
         total = r
         for q, g in zip(qs, gens):
             total = poly_add(total, poly_mul(q, g))
@@ -598,15 +621,15 @@ def test_reduced_pair_counts_per_distinct_component_do_not_move(
 
 
 def test_the_check_and_division_leave_no_reference_cycles():
-    # a divisor set, its packed divisors and the division results are
-    # freed by reference counting, so the memo and the pair list go
-    # when the check returns
+    # a divisor set, its packed divisors and the remainders are freed
+    # by reference counting, so the memo and the pair list go when the
+    # check returns
     gens = build_generators(parse_spec_string("5"), F5)
     gc.collect()
     gc.disable()
     try:
         assert buchberger_is_groebner(gens)
-        multivariate_divide(poly_mul(gens[0], gens[1]), gens)
+        _remainder(poly_mul(gens[0], gens[1]), DivisorSet(gens))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -640,39 +663,34 @@ def test_groebner_check_over_a_large_prime_indexes_only_the_lead_exponents():
 # -- the prepared divisor set --------------------------------------------------
 
 
-def _ordered_scan_divide(f, divisors):
-    """Division that scans the divisors in order at every step and
-    divides by the first whose leading monomial divides the term."""
-    field, nvars = f.field, f.nvars
-    quot = [[] for _ in divisors]
-    rem = []
-    work = dict(f.terms)
-    while work:
-        mono = max(work, key=grlex_key)
-        coeff = work.pop(mono)
-        for i, g in enumerate(divisors):
-            lm, lc = leading_term(g)
-            if mono_divides(lm, mono):
-                qm = mono_div(mono, lm)
-                qc = field.mul(coeff, field.inv(lc))
-                quot[i].append((qm, qc))
-                for gm, gc in g.terms[1:]:
-                    m2 = mono_mul(gm, qm)
-                    c2 = field.sub(work.get(m2, 0), field.mul(gc, qc))
-                    if c2:
-                        work[m2] = c2
-                    else:
-                        work.pop(m2, None)
-                break
-        else:
-            rem.append((mono, coeff))
-    return ([Polynomial(field, nvars, ts) for ts in quot],
-            Polynomial(field, nvars, rem))
-
-
 def _dividing_by_scan(gens, mono):
     return sum(1 << k for k, g in enumerate(gens)
                if mono_divides(leading_monomial(g), mono))
+
+
+def test_divisor_set_checks_the_divisors_and_the_dividend():
+    with pytest.raises(ZeroDivisor):
+        DivisorSet([])
+    with pytest.raises(ZeroDivisor):
+        DivisorSet([P("t3"), zero(F5, 3)])
+    for bad in (P("t1", nvars=2), P("t1", field=field_new(7))):
+        with pytest.raises(DimensionMismatch):
+            DivisorSet([P("t3"), bad])
+    # an equal field built separately is compatible
+    dset = DivisorSet([P("t1"), P("t2", field=field_new(5))])
+    assert len(dset.leads) == 2
+    assert _remainder(P("t1^2 + t2"), dset).is_zero
+    # the reduction's dividends are the set's own S-pairs: every term
+    # fits the set's packing and carries its degree in the degree field
+    dset, pairs = _every_s_pair(
+        build_generators(parse_spec_string("3x2"), F5))
+    packing = dset.packing
+    for packed, _ in pairs:
+        for m in packed:
+            exps = packing.unpack(m)
+            assert len(exps) == packing.nvars
+            assert sum(exps) == m >> packing.nvars * packing.width
+            assert sum(exps) <= packing.bound
 
 
 def test_divisor_set_matches_the_ordered_scan():
@@ -680,10 +698,7 @@ def test_divisor_set_matches_the_ordered_scan():
     @given(draw=_generator_sets(), extra=st.integers(0, 3))
     def check(draw, extra):
         gens, f = draw
-        want = _ordered_scan_divide(f, gens)
         dset = DivisorSet(gens)
-        assert multivariate_divide(f, gens) == want
-        assert multivariate_divide(f, dset) == want
         leads = [leading_monomial(g) for g in gens]
         above = tuple(max(c) + 1 for c in zip(*leads))
         probes = [m for m, _ in f.terms] + leads + [
@@ -701,86 +716,50 @@ def test_divisor_set_matches_the_ordered_scan():
     check()
 
 
-def test_packed_s_pairs_equal_s_polynomial():
-    def same(gens):
-        packed = DivisorSet(gens)
-        lcm, leads = packed.packing.lcm, packed.leads
-        for i, f in enumerate(gens):
-            for j, g in enumerate(gens):
-                if i != j:
-                    s = packed.s_pair(i, j, lcm(leads[i], leads[j]))
-                    assert s == s_polynomial(f, g)
+def _every_s_pair(gens):
+    """The divisor set of gens and, for every ordered pair i != j, its
+    packed S-pair and the oracle's S-polynomial."""
+    dset = DivisorSet(gens)
+    lcm, leads = dset.packing.lcm, dset.leads
+    return dset, [(dset.s_pair(i, j, lcm(leads[i], leads[j])),
+                   s_polynomial(f, g))
+                  for i, f in enumerate(gens)
+                  for j, g in enumerate(gens) if i != j]
 
+
+def _drawn_and_built_sets(check):
+    """Run check on the generator sets of 200 ``_generator_sets`` draws,
+    then on build_generators for 3x2 over F_5 and F_8 and 3x2,5 over
+    F_65521."""
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(draw=_generator_sets())
-    def check(draw):
-        same(draw[0])
+    def drawn(draw):
+        check(draw[0])
 
-    check()
+    drawn()
     for q, spec in [(5, "3x2"), (8, "3x2"), (65521, "3x2,5")]:
-        same(build_generators(parse_spec_string(spec), field_new(q)))
+        check(build_generators(parse_spec_string(spec), field_new(q)))
 
 
-def test_a_dividend_above_the_set_bound_is_packed_wider():
-    # leading degree at most 4, so the set packs one byte a field for
-    # degrees up to 8; the dividends need one, two and three bytes
-    gens = [P("t1^4 - 1"), P("t2^4 - 1"), P("t3^4 - 1"),
-            P("t1^2*t2 - 2*t3^2 + t1")]
-    dset = DivisorSet(gens)
-    assert (dset.packing.bound, dset.packing.nbytes) == (8, 1)
-    for text in ["t1^3*t2^3*t3^2 + t2", "t1^50*t2^40*t3^30 - 3*t1^7*t2",
-                 "t1^130*t2^170 + 2*t3^255 - t1*t2*t3",
-                 "t1^40000*t2^3 + t2^33000*t3 + 4*t1^2*t2"]:
-        f = P(text)
-        want = _ordered_scan_divide(f, gens)
-        assert multivariate_divide(f, dset) == want
-        assert multivariate_divide(f, gens) == want
-        # a result packed at the wider width is divided as a plain dividend
-        q = multivariate_divide(f, dset)[0][0]
-        assert multivariate_divide(q, dset) == _ordered_scan_divide(q, gens)
-    assert dset.packing.bound == 8
+def test_packed_s_pairs_equal_s_polynomial():
+    def same(gens):
+        dset, pairs = _every_s_pair(gens)
+        for packed, s in pairs:
+            assert _unpacked(dset, packed) == s
+
+    _drawn_and_built_sets(same)
 
 
-def test_division_results_behave_as_polynomials():
-    gens = [P("t1^2 - t2"), P("t2*t3 - 1")]
-    qs, r = multivariate_divide(P("t1^2*t3 + 3*t1 + t3"), gens)
-    assert isinstance(r, Polynomial)
-    want = P("3*t1 + t3 + 1")
-    assert r == want and want == r and hash(r) == hash(want)
-    assert r.terms == want.terms and repr(r) == repr(want)
-    assert leading_term(r) == leading_term(want) and not r.is_zero
-    assert poly_sub(r, want).is_zero and qs[1].is_zero is False
-    with pytest.raises(AttributeError):
-        r.terms = ()
-    # a result divided again by the same set takes the packed path
-    assert multivariate_divide(r, gens)[1] == want
+def test_s_pair_remainders_equal_the_ordered_scan():
+    # the check's reduction of every ordered pair against the oracle's
+    # division of the oracle's S-polynomial by the same list
+    def same(gens):
+        dset, pairs = _every_s_pair(gens)
+        for packed, s in pairs:
+            got = poly.multivariate_divide(packed, dset)
+            assert _unpacked(dset, got) == ordered_scan_divide(s, gens)[1]
 
-
-def test_a_public_divisor_set_keeps_no_memo():
-    gens = build_generators(parse_spec_string("5"), F5)
-    dset = DivisorSet(gens)
-    for f in (poly_mul(gens[0], gens[1]),
-              poly_add(poly_mul(gens[2], gens[3]), gens[4])):
-        r = multivariate_divide(f, dset)[1]
-        multivariate_divide(r, dset)
-    assert dset.memo is None
-
-
-def test_divisor_set_checks_the_divisors_and_the_dividend():
-    with pytest.raises(ZeroDivisor):
-        DivisorSet([])
-    with pytest.raises(ZeroDivisor):
-        DivisorSet([P("t3"), zero(F5, 3)])
-    for bad in (P("t1", nvars=2), P("t1", field=field_new(7))):
-        with pytest.raises(DimensionMismatch):
-            DivisorSet([P("t3"), bad])
-    # an equal field built separately is compatible
-    dset = DivisorSet([P("t1"), P("t2", field=field_new(5))])
-    assert len(dset.polys) == 2
-    assert multivariate_divide(P("t1^2 + t2"), dset)[1].is_zero
-    for dividend in (P("t1", nvars=2), P("t1", field=field_new(7))):
-        with pytest.raises(DimensionMismatch):
-            multivariate_divide(dividend, dset)
+    _drawn_and_built_sets(same)
 
 
 # -- text form -----------------------------------------------
