@@ -11,8 +11,11 @@ for the counting routes in the hilbert module.
 The same rank is also counted without X* (character_at): every
 monomial restricts on X* to a character of the group X*, and distinct
 characters are linearly independent, so the rank is the number of
-distinct characters, read as a Hilbert series.  Row reduction
-(rank_at) stays as the linear-algebra reference for that count.
+distinct characters, read as a Hilbert series.  The characters of
+one k-cycle come from one pass over its exponent box [0, q-2]^k, which
+keeps the least degree of each of the (q-1)^k possible characters in
+one array.  Row reduction (rank_at) stays as the linear-algebra
+reference for that count.
 
 For the same reason the distinct rows of the evaluation matrix are a
 basis of the code (code_params), so the code parameters need no row
@@ -45,7 +48,7 @@ from .cyclegraph import (
     CycleFamilySpec,
     ToricSet,
 )
-from .errors import check_budget
+from .errors import check_budget, decimal_text
 from .gf import Field
 from .hilbert import Series, _conv, count_box_degree
 
@@ -55,6 +58,10 @@ Monomial = tuple[int, ...]
 # word's extensions by one row are more; it bounds the memory of the
 # search's blocks whatever the code's size.
 _TABLE_CELLS = 1 << 20
+
+# Most cells in one slice of the character count; it keeps the slices'
+# arrays to a few MB, small next to the count's r^k array.
+_SLICE_CELLS = 1 << 18
 
 
 def monomial_basis(nvars: int, q: int, d: int) -> list[Monomial]:
@@ -148,32 +155,54 @@ def _cycle_character_degrees(k: int, r: int, dmax: int) -> list[int]:
     """How many distinct characters of one k-cycle copy first appear in
     each degree through dmax, with exponents taken mod r = q-1.
 
-    A state is a vertex exponent vector in Z_r^k, packed as a base-r
-    integer.  The monomial t_j moves a state by +1 at vertices j and
-    j+1 mod k, so a breadth-first search from 0 reaches each character
-    first at the least degree of a monomial restricting to it, and
-    stops once degree dmax is counted."""
-    radix = r ** np.arange(k, dtype=np.int64)
-    seen = np.zeros(r ** k, dtype=bool)
-    seen[0] = True
-    # a mask drops repeats without sorting the reached states; it is
-    # cleared at the frontier after each degree and so made only once
-    new = np.zeros_like(seen)
-    frontier = np.zeros(1, dtype=np.int64)
-    counts = []
-    while frontier.size:
-        counts.append(int(frontier.size))
-        if len(counts) > dmax:
-            break
-        digits = frontier[:, None] // radix % r
-        # +1 at one vertex, wrapping r-1 back to 0
-        step = np.where(digits == r - 1, (1 - r) * radix, radix)
-        reached = (frontier[:, None] + step
-                   + np.roll(step, -1, axis=1)).ravel()
-        new[reached[~seen[reached]]] = True
-        frontier = np.flatnonzero(new)
-        new[frontier] = False
-        seen[frontier] = True
+    The monomial t^a, a in [0, r-1]^k (t^(q-1) = 1 on units, the cap of
+    monomial_basis), restricts to the character coded as the base-r
+    integer sum_v ((a_v + a_(v-1)) mod r) r^v, vertex v lying on edges
+    v-1 and v.  The vectors of degree <= D = min(dmax, k(r-1)) are
+    built by extending prefixes one exponent at a time, a prefix whose
+    degree passes D dropped, and one scatter keeps the least degree of
+    each code in an r^k array.  Each character has one or two vectors
+    in the box (the kernel of a -> B^T a mod r is {0}, or {0,
+    (r/2)(1,...,1)} when r is even), so the work is at most twice the
+    characters counted.  Prefixes are extended in slices of at most
+    _SLICE_CELLS cells, and the array is counted by least degree in
+    slices of the same size."""
+    top = min(dmax, k * (r - 1))
+    itype = np.int32 if r ** k <= 2 ** 31 else np.int64  # holds every code
+    e = np.arange(min(r - 1, top) + 1, dtype=itype)
+    digit = (np.arange(r, dtype=itype)[:, None] + e) % r  # (a + b) mod r
+    close = digit - digit[:, :1]  # (a + b) mod r - a
+    dtype = np.min_scalar_type(top + 1)
+    # top + 1 - the least degree of each code, 0 where none is reached,
+    # so the pages of codes never reached are never mapped
+    least = np.zeros(r ** k, dtype=dtype)
+    step = max(1, _SLICE_CELLS // len(e))
+    # slices of prefixes a_0..a_(v-1): their degree, code and a_(v-1),
+    # the code holding a_0 in place of vertex 0's digit until a_(k-1);
+    # a stack, not recursion, so k is not bound by the recursion limit
+    stack = [(1, e, e, e)]
+    while stack:
+        v, deg, code, prev = stack.pop()
+        deg2 = deg[:, None] + e
+        keep = deg2 <= top
+        cells = digit[prev] * r ** v
+        cells += code[:, None]
+        if v < k - 1:
+            deg, code, prev = deg2[keep], cells[keep], np.nonzero(keep)[1]
+            stack += [(v + 1, deg[i:i + step], code[i:i + step],
+                       prev[i:i + step]) for i in range(0, len(deg), step)]
+            continue
+        cells += close[code % r]
+        np.maximum.at(least, cells[keep],
+                      (top + 1 - deg2[keep]).astype(dtype))
+    counts = np.zeros(top + 2, dtype=np.int64)
+    for i in range(0, len(least), _SLICE_CELLS):
+        part = least[i:i + _SLICE_CELLS]
+        if part.any():
+            counts += np.bincount(part, minlength=top + 2)
+    counts = counts[:0:-1].tolist()  # by least degree, 0..top
+    while not counts[-1]:
+        counts.pop()
     return counts
 
 
@@ -190,15 +219,27 @@ def character_at(spec: CycleFamilySpec, q: int, degrees,
     independent (Artin), so H(d) counts the distinct classes B^T a mod
     q-1 over |a| <= d.  Cycle copies act on disjoint vertices, so the
     per-copy counts by least degree multiply as polynomials.  Each
-    distinct cycle length k searches (q-1)^k states; all of them are
+    distinct cycle length k enumerates its exponent box [0, q-2]^k up
+    to the largest d and keeps the least degree of each character in
+    one array of (q-1)^k states (_cycle_character_degrees).  Those
+    states, and then the cells of the products over the copies, are
     checked against ``budget``, and against what one array can index,
-    before any search starts."""
+    before any count starts."""
     r = q - 1
     lengths = sorted(spec.lengths)
     for k in lengths:
         check_budget(f"counting the characters of one {k}-cycle copy "
                      f"over F_{q}", r ** k, "states", budget)
     dmax = max(max(degrees, default=0), 0)
+    # one product per copy, of that copy's counts and of the product so
+    # far, which is no longer than the counts of all copies
+    width = min(dmax, spec.nvars * (r - 1)) + 1
+    cells = width * sum(m * (min(dmax, k * (r - 1)) + 1)
+                        for k, m in spec.components)
+    copies = sum(m for _, m in spec.components)
+    check_budget(f"multiplying the character counts of "
+                 f"{decimal_text(copies)} cycle copies over F_{q}", cells,
+                 "cells", budget)
     per_k = {k: _cycle_character_degrees(k, r, dmax) for k in lengths}
     vec = [1]
     for k, m in spec.components:

@@ -11,7 +11,9 @@ layout directly.  The ring operations on polynomials, which the library
 never needs, are plain functions here; S-polynomials are built from
 them, division with quotients scans the divisors in order on
 unpacked monomials, and polynomial fixtures are read from their text
-form.
+form.  Distinct characters of one cycle copy are found by a
+breadth-first search over the states Z_(q-1)^k, one array pass per
+degree; the library enumerates the exponent box once instead.
 """
 
 import itertools
@@ -19,6 +21,8 @@ import json
 import re
 from math import comb
 from operator import add, le, sub
+
+import numpy as np
 
 from cyclecodes import (
     DimensionMismatch,
@@ -288,6 +292,35 @@ def footprint_by_degree(spec, q, cap=None) -> list[int]:
                     out[shift + i] += c * x
             vec = out
     return vec
+
+
+def character_degrees_by_search(k, r, dmax) -> list[int]:
+    """How many distinct characters of one k-cycle copy first appear in
+    each degree through dmax, exponents mod r = q-1, as a breadth-first
+    search.  A state is a vertex exponent vector in Z_r^k, packed as a
+    base-r integer; the monomial t_j moves a state by +1 at vertices j
+    and j+1 mod k, so the search from 0 reaches each character first at
+    the least degree of a monomial restricting to it."""
+    radix = r ** np.arange(k, dtype=np.int64)
+    seen = np.zeros(r ** k, dtype=bool)
+    seen[0] = True
+    new = np.zeros_like(seen)
+    frontier = np.zeros(1, dtype=np.int64)
+    counts = []
+    while frontier.size:
+        counts.append(int(frontier.size))
+        if len(counts) > dmax:
+            break
+        digits = frontier[:, None] // radix % r
+        # +1 at one vertex, wrapping r-1 back to 0
+        step = np.where(digits == r - 1, (1 - r) * radix, radix)
+        reached = (frontier[:, None] + step
+                   + np.roll(step, -1, axis=1)).ravel()
+        new[reached[~seen[reached]]] = True
+        frontier = np.flatnonzero(new)
+        new[frontier] = False
+        seen[frontier] = True
+    return counts
 
 
 def prefix_at(prefix, d):

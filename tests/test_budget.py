@@ -41,6 +41,12 @@ REFUSALS = [
      [(codes, "_cycle_character_degrees"), (hilbert, "footprint_at")],
      "counting the characters of one 5-cycle copy over F_7 needs 7776 "
      "states, budget is 1000"),
+    ("hilbert --q 7 --spec 3x1000,5 --dmax 2 --with-rank "
+     "--enum-budget 8000",
+     [(codes, "_cycle_character_degrees"), (codes, "_conv"),
+      (hilbert, "footprint_at")],
+     "multiplying the character counts of 1001 cycle copies over F_7 "
+     "needs 9009 cells, budget is 8000"),
     ("hilbert --q 4099 --spec 41 --dmax 100000",
      [(hilbert, "_tori_sum"), (hilbert, "footprint_at")],
      "union formula of 62 numerator terms at 100001 degrees needs "

@@ -180,6 +180,20 @@ def test_hilbert_numerator_past_one_list_exits_3(degrees):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("degrees, cells", [(["--d", "0"], 10 ** 20 - 1),
+                                            (["--dmax", "3"],
+                                             16 * (10 ** 20 - 1))])
+def test_hilbert_rank_of_many_copies_exits_3(degrees, cells):
+    # the products over 10^20 - 1 copies are refused before any search
+    # or product starts, and before the footprint's length check
+    r = run_cli("hilbert", "--q", "5", "--spec", "3x99999999999999999999",
+                "--with-rank", *degrees, timeout=10)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == ("error: multiplying the character counts of "
+                        "99999999999999999999 cycle copies over F_5 needs "
+                        f"{cells} cells, budget is 67108864\n")
+
+
 def test_hilbert_negative_dmax_is_usage_error():
     for extra in ((), ("--with-rank",)):
         r = run_cli("hilbert", "--q", "5", "--spec", "3", "--dmax", "-1",

@@ -32,7 +32,12 @@ from cyclecodes import (
 from cyclecodes import codes
 from cyclecodes.hilbert import count_box_degree
 from cyclecodes.poly import grlex_key
-from oracles import point_tuples, power, theta_map
+from oracles import (
+    character_degrees_by_search,
+    point_tuples,
+    power,
+    theta_map,
+)
 
 
 def _X(q, spec_text):
@@ -276,6 +281,8 @@ def test_character_table_fixtures():
     assert character_at(parse_spec_string("3"), 2, range(4)) \
         == [1, 1, 1, 1]
     assert character_at(parse_spec_string("3"), 5, [-1]) == [0]
+    # one state, and more exponents than the recursion limit
+    assert character_at(parse_spec_string("2001"), 2, [0, 3]) == [1, 1]
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8])
@@ -287,6 +294,46 @@ def test_character_search_stops_at_dmax(q, k):
     last = len(full) - 1
     for dmax in (0, last - 1, last, last + 1):
         assert codes._cycle_character_degrees(k, r, dmax) == full[:dmax + 1]
+
+
+# Most states (q-1)^k the search oracle is run on.
+_SEARCH_STATE_CAP = 100_000
+
+
+@pytest.mark.parametrize("k, q", [
+    (k, q) for k in (3, 5, 7, 9) for q in (2, 3, 4, 5, 7, 8, 11)
+    if (q - 1) ** k <= _SEARCH_STATE_CAP])
+def test_character_count_matches_the_search(k, q):
+    r = q - 1
+    full = character_degrees_by_search(k, r, r ** k)
+    last = len(full) - 1
+    rng = random.Random(f"{k},{q}")
+    dmaxes = {0, last - 1, last, last + 1, 10 ** 12}
+    dmaxes |= {rng.randint(0, last + 2) for _ in range(3)}
+    for dmax in sorted(d for d in dmaxes if d >= 0):
+        count = codes._cycle_character_degrees(k, r, dmax)
+        assert count == character_degrees_by_search(k, r, dmax)
+        assert all(type(c) is int for c in count)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 50])
+def test_character_count_in_small_slices(monkeypatch, cells):
+    # slices far below the default, so prefixes and the count array are
+    # cut into many pieces, some not a whole number of rows
+    monkeypatch.setattr(codes, "_SLICE_CELLS", cells)
+    for k, q, dmax in [(3, 7, 10), (5, 5, 3), (5, 4, 100), (7, 3, 5)]:
+        assert codes._cycle_character_degrees(k, q - 1, dmax) \
+            == character_degrees_by_search(k, q - 1, dmax)
+
+
+def test_character_counts_of_many_copies_are_exact():
+    # |X*| = 32^40 of forty triangles over F_5 passes int64, so the
+    # per-copy counts must multiply as Python ints
+    spec = parse_spec_string("3x40")
+    degrees = range(regularity_formula(spec, 5) + 2)
+    chars = character_at(spec, 5, degrees)
+    assert chars == footprint_at(spec, 5, degrees)
+    assert chars[-1] == 32 ** 40 > np.iinfo(np.int64).max
 
 
 # Largest elimination the reference is run on, in field operations:
