@@ -50,7 +50,7 @@ from .cyclegraph import (
 )
 from .errors import check_budget, decimal_text
 from .gf import Field
-from .hilbert import Series, _conv, count_box_degree
+from .hilbert import _numerator, count_box_degree
 
 Monomial = tuple[int, ...]
 
@@ -218,11 +218,14 @@ def character_at(spec: CycleFamilySpec, q: int, degrees,
     exponents taken mod q-1.  Distinct characters are linearly
     independent (Artin), so H(d) counts the distinct classes B^T a mod
     q-1 over |a| <= d.  Cycle copies act on disjoint vertices, so the
-    per-copy counts by least degree multiply as polynomials.  Each
-    distinct cycle length k enumerates its exponent box [0, q-2]^k up
-    to the largest d and keeps the least degree of each character in
-    one array of (q-1)^k states (_cycle_character_degrees).  Those
-    states, and then the cells of the products over the copies, are
+    per-copy counts by least degree multiply as polynomials: N is the
+    product over the families of their counts to the power m, built by
+    hilbert._numerator in one recurrence, not one product per copy.
+    Each distinct cycle length k enumerates its exponent box [0,
+    q-2]^k up to the largest d and keeps the least degree of each
+    character in one array of (q-1)^k states
+    (_cycle_character_degrees).  Those states, and then the cells of
+    one product per copy, an upper bound on the product's work, are
     checked against ``budget``, and against what one array can index,
     before any count starts."""
     r = q - 1
@@ -231,8 +234,9 @@ def character_at(spec: CycleFamilySpec, q: int, degrees,
         check_budget(f"counting the characters of one {k}-cycle copy "
                      f"over F_{q}", r ** k, "states", budget)
     dmax = max(max(degrees, default=0), 0)
-    # one product per copy, of that copy's counts and of the product so
-    # far, which is no longer than the counts of all copies
+    # the cells of one product per copy, of that copy's counts and of
+    # a product no longer than the counts of all copies: an upper bound
+    # on the builder's work, which takes a few products per coefficient
     width = min(dmax, spec.nvars * (r - 1)) + 1
     cells = width * sum(m * (min(dmax, k * (r - 1)) + 1)
                         for k, m in spec.components)
@@ -241,11 +245,8 @@ def character_at(spec: CycleFamilySpec, q: int, degrees,
                  f"{decimal_text(copies)} cycle copies over F_{q}", cells,
                  "cells", budget)
     per_k = {k: _cycle_character_degrees(k, r, dmax) for k in lengths}
-    vec = [1]
-    for k, m in spec.components:
-        for _ in range(m):
-            vec = _conv(vec, per_k[k], dmax)
-    return Series(1, vec, 0).at(degrees)
+    return _numerator(1, [(per_k[k], len(per_k[k]) - 1, m)
+                          for k, m in spec.components], 0, degrees).at(degrees)
 
 
 # -- code parameters ----------------------------------------------------------

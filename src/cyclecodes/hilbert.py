@@ -25,8 +25,13 @@ Each route is one function that returns H(d) at each d of a list of
 degrees, 0 below degree 0.  The counting routes and degenerate_torus_at
 build their Hilbert series N(x)/(1-x)^n as one Series value and read
 it with Series.at (Cox, Little, O'Shea, Ideals, Varieties, and
-Algorithms, Ch. 9 §3).  A box {0 <= a_i <= b_i} has N = prod (1 -
-x^(b_i+1)), and with y = x^((q-1)/2) every route's N is short in y.
+Algorithms, Ch. 9 §3).  Every N is a product of powers of short
+polynomials: a box {0 <= a_i <= b_i} has N = prod (1 - x^(b_i+1)), and
+with y = x^((q-1)/2) the footprint has N = (1-y)^nvars prod S_k(y)^m
+over its families of m copies.  One builder, _numerator, makes every
+N: it raises each factor to its power by J.C.P. Miller's recurrence,
+a few products per coefficient whatever the number of copies, and
+builds only the coefficients that the degrees read.
 
 All counting is exact integer arithmetic on q = |K| alone: no route
 uses field arithmetic, so each holds over any finite field K, as the
@@ -39,8 +44,9 @@ factor in the basis of the tori's numerators (solve_betas).
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, repeat
+from itertools import accumulate, count, islice, repeat
 from math import comb, gcd
+from operator import add, mul
 from typing import NamedTuple
 
 from .cyclegraph import CycleFamilySpec, cardinality_formula, gamma_of
@@ -54,18 +60,17 @@ DEFAULT_UNION_BUDGET = 3 << 20
 # -- Hilbert series ---------------------------------------------------------
 
 def _conv(a: list[int], b: list[int], cap: int | None = None) -> list[int]:
-    """Coefficient convolution, optionally truncated at degree cap."""
+    """Coefficient convolution, optionally truncated at degree cap; the
+    shorter list is the outer loop."""
+    if len(a) > len(b):
+        a, b = b, a
     n = len(a) + len(b) - 1
     if cap is not None:
         n = min(n, cap + 1)
     out = [0] * n
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= n:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= n:
-                break
-            out[i + j] += ai * bj
+    for i, ai in enumerate(a[:n]):
+        for j, bj in enumerate(b[:n - i], i):
+            out[j] += ai * bj
     return out
 
 
@@ -106,20 +111,47 @@ class Series(NamedTuple):
         return [values[min(d, top)] if d >= 0 else 0 for d in degrees]
 
 
-def _last_read(degrees, size: int, step: int, n: int) -> int:
-    """The last coefficient index that ``Series.at(degrees)`` reads of a
-    numerator of size coefficients in x^step over (1-x)^n: through
-    min(max degree, top) // step, all of them when degrees is None."""
-    if degrees is None:
-        return size - 1
-    last = (len(degrees) - 1 if _is_table(degrees)
-            else max(degrees, default=-1))
-    return max(min(last, (size - 1) * step - n), 0) // step
+def _numerator(step: int, factors, n: int, degrees) -> Series:
+    """The series prod p^m / (1-x)^n in x^step over the (p, deg, m) of
+    factors, p an iterable of the coefficients of a factor of degree
+    deg.  Only the coefficients that ``Series.at(degrees)`` reads are
+    built, through min(max degree, top) // step, and only as many are
+    taken from each p, so a factor may be a lazy map; the value keeps
+    the full product's length and top, padded with zeros.
 
-
-def _padded(step: int, num: list[int], size: int, n: int) -> Series:
-    """The series of num, padded with zeros to size coefficients: a
-    numerator cut at the last index read keeps its length and top."""
+    Factors with m = 1 are multiplied in by _conv, so they may have any
+    constant term.  The others start with 1, and their product P is
+    built by J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2,
+    §4.7): with D = prod p and A = sum (m+1) x p' D/p, x D P' = (A -
+    x D') P, so j P_j = sum_(i>=1) (a_i - j d_i) P_(j-i), deg D
+    products per coefficient whatever the m."""
+    size = 1 + sum(deg * m for _, deg, m in factors)
+    cap = size - 1  # the last coefficient read
+    if degrees is not None:
+        read = (len(degrees) - 1 if _is_table(degrees)
+                else max(degrees, default=-1))
+        cap = max(min(read, cap * step - n), 0) // step
+    d, a, last, single = [1], [0], 0, []
+    for p, deg, m in factors:
+        p = list(islice(p, min(deg, cap) + 1))
+        if m == 1:
+            single.append(p)
+        elif len(p) > 1:  # D p and A p + (m+1) x p' D, through the cap
+            xdp = list(map(mul, count(0, m + 1), p))
+            if last:
+                xdp = list(map(add, _conv(p, a, cap), _conv(xdp, d, cap)))
+                p = _conv(p, d, cap)
+            d, a, last = p, xdp, last + m * min(deg, cap)
+    num = [1]
+    for j in range(1, min(cap, last) + 1):
+        # j P_j, in one product when D = 1 + d_1 x, the usual case
+        acc = (a[1] - j * d[1]) * num[-1] if len(d) == 2 else 0
+        if len(d) > 2:
+            for u, v, x in zip(a[1:], d[1:], reversed(num)):
+                acc += (u - j * v) * x
+        num.append(acc // j)
+    for p in single:
+        num = _conv(p, num, cap) if num != [1] else p
     return Series(step, num + [0] * (size - len(num)), n)
 
 
@@ -127,21 +159,12 @@ def box_numerator(box, degrees) -> Series:
     """The series of the box {0 <= a_i <= b_i}, given as a mapping
     {bound b: the number m of the b_i equal to b}: N = prod (1 -
     x^(b+1))^m in x^step, step the gcd of the b + 1 over the bounds of
-    nonzero m, one binomial factor per bound.  Only the coefficients
-    that ``Series.at(degrees)`` reads are built (_last_read)."""
-    counts = {b: m for b, m in box.items() if m}
-    step = gcd(*(b + 1 for b in counts)) or 1
-    size = 1 + sum(m * ((b + 1) // step) for b, m in counts.items())
-    n = sum(counts.values())
-    cap = _last_read(degrees, size, step, n)
-    num = [1]
-    for b, m in counts.items():
-        e = (b + 1) // step
-        factor = [0] * (min(m * e, cap) + 1)
-        for t in range(min(m, cap // e) + 1):
-            factor[t * e] = (-1) ** t * comb(m, t)
-        num = _conv(factor, num, cap)
-    return _padded(step, num, size, n)
+    nonzero m, one factor per bound (_numerator)."""
+    counts = {b + 1: m for b, m in box.items() if m}
+    step = gcd(*counts) or 1
+    return _numerator(step, [((1,) + (0,) * (e // step - 1) + (-1,),
+                              e // step, m) for e, m in counts.items()],
+                      sum(counts.values()), degrees)
 
 
 def count_box_degree(box, d: int) -> int:
@@ -169,22 +192,16 @@ def footprint_numerator(spec: CycleFamilySpec, q: int,
     most q-2: N = (1-y)^nvars with y = x^(q-1).
 
     Given degrees, only the coefficients that ``Series.at(degrees)``
-    reads are built (_last_read).  A numerator longer than one list
+    reads are built (_numerator).  A numerator longer than one list
     can index is refused before any list is built.
     """
     n = spec.nvars
-    step, blocks = q - 1, ()
-    if (q - 1) % 2 == 0:
-        step, blocks = (q - 1) // 2, spec.components
+    step, blocks = ((q - 1) // 2, spec.components) if q % 2 else (q - 1, ())
     size = n + 1 + sum(m * gamma_of(k) for k, m in blocks)
     check_budget("footprint numerator", size, "coefficients", sys.maxsize)
-    cap = _last_read(degrees, size, step, n)
-    num = [(-1) ** t * comb(n, t) for t in range(min(n, cap) + 1)]
-    for k, m in blocks:
-        mask = [comb(k, v) for v in range(min(gamma_of(k), cap) + 1)]
-        for _ in range(m):
-            num = _conv(mask, num, cap)
-    return _padded(step, num, size, n)
+    return _numerator(step, [((1, -1), 1, n)]
+                      + [(map(comb, repeat(k), count()), gamma_of(k), m)
+                         for k, m in blocks], n, degrees)
 
 
 def footprint_at(spec: CycleFamilySpec, q: int, degrees) -> list[int]:
@@ -245,13 +262,10 @@ def _tori_sum(weights: list[int], k: int, q: int, degrees) -> Series:
     box has i bounds q-2 and k-i bounds (q-1)/2 - 1, so its numerator
     is (1-y^2)^i (1-y)^(k-i) = (1-y)^k (1+y)^i in y = x^((q-1)/2).
     Only the coefficients that ``Series.at(degrees)`` reads are built
-    (_last_read)."""
-    step, size = (q - 1) // 2, k + len(weights)
-    cap = _last_read(degrees, size, step, k)
-    return _padded(step, _conv(
-        [(-1) ** t * comb(k, t) for t in range(min(k, cap) + 1)],
-        [sum(w * comb(i, v) for i, w in enumerate(weights))
-         for v in range(min(len(weights) - 1, cap) + 1)], cap), size, k)
+    (_numerator)."""
+    return _numerator((q - 1) // 2, [((1, -1), 1, k), (
+        (sum(map(mul, weights, map(comb, count(), repeat(v))))
+         for v in count()), len(weights) - 1, 1)], k, degrees)
 
 
 def degenerate_torus_at(i: int, k: int, q: int, degrees) -> list[int]:

@@ -13,7 +13,9 @@ them, division with quotients scans the divisors in order on
 unpacked monomials, and polynomial fixtures are read from their text
 form.  Distinct characters of one cycle copy are found by a
 breadth-first search over the states Z_(q-1)^k, one array pass per
-degree; the library enumerates the exponent box once instead.
+degree; the library enumerates the exponent box once instead.  A
+Hilbert numerator is multiplied out one copy at a time; the library
+raises each factor to its power by one recurrence.
 """
 
 import itertools
@@ -321,6 +323,28 @@ def character_degrees_by_search(k, r, dmax) -> list[int]:
         new[frontier] = False
         seen[frontier] = True
     return counts
+
+
+def numerator_by_copies(step, factors, n, degrees):
+    """The series prod p^m / (1-x)^n in x^step over the (p, deg, m) of
+    factors, p a list of deg + 1 coefficients, built whole: a factor
+    1 - x^e by its binomial expansion, any other one _conv per copy.
+    Past the last coefficient that Series.at(degrees) reads it is set
+    to zeros, as the library's builder leaves it."""
+    num = [1]
+    for p, deg, m in factors:
+        if deg and p == [1] + [0] * (deg - 1) + [-1]:
+            power = [0] * (m * deg + 1)
+            power[::deg] = [(-1) ** t * comb(m, t) for t in range(m + 1)]
+            num = hilbert._conv(power, num)
+        else:
+            for _ in range(m):
+                num = hilbert._conv(p, num)
+    if degrees is not None:  # Series.at reads through min(max d, top)
+        top = (len(num) - 1) * step - n
+        last = max(min(max(degrees, default=-1), top), 0) // step
+        num = num[:last + 1] + [0] * (len(num) - last - 1)
+    return hilbert.Series(step, num, n)
 
 
 def prefix_at(prefix, d):

@@ -43,7 +43,7 @@ REFUSALS = [
      "states, budget is 1000"),
     ("hilbert --q 7 --spec 3x1000,5 --dmax 2 --with-rank "
      "--enum-budget 8000",
-     [(codes, "_cycle_character_degrees"), (codes, "_conv"),
+     [(codes, "_cycle_character_degrees"), (codes, "_numerator"),
       (hilbert, "footprint_at")],
      "multiplying the character counts of 1001 cycle copies over F_7 "
      "needs 9009 cells, budget is 8000"),

@@ -167,16 +167,20 @@ def test_hilbert_table_over_budget_exits_3_at_once():
                         "400000004 cells, budget is 67108864\n")
 
 
-@pytest.mark.parametrize("degrees", [["--d", "0"], ["--dmax", "3"]])
-def test_hilbert_numerator_past_one_list_exits_3(degrees):
+@pytest.mark.parametrize(
+    "q, degrees", [(q, degrees) for q in ("5", "4")
+                   for degrees in (["--d", "0"], ["--dmax", "3"])],
+    ids=["degrees0", "degrees1", "q4-degrees0", "q4-degrees1"])
+def test_hilbert_numerator_past_one_list_exits_3(q, degrees):
     # 10^20 - 1 copies of a triangle: the footprint numerator's length
-    # is refused before any list of the copies or coefficients is built
-    r = run_cli("hilbert", "--q", "5", "--spec", "3x99999999999999999999",
+    # is refused before any list of the copies or coefficients is built,
+    # with a cycle factor per copy (q - 1 even) and without (q - 1 odd)
+    size = {"5": 399999999999999999997, "4": 299999999999999999998}[q]
+    r = run_cli("hilbert", "--q", q, "--spec", "3x99999999999999999999",
                 *degrees, timeout=10)
     assert (r.returncode, r.stdout) == (3, "")
-    assert r.stderr == ("error: footprint numerator needs "
-                        "399999999999999999997 coefficients, more than one "
-                        "array can index\n")
+    assert r.stderr == (f"error: footprint numerator needs {size} "
+                        "coefficients, more than one array can index\n")
     assert "Traceback" not in r.stderr
 
 

@@ -41,6 +41,7 @@ from oracles import (
     footprint_by_degree,
     leading_monomial,
     mono_divides,
+    numerator_by_copies,
     prefix_at,
     regularity_by_scan,
     squares,
@@ -115,6 +116,61 @@ def test_count_box_by_degree_matches_walk_and_naive_product(data, bounds):
     prefix = cumulative(walk)
     box = Counter(bounds)
     assert [count_box_degree(box, d) for d in range(top + 1)] == prefix
+
+
+# -- the numerator builder ------------------------------------------------------
+
+
+@st.composite
+def numerator_factors(draw):
+    """(p, deg, m) factors with m from 1 to 6: a power starts with 1,
+    and a factor taken once may have any constant term; some are 1 -
+    x^e, which the oracle expands by binomials."""
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(st.integers(1, 6))
+        e = draw(st.integers(0, 4))
+        if e and draw(st.booleans()):
+            p = [1] + [0] * (e - 1) + [-1]
+        else:
+            head = st.just(1) if m > 1 else st.one_of(
+                st.integers(-3, 3), st.sampled_from([10 ** 30, -10 ** 30]))
+            p = [draw(head)] + draw(st.lists(st.integers(-4, 4),
+                                             min_size=e, max_size=e))
+        factors.append((p, len(p) - 1, m))
+    return factors
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data(), factors=numerator_factors(),
+       step=st.integers(1, 3), n=st.integers(0, 6))
+def test_numerator_equals_the_product_by_copies(data, factors, step, n):
+    # the recurrence and one _conv per copy give the same series, cut
+    # at the same coefficient, for every kind of degrees a route reads
+    size = 1 + sum(deg * m for _, deg, m in factors)
+    degree = st.integers(-3, max((size - 1) * step - n, 0) + 5)
+    degrees = data.draw(st.one_of(
+        st.none(), st.integers(-1, (size - 1) * step + 5).map(
+            lambda d: range(d + 1)), st.lists(degree, max_size=5)))
+    # each p is handed over as a one-pass iterator, as lazy factors are
+    lazy = [(iter(p), deg, m) for p, deg, m in factors]
+    assert (hilbert._numerator(step, lazy, n, degrees)
+            == numerator_by_copies(step, factors, n, degrees))
+
+
+def test_numerator_takes_only_the_coefficients_it_reads():
+    # a factor is read through the last coefficient read, never past it
+    taken = []
+
+    def coefficients():
+        for t in itertools.count():
+            taken.append(t)
+            yield 1
+
+    series = hilbert._numerator(2, [(coefficients(), 10 ** 4, 3)], 3, [4])
+    assert taken == [0, 1, 2] and len(series.coeffs) == 3 * 10 ** 4 + 1
+    assert series.at([4]) == numerator_by_copies(
+        2, [([1] * 3, 2, 3)], 3, [4]).at([4])
 
 
 # -- footprint counting ---------------------------------------------------------
