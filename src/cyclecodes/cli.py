@@ -33,6 +33,7 @@ from .cyclegraph import (
     DEFAULT_DIST_BUDGET,
     DEFAULT_ENUM_BUDGET,
     CycleFamilySpec,
+    cardinality_factors,
     cardinality_formula,
     enumerate_toric_set,
     enumerated_cardinality,
@@ -331,7 +332,7 @@ def _cmd_code(args, field, spec) -> tuple[str, bool]:
     from . import codes
 
     codes.check_matrix_budget(spec.nvars, args.q,
-                              cardinality_formula(spec, args.q), args.d,
+                              cardinality_factors(spec, args.q), args.d,
                               args.enum_budget)
     X = enumerate_toric_set(spec, field, args.enum_budget)
     params = codes.code_params(X, args.d, args.dist_budget, args.enum_budget)

@@ -23,20 +23,28 @@ reduction.  The minimum distance is searched over orbits (_min_weight):
 X* is a group, translating a codeword by an element of X* permutes its
 coordinates and scales the coefficient of each basis row by that row's
 character, and scaling by F_q^* keeps the support, so the weight is
-constant on the orbits of G = F_q^* x X* on messages.  A depth-first
-walk over the basis rows that carries a stabilizer chain of G visits
-exactly one message per orbit.
+constant on the orbits of G = F_q^* x X* on messages.  The search
+has two phases.  A depth-first walk over the basis rows that carries a
+stabilizer chain of G picks exactly one message per orbit; it runs in
+integers alone (_orbit_tree), works out each stabilizer once per set of
+generators, and keeps the resulting tree with each repeated subtree
+once.  The codewords of those messages are then built in numpy
+(_orbit_blocks), a node's from its parent's plus a multiple of one
+basis row, one row at a time for all nodes of a pass, and scored one
+pass at a time.
 
 One arithmetic path serves both kinds of field.  Every point of X* is
 a unit, so the matrix is built in exponent space from the field's
 discrete-log tables: the value of t^a at x is exp[(a . log x) mod
 (q-1)].  The row reduction and the minimum-distance search use the
-field's own array arithmetic (Field.add, neg and scale).
+field's own array arithmetic (Field.add, iadd, neg and scale).
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
+from itertools import groupby
 from math import gcd
 from typing import NamedTuple
 
@@ -48,16 +56,23 @@ from .cyclegraph import (
     CycleFamilySpec,
     ToricSet,
 )
-from .errors import check_budget, decimal_text
+from .errors import (
+    check_budget,
+    check_product_budget,
+    decimal_text,
+    refuse_past_bits,
+)
 from .gf import Field
 from .hilbert import _numerator, count_box_degree
 
 Monomial = tuple[int, ...]
 
-# Most codeword cells in one block of the distance search, unless one
-# word's extensions by one row are more; it bounds the memory of the
-# search's blocks whatever the code's size.
-_TABLE_CELLS = 1 << 20
+# Most codeword cells in one pass of the distance search, besides its
+# parent block, unless one word's extensions by one row are more; it
+# bounds the memory of the search whatever the code's size.  A pass
+# also holds a gather of parent words and the scoring's mask, so 2^17
+# cells keep a pass to a few hundred KB.
+_TABLE_CELLS = 1 << 17
 
 # Most cells in one slice of the character count; it keeps the slices'
 # arrays to a few MB, small next to the count's r^k array.
@@ -89,13 +104,18 @@ class EvaluationMatrix(NamedTuple):
         return self.entries.shape
 
 
-def check_matrix_budget(nvars: int, q: int, npoints: int, d: int,
+def check_matrix_budget(nvars: int, q: int, points, d: int,
                         max_entries: int) -> None:
-    """Raise BudgetExceeded when the degree-d evaluation matrix on
-    npoints points would have more than max_entries entries; the basis
-    is counted, not listed."""
-    nentries = count_box_degree({min(q - 2, d): nvars}, d) * npoints
-    check_budget("evaluation matrix", nentries, "entries", max_entries)
+    """Raise BudgetExceeded when the degree-d evaluation matrix on the
+    points would have more than max_entries entries; points is |X*| as
+    (count, m) pairs whose count^m multiply to it, as from
+    cardinality_factors.  The basis is counted, not listed; there is at
+    least one row, so points whose count is past bounds by its bit
+    lengths alone are refused before the rows are counted."""
+    refuse_past_bits("evaluation matrix", points, "entries", max_entries)
+    rows = count_box_degree({min(q - 2, d): nvars}, d)
+    check_product_budget("evaluation matrix", [(rows, 1), *points],
+                         "entries", max_entries)
 
 
 def build_evaluation_matrix(X: ToricSet, d: int,
@@ -105,7 +125,7 @@ def build_evaluation_matrix(X: ToricSet, d: int,
     basis exponents with the points' discrete logs followed by one
     antilog gather."""
     field = X.field
-    check_matrix_budget(X.nvars, field.q, len(X), d, max_entries)
+    check_matrix_budget(X.nvars, field.q, [(len(X), 1)], d, max_entries)
     monos = monomial_basis(X.nvars, field.q, d)
     exponents = np.array(monos, dtype=np.int64).reshape(len(monos), X.nvars)
     power_logs = exponents @ field.log[X.points].T
@@ -292,9 +312,10 @@ def _stabilizer(gens: list[tuple[int, ...]], j: int, h: int,
         if row[j] % g:
             g, s, t = _egcd(g, row[j])
             pivot = [(s * a + t * b) % r for a, b in zip(pivot, row[j + 1:])]
-    kernel = [tuple((a - row[j] // h * b) % r
-                    for a, b in zip(row[j + 1:], pivot)) for row in gens]
-    kernel.append(tuple(b * (r // h) % r for b in pivot))
+    kernel = [tuple([(a - row[j] // h * b) % r
+                     for a, b in zip(row[j + 1:], pivot)]) if row[j]
+              else row[j + 1:] for row in gens]
+    kernel.append(tuple([b * (r // h) % r for b in pivot]))
     return [row for row in dict.fromkeys(kernel) if any(row)]
 
 
@@ -312,11 +333,22 @@ def _orbit_generators(spec: CycleFamilySpec, monomials: np.ndarray,
                       (monomials @ incidence).T]) % (q - 1)
 
 
-def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
-    """Yield blocks of codewords whose messages are, all blocks together,
-    exactly one representative of each orbit of G on nonzero messages;
-    gens holds G's log generators on the coefficients of the basis rows
-    (see _orbit_generators).
+class _OrbitTree(NamedTuple):
+    """The orbit walk's tree, each subtree kept once: below a node whose
+    stabilizer is number k, the next nonzero coefficient is the j-th
+    row after the node's own, omega^x with x in [0, h), for (h, child)
+    = choices[k][j], and child numbers the stabilizer of that choice;
+    below[k] representatives lie below such a node, per representative
+    of it.  The root, the zero message, is the last number."""
+
+    choices: list[list[tuple[int, int]]]
+    below: list[int]
+
+
+def _orbit_tree(gens: np.ndarray, r: int) -> _OrbitTree:
+    """The walk that visits one message per orbit of G on nonzero
+    messages, in integers alone; gens holds G's log generators on the
+    coefficients of the basis rows (see _orbit_generators).
 
     The walk goes depth first over the rows.  At each row the message
     is zero, which leaves the generators as they are, or omega^x with
@@ -324,37 +356,127 @@ def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
     current stabilizer), and the stabilizer of the choice comes next.
     A support S thus gets (q-1)^|S| / |L_S| representatives, L_S the
     image of G on S, and the first nonzero coefficient is 1 (h = 1,
-    since scaling is in G).  A block extends every word of its parent
-    block by every value of one more row, in slices of parent words so
-    that a block holds at most _TABLE_CELLS cells, or one word's h
-    extensions when those alone are more.  A row's multiples
-    omega^x * row, x in [0, h), are built when the walk first reads h
-    of them and kept: n bytes each (2n for q > 128), not q-1 per row."""
+    since scaling is in G).  The stabilizer does not depend on x, and
+    the walk meets the same generators again and again, so h and the
+    stabilizer of each column are worked out once per generators.  The
+    count of representatives is checked against what one array can
+    index before any word is built."""
+    number = {}  # (generators, width) -> their number
+    tree = _OrbitTree([], [])
+
+    def index(gens, width):
+        k = number.get((gens, width))
+        if k is None:
+            column = []
+            for j in range(width):
+                h = gcd(r, *[g[j] for g in gens])
+                child = tuple(_stabilizer(gens, j, h, r)) \
+                    if j + 1 < width else ()
+                column.append((h, index(child, width - j - 1)))
+            k = number[gens, width] = len(tree.choices)
+            tree.choices.append(column)
+            tree.below.append(sum(h * (1 + tree.below[c]) for h, c in column))
+        return k
+
+    index(tuple(map(tuple, gens.tolist())), gens.shape[1])
+    check_budget("searching the minimum distance", tree.below[-1],
+                 "orbit representatives", sys.maxsize)
+    return tree
+
+
+def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
+    """Yield blocks of codewords whose messages are, all blocks together,
+    exactly the representatives of _orbit_tree.
+
+    A node's words are its parent's words, each plus omega^x * row for
+    x in [0, h).  A pass lays out some nodes below one node in
+    integers (parent, row, h, and representatives per word of that
+    node), then builds their words from that node's words, the parent
+    block, one basis row at a time: the nodes of one row and h whose
+    parents' words lie in one array (the parent block or the pass's
+    own) are one gather of those words and one Field.iadd into the
+    pass's block.  Sibling subtrees that fit _TABLE_CELLS cells
+    together, given the size of the parent block, share one pass; a
+    node whose subtree does not fit is a pass of its own, over slices
+    of the parent block that fit (or one word, when its h extensions
+    alone are more), and its block is the parent block of its
+    children.  So a block holds at most _TABLE_CELLS cells, besides
+    its parent block, and only one pass's nodes are laid out at a
+    time.  A row's multiples omega^x * row, x in [0, h), are built when
+    a pass first reads h of them and kept: n bytes each (2n for
+    q > 128), not q-1 per row."""
     r = field.q - 1
-    dim, n = basis.shape
+    n = basis.shape[1]
     dtype = np.min_scalar_type(2 * r)
-    exp, log = field.exp.astype(dtype), field.log.astype(dtype)
+    # antilogs of 0..2r-2, so a sum of two logs needs no reduction mod r
+    exp, log = np.tile(field.exp, 2).astype(dtype), field.log.astype(dtype)
     x = np.arange(r, dtype=dtype)[:, None]
     multiples = {}  # row -> its first multiples, as many as were read
-    gens = [tuple(row) for row in gens.tolist()]
+    choices, below = _orbit_tree(gens, r)
 
-    def walk(start, words, gens):
-        for j in range(dim - start):
-            c = start + j
-            h = gcd(r, *(row[j] for row in gens))
-            last = c + 1 == dim
-            child = [] if last else _stabilizer(gens, j, h, r)
+    def lay_out(nodes, p, c, h, k, m):
+        # append, in preorder, the node of row c, h and stabilizer k
+        # below node p of nodes (-1: the parent block's node), which
+        # stands for m representatives per word of the parent block,
+        # and the nodes below it
+        i = len(nodes)
+        nodes.append((c, h, p, m * h))
+        for j, (h2, k2) in enumerate(choices[k]):
+            lay_out(nodes, i, c + 1 + j, h2, k2, m * h)
+
+    def build(nodes, block):
+        # the words of nodes from block, in one buffer where the nodes of
+        # one group (row, h, and whether the parent's words are in block
+        # or in the buffer) are consecutive and rows increase, so every
+        # node's parent words are built before its own; a node's words
+        # are its parent's words in order, each plus omega^x, x in [0, h)
+        group = [(c, h, p >= 0) for c, h, p, _ in nodes]
+        order = sorted(range(len(nodes)), key=group.__getitem__)
+        first, size = [0] * len(nodes), 0
+        for i in order:
+            first[i] = size
+            size += len(block) * nodes[i][3]
+        out = np.empty((size, n), dtype=dtype)
+        for (c, h, inner), run in groupby(order, key=group.__getitem__):
+            run = list(run)
+            src = out if inner else block
+            starts = [first[nodes[i][2]] if inner else 0 for i in run]
+            runs = [len(block) * nodes[i][3] // h for i in run]
+            if len(run) == 1:  # one run of parent words: a slice
+                parent_words = src[starts[0]:starts[0] + runs[0]]
+            else:
+                ends = np.cumsum(runs)
+                parent_words = src[np.arange(ends[-1]) + np.repeat(
+                    np.array(starts) - ends + runs, runs)]
             if len(multiples.get(c, ())) < h:
-                multiples[c] = exp[(x[:h] + log[basis[c]]) % r]
-            step = max(1, _TABLE_CELLS // (h * n))
-            for i in range(0, len(words), step):
-                block = field.add(words[i:i + step, None],
-                                  multiples[c][:h]).reshape(-1, n)
-                yield block
-                if not last:
-                    yield from walk(c + 1, block, child)
+                multiples[c] = exp[x[:h] + log[basis[c]]]
+            lo = first[run[0]]
+            words = out[lo:lo + h * sum(runs)].reshape(-1, h, n)
+            words[...] = parent_words[:, None]
+            field.iadd(words, multiples[c][:h])
+        return out
 
-    yield from walk(0, np.zeros((1, n), dtype=dtype), gens)
+    def walk(k, start, block):
+        # the words below a node of stabilizer k whose words are block
+        nodes, cells = [], 0  # laid out, waiting for a pass
+        for j, (h, child) in enumerate(choices[k]):
+            size = len(block) * h * (1 + below[child]) * n
+            if cells + size > _TABLE_CELLS and cells:
+                yield build(nodes, block)
+                nodes, cells = [], 0
+            if size > _TABLE_CELLS:
+                step = max(1, _TABLE_CELLS // (h * n))
+                for i in range(0, len(block), step):
+                    own = build([(start + j, h, -1, h)], block[i:i + step])
+                    yield own
+                    yield from walk(child, start + j + 1, own)
+            else:
+                lay_out(nodes, -1, start + j, h, child, 1)
+                cells += size
+        if cells:
+            yield build(nodes, block)
+
+    yield from walk(len(choices) - 1, 0, np.zeros((1, n), dtype=dtype))
 
 
 def _min_weight(basis: np.ndarray, gens: np.ndarray, field: Field) -> int:
@@ -364,11 +486,13 @@ def _min_weight(basis: np.ndarray, gens: np.ndarray, field: Field) -> int:
     translating a codeword by g in X* permutes its coordinates and
     scales the coefficient of row a by chi_a(g), and scaling by lambda
     keeps the support.  The weight is constant on each orbit, so only
-    the orbit representatives of _orbit_blocks are scored, a block at
-    a time; the walk stops at weight 1."""
+    the orbit representatives of _orbit_blocks are scored, one count
+    per block, summed in the narrowest dtype that holds n, which is
+    faster than count_nonzero's intp; the search stops at weight 1."""
     best = len(basis[0])
+    weight = np.min_scalar_type(best)
     for block in _orbit_blocks(basis, gens, field):
-        best = min(best, int(np.add.reduce(block != 0, 1).min()))
+        best = min(best, int(np.add.reduce(block != 0, 1, weight).min()))
         if best == 1:
             break
     return best

@@ -23,7 +23,12 @@ from __future__ import annotations
 import re
 from math import prod
 
-from .errors import OddityError, ParseError, check_budget
+from .errors import (
+    OddityError,
+    ParseError,
+    check_budget,
+    check_product_budget,
+)
 from .gf import Field
 
 DEFAULT_ENUM_BUDGET = 1 << 26
@@ -221,8 +226,9 @@ def enumerate_toric_set(spec: CycleFamilySpec, field: Field,
     import numpy as np
 
     per_k = {k: _single_cycle_points(k, field, budget) for k in spec.lengths}
-    total = prod(len(per_k[k]) ** m for k, m in spec.components)
-    check_budget("materializing X*", total, "points", budget)
+    total = check_product_budget(
+        "materializing X*", [(len(per_k[k]), m) for k, m in spec.components],
+        "points", budget)
     points = np.empty((total, spec.nvars),
                       dtype=np.min_scalar_type(field.q - 1))
     outer = 1
@@ -249,13 +255,17 @@ def enumerated_cardinality(spec: CycleFamilySpec, field: Field,
     return prod(per_k[k] ** m for k, m in spec.components)
 
 
-def cardinality_formula(spec: CycleFamilySpec, q: int) -> int:
-    """Closed-form |X*|: per family (q-1)^(km), halved per copy when
-    q-1 is even (opposite vertex assignments collide pairwise), so one
-    power ((q-1)^k / h)^m with h = 2 or 1 and no long division."""
+def cardinality_factors(spec: CycleFamilySpec,
+                        q: int) -> list[tuple[int, int]]:
+    """|X*| as (count, m) per family, |X*| the product of count^m: a
+    k-cycle copy has (q-1)^k / h points, h = 2 when q-1 is even
+    (opposite vertex assignments collide pairwise) and 1 otherwise."""
     h = 2 if (q - 1) % 2 == 0 else 1
-    total = 1
-    for k, m in spec.components:
-        total *= ((q - 1) ** k // h) ** m
-    return total
+    return [((q - 1) ** k // h, m) for k, m in spec.components]
+
+
+def cardinality_formula(spec: CycleFamilySpec, q: int) -> int:
+    """Closed-form |X*|: one power per family of cardinality_factors, no
+    long division."""
+    return prod(c ** m for c, m in cardinality_factors(spec, q))
 

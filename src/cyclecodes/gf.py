@@ -18,7 +18,8 @@ order q-1 (the order test over the prime factors of q-1).  Its powers,
 made on first use, are the antilog table ``Field.exp``, and
 ``Field.log`` inverts it (numpy arrays, with which array code
 multiplies units of either kind by adding logs mod q-1).  ``add``,
-``neg`` and ``scale`` also work on int arrays of elements.
+``neg`` and ``scale`` also work on int arrays of elements, and
+``iadd`` adds into one in place.
 
 Odd prime-power fields (9, 25, 27, ...) are rejected: nothing downstream
 requires them, and supporting them would mean carrying general extension
@@ -67,9 +68,11 @@ class Field:
     """Arithmetic for F_q, q an odd prime or a power of two.
 
     ``add``, ``sub``, ``neg``, ``mul`` and ``inv`` take elements;
-    ``add`` and ``neg`` also take int arrays of elements, and
-    ``scale(c, a)`` multiplies an int64 array a by the element c.  A
-    subclass defines ``mul``; ``inv`` and the unit group come from it.
+    ``add`` and ``neg`` also take int arrays of elements, ``iadd(a, b)``
+    adds b to the int array a in place (its dtype must hold the sum of
+    two elements) and returns a, and ``scale(c, a)`` multiplies an
+    int64 array a by the element c.  A subclass defines ``mul``;
+    ``inv`` and the unit group come from it.
 
     Attributes:
         q: field cardinality.
@@ -168,6 +171,11 @@ class _PrimeField(Field):
     def add(self, a, b):
         return (a + b) % self.q
 
+    def iadd(self, a, b):
+        a += b
+        a %= self.q
+        return a
+
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.q
 
@@ -190,6 +198,10 @@ class _BinaryField(Field):
 
     def add(self, a, b):
         return a ^ b
+
+    def iadd(self, a, b):
+        a ^= b
+        return a
 
     sub = add
 

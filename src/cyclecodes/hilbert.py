@@ -213,10 +213,16 @@ def footprint_at(spec: CycleFamilySpec, q: int, degrees) -> list[int]:
 
 def union_coefficients(k: int) -> list[int]:
     """c_0..c_gamma: the coefficient of the j-box count in the union
-    of boxes of a k-cycle, derived in union_at."""
+    of boxes of a k-cycle, c_j = (-1)^(gamma-j) C(k, j) C(k-j-1,
+    gamma-j) as derived in union_at.  Each comes from the one before by
+    the exact ratio c_(j+1) = -c_j (k-j)(gamma-j) / ((j+1)(k-j-1)), from
+    c_0 = (-1)^gamma C(k-1, gamma): a small product per weight, not two
+    binomials of about k bits."""
     gamma = gamma_of(k)
-    return [(-1) ** (gamma - j) * comb(k, j) * comb(k - j - 1, gamma - j)
-            for j in range(gamma + 1)]
+    c = [(-1) ** gamma * comb(k - 1, gamma)]
+    for j in range(gamma):
+        c.append(-c[j] * (k - j) * (gamma - j) // ((j + 1) * (k - j - 1)))
+    return c
 
 
 def union_at(k: int, q: int, degrees) -> list[int]:

@@ -15,7 +15,9 @@ form.  Distinct characters of one cycle copy are found by a
 breadth-first search over the states Z_(q-1)^k, one array pass per
 degree; the library enumerates the exponent box once instead.  A
 Hilbert numerator is multiplied out one copy at a time; the library
-raises each factor to its power by one recurrence.
+raises each factor to its power by one recurrence.  The union weights
+are two binomials each; the library steps from one to the next by
+their ratio.
 """
 
 import itertools
@@ -250,6 +252,14 @@ def iter_disjoint_binomials(nvars, q):
 
 
 # -- counting -----------------------------------------------------------------
+
+
+def union_coefficients_by_binomials(k) -> list[int]:
+    """c_j = (-1)^(gamma-j) C(k, j) C(k-j-1, gamma-j), j = 0..gamma,
+    two fresh binomials per weight."""
+    gamma = gamma_of(k)
+    return [(-1) ** (gamma - j) * comb(k, j) * comb(k - j - 1, gamma - j)
+            for j in range(gamma + 1)]
 
 
 def count_box_by_degree(bounds, cap=None) -> list[int]:

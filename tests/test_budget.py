@@ -1,5 +1,6 @@
-"""Every stage that can refuse work refuses it through errors.check_budget,
-before any of the work is done."""
+"""Every stage that can refuse work refuses it through errors.check_budget
+(or, for a product too large to form, errors.refuse_past_bits), before
+any of the work is done."""
 
 import math
 import random
@@ -11,7 +12,12 @@ import numpy as np
 import pytest
 
 from cyclecodes import BudgetExceeded, cli, codes, hilbert, ideal, poly
-from cyclecodes.errors import check_budget, decimal_text
+from cyclecodes.errors import (
+    _EXACT_BITS,
+    check_budget,
+    check_product_budget,
+    decimal_text,
+)
 
 
 def _command_args(argv):
@@ -107,6 +113,32 @@ def test_check_budget_passes_what_fits():
     assert str(exc.value) == (f"a stage needs {sys.maxsize + 1} cells, "
                               "more than one array can index")
 
+
+
+def test_check_product_budget_forms_only_what_it_may_print():
+    assert check_product_budget("a stage", [(4, 3), (1, 10 ** 30)],
+                                "points", 64) == 64
+    with pytest.raises(BudgetExceeded) as exc:
+        check_product_budget("a stage", [(4, 3), (3, 2)], "points", 64)
+    assert exc.value.needed == 576
+    # 2^N with N past _EXACT_BITS: refused from the bit lengths, the
+    # power never formed, whatever the budget
+    copies = 10 ** 20
+    for budget, limit in ((10, "budget is 10"),
+                          (10 ** 40, "more than one array can index")):
+        with pytest.raises(BudgetExceeded) as exc:
+            check_product_budget("a stage", [(5, 1), (32, copies)], "points",
+                                 budget)
+        assert str(exc.value) == (f"a stage needs at least 2^{2 + 5 * copies} "
+                                  f"points, {limit}")
+    # at the cut the product is formed and printed exactly, one bit past
+    # it only the bound
+    with pytest.raises(BudgetExceeded) as exc:
+        check_product_budget("a stage", [(2, _EXACT_BITS)], "points", 10)
+    assert exc.value.needed == 2 ** _EXACT_BITS
+    with pytest.raises(BudgetExceeded) as exc:
+        check_product_budget("a stage", [(2, _EXACT_BITS + 1)], "points", 10)
+    assert exc.value.needed == f"at least 2^{_EXACT_BITS + 1}"
 
 
 def test_a_refusal_past_the_digit_limit_is_still_a_refusal():

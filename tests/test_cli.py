@@ -184,6 +184,22 @@ def test_hilbert_numerator_past_one_list_exits_3(q, degrees):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv, needs", [
+    (["enumerate"], "materializing X* needs at least 2^499999999999999999995 "
+                    "points"),
+    (["code", "--d", "0"], "evaluation matrix needs at least "
+                           "2^499999999999999999995 entries")],
+    ids=["enumerate", "code"])
+def test_copies_past_any_count_exit_3(argv, needs):
+    # 10^20 - 1 triangles over F_5 are 32 points each: the count is at
+    # least 2^(5 (10^20 - 1)), read off the bit lengths without forming
+    # the power, and the matrix has at least one row
+    r = run_cli(argv[0], "--q", "5", "--spec", "3x99999999999999999999",
+                *argv[1:], timeout=10)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == f"error: {needs}, budget is 67108864\n"
+
+
 @pytest.mark.parametrize("degrees, cells", [(["--d", "0"], 10 ** 20 - 1),
                                             (["--dmax", "3"],
                                              16 * (10 ** 20 - 1))])

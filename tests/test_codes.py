@@ -538,12 +538,16 @@ def test_code_params_matches_rank_and_brute_force(instance, d):
 @pytest.mark.parametrize("q, spec_text, d", [
     (4, "3", 1), (8, "3", 1), (2, "3x2", 2), (5, "3", 1), (3, "3x2", 1),
     (7, "3", 1)])
-@pytest.mark.parametrize("cells", [0, 200])
+@pytest.mark.parametrize("cells", [0, 200, "3n"])
 def test_code_params_with_a_small_table(monkeypatch, q, spec_text, d, cells):
-    # A small cap splits the basis into searched head rows and a tabled
-    # tail (cap 0 tables nothing), on binary and prime fields alike.
-    monkeypatch.setattr(codes, "_TABLE_CELLS", cells)
-    _check_distance(_X(q, spec_text), d)
+    # A small cap makes the search build most nodes in passes of their
+    # own (cap 0: every node, one word at a time); at 3n one search has
+    # both passes of one node and passes of whole sibling subtrees, on
+    # binary and prime fields alike.
+    X = _X(q, spec_text)
+    monkeypatch.setattr(codes, "_TABLE_CELLS",
+                        3 * len(X) if cells == "3n" else cells)
+    _check_distance(X, d)
 
 
 # -- the orbit search ------------------------------------------------------------------
@@ -665,9 +669,36 @@ def test_orbit_walk_visits_one_message_per_orbit(q, spec_text):
         for S in itertools.combinations(range(dim), size):
             orbits += r ** size // int(_subgroup(group[:, S], r).sum())
     gens = codes._orbit_generators(X.spec, monomials, q)
+    assert codes._orbit_tree(gens, r).below[-1] == orbits
     visited = sum(len(block)
                   for block in codes._orbit_blocks(basis, gens, field))
     assert visited == orbits
+
+
+@pytest.mark.parametrize("q, spec_text", [(3, "3x2"), (5, "3"), (8, "3")])
+@pytest.mark.parametrize("cells", [0, "3n", 1 << 17])
+def test_orbit_blocks_stay_within_the_table(monkeypatch, q, spec_text,
+                                            cells):
+    # Every block holds at most _TABLE_CELLS cells, or one word's
+    # extensions by one row (at most q-1 words) when those alone are more.
+    X = _cached_X(q, spec_text)
+    basis, monomials = _distinct_rows(X, 1)
+    n = len(X)
+    cap = 3 * n if cells == "3n" else cells
+    monkeypatch.setattr(codes, "_TABLE_CELLS", cap)
+    gens = codes._orbit_generators(X.spec, monomials, q)
+    sizes = [block.size for block in
+             codes._orbit_blocks(basis, gens, X.field)]
+    assert max(sizes) <= max(cap, (q - 1) * n)
+    assert sum(sizes) == codes._orbit_tree(gens, q - 1).below[-1] * n
+
+
+def test_orbit_tree_refuses_more_representatives_than_an_array_indexes():
+    # With only the scalars in G, a 6-row code over F_65521 has about
+    # (q-1)^5 > 2^63 representatives; the count comes from the tree's
+    # kept subtrees, before any word is built.
+    with pytest.raises(BudgetExceeded, match="orbit representatives"):
+        codes._orbit_tree(np.ones((1, 6), dtype=np.int64), 65520)
 
 
 @pytest.mark.parametrize("q, spec_text, distance", [

@@ -267,6 +267,8 @@ def test_array_ops_match_scalar_ops(q):
                 for _ in "ab")
         cs, xs = [0, 1, q - 1] + rng.sample(range(q), 20), a
     assert f.add(a, b).tolist() == list(map(f.add, a.tolist(), b.tolist()))
+    into = a.copy()
+    assert f.iadd(into, b) is into and into.tolist() == f.add(a, b).tolist()
     assert f.neg(a).tolist() == list(map(f.neg, a.tolist()))
     for c in cs:
         assert f.scale(c, xs).tolist() == [f.mul(c, x) for x in xs.tolist()]

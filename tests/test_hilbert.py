@@ -46,6 +46,7 @@ from oracles import (
     regularity_by_scan,
     squares,
     torus_prefix,
+    union_coefficients_by_binomials,
 )
 
 
@@ -443,6 +444,13 @@ def _union_coefficients_by_sign_loop(k):
                 common &= mask
         by_common_size[common.bit_count()] += 1 if t.bit_count() % 2 else -1
     return by_common_size
+
+
+def test_union_coefficients_match_binomial_form():
+    # the ratio steps give the binomial closed form exactly, signs and
+    # all, for every odd k through 301
+    for k in range(3, 302, 2):
+        assert union_coefficients(k) == union_coefficients_by_binomials(k)
 
 
 def test_union_coefficients_match_sign_loop_and_betas():
