@@ -4,7 +4,12 @@ Subcommands: enumerate, card, ideal, groebner-check, hilbert,
 regularity, betas, code, selftest.  Exit codes: 0 success, 1 a
 cross-check failed, 2 usage error or an --out file that cannot be
 written, 3 budget exceeded, also when stderr is a closed pipe.  Output
-is deterministic for a given invocation.  Every command but selftest
+is deterministic for a given invocation.  One table, _COMMANDS, gives
+each command's handler, one-line help and options (flag, converter or
+choices, default, whether required, help); parse_args reads argv by it
+as argparse read it, a usage error prints the command's usage line
+and the error on stderr and main returns 2, and -h or --help prints
+help made from the same table.  Every command but selftest
 has --q checked (gf.field_new) and then --spec parsed once, in _run,
 before its own budgets; the counting commands then take q alone.  The
 hilbert and enumerate formats share one row loop, which writes a
@@ -15,18 +20,17 @@ selftest and hilbert --with-rank import numpy; the counting commands
 run on integers alone.  Only ideal, groebner-check and selftest import
 the ideal module and with it poly, which holds the polynomials, their
 division and the Groebner check.  Importing cli loads neither module,
-nor dataclasses.
+nor dataclasses, argparse or json.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
-import json
 import os
+import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from types import SimpleNamespace
 
 from . import hilbert
 from .cyclegraph import (
@@ -72,110 +76,29 @@ def buchberger_is_groebner(gens) -> bool:
     return poly.buchberger_is_groebner(gens)
 
 
-def _nonnegative_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def _nonnegative_int(text: str) -> int:
+    value = _int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise ValueError(f"must be >= 0, got {value}")
     return value
 
 
-def _add_common(sp, *, formats=("plain", "json"), enum_budget=False,
-                dist_budget=False):
-    sp.add_argument("--q", type=int, required=True,
-                    help="field size (odd prime or power of two)")
-    sp.add_argument("--spec", required=True,
-                    help="cycle spec: comma-separated k or kxm, "
-                         "e.g. '5' or '3x2,5'")
-    sp.add_argument("--format", choices=list(formats), default="plain",
-                    help="output format")
-    sp.add_argument("--out", help="write the report to this file "
-                                  "instead of stdout")
-    if enum_budget:
-        sp.add_argument("--enum-budget", type=_nonnegative_int,
-                        default=DEFAULT_ENUM_BUDGET,
-                        help="max enumeration / matrix work; for "
-                             "groebner-check, which checks one cycle of "
-                             "each distinct length, both their "
-                             "generators' exponent cells and their lead "
-                             "tests, each checked before any generator "
-                             "is built "
-                             f"(default {DEFAULT_ENUM_BUDGET})")
-    if dist_budget:
-        sp.add_argument("--dist-budget", type=_nonnegative_int,
-                        default=DEFAULT_DIST_BUDGET,
-                        help="exact min distance only when q^dimension "
-                             "is at most this budget, else a bracket; "
-                             "the search itself visits one message per "
-                             "orbit of the scalars times the translations "
-                             "by X*, which keep the weight "
-                             f"(default {DEFAULT_DIST_BUDGET})")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process: parsing
-    leaves it unchanged, and building it costs more than a parse."""
-    p = argparse.ArgumentParser(
-        prog="cyclecodes",
-        description="Vanishing ideals, Hilbert functions and evaluation "
-                    "codes of point sets parameterized by odd cycles over "
-                    "small finite fields.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("enumerate", help="list the points of X*")
-    _add_common(sp, enum_budget=True)
-
-    sp = sub.add_parser("card", help="enumerated vs closed-form |X*|")
-    _add_common(sp, formats=("plain", "csv", "json"), enum_budget=True)
-
-    sp = sub.add_parser("ideal", help="dump the generator set")
-    _add_common(sp)
-
-    sp = sub.add_parser("groebner-check",
-                        help="verify the generators form a Groebner basis")
-    _add_common(sp, enum_budget=True)
-
-    sp = sub.add_parser("hilbert", help="Hilbert function table")
-    _add_common(sp, formats=("plain", "csv", "json"), enum_budget=True)
-    g = sp.add_mutually_exclusive_group()
-    g.add_argument("--d", type=int, help="single degree")
-    g.add_argument("--dmax", type=_nonnegative_int,
-                   help="table for d = 0..dmax (default regularity+1)")
-    sp.add_argument("--with-rank", action="store_true",
-                    help="also compute the evaluation-matrix rank column "
-                         "by counting the distinct characters that the "
-                         "monomials of degree <= d restrict to on X*: "
-                         "searches (q-1)^k exponent vectors per cycle "
-                         "length k within --enum-budget, without "
-                         "enumerating X*")
-
-    sp = sub.add_parser("regularity",
-                        help="regularity by formula and by brute force")
-    _add_common(sp)
-
-    sp = sub.add_parser("betas",
-                        help="beta decomposition of a single-cycle "
-                             "Hilbert function")
-    _add_common(sp)
-
-    sp = sub.add_parser("code", help="evaluation code parameters")
-    _add_common(sp, enum_budget=True, dist_budget=True)
-    sp.add_argument("--d", type=_nonnegative_int, required=True,
-                    help="code degree")
-
-    sp = sub.add_parser("selftest",
-                        help="run the built-in reference checks "
-                             "(q=5, one 5-cycle)")
-    sp.add_argument("--out", help="write the report to this file")
-
-    return p
-
-
 # -- individual commands -----------------------------------------------------
+
+def _json(report: dict) -> str:
+    """json.dumps(report, indent=2); json loads at the first report, so
+    importing cli does not load it."""
+    import json
+
+    return json.dumps(report, indent=2)
+
 
 def _chunks(head: str, rows, sep: str, foot: str) -> Iterator[str]:
     """head, the rows joined by sep 4,096 at a time, then foot: a long
@@ -225,8 +148,8 @@ def _cmd_ideal(args, field, spec) -> tuple[str, bool]:
     check_build_budget(spec, args.q, DEFAULT_ENUM_BUDGET)
     lines = [g.to_text() for g in build_generators(spec, field)]
     if args.format == "json":
-        out = json.dumps({"q": args.q, "spec": spec.to_string(),
-                          "generators": lines}, indent=2)
+        out = _json({"q": args.q, "spec": spec.to_string(),
+                     "generators": lines})
     else:
         out = "\n".join(lines)
     return out, True
@@ -240,8 +163,7 @@ def _cmd_groebner(args, field, spec) -> tuple[str, bool]:
     ok = all(buchberger_is_groebner(build_generators(
         CycleFamilySpec.single(k), field)) for k in spec.lengths)
     if args.format == "json":
-        out = json.dumps({"q": args.q, "spec": spec.to_string(),
-                          "groebner": ok}, indent=2)
+        out = _json({"q": args.q, "spec": spec.to_string(), "groebner": ok})
     else:
         out = f"groebner basis check: {'pass' if ok else 'FAIL'}"
     return out, ok
@@ -298,9 +220,9 @@ def _cmd_regularity(args, field, spec) -> tuple[str, bool]:
     brute = hilbert.regularity_bruteforce(spec, args.q)
     agree = formula == brute
     if args.format == "json":
-        out = json.dumps({"q": args.q, "spec": spec.to_string(),
-                          "formula": formula, "bruteforce": brute,
-                          "agree": agree}, indent=2)
+        out = _json({"q": args.q, "spec": spec.to_string(),
+                     "formula": formula, "bruteforce": brute,
+                     "agree": agree})
     else:
         out = (f"regularity formula = {formula}\n"
                f"regularity brute force = {brute}\n"
@@ -319,9 +241,8 @@ def _cmd_betas(args, field, spec) -> tuple[str, bool]:
     k = _single_cycle_k(spec)
     deco = hilbert.solve_betas(k, args.q)
     if args.format == "json":
-        out = json.dumps({"k": k, "q": args.q, "betas": list(deco.betas),
-                          "verified_through": deco.verified_through},
-                         indent=2)
+        out = _json({"k": k, "q": args.q, "betas": list(deco.betas),
+                     "verified_through": deco.verified_through})
     else:
         out = (f"betas = {' '.join(str(b) for b in deco.betas)}\n"
                f"identity verified through d = {deco.verified_through}")
@@ -350,7 +271,7 @@ def _cmd_code(args, field, spec) -> tuple[str, bool]:
             payload["min_distance_bracket"] = list(
                 params.min_distance_bracket)
         payload["singleton_ok"] = singleton_ok
-        out = json.dumps(payload, indent=2)
+        out = _json(payload)
     else:
         lines = [f"n = {params.n}", f"dimension = {params.dimension}"]
         if params.min_distance is not None:
@@ -405,25 +326,296 @@ def _cmd_selftest() -> tuple[str, bool]:
     return "\n".join(lines), ok
 
 
+# -- the command line ----------------------------------------------------------
+
+class UsageError(Exception):
+    """A command line that the option table cannot read: exit 2."""
+
+
+class Option:
+    """One option of a command: its flag, how its value is read (a
+    converter, which raises ValueError with the message, a tuple of the
+    choices, or None for a switch), its default, whether it is
+    required, and its help."""
+
+    __slots__ = ("flag", "kind", "default", "required", "help")
+
+    def __init__(self, flag: str, kind, default=None, required=False,
+                 help=""):
+        self.flag, self.kind, self.default = flag, kind, default
+        self.required, self.help = required, help
+
+    @property
+    def dest(self) -> str:
+        """The name of its value in the namespace."""
+        return self.flag[2:].replace("-", "_")
+
+    @property
+    def synopsis(self) -> str:
+        """The flag with the form of its value, as usage shows it."""
+        if self.kind is None:
+            return self.flag
+        if isinstance(self.kind, tuple):
+            return f"{self.flag} {{{','.join(self.kind)}}}"
+        return f"{self.flag} {self.dest.upper()}"
+
+
+_HELP = Option("--help", None, help="show this help message and exit")
+_TOP = {"-h": _HELP, "--help": _HELP}
+
+
+class Command:
+    """One command: its handler, called as the command is, with (args,
+    field, spec), or with nothing for selftest; its one-line help; its
+    options; and the flags of which at most one may be given.  It keeps
+    its options by flag, -h and --help among them, and their defaults
+    by name, for parse_args."""
+
+    def __init__(self, run: Callable, help: str,
+                 options: tuple[Option, ...], exclusive: tuple[str, ...] = ()):
+        self.run, self.help, self.options = run, help, options
+        self.exclusive = exclusive
+        self.flags = {**_TOP, **{o.flag: o for o in options}}
+        self.defaults = {o.dest: o.default for o in options}
+
+    def __call__(self, *args):
+        return self.run(*args)
+
+_ENUM_BUDGET = Option(
+    "--enum-budget", _nonnegative_int, DEFAULT_ENUM_BUDGET,
+    help="max enumeration / matrix work; for groebner-check, which checks "
+         "one cycle of each distinct length, both their generators' "
+         "exponent cells and their lead tests, each checked before any "
+         f"generator is built (default {DEFAULT_ENUM_BUDGET})")
+_DIST_BUDGET = Option(
+    "--dist-budget", _nonnegative_int, DEFAULT_DIST_BUDGET,
+    help="exact min distance only when q^dimension is at most this "
+         "budget, else a bracket; the search itself visits one message "
+         "per orbit of the scalars times the translations by X*, which "
+         f"keep the weight (default {DEFAULT_DIST_BUDGET})")
+
+
+def _common(formats=("plain", "json"), *more: Option) -> tuple[Option, ...]:
+    """--q, --spec, --format of the given formats and --out, then more."""
+    return (Option("--q", _int, required=True,
+                   help="field size (odd prime or power of two)"),
+            Option("--spec", str, required=True,
+                   help="cycle spec: comma-separated k or kxm, e.g. '5' "
+                        "or '3x2,5'"),
+            Option("--format", formats, "plain", help="output format"),
+            Option("--out", str, help="write the report to this file "
+                                      "instead of stdout"),
+            *more)
+
+
+_TABLE_FORMATS = ("plain", "csv", "json")
 _COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "card": _cmd_card,
-    "ideal": _cmd_ideal,
-    "groebner-check": _cmd_groebner,
-    "hilbert": _cmd_hilbert,
-    "regularity": _cmd_regularity,
-    "betas": _cmd_betas,
-    "code": _cmd_code,
+    "enumerate": Command(_cmd_enumerate, "list the points of X*",
+                         _common(("plain", "json"), _ENUM_BUDGET)),
+    "card": Command(_cmd_card, "enumerated vs closed-form |X*|",
+                    _common(_TABLE_FORMATS, _ENUM_BUDGET)),
+    "ideal": Command(_cmd_ideal, "dump the generator set", _common()),
+    "groebner-check": Command(
+        _cmd_groebner, "verify the generators form a Groebner basis",
+        _common(("plain", "json"), _ENUM_BUDGET)),
+    "hilbert": Command(_cmd_hilbert, "Hilbert function table", _common(
+        _TABLE_FORMATS, _ENUM_BUDGET,
+        Option("--d", _int, help="single degree"),
+        Option("--dmax", _nonnegative_int,
+               help="table for d = 0..dmax (default regularity+1)"),
+        Option("--with-rank", None, False,
+               help="also compute the evaluation-matrix rank column by "
+                    "counting the distinct characters that the monomials "
+                    "of degree <= d restrict to on X*: searches (q-1)^k "
+                    "exponent vectors per cycle length k within "
+                    "--enum-budget, without enumerating X*")),
+        exclusive=("--d", "--dmax")),
+    "regularity": Command(_cmd_regularity,
+                          "regularity by formula and by brute force",
+                          _common()),
+    "betas": Command(_cmd_betas, "beta decomposition of a single-cycle "
+                                 "Hilbert function", _common()),
+    "code": Command(_cmd_code, "evaluation code parameters", _common(
+        ("plain", "json"), _ENUM_BUDGET, _DIST_BUDGET,
+        Option("--d", _nonnegative_int, required=True, help="code degree"))),
+    "selftest": Command(_cmd_selftest, "run the built-in reference checks "
+                                       "(q=5, one 5-cycle)",
+                        (Option("--out", str,
+                                help="write the report to this file"),)),
 }
 
 
-def _error(message: str, code: int) -> int:
-    """Report message on stderr and return code.  A closed stderr, as
-    with `2>&1 >/dev/null | head -c0`, loses the message but not the
-    code: stderr then goes to devnull, so the flush at exit stays
-    quiet."""
+def _lookup(flag: str, options: dict) -> Option | None:
+    """The option that flag names: its own flag, or for a --flag the
+    one flag that it is a prefix of; None when it names none."""
+    if flag in options:
+        return options[flag]
+    if flag[:2] != "--":
+        return None
+    matches = [f for f in options if f.startswith(flag)]
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {flag} could match "
+                         f"{', '.join(matches)}")
+    return options[matches[0]] if matches else None
+
+
+def _is_flag(token: str, options: dict) -> bool:
+    """Whether token reads as a flag rather than as a value: a token
+    that starts with '-' and names a flag, or that is neither '-', a
+    negative number nor a token with a space."""
+    if token[:1] != "-" or token == "-":
+        return False
+    if token == "--" or _lookup(token.partition("=")[0], options):
+        return True
+    return " " not in token and not re.match(r"-\d+$|-\d*\.\d+$", token)
+
+
+def _option_of(token: str, options: dict) -> Option | None:
+    """The option that token names, None for a token that names none;
+    a switch, --help among them, refuses a value given with '='."""
+    flag, eq, value = token.partition("=")
+    option = None if token == "--" else _lookup(flag, options)
+    if eq and option is not None and option.kind is None:
+        raise UsageError(f"argument {option.flag}: ignored explicit "
+                         f"argument {value!r}")
+    return option
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command of argv, with a value for each of its options, read
+    by the table as argparse read it: ``--flag value`` or
+    ``--flag=value``, a --flag abbreviated to a unique prefix, the last
+    of a repeated flag winning, and every token after ``--`` left
+    unread.  -h or --help, before or after the command, gives a
+    namespace with help=True and no other value.  Raises UsageError for
+    an ambiguous prefix, then for the first token that cannot be read,
+    then for a missing required flag, then for tokens that name
+    nothing."""
+    extras = []  # tokens that name nothing, in order
+    for i, name in enumerate(argv):
+        if name == "--" or not _is_flag(name, _TOP):
+            break
+        if _option_of(name, _TOP) is _HELP:
+            return SimpleNamespace(command=None, help=True)
+        extras.append(name)
+    else:
+        raise UsageError("the following arguments are required: command")
+    command = _COMMANDS.get(name)
+    if command is None:
+        raise UsageError(f"argument command: invalid choice: {name!r} "
+                         f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    options = command.flags
+    rest = argv[i + 1:]
+    end = rest.index("--") if "--" in rest else len(rest)
+    for token in rest[:end]:  # argparse names every flag before it reads one
+        flag = token.partition("=")[0]
+        if flag[:2] == "--" and flag not in options:
+            _lookup(flag, options)
+    values = dict(command.defaults)
+    given = []
+    tokens = iter(rest[:end])
+    for token in tokens:
+        option = _option_of(token, options)
+        if option is None:
+            extras.append(token)
+            continue
+        if option is _HELP:
+            return SimpleNamespace(command=name, help=True)
+        if option.kind is None:
+            value = True
+        else:
+            _, eq, value = token.partition("=")
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _is_flag(value, options):
+                    raise UsageError(f"argument {option.flag}: expected "
+                                     "one argument")
+            if isinstance(option.kind, tuple):
+                if value not in option.kind:
+                    raise UsageError(
+                        f"argument {option.flag}: invalid choice: "
+                        f"{value!r} (choose from "
+                        f"{', '.join(map(repr, option.kind))})")
+            else:
+                try:
+                    value = option.kind(value)
+                except ValueError as exc:
+                    raise UsageError(f"argument {option.flag}: {exc}") \
+                        from None
+        if option.flag in command.exclusive:
+            for other in command.exclusive:
+                if other != option.flag and other in given:
+                    raise UsageError(f"argument {option.flag}: not allowed "
+                                     f"with argument {other}")
+        given.append(option.flag)
+        values[option.dest] = value
+    missing = [o.flag for o in command.options
+               if o.required and o.flag not in given]
+    if missing:
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(missing))
+    extras += rest[end:]
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=name, help=False, **values)
+
+
+def _usage(name: str | None) -> str:
+    """The usage line of a command, or of cyclecodes when name is None."""
+    import textwrap
+
+    if name is None:
+        return "usage: cyclecodes [-h] <command> [options]"
+    command = _COMMANDS[name]
+    words, group = ["usage: cyclecodes", name, "[-h]"], []
+    for o in command.options:
+        word = o.synopsis
+        if o.flag in command.exclusive:
+            group.append(word)
+            if len(group) == len(command.exclusive):
+                words.append(f"[{' | '.join(group)}]")
+        else:
+            words.append(word if o.required else f"[{word}]")
+    return textwrap.fill(" ".join(words), 79, break_long_words=False,
+                         break_on_hyphens=False,
+                         subsequent_indent=" " * (len(name) + 19))
+
+
+def _help(name: str | None) -> str:
+    """The help of a command, or of cyclecodes when name is None, from
+    the table."""
+    import textwrap
+
+    if name is None:
+        title, foot = "commands:", ("\n\nRun 'cyclecodes <command> --help' "
+                                    "for the options of a command.")
+        about = ("Vanishing ideals, Hilbert functions and evaluation codes "
+                 "of point sets parameterized by odd cycles over small "
+                 "finite fields.")
+        rows = [(n, c.help) for n, c in _COMMANDS.items()]
+    else:
+        title, foot, about = "options:", "", _COMMANDS[name].help
+        rows = [("-h, --help", _HELP.help)] + [
+            (o.synopsis, o.help) for o in _COMMANDS[name].options]
+    lines = [_usage(name), "", textwrap.fill(about, 79), "", title]
+    for left, text in rows:
+        first = f"  {left}"
+        if len(first) > 22:
+            lines.append(first)
+            first = ""
+        lines.append(textwrap.fill(text, 79, initial_indent=first.ljust(24),
+                                   subsequent_indent=" " * 24,
+                                   break_on_hyphens=False))
+    return "\n".join(lines) + foot
+
+
+def _error(message: str, code: int, head: str = "") -> int:
+    """Report message on stderr, after head, and return code.  A closed
+    stderr, as with `2>&1 >/dev/null | head -c0`, loses the message but
+    not the code: stderr then goes to devnull, so the flush at exit
+    stays quiet."""
     try:
-        print(f"error: {message}", file=sys.stderr)
+        print(f"{head}error: {message}", file=sys.stderr)
         sys.stderr.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
@@ -431,8 +623,12 @@ def _error(message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = parse_args(argv)
+    except UsageError as exc:
+        name = argv[0] if argv and argv[0] in _COMMANDS else None
+        return _error(str(exc), EXIT_USAGE, _usage(name) + "\n")
     # exact counts such as |X*| can pass the 4300 digits that int -> str
     # allows by default
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -447,8 +643,10 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        if args.command == "selftest":
-            out, ok = _cmd_selftest()
+        if args.help:
+            out, ok = _help(args.command), True
+        elif args.command == "selftest":
+            out, ok = _COMMANDS["selftest"]()
         else:
             # q is checked where it enters, then the spec, then each
             # command's budgets

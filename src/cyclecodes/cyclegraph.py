@@ -21,6 +21,7 @@ per point, rows in lexicographic order.
 from __future__ import annotations
 
 import re
+import sys
 from math import prod
 
 from .errors import (
@@ -28,6 +29,7 @@ from .errors import (
     ParseError,
     check_budget,
     check_product_budget,
+    refuse_past_bits,
 )
 from .gf import Field
 
@@ -222,13 +224,18 @@ def enumerate_toric_set(spec: CycleFamilySpec, field: Field,
                         budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
     """Materialize X* by per-copy enumeration and Cartesian product.
     Copies take consecutive coordinates and the first varies slowest,
-    so the product of sorted copies is sorted and distinct."""
+    so the product of sorted copies is sorted and distinct.  Both the
+    points and their points x nvars cells are checked before the array
+    is made: over F_2 every copy has one point, so huge multiplicities
+    pass the points budget with a row no array can hold."""
     import numpy as np
 
     per_k = {k: _single_cycle_points(k, field, budget) for k in spec.lengths}
     total = check_product_budget(
         "materializing X*", [(len(per_k[k]), m) for k, m in spec.components],
         "points", budget)
+    check_budget("materializing X*", total * spec.nvars, "cells",
+                 sys.maxsize)
     points = np.empty((total, spec.nvars),
                       dtype=np.min_scalar_type(field.q - 1))
     outer = 1
@@ -248,11 +255,15 @@ def enumerated_cardinality(spec: CycleFamilySpec, field: Field,
     Each distinct cycle length is enumerated once, as packed codes that
     are counted and never decoded; the total is the product of per-copy
     counts, so specs whose full point set would exceed the budget can
-    still be counted exactly.
+    still be counted exactly.  A count whose bit lengths alone put it
+    past errors.refuse_past_bits' limit is refused before the power is
+    formed.
     """
     per_k = {k: len(_single_cycle_codes(k, field, budget))
              for k in spec.lengths}
-    return prod(per_k[k] ** m for k, m in spec.components)
+    factors = [(per_k[k], m) for k, m in spec.components]
+    refuse_past_bits("counting X*", factors, "points", budget)
+    return prod(c ** m for c, m in factors)
 
 
 def cardinality_factors(spec: CycleFamilySpec,
@@ -266,6 +277,9 @@ def cardinality_factors(spec: CycleFamilySpec,
 
 def cardinality_formula(spec: CycleFamilySpec, q: int) -> int:
     """Closed-form |X*|: one power per family of cardinality_factors, no
-    long division."""
-    return prod(c ** m for c, m in cardinality_factors(spec, q))
+    long division, refused first when its bit lengths alone put it past
+    errors.refuse_past_bits' limit."""
+    factors = cardinality_factors(spec, q)
+    refuse_past_bits("closed-form |X*|", factors, "points", sys.maxsize)
+    return prod(c ** m for c, m in factors)
 

@@ -70,7 +70,8 @@ class Field:
     ``add``, ``sub``, ``neg``, ``mul`` and ``inv`` take elements;
     ``add`` and ``neg`` also take int arrays of elements, ``iadd(a, b)``
     adds b to the int array a in place (its dtype must hold the sum of
-    two elements) and returns a, and ``scale(c, a)`` multiplies an
+    two elements, 2q - 2, which an unsigned dtype does in the fewest
+    bytes) and returns a, and ``scale(c, a)`` multiplies an
     int64 array a by the element c.  A subclass defines ``mul``;
     ``inv`` and the unit group come from it.
 
@@ -172,8 +173,14 @@ class _PrimeField(Field):
         return (a + b) % self.q
 
     def iadd(self, a, b):
+        """a + b mod p into a, without a division: the sum s is below
+        2p, and in the unsigned view of a, s - p wraps past s exactly
+        when s < p, so the least of s and s - p is s mod p."""
+        import numpy as np
+
         a += b
-        a %= self.q
+        u = a.view(f"u{a.itemsize}")
+        np.minimum(u, u - self.q, out=u)
         return a
 
     def sub(self, a: int, b: int) -> int:

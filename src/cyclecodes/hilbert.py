@@ -111,13 +111,16 @@ class Series(NamedTuple):
         return [values[min(d, top)] if d >= 0 else 0 for d in degrees]
 
 
-def _numerator(step: int, factors, n: int, degrees) -> Series:
+def _numerator(step: int, factors, n: int, degrees,
+               name: str = "Hilbert") -> Series:
     """The series prod p^m / (1-x)^n in x^step over the (p, deg, m) of
     factors, p an iterable of the coefficients of a factor of degree
     deg.  Only the coefficients that ``Series.at(degrees)`` reads are
     built, through min(max degree, top) // step, and only as many are
     taken from each p, so a factor may be a lazy map; the value keeps
-    the full product's length and top, padded with zeros.
+    the full product's length and top, padded with zeros.  A length
+    past what one list can index is refused first, as the ``name``
+    numerator.
 
     Factors with m = 1 are multiplied in by _conv, so they may have any
     constant term.  The others start with 1, and their product P is
@@ -126,6 +129,7 @@ def _numerator(step: int, factors, n: int, degrees) -> Series:
     x D') P, so j P_j = sum_(i>=1) (a_i - j d_i) P_(j-i), deg D
     products per coefficient whatever the m."""
     size = 1 + sum(deg * m for _, deg, m in factors)
+    check_budget(f"{name} numerator", size, "coefficients", sys.maxsize)
     cap = size - 1  # the last coefficient read
     if degrees is not None:
         read = (len(degrees) - 1 if _is_table(degrees)
@@ -197,11 +201,9 @@ def footprint_numerator(spec: CycleFamilySpec, q: int,
     """
     n = spec.nvars
     step, blocks = ((q - 1) // 2, spec.components) if q % 2 else (q - 1, ())
-    size = n + 1 + sum(m * gamma_of(k) for k, m in blocks)
-    check_budget("footprint numerator", size, "coefficients", sys.maxsize)
     return _numerator(step, [((1, -1), 1, n)]
                       + [(map(comb, repeat(k), count()), gamma_of(k), m)
-                         for k, m in blocks], n, degrees)
+                         for k, m in blocks], n, degrees, "footprint")
 
 
 def footprint_at(spec: CycleFamilySpec, q: int, degrees) -> list[int]:

@@ -23,7 +23,7 @@ from cyclecodes.errors import (
 def _command_args(argv):
     """What the command line hands a command: the parsed arguments, the
     field of --q and the parsed --spec."""
-    args = cli.build_parser().parse_args(shlex.split(argv))
+    args = cli.parse_args(shlex.split(argv))
     return args, cli.field_new(args.q), cli.parse_spec_string(args.spec)
 
 
@@ -185,3 +185,27 @@ def test_a_refusal_of_a_huge_count_reads_fast():
                     "budget is 67108864")
     assert len(text) == len("evaluation matrix needs  entries, budget is "
                             "67108864") + 602060
+
+
+@pytest.mark.parametrize("argv, text", [
+    # over F_2 every copy has one point: the matrix's row count and the
+    # point array are past any array, whatever the point count
+    ("code --q 2 --spec 3x99999999999999999999 --d 0",
+     "Hilbert numerator needs 299999999999999999998 coefficients, more "
+     "than one array can index"),
+    ("enumerate --q 2 --spec 3x99999999999999999999",
+     "materializing X* needs 299999999999999999997 cells, more than one "
+     "array can index"),
+    # 32^(10^20 - 1) points, read off the bit lengths, never formed
+    ("card --q 5 --spec 3x99999999999999999999",
+     "counting X* needs at least 2^499999999999999999995 points, budget "
+     "is 67108864"),
+    ("regularity --q 5 --spec 3x99999999999999999999",
+     "closed-form |X*| needs at least 2^499999999999999999995 points, "
+     "more than one array can index"),
+], ids=["code", "enumerate", "card", "regularity"])
+def test_copies_past_any_count_exit_3_at_once(capsys, argv, text):
+    start = time.perf_counter()
+    assert cli.main(shlex.split(argv)) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"error: {text}\n")

@@ -776,11 +776,12 @@ def test_only_array_commands_import_numpy(argv, loads_numpy):
 
 
 def test_cli_import_loads_no_array_module():
-    # nor the polynomial modules, nor dataclasses with its inspect
+    # nor the polynomial modules, nor dataclasses with its inspect, nor
+    # argparse
     code = ("import sys, cyclecodes.cli; "
             "print(sorted(m for m in ('cyclecodes.codes', 'numpy', "
             "'dataclasses', 'inspect', 'cyclecodes.ideal', "
-            "'cyclecodes.poly') if m in sys.modules))")
+            "'cyclecodes.poly', 'argparse') if m in sys.modules))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True)
     assert (r.returncode, r.stdout, r.stderr) == (0, "[]\n", "")

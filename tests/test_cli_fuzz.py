@@ -82,10 +82,7 @@ _ARGV = st.one_of(_command_line(), st.lists(_ANY_TOKEN, max_size=8))
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = cli.main(argv)
     return code, err.getvalue()
 
 
@@ -101,6 +98,12 @@ def _run(argv):
 @example(argv=["groebner-check", "--q", "3", "--spec", "13",
                "--enum-budget", "1000000"])
 @example(argv=["card", "--q", "5", "--spec", "3", "--out", _OUT_DIR])
+@example(argv=["code", "--q", "2", "--spec", "3x99999999999999999999",
+               "--d", "0"])
+@example(argv=["enumerate", "--q", "2", "--spec", "3x99999999999999999999"])
+@example(argv=["card", "--q", "5", "--spec", "3x99999999999999999999"])
+@example(argv=["regularity", "--q", "5", "--spec",
+               "3x99999999999999999999"])
 def test_any_argv_keeps_the_exit_code_contract(argv):
     code, err = _run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)

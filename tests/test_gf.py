@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclecodes import DivisionByZero, Field, UnsupportedField, field_new, gf
 from oracles import elements, power, squares
@@ -272,3 +274,26 @@ def test_array_ops_match_scalar_ops(q):
     assert f.neg(a).tolist() == list(map(f.neg, a.tolist()))
     for c in cs:
         assert f.scale(c, xs).tolist() == [f.mul(c, x) for x in xs.tolist()]
+
+
+@st.composite
+def _sums(draw):
+    """p, then two arrays of elements of F_p in an unsigned dtype that
+    holds 2p - 2, as codes._orbit_blocks makes them."""
+    p = draw(st.sampled_from([3, 5, 127, 251, 65521]))
+    dtype = draw(st.sampled_from([d for d in (np.uint8, np.uint16, np.uint32)
+                                  if np.iinfo(d).max >= 2 * p - 2]))
+    size = draw(st.integers(0, 64))
+    a, b = (draw(st.lists(st.integers(0, p - 1), min_size=size,
+                          max_size=size)) for _ in "ab")
+    return p, np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_sums())
+def test_prime_iadd_is_the_sum_mod_p(case):
+    p, a, b = case
+    want = (a.astype(np.int64) + b) % p
+    into = a.copy()
+    assert field_new(p).iadd(into, b) is into
+    assert into.dtype == a.dtype and into.tolist() == want.tolist()
