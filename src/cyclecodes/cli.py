@@ -111,7 +111,20 @@ def _chunks(head: str, rows, sep: str, foot: str) -> Iterator[str]:
 
 
 def _cmd_enumerate(args, field, spec) -> tuple[Iterator[str], bool]:
+    import numpy as np
+
     X = enumerate_toric_set(spec, field, args.enum_budget)
+    # antilogs do not keep the order of the logs, so each copy's points
+    # are sorted in place: in the first `run` rows, whose earlier copies'
+    # logs are 0, they recur every `step` rows, the first nonzero there
+    points = field.exp.astype(np.min_scalar_type(field.q - 1))[X.logs]
+    run = len(X)  # 1 only over F_2, where every copy is one point
+    for k, off in spec.blocks() if run > 1 else ():
+        step = int(X.logs[:run, off:off + k].any(1).argmax())
+        copy = points[:run:step, off:off + k]
+        points.reshape(-1, run // step, step, spec.nvars)[..., off:off + k] \
+            = copy[np.lexsort(copy.T[::-1]), None]
+        run = step
     head, row, sep, foot = {
         "plain": ("", " ".join(["{}"] * spec.nvars), "\n", ""),
         "json": (f'{{\n  "q": {args.q},\n  "spec": "{spec}",\n'
@@ -119,9 +132,9 @@ def _cmd_enumerate(args, field, spec) -> tuple[Iterator[str], bool]:
                  "    [\n" + ",\n".join(["      {}"] * spec.nvars) + "\n    ]",
                  ",\n", "\n  ]\n}"),
     }[args.format]
-    points = itertools.chain.from_iterable(
-        X.points[i:i + 4096].tolist() for i in range(0, len(X), 4096))
-    return _chunks(head, itertools.starmap(row.format, points), sep,
+    rows = itertools.chain.from_iterable(
+        points[i:i + 4096].tolist() for i in range(0, len(X), 4096))
+    return _chunks(head, itertools.starmap(row.format, rows), sep,
                    foot), True
 
 

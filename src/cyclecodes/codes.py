@@ -33,10 +33,10 @@ once.  The codewords of those messages are then built in numpy
 basis row, one row at a time for all nodes of a pass, and scored one
 pass at a time.
 
-One arithmetic path serves both kinds of field.  Every point of X* is
-a unit, so the matrix is built in exponent space from the field's
-discrete-log tables: the value of t^a at x is exp[(a . log x) mod
-(q-1)].  The row reduction and the minimum-distance search use the
+One arithmetic path serves both kinds of field.  X* is held as the
+discrete logs of its points (X.logs), so the matrix is built in
+exponent space: the value of t^a at the point of logs l is exp[(a . l)
+mod (q-1)].  The row reduction and the minimum-distance search use the
 field's own array arithmetic (Field.add, iadd, neg and scale).
 """
 
@@ -93,7 +93,7 @@ def monomial_basis(nvars: int, q: int, d: int) -> list[Monomial]:
 
 class EvaluationMatrix(NamedTuple):
     """Rows = basis monomials (decreasing graded-lex), columns = the
-    rows of X.points in order, entries = monomial values."""
+    rows of X.logs in order, entries = monomial values."""
 
     field: Field
     monomials: tuple[Monomial, ...]
@@ -112,7 +112,7 @@ def check_matrix_budget(nvars: int, q: int, points, d: int,
     cardinality_factors.  The basis is counted, not listed; there is at
     least one row, so points whose count is past bounds by its bit
     lengths alone are refused before the rows are counted."""
-    refuse_past_bits("evaluation matrix", points, "entries", max_entries)
+    refuse_past_bits("evaluation matrix", points, "entries")
     rows = count_box_degree({min(q - 2, d): nvars}, d)
     check_product_budget("evaluation matrix", [(rows, 1), *points],
                          "entries", max_entries)
@@ -121,14 +121,15 @@ def check_matrix_budget(nvars: int, q: int, points, d: int,
 def build_evaluation_matrix(X: ToricSet, d: int,
                             max_entries: int = DEFAULT_ENUM_BUDGET
                             ) -> EvaluationMatrix:
-    """The degree-d evaluation matrix, as one integer matmul of the
-    basis exponents with the points' discrete logs followed by one
-    antilog gather."""
+    """The degree-d evaluation matrix: one integer matmul of the basis
+    exponents with X.logs, both in the narrowest dtype that holds a
+    degree times the largest log, then one antilog gather."""
     field = X.field
     check_matrix_budget(X.nvars, field.q, [(len(X), 1)], d, max_entries)
     monos = monomial_basis(X.nvars, field.q, d)
-    exponents = np.array(monos, dtype=np.int64).reshape(len(monos), X.nvars)
-    power_logs = exponents @ field.log[X.points].T
+    dtype = np.min_scalar_type(min(d, X.nvars * (field.q - 2)) * (field.q - 2))
+    exponents = np.array(monos, dtype=dtype).reshape(len(monos), X.nvars)
+    power_logs = exponents @ X.logs.T.astype(dtype, copy=False)
     power_logs %= field.q - 1
     return EvaluationMatrix(field, tuple(monos), field.exp[power_logs])
 

@@ -14,8 +14,8 @@ The parameterized set X* is the image of the map sending a tuple of
 nonzero field elements (one per vertex) to the tuple of edge products
 x_j * x_k.  It is enumerated per cycle copy and combined by Cartesian
 product, which is valid because the map acts independently on each
-copy's block.  X* is one read-only numpy array of coordinates, a row
-per point, rows in lexicographic order.
+copy's block.  X* is one read-only numpy array of the discrete logs of
+its coordinates, a row per point, rows in lexicographic order.
 """
 
 from __future__ import annotations
@@ -99,12 +99,8 @@ class CycleFamilySpec:
 
     def edges(self) -> list[tuple[int, int]]:
         """Global edge list in the pinned order."""
-        out = []
-        for k, off in self.blocks():
-            for j in range(k - 1):
-                out.append((off + j, off + j + 1))
-            out.append((off + k - 1, off))
-        return out
+        return [(off + j, off + (j + 1) % k)
+                for k, off in self.blocks() for j in range(k)]
 
     def to_string(self) -> str:
         return ",".join(f"{k}x{m}" if m > 1 else str(k)
@@ -148,18 +144,18 @@ def parse_spec_string(text: str) -> CycleFamilySpec:
 
 # -- the image of the parameterization map --------------------------------
 
-def _single_cycle_codes(k: int, field: Field, budget: int) -> np.ndarray:
-    """Sorted distinct image points of one k-cycle copy, each packed as
-    a base-(q-1) integer from the discrete logs of its coordinates (every
-    coordinate is a unit), the first coordinate most significant.
+def _single_cycle_mask(k: int, field: Field, budget: int) -> np.ndarray:
+    """The image of one k-cycle copy as a (q-1)^k-byte mask, True at the
+    code of each image point: the base-(q-1) integer whose digits are
+    the discrete logs of its coordinates (every coordinate is a unit),
+    the first coordinate most significant.
 
     In logs the edge-product map is linear: edge j carries
     (l_j + l_{j+1}) mod q-1 for vertex logs l.  The loop runs over the
     first vertex's log; the other k-1 vertices are one array of
-    (q-1)^(k-1) assignments.  Codes are marked in one (q-1)^k-byte
-    mask, so sorting and deduplication come for free.  The digit
-    arrays are int32 whenever every code fits, which cuts their memory
-    by half."""
+    (q-1)^(k-1) assignments.  The mask deduplicates the codes and keeps
+    them in order.  The digit arrays are int32 whenever every code
+    fits, which cuts their memory by half."""
     import numpy as np
 
     r = field.q - 1
@@ -167,53 +163,34 @@ def _single_cycle_codes(k: int, field: Field, budget: int) -> np.ndarray:
                  r ** k, "assignments", budget)
     dtype = np.int32 if r ** k < 1 << 31 else np.int64
     rest = np.arange(r ** (k - 1), dtype=dtype)
-
-    def vertex(j):  # log at vertex j >= 1, over all assignments
-        return rest // r ** (k - 1 - j) % r
-
-    first = last = vertex(1)
+    first = last = rest // r ** (k - 2)  # vertex 1's log
     inner = np.zeros_like(rest)  # the edges that avoid vertex 0
     for j in range(2, k):
-        x = vertex(j)
+        x = rest // r ** (k - 1 - j) % r  # vertex j's log
         inner += (last + x) % r * r ** (k - j)
         last = x
     seen = np.zeros(r ** k, dtype=bool)
     for x0 in range(r):
         seen[(x0 + first) % r * r ** (k - 1) + inner + (last + x0) % r] = True
-    return np.flatnonzero(seen)
-
-
-def _single_cycle_points(k: int, field: Field, budget: int) -> np.ndarray:
-    """Sorted distinct image points of one k-cycle copy, a row each, in
-    the smallest unsigned dtype that holds q-1.  Antilogs do not keep
-    the order of the codes, so the rows are sorted once."""
-    import numpy as np
-
-    r = field.q - 1
-    codes = _single_cycle_codes(k, field, budget)
-    exp = field.exp.astype(np.min_scalar_type(r))
-    points = np.stack([exp[codes // r ** (k - 1 - j) % r]
-                       for j in range(k)], axis=1)
-    return points[np.lexsort(points.T[::-1])]
+    return seen
 
 
 class ToricSet:
-    """The point set X* as a read-only (|X*|, nvars) coordinate array,
-    its rows distinct and in increasing lexicographic order."""
+    """X* as a read-only (|X*|, nvars) array of the discrete logs of its
+    coordinates, its rows distinct and in increasing lexicographic order."""
 
-    __slots__ = ("spec", "field", "points")
+    __slots__ = ("spec", "field", "logs")
 
-    def __init__(self, spec: CycleFamilySpec, field: Field,
-                 points: np.ndarray):
+    def __init__(self, spec: CycleFamilySpec, field: Field, logs: np.ndarray):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "logs", logs)
 
     def __setattr__(self, *_):
         raise AttributeError("ToricSet is immutable")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.logs)
 
     @property
     def nvars(self) -> int:
@@ -223,46 +200,53 @@ class ToricSet:
 def enumerate_toric_set(spec: CycleFamilySpec, field: Field,
                         budget: int = DEFAULT_ENUM_BUDGET) -> ToricSet:
     """Materialize X* by per-copy enumeration and Cartesian product.
-    Copies take consecutive coordinates and the first varies slowest,
-    so the product of sorted copies is sorted and distinct.  Both the
-    points and their points x nvars cells are checked before the array
-    is made: over F_2 every copy has one point, so huge multiplicities
-    pass the points budget with a row no array can hold."""
+    Its points, counted from the marks, and its points x nvars cells
+    (over F_2 every copy has one point) are checked before any code is
+    decoded, in place, into log columns of the smallest unsigned dtype.
+    Copies take consecutive coordinates and the first varies slowest, so
+    the product of copies in code order is sorted and distinct."""
     import numpy as np
 
-    per_k = {k: _single_cycle_points(k, field, budget) for k in spec.lengths}
-    total = check_product_budget(
-        "materializing X*", [(len(per_k[k]), m) for k, m in spec.components],
+    r = field.q - 1
+    masks = {k: _single_cycle_mask(k, field, budget) for k in spec.lengths}
+    total = check_product_budget("materializing X*", [
+        (int(masks[k].sum()), m) for k, m in spec.components],
         "points", budget)
     check_budget("materializing X*", total * spec.nvars, "cells",
                  sys.maxsize)
-    points = np.empty((total, spec.nvars),
-                      dtype=np.min_scalar_type(field.q - 1))
+    dtype = np.min_scalar_type(r - 1)
+    per_k = {}
+    for k in spec.lengths:
+        codes = np.flatnonzero(masks.pop(k))
+        per_k[k] = digits = np.empty((len(codes), k), dtype=dtype)
+        for j in reversed(range(k)):  # the last digit first, in place
+            np.divmod(codes, r, out=(codes, digits[:, j]), casting="unsafe")
+    logs = np.empty((total, spec.nvars), dtype=dtype)
     outer = 1
     for k, off in spec.blocks():
         # a run of rows per row of the copy, once per earlier row
-        points.reshape(outer, len(per_k[k]), -1, spec.nvars)[
+        logs.reshape(outer, len(per_k[k]), -1, spec.nvars)[
             ..., off:off + k] = per_k[k][:, None]
         outer *= len(per_k[k])
-    points.flags.writeable = False
-    return ToricSet(spec, field, points)
+    logs.flags.writeable = False
+    return ToricSet(spec, field, logs)
 
 
 def enumerated_cardinality(spec: CycleFamilySpec, field: Field,
                            budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """|X*| by per-copy enumeration, without materializing the product.
 
-    Each distinct cycle length is enumerated once, as packed codes that
-    are counted and never decoded; the total is the product of per-copy
-    counts, so specs whose full point set would exceed the budget can
-    still be counted exactly.  A count whose bit lengths alone put it
-    past errors.refuse_past_bits' limit is refused before the power is
-    formed.
+    Each distinct cycle length is enumerated once, as a mask whose
+    marks are counted, never listed or decoded; the total is the
+    product of per-copy counts, so specs whose full point set would
+    exceed the budget can still be counted exactly.  A count whose bit
+    lengths alone put it past errors.refuse_past_bits' limit is refused
+    before the power is formed.
     """
-    per_k = {k: len(_single_cycle_codes(k, field, budget))
+    per_k = {k: int(_single_cycle_mask(k, field, budget).sum())
              for k in spec.lengths}
     factors = [(per_k[k], m) for k, m in spec.components]
-    refuse_past_bits("counting X*", factors, "points", budget)
+    refuse_past_bits("counting X*", factors, "points")
     return prod(c ** m for c, m in factors)
 
 
@@ -280,6 +264,6 @@ def cardinality_formula(spec: CycleFamilySpec, q: int) -> int:
     long division, refused first when its bit lengths alone put it past
     errors.refuse_past_bits' limit."""
     factors = cardinality_factors(spec, q)
-    refuse_past_bits("closed-form |X*|", factors, "points", sys.maxsize)
+    refuse_past_bits("closed-form |X*|", factors, "points")
     return prod(c ** m for c, m in factors)
 

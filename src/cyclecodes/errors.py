@@ -60,11 +60,11 @@ def decimal_text(n: int) -> str:
 
 class BudgetExceeded(CycleCodesError):
     """A stage would need ``needed`` units of ``unit``, more than it is
-    ``allowed``: the budget, or sys.maxsize past what one numpy array can
-    index.  ``needed`` is a count, or the text of a lower bound for a
-    count too large to form (check_product_budget).  The text is made
-    when read, through decimal_text, so a count of any size reads in
-    subquadratic time and still raises BudgetExceeded."""
+    ``allowed``: the budget, sys.maxsize past what one array can index,
+    or the text 2^_EXACT_BITS past any count that is formed.  ``needed``
+    is a count or the text of a lower bound (refuse_past_bits).  The
+    text is made when read, through decimal_text, so a count of any
+    size reads in subquadratic time and still raises BudgetExceeded."""
 
     def __init__(self, stage: str, needed: int, unit: str, allowed: int):
         super().__init__(stage, needed, unit, allowed)
@@ -72,7 +72,9 @@ class BudgetExceeded(CycleCodesError):
 
     def __str__(self) -> str:
         limit = ("more than one array can index" if self.allowed == sys.maxsize
-                 else f"budget is {self.allowed}")
+                 else f"budget is {self.allowed}"
+                 if isinstance(self.allowed, int)
+                 else f"limit is {self.allowed}")
         needed = (self.needed if isinstance(self.needed, str)
                   else decimal_text(self.needed))
         return f"{self.stage} needs {needed} {self.unit}, {limit}"
@@ -92,22 +94,22 @@ def check_budget(stage: str, needed: int, unit: str, budget: int) -> None:
 _EXACT_BITS = 1 << 23
 
 
-def refuse_past_bits(stage: str, factors, unit: str, budget: int) -> None:
+def refuse_past_bits(stage: str, factors, unit: str) -> None:
     """Raise BudgetExceeded when the product of c^m over the pairs (c, m)
     of factors, every c >= 1, is at least 2^N with N past _EXACT_BITS,
     N the sum of m * (bit_length(c) - 1): read off the bit lengths, no
-    power formed.  Such a product is past what one array can index
-    whatever the budget, and the refusal names the bound."""
+    power formed.  No budget lifts that limit, so the refusal names it,
+    2^_EXACT_BITS, and the bound."""
     low = sum(m * (c.bit_length() - 1) for c, m in factors)
     if low > _EXACT_BITS:
         raise BudgetExceeded(stage, f"at least 2^{low}", unit,
-                             min(budget, sys.maxsize))
+                             f"2^{_EXACT_BITS}")
 
 
 def check_product_budget(stage: str, factors, unit: str, budget: int) -> int:
     """The product of c^m over the pairs (c, m) of factors, after
     refuse_past_bits and then check_budget."""
-    refuse_past_bits(stage, factors, unit, budget)
+    refuse_past_bits(stage, factors, unit)
     total = prod(c ** m for c, m in factors)
     check_budget(stage, total, unit, budget)
     return total

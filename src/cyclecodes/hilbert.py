@@ -162,9 +162,9 @@ def _numerator(step: int, factors, n: int, degrees,
 def box_numerator(box, degrees) -> Series:
     """The series of the box {0 <= a_i <= b_i}, given as a mapping
     {bound b: the number m of the b_i equal to b}: N = prod (1 -
-    x^(b+1))^m in x^step, step the gcd of the b + 1 over the bounds of
-    nonzero m, one factor per bound (_numerator)."""
-    counts = {b + 1: m for b, m in box.items() if m}
+    x^(b+1))^m in x^step, one factor per bound b > 0 of nonzero m (a
+    bound 0 cancels its 1-x), step the gcd of their b + 1 (_numerator)."""
+    counts = {b + 1: m for b, m in box.items() if m and b}
     step = gcd(*counts) or 1
     return _numerator(step, [((1,) + (0,) * (e // step - 1) + (-1,),
                               e // step, m) for e, m in counts.items()],

@@ -31,6 +31,7 @@ import numpy as np
 from cyclecodes import (
     DimensionMismatch,
     Polynomial,
+    ToricSet,
     ZeroPolynomial,
     codes,
     field_new,
@@ -223,14 +224,26 @@ def theta_map(spec, field, x):
     return tuple(field.mul(x[a], x[b]) for a, b in spec.edges())
 
 
+def coordinates(X) -> np.ndarray:
+    """The coordinates of the points of X, the antilogs of X.logs, a row
+    per point in the order of X.logs (not sorted)."""
+    return X.field.exp[X.logs]
+
+
+def toric_set_at(spec, field, points) -> ToricSet:
+    """The ToricSet of the given coordinate rows, in their order."""
+    logs = field.log[np.asarray(points, dtype=np.int64)]
+    return ToricSet(spec, field, logs.astype(np.min_scalar_type(field.q - 2)))
+
+
 def point_tuples(X) -> list[tuple[int, ...]]:
-    """The rows of X.points as tuples of Python ints, in order."""
-    return list(map(tuple, X.points.tolist()))
+    """The coordinates of X as tuples of Python ints, in X's order."""
+    return list(map(tuple, coordinates(X).tolist()))
 
 
 def vanishing_membership(f, X) -> bool:
     """True iff f evaluates to zero at every point of X."""
-    return all(evaluate(f, p) == 0 for p in X.points.tolist())
+    return all(evaluate(f, p) == 0 for p in coordinates(X).tolist())
 
 
 def iter_disjoint_binomials(nvars, q):

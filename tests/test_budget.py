@@ -122,15 +122,16 @@ def test_check_product_budget_forms_only_what_it_may_print():
         check_product_budget("a stage", [(4, 3), (3, 2)], "points", 64)
     assert exc.value.needed == 576
     # 2^N with N past _EXACT_BITS: refused from the bit lengths, the
-    # power never formed, whatever the budget
+    # power never formed, and the refusal names that limit, whatever
+    # the budget
     copies = 10 ** 20
-    for budget, limit in ((10, "budget is 10"),
-                          (10 ** 40, "more than one array can index")):
+    for budget in (10, 10 ** 40):
         with pytest.raises(BudgetExceeded) as exc:
             check_product_budget("a stage", [(5, 1), (32, copies)], "points",
                                  budget)
+        assert exc.value.allowed == f"2^{_EXACT_BITS}"
         assert str(exc.value) == (f"a stage needs at least 2^{2 + 5 * copies} "
-                                  f"points, {limit}")
+                                  f"points, limit is 2^{_EXACT_BITS}")
     # at the cut the product is formed and printed exactly, one bit past
     # it only the bound
     with pytest.raises(BudgetExceeded) as exc:
@@ -188,22 +189,26 @@ def test_a_refusal_of_a_huge_count_reads_fast():
 
 
 @pytest.mark.parametrize("argv, text", [
-    # over F_2 every copy has one point: the matrix's row count and the
-    # point array are past any array, whatever the point count
+    # over F_2 every copy has one point: the matrix has one row, and the
+    # point array is past any array, whatever the point count
     ("code --q 2 --spec 3x99999999999999999999 --d 0",
-     "Hilbert numerator needs 299999999999999999998 coefficients, more "
-     "than one array can index"),
+     "materializing X* needs 299999999999999999997 cells, more than one "
+     "array can index"),
     ("enumerate --q 2 --spec 3x99999999999999999999",
      "materializing X* needs 299999999999999999997 cells, more than one "
      "array can index"),
-    # 32^(10^20 - 1) points, read off the bit lengths, never formed
+    # 32^(10^20 - 1) points, read off the bit lengths, never formed: past
+    # the most bits an exact count takes, whatever the budget
     ("card --q 5 --spec 3x99999999999999999999",
-     "counting X* needs at least 2^499999999999999999995 points, budget "
-     "is 67108864"),
+     "counting X* needs at least 2^499999999999999999995 points, limit "
+     "is 2^8388608"),
+    ("card --q 5 --spec 3x99999999999999999999 --enum-budget 10" + "0" * 24,
+     "counting X* needs at least 2^499999999999999999995 points, limit "
+     "is 2^8388608"),
     ("regularity --q 5 --spec 3x99999999999999999999",
      "closed-form |X*| needs at least 2^499999999999999999995 points, "
-     "more than one array can index"),
-], ids=["code", "enumerate", "card", "regularity"])
+     "limit is 2^8388608"),
+], ids=["code", "enumerate", "card", "card-budget", "regularity"])
 def test_copies_past_any_count_exit_3_at_once(capsys, argv, text):
     start = time.perf_counter()
     assert cli.main(shlex.split(argv)) == 3

@@ -14,11 +14,15 @@ from cyclecodes import (
     cardinality_formula,
     cli,
     codes,
+    enumerate_toric_set,
+    field_new,
     hilbert,
     ideal,
+    parse_spec_string,
     poly,
 )
 from cyclecodes.errors import decimal_text
+from oracles import point_tuples
 
 CLI = [sys.executable, "-m", "cyclecodes.cli"]
 
@@ -197,7 +201,7 @@ def test_copies_past_any_count_exit_3(argv, needs):
     r = run_cli(argv[0], "--q", "5", "--spec", "3x99999999999999999999",
                 *argv[1:], timeout=10)
     assert (r.returncode, r.stdout) == (3, "")
-    assert r.stderr == f"error: {needs}, budget is 67108864\n"
+    assert r.stderr == f"error: {needs}, limit is 2^8388608\n"
 
 
 @pytest.mark.parametrize("degrees, cells", [(["--d", "0"], 10 ** 20 - 1),
@@ -491,6 +495,19 @@ def test_enumerate_golden():
     r = run_cli("enumerate", "--q", "3", "--spec", "3")
     assert r.returncode == 0
     assert r.stdout == "1 1 1\n1 2 2\n2 1 2\n2 2 1\n"
+
+
+@pytest.mark.parametrize("q, text", [(5, "3,5"), (7, "3x2"), (8, "3,3"),
+                                     (4, "5,3x2")])
+def test_enumerate_prints_the_sorted_antilogs_of_the_logs(q, text):
+    # X* is held in logs, in their order; the report is the antilogs of
+    # every row of X.logs, in lexicographic order, over prime and binary
+    # fields alike
+    X = enumerate_toric_set(parse_spec_string(text), field_new(q))
+    r = run_cli("enumerate", "--q", str(q), "--spec", text)
+    assert r.returncode == 0
+    assert r.stdout.splitlines() == [" ".join(map(str, point))
+                                     for point in sorted(point_tuples(X))]
 
 
 def test_enumerate_json():

@@ -34,9 +34,11 @@ from cyclecodes.hilbert import count_box_degree
 from cyclecodes.poly import grlex_key
 from oracles import (
     character_degrees_by_search,
+    coordinates,
     point_tuples,
     power,
     theta_map,
+    toric_set_at,
 )
 
 
@@ -100,7 +102,7 @@ def test_matrix_shape_flagship():
 def test_matrix_rows_are_evaluations():
     X = _X(5, "3")
     M = build_evaluation_matrix(X, 1)
-    pts = X.points.tolist()
+    pts = coordinates(X).tolist()
     # Row for t_i carries coordinate i of every point; the constant row
     # is all ones.
     rows = {mono: [int(v) for v in row] for mono, row in zip(M.monomials,
@@ -117,7 +119,7 @@ def test_matrix_rows_are_evaluations():
 def test_matrix_rows_generic_binary_field():
     X = _X(4, "3")
     M = build_evaluation_matrix(X, 2)
-    pts = X.points.tolist()
+    pts = coordinates(X).tolist()
     rows = dict(zip(M.monomials, M.entries))
     f = X.field
     assert list(rows[(2, 0, 0)]) == [f.mul(p[0], p[0]) for p in pts]
@@ -137,7 +139,7 @@ def _entry_by_entry(X, monomials):
     rows = []
     for mono in monomials:
         row = []
-        for pt in X.points.tolist():
+        for pt in coordinates(X).tolist():
             val = 1
             for x, e in zip(pt, mono):
                 if e:
@@ -171,9 +173,52 @@ def test_matrix_matches_entry_by_entry_evaluation(instance, seed):
         if len(M.monomials) * len(X) > _MATRIX_CHECK_CAP:
             columns = sorted(rng.sample(
                 columns, _MATRIX_CHECK_CAP // len(M.monomials)))
-        sub = ToricSet(X.spec, X.field, X.points[columns])
+        sub = ToricSet(X.spec, X.field, X.logs[columns])
         assert M.entries[:, columns].tolist() \
             == _entry_by_entry(sub, M.monomials)
+
+
+# Per q, every spec of at most three families of 3- or 5-cycles, one or
+# two copies each, where |X*| is at most 2,000.
+_SMALL_SPECS = {
+    q: [spec for n in (1, 2, 3) for spec in map(
+        CycleFamilySpec, itertools.product(
+            itertools.product((3, 5), (1, 2)), repeat=n))
+        if cardinality_formula(spec, q) <= 2000]
+    for q in (2, 3, 4, 5, 7, 8, 11)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(q=st.sampled_from(sorted(_SMALL_SPECS)), data=st.data(),
+       d=st.integers(0, 3), seed=st.integers(0, 2**32))
+def test_matrix_columns_are_the_values_at_the_antilogs_of_the_logs(
+        q, data, d, seed):
+    spec = data.draw(st.sampled_from(_SMALL_SPECS[q]))
+    X = enumerate_toric_set(spec, field_new(q))
+    M = build_evaluation_matrix(X, d)
+    # column j holds the values at the antilogs of row j of X.logs
+    columns = sorted(random.Random(seed).sample(
+        range(len(X)), min(len(X), _MATRIX_CHECK_CAP // len(M.monomials))))
+    assert M.entries[:, columns].tolist() == _entry_by_entry(
+        ToricSet(spec, X.field, X.logs[columns]), M.monomials)
+    # at the sorted coordinates the matrix is the same, its columns
+    # permuted by the order that sorts them
+    points = coordinates(X)
+    order = np.lexsort(points.T[::-1])
+    S = build_evaluation_matrix(toric_set_at(spec, X.field, points[order]), d)
+    assert S.monomials == M.monomials
+    assert np.array_equal(S.entries, M.entries[:, order])
+
+
+@pytest.mark.parametrize("d", [23, 24])
+def test_matrix_products_at_the_edge_of_their_dtype(d):
+    # over F_13 a basis monomial of degree d times the largest log 11 is
+    # 253 at d = 23, which uint8 holds, and 264 at d = 24; 2^8 is no
+    # multiple of 12, so a product that wrapped would show mod 12
+    X = _X(13, "3")
+    M = build_evaluation_matrix(X, d)
+    wide = np.array(M.monomials, dtype=np.int64) @ X.logs.T.astype(np.int64)
+    assert np.array_equal(M.entries, X.field.exp[wide % 12])
 
 
 @pytest.mark.parametrize("q, spec_text, d", [

@@ -19,7 +19,7 @@ from cyclecodes import (
     gamma_of,
     parse_spec_string,
 )
-from oracles import point_tuples, theta_map
+from oracles import coordinates, point_tuples, theta_map
 
 
 # -- spec validation and layout ----------------------------------------------
@@ -161,7 +161,7 @@ def test_enumerate_counts():
 
 def test_enumerate_q2_single_point():
     x = enumerate_toric_set(CycleFamilySpec.single(3), field_new(2))
-    assert x.points.tolist() == [[1, 1, 1]]
+    assert coordinates(x).tolist() == [[1, 1, 1]]
 
 
 def test_enumerate_contains_image_points():
@@ -177,8 +177,9 @@ def test_enumerate_contains_image_points():
 
 def test_enumerate_points_sorted_unique():
     x = enumerate_toric_set(CycleFamilySpec.single(3), field_new(7))
-    pts = point_tuples(x)
-    assert pts == sorted(set(pts))
+    logs = list(map(tuple, x.logs.tolist()))
+    assert logs == sorted(set(logs))
+    assert len(set(point_tuples(x))) == len(x)
     assert x.nvars == 3
 
 
@@ -226,10 +227,10 @@ def _image_points_by_assignment(k, field):
 def test_single_cycle_points_match_the_assignment_walk(q, k):
     f = field_new(q)
     want = _image_points_by_assignment(k, f)
-    got = cyclegraph._single_cycle_points(k, f, 10**6)
-    assert got.tolist() == [list(p) for p in want]
-    codes = cyclegraph._single_cycle_codes(k, f, 10**6)
-    assert codes.size == len(want)
+    got = enumerate_toric_set(CycleFamilySpec.single(k), f, 10**6)
+    assert sorted(point_tuples(got)) == want
+    mask = cyclegraph._single_cycle_mask(k, f, 10**6)
+    assert np.count_nonzero(mask) == len(want)
     assert enumerated_cardinality(CycleFamilySpec.single(k), f) == len(want)
 
 
@@ -238,7 +239,7 @@ def test_single_cycle_budget_is_checked_first(monkeypatch):
     with pytest.raises(BudgetExceeded,
                        match="one 5-cycle copy over F_7 needs 7776 "
                              "assignments, budget is 7775"):
-        cyclegraph._single_cycle_codes(5, field_new(7), 7775)
+        cyclegraph._single_cycle_mask(5, field_new(7), 7775)
 
 
 @pytest.mark.parametrize("k, dtype", [(30, "int32"), (31, "int64")])
@@ -253,12 +254,13 @@ def test_single_cycle_digits_are_int32_below_2_to_the_31(monkeypatch, k,
 
     monkeypatch.setattr(np, "arange", arange)
     with pytest.raises(MemoryError):
-        cyclegraph._single_cycle_codes(k, field_new(3), 1 << 40)
+        cyclegraph._single_cycle_mask(k, field_new(3), 1 << 40)
     assert seen == [dtype]
 
 
 def test_enumerated_cardinality_never_decodes_points(monkeypatch):
-    monkeypatch.setattr(cyclegraph, "_single_cycle_points", None)
+    # the marks are counted: no code is listed, let alone decoded
+    monkeypatch.setattr(np, "flatnonzero", None)
     spec = parse_spec_string("5,3x2")
     assert enumerated_cardinality(spec, field_new(11)) \
         == cardinality_formula(spec, 11)
@@ -321,7 +323,9 @@ def test_component_product_matches_monolithic_enumeration():
 
 def test_enumerate_points_golden():
     x = enumerate_toric_set(CycleFamilySpec.single(3), field_new(3))
-    assert x.points.tolist() == [[1, 1, 1], [1, 2, 2], [2, 1, 2], [2, 2, 1]]
+    assert x.logs.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    assert coordinates(x).tolist() \
+        == [[1, 1, 1], [1, 2, 2], [2, 1, 2], [2, 2, 1]]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -329,7 +333,7 @@ def test_points_are_one_sorted_read_only_unsigned_array(q):
     # Copies of different lengths, one of them repeated: the product of
     # the sorted copies fills |X*| distinct rows in increasing order.
     spec = parse_spec_string("3x2,5")
-    pts = enumerate_toric_set(spec, field_new(q)).points
+    pts = enumerate_toric_set(spec, field_new(q)).logs
     assert pts.shape == (cardinality_formula(spec, q), spec.nvars)
     assert pts.dtype == np.uint8
     assert not pts.flags.writeable

@@ -7,7 +7,6 @@ import sys
 from collections import Counter
 from functools import partial
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +44,7 @@ from oracles import (
     prefix_at,
     regularity_by_scan,
     squares,
+    toric_set_at,
     torus_prefix,
     union_coefficients_by_binomials,
 )
@@ -491,12 +491,12 @@ def test_degenerate_torus_is_rank_of_product_points():
     # The i-th degenerate torus is a product of i unit-group factors and
     # k-i squares factors; its Hilbert function must match the rank
     # route on that point set.
-    from cyclecodes import ToricSet, rank_at
+    from cyclecodes import rank_at
 
     f5 = field_new(5)
     spec = CycleFamilySpec.single(3)
     pts = itertools.product(range(1, 5), squares(f5), squares(f5))
-    X = ToricSet(spec, f5, np.array(list(pts), dtype=np.uint8))
+    X = toric_set_at(spec, f5, list(pts))
     table = rank_at(X, range(6))
     assert table == degenerate_torus_at(1, 3, 5, range(6))
     assert table == [1, 4, 8, 12, 15, 16]
