@@ -3,8 +3,8 @@ sets parameterized by disjoint unions of odd cycles over small finite
 fields, with every closed form cross-checked against brute force.
 
 The names in ``_LAZY`` are loaded on first access, each with its
-module: those of codes (numpy) and of ideal and poly (the polynomials).
-So importing the package, or a command that counts without polynomials
+module: those of codes (numpy) and of ideal and poly (the binomials).
+So importing the package, or a command that counts without binomials
 or arrays, loads none of those modules.
 """
 
@@ -27,8 +27,6 @@ from .errors import (
     ParseError,
     UnsupportedField,
     UnsupportedSpec,
-    ZeroDivisor,
-    ZeroPolynomial,
 )
 from .gf import Field, field_new
 from .hilbert import (
@@ -51,7 +49,7 @@ _LAZY = {
                      "monomial_basis", "rank_at", "singleton_check"),
                     "codes"),
     **dict.fromkeys(("ideal", "build_generators"), "ideal"),
-    **dict.fromkeys(("poly", "DivisorSet", "Monomial", "Polynomial",
+    **dict.fromkeys(("poly", "Binomial", "DivisorSet", "Monomial",
                      "buchberger_is_groebner", "grlex_key"), "poly"),
 }
 

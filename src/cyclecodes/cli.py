@@ -18,9 +18,10 @@ json.dumps(..., indent=2) layout, written directly, and card writes
 its counts through errors.decimal_text.  Only enumerate, card, code,
 selftest and hilbert --with-rank import numpy; the counting commands
 run on integers alone.  Only ideal, groebner-check and selftest import
-the ideal module and with it poly, which holds the polynomials, their
-division and the Groebner check.  Importing cli loads neither module,
-nor dataclasses, argparse or json.
+the ideal module and with it poly, which holds the binomials, their
+division and the Groebner check; both take q as an int, and neither
+needs a field.  Importing cli loads neither module, nor dataclasses,
+argparse or json.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ EXIT_BUDGET = 3
 # The commands reach ideal and poly through these two names, which load
 # the module at the call: importing cli loads neither.  A caller that
 # wraps the layers, as perfbench/tracing.py does, replaces these names.
-def build_generators(spec: CycleFamilySpec, field):
+def build_generators(spec: CycleFamilySpec, q: int):
     from . import ideal
 
-    return ideal.build_generators(spec, field)
+    return ideal.build_generators(spec, q)
 
 
 def buchberger_is_groebner(gens) -> bool:
@@ -159,7 +160,7 @@ def _cmd_ideal(args, field, spec) -> tuple[str, bool]:
     from .ideal import check_build_budget
 
     check_build_budget(spec, args.q, DEFAULT_ENUM_BUDGET)
-    lines = [g.to_text() for g in build_generators(spec, field)]
+    lines = [g.to_text(args.q) for g in build_generators(spec, args.q)]
     if args.format == "json":
         out = _json({"q": args.q, "spec": spec.to_string(),
                      "generators": lines})
@@ -174,7 +175,7 @@ def _cmd_groebner(args, field, spec) -> tuple[str, bool]:
     check_groebner_budget(spec, args.q, args.enum_budget)
     # one cycle per distinct length decides, see the ``ideal`` docstring
     ok = all(buchberger_is_groebner(build_generators(
-        CycleFamilySpec.single(k), field)) for k in spec.lengths)
+        CycleFamilySpec.single(k), args.q)) for k in spec.lengths)
     if args.format == "json":
         out = _json({"q": args.q, "spec": spec.to_string(), "groebner": ok})
     else:
@@ -331,7 +332,7 @@ def _cmd_selftest() -> tuple[str, bool]:
     check("regularity brute force",
           hilbert.regularity_bruteforce(spec, 5), 9)
     check("betas", hilbert.solve_betas(5, 5).betas, (6, -15, 10))
-    gens = build_generators(spec, field)
+    gens = build_generators(spec, 5)
     check("generator count", len(gens), 15)
     check("groebner basis check", buchberger_is_groebner(gens), True)
     passed = sum(1 for line in lines if line.startswith("PASS"))

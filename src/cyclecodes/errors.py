@@ -19,15 +19,7 @@ class DivisionByZero(CycleCodesError):
 
 
 class DimensionMismatch(CycleCodesError):
-    """Operands disagree on field or variable count."""
-
-
-class ZeroPolynomial(CycleCodesError):
-    """Operation requires a nonzero polynomial."""
-
-
-class ZeroDivisor(CycleCodesError):
-    """A divisor in multivariate division is the zero polynomial."""
+    """Operands disagree on variable count."""
 
 
 def decimal_text(n: int) -> str:

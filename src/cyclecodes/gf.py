@@ -67,7 +67,7 @@ def _is_prime(n: int) -> bool:
 class Field:
     """Arithmetic for F_q, q an odd prime or a power of two.
 
-    ``add``, ``sub``, ``neg``, ``mul`` and ``inv`` take elements;
+    ``add``, ``neg``, ``mul`` and ``inv`` take elements;
     ``add`` and ``neg`` also take int arrays of elements, ``iadd(a, b)``
     adds b to the int array a in place (its dtype must hold the sum of
     two elements, 2q - 2, which an unsigned dtype does in the fewest
@@ -183,9 +183,6 @@ class _PrimeField(Field):
         np.minimum(u, u - self.q, out=u)
         return a
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
     def neg(self, a):
         return (-a) % self.q
 
@@ -209,8 +206,6 @@ class _BinaryField(Field):
     def iadd(self, a, b):
         a ^= b
         return a
-
-    sub = add
 
     def neg(self, a):
         return a

@@ -16,12 +16,12 @@ parameterized set X* is generated by binomials:
 When q-1 is odd (q a power of two) X* is the full torus and the torus
 part alone generates.
 
-``build_generators`` returns one tuple: the torus part in variable
-order, then each copy's cycle part in block order, a copy's binomials
-in the lexicographic order of their gamma-subsets.
-
-The longer monomial of each cycle binomial is its leading term under
-graded lex, so the stored term order is stable.
+``build_generators`` takes q as an int and returns one tuple of
+``poly.Binomial``: the torus part in variable order, then each copy's
+cycle part in block order, a copy's binomials in the lexicographic
+order of their gamma-subsets.  Every generator is a difference of two
+monomials, so none needs a field; the longer monomial of each cycle
+binomial is its leading one under graded lex.
 
 Each copy's generators lie in the copy's own variables, and Groebner
 bases of ideals in disjoint variables unite to a Groebner basis (Cox,
@@ -38,8 +38,7 @@ from math import comb
 
 from .cyclegraph import CycleFamilySpec, gamma_of
 from .errors import check_budget
-from .gf import Field
-from .poly import Polynomial
+from .poly import Binomial
 
 
 def generator_count(spec: CycleFamilySpec, q: int) -> int:
@@ -53,7 +52,7 @@ def generator_count(spec: CycleFamilySpec, q: int) -> int:
 
 
 def check_build_budget(spec: CycleFamilySpec, q: int, budget: int) -> None:
-    """Raise BudgetExceeded when ``build_generators(spec, F_q)`` would
+    """Raise BudgetExceeded when ``build_generators(spec, q)`` would
     allocate more than ``budget`` exponent cells, one per variable in
     each generator, before any generator is built."""
     n = generator_count(spec, q)
@@ -92,12 +91,10 @@ def _unit_vector(n: int, i: int, value: int) -> tuple[int, ...]:
 
 
 def build_generators(spec: CycleFamilySpec,
-                     field: Field) -> tuple[Polynomial, ...]:
+                     q: int) -> tuple[Binomial, ...]:
     """The generators described in the module docstring, in its order."""
     n = spec.nvars
-    q = field.q
-    gens = [Polynomial.binomial(field, _unit_vector(n, i, q - 1), (0,) * n)
-            for i in range(n)]
+    gens = [Binomial(_unit_vector(n, i, q - 1), (0,) * n) for i in range(n)]
     if (q - 1) % 2 == 0:
         half = (q - 1) // 2
         for k, off in spec.blocks():
@@ -110,6 +107,5 @@ def build_generators(spec: CycleFamilySpec,
                     plus[v] = half
                 for v in alpha:
                     minus[v] = half
-                gens.append(
-                    Polynomial.binomial(field, tuple(plus), tuple(minus)))
+                gens.append(Binomial(plus, minus))
     return tuple(gens)

@@ -7,8 +7,9 @@ counts from Hilbert-series numerators instead.  Points of X* come from
 the edge-product map and vanishing is checked by evaluation at every
 point; the library never evaluates a polynomial.  JSON reports are
 encoded by json.dumps with indent=2; the command line writes that
-layout directly.  The ring operations on polynomials, which the library
-never needs, are plain functions here; S-polynomials are built from
+layout directly.  The library's polynomials are binomials with no
+field; here a polynomial has coefficients in a field, and the ring
+operations on it are plain functions; S-polynomials are built from
 them, division with quotients scans the divisors in order on
 unpacked monomials, and polynomial fixtures are read from their text
 form.  Distinct characters of one cycle copy are found by a
@@ -30,9 +31,7 @@ import numpy as np
 
 from cyclecodes import (
     DimensionMismatch,
-    Polynomial,
     ToricSet,
-    ZeroPolynomial,
     codes,
     field_new,
     gamma_of,
@@ -68,6 +67,109 @@ def squares(field) -> list[int]:
     return sorted({field.mul(a, a) for a in range(1, field.q)})
 
 
+# -- polynomials over a field ------------------------------------------------
+
+class Polynomial:
+    """Immutable polynomial over a field; terms kept sorted in
+    decreasing graded lex order.
+
+    Text form: terms in decreasing order joined by `` + `` / `` - ``,
+    e.g. ``t1^3*t2 - t3^2 + 1``.  A bare ``-`` stands for the element
+    -1, so it never appears in characteristic 2, where -1 = 1; any other
+    coefficient but 1 is written ``c*...``."""
+
+    __slots__ = ("field", "nvars", "terms")
+
+    def __init__(self, field, nvars, terms):
+        merged = {}
+        for mono, coeff in terms:
+            if len(mono) != nvars:
+                raise DimensionMismatch(
+                    f"monomial {mono} has {len(mono)} exponents, expected {nvars}")
+            c = field.add(0, coeff)  # mod p; a binary element stays
+            if not 0 <= c < field.q:
+                raise ValueError(
+                    f"coefficient {coeff} is not an element of F_{field.q}")
+            c = field.add(merged.get(mono, 0), c)
+            if c:
+                merged[mono] = c
+            else:
+                merged.pop(mono, None)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(
+            self, "terms",
+            tuple(sorted(merged.items(), key=lambda t: grlex_key(t[0]),
+                         reverse=True)))
+
+    def __setattr__(self, *_):
+        raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def binomial(cls, field, plus, minus):
+        """The difference of two monomials, t^plus - t^minus."""
+        return cls(field, len(plus), [(plus, 1), (minus, field.neg(1))])
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check_compatible(self, other) -> None:
+        if self.field != other.field or self.nvars != other.nvars:
+            raise DimensionMismatch(
+                "polynomials disagree on field or variable count")
+
+    # text form
+    def _mono_text(self, mono) -> str:
+        names = []
+        for i, e in enumerate(mono):
+            if e == 0:
+                continue
+            name = f"t{i + 1}"
+            names.append(name if e == 1 else f"{name}^{e}")
+        return "*".join(names) if names else "1"
+
+    def to_text(self) -> str:
+        if not self.terms:
+            return "0"
+        minus_one = self.field.neg(1)
+        parts = []
+        for idx, (mono, coeff) in enumerate(self.terms):
+            is_const = not any(mono)
+            negative = coeff == minus_one != 1
+            if negative and is_const:
+                body = "1"
+            elif negative or coeff == 1:
+                body = self._mono_text(mono)
+            elif is_const:
+                body = str(coeff)
+            else:
+                body = f"{coeff}*{self._mono_text(mono)}"
+            if idx == 0:
+                parts.append(f"-{body}" if negative else body)
+            else:
+                parts.append(f"- {body}" if negative else f"+ {body}")
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"Polynomial(F{self.field.q}, {self.to_text()!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Polynomial)
+                and self.field == other.field
+                and self.nvars == other.nvars
+                and self.terms == other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.field.q, self.nvars, self.terms))
+
+
+def as_polynomial(b, field):
+    """The library's ``Binomial`` b, t^lead - t^tail, as a polynomial
+    over field."""
+    return Polynomial.binomial(field, b.lead, b.tail)
+
+
 # -- monomials and polynomials ----------------------------------------------
 
 
@@ -100,7 +202,7 @@ def constant(field, nvars, c):
 def leading_term(f):
     """The first term (monomial, coefficient) of a nonzero f."""
     if f.is_zero:
-        raise ZeroPolynomial("zero polynomial has no leading term")
+        raise ValueError("zero polynomial has no leading term")
     return f.terms[0]
 
 
@@ -168,7 +270,8 @@ def ordered_scan_divide(f, divisors):
                 quot[i].append((qm, qc))
                 for gm, gc in g.terms[1:]:
                     m2 = mono_mul(gm, qm)
-                    c2 = field.sub(work.get(m2, 0), field.mul(gc, qc))
+                    c2 = field.add(work.get(m2, 0),
+                                   field.neg(field.mul(gc, qc)))
                     if c2:
                         work[m2] = c2
                     else:

@@ -1,4 +1,6 @@
-"""Tests for sparse multivariate polynomials, orders, division and text."""
+"""Tests for the binomials, the monomial order, the packed monomials,
+division and the Groebner check, each against the oracles' polynomials
+over a field, and for those oracles themselves."""
 
 import gc
 import random
@@ -8,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclecodes import (
+    Binomial,
     DimensionMismatch,
     DivisorSet,
-    Polynomial,
-    ZeroDivisor,
-    ZeroPolynomial,
     buchberger_is_groebner,
     build_generators,
     field_new,
@@ -22,6 +22,8 @@ from cyclecodes import (
 )
 from cyclecodes import cli
 from oracles import (
+    Polynomial,
+    as_polynomial,
     constant,
     degree,
     evaluate,
@@ -47,20 +49,30 @@ def P(text, nvars=3, field=F5):
     return parse_polynomial(text, field, nvars)
 
 
-def _unpacked(dset, packed):
-    """The polynomial of packed terms at the divisor set's width."""
-    packing = dset.packing
-    return Polynomial(dset.field, packing.nvars,
-                      [(packing.unpack(m), c) for m, c in packed.items()])
+def B(text, nvars=3):
+    """The binomial written ``lead - tail``."""
+    lead, tail = (P(side, nvars).terms[0][0] for side in text.split(" - "))
+    return Binomial(lead, tail)
 
 
-def _remainder(f, dset):
-    """The remainder of f by the divisor set: f packed at the set's
-    width, reduced by ``poly.multivariate_divide`` and unpacked."""
-    packing = dset.packing
-    assert degree(f) <= packing.bound
-    return _unpacked(dset, poly.multivariate_divide(
-        {packing.pack(m): c for m, c in f.terms}, dset))
+def _oriented(a, b):
+    """The binomial of the monomials a != b, the larger one leading."""
+    return Binomial(*sorted((a, b), key=grlex_key, reverse=True))
+
+
+def _monomials(dset, packed):
+    """Packed monomials unpacked at the divisor set's width."""
+    return [dset.packing.unpack(x) for x in packed]
+
+
+def _remainder(b, dset):
+    """The monomials of the remainder of the binomial b by the divisor
+    set, larger first: b packed at the set's width and reduced by
+    ``poly.multivariate_divide``."""
+    pack = dset.packing.pack
+    assert sum(b.lead) <= dset.packing.bound
+    return _monomials(dset, poly.multivariate_divide(
+        (pack(b.lead), pack(b.tail)), dset))
 
 
 # -- monomial helpers -------------------------------------------------------
@@ -171,9 +183,9 @@ def test_leading_term_examples():
 
 
 def test_leading_term_of_zero_raises():
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(ValueError):
         leading_term(zero(F5, 3))
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(ValueError):
         leading_monomial(zero(F5, 3))
 
 
@@ -202,6 +214,22 @@ def test_immutable():
     f = P("t1 + 1")
     with pytest.raises(AttributeError):
         f.nvars = 7
+    b = B("t1 - 1")
+    with pytest.raises(AttributeError):
+        b.lead = (2, 0, 0)
+    with pytest.raises(AttributeError):
+        b.degree = 1
+
+
+def test_binomial_checks_its_monomials():
+    assert B("t2*t3 - t1") == Binomial((0, 1, 1), (1, 0, 0))
+    # the lead must be the larger monomial in graded lex
+    with pytest.raises(ValueError):
+        Binomial((1, 0, 0), (0, 1, 1))
+    with pytest.raises(ValueError):
+        Binomial((0, 1), (1, 0))
+    with pytest.raises(DimensionMismatch):
+        Binomial((2, 0), (0, 0, 0))
 
 
 def test_arithmetic_ring_identities():
@@ -281,7 +309,8 @@ def test_divide_exact():
     qs, r = ordered_scan_divide(f, [f])
     assert qs == [constant(F5, 1, 1)]
     assert r.is_zero
-    assert _remainder(f, DivisorSet([f])).is_zero
+    g = B("t1^4 - 1", nvars=1)
+    assert _remainder(g, DivisorSet([g])) == []
 
 
 def test_divide_with_remainder():
@@ -290,19 +319,23 @@ def test_divide_with_remainder():
     qs, r = ordered_scan_divide(f, [g])
     assert qs == [P("t1", nvars=1)]
     assert r == P("t1", nvars=1)
-    assert _remainder(f, DivisorSet([g])) == r
+    # t1^5 - 1 leaves t1 - 1
+    assert _remainder(B("t1^5 - 1", nvars=1),
+                      DivisorSet([B("t1^4 - 1", nvars=1)])) == [(1,), (0,)]
 
 
 def test_divide_by_zero_polynomial():
-    with pytest.raises(ZeroDivisor):
-        DivisorSet([zero(F5, 3)])
+    # a binomial of two equal monomials would be zero: none is made
+    with pytest.raises(ValueError):
+        Binomial((1, 0, 0), (1, 0, 0))
+    with pytest.raises(ValueError):
+        B("t1 - t1")
 
 
 def test_divide_invariants_random():
     rng = random.Random(23)
     f7 = field_new(7)
     torus = [parse_polynomial(f"t{i}^6 - 1", f7, 3) for i in (1, 2, 3)]
-    dset = DivisorSet(torus)
     for _ in range(30):
         terms = [(tuple(rng.randrange(8) for _ in range(3)), rng.randrange(1, 7))
                  for _ in range(rng.randrange(1, 6))]
@@ -323,19 +356,15 @@ def test_divide_invariants_random():
             if not q.is_zero:
                 prod = poly_mul(q, g)
                 assert grlex_key(leading_monomial(prod)) <= fkey
-        if degree(f) <= dset.packing.bound:
-            assert _remainder(f, dset) == r
 
 
 def test_divide_checks_every_divisor():
-    # a bad divisor is refused wherever it stands in the list
-    gens = [P("t1"), P("t2"), P("t3")]
-    for bad, error in [(zero(F5, 3), ZeroDivisor),
-                       (P("t1", nvars=2), DimensionMismatch),
-                       (P("t1", field=field_new(7)), DimensionMismatch)]:
-        for k in range(len(gens) + 1):
-            with pytest.raises(error):
-                DivisorSet(gens[:k] + [bad] + gens[k:])
+    # a divisor on other variables is refused wherever it stands
+    gens = [B("t1 - 1"), B("t2 - 1"), B("t3 - 1")]
+    bad = B("t1 - 1", nvars=2)
+    for k in range(len(gens) + 1):
+        with pytest.raises(DimensionMismatch):
+            DivisorSet(gens[:k] + [bad] + gens[k:])
 
 
 def test_divide_leaves_unused_divisors_a_zero_quotient():
@@ -344,7 +373,10 @@ def test_divide_leaves_unused_divisors_a_zero_quotient():
     assert [q.is_zero for q in qs] == [True, False, True]
     assert qs[1] == P("t1")
     assert r == P("t1 + t2")
-    assert _remainder(P("t1^3 + t2"), DivisorSet(gens)) == r
+    # the same divisors as binomials: t1^3 - t2 leaves t1 - t2
+    gens = [B("t3 - 1"), B("t1^2 - 1"), B("t2^2 - 1")]
+    assert _remainder(B("t1^3 - t2"), DivisorSet(gens)) == [(1, 0, 0),
+                                                            (0, 1, 0)]
 
 
 def test_divide_remainder_exponents_reduced():
@@ -368,27 +400,29 @@ def test_s_polynomial_examples():
 
 
 def test_s_polynomial_zero_input():
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(ValueError):
         s_polynomial(P("t1"), zero(F5, 3))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 8])
 @pytest.mark.parametrize("s", [2, 4, 6])
 def test_torus_relations_are_groebner(q, s):
-    f = field_new(q)
-    gens = [Polynomial.binomial(f, tuple(q - 1 if j == i else 0 for j in range(s)),
-                                (0,) * s) for i in range(s)]
+    gens = [Binomial(tuple(q - 1 if j == i else 0 for j in range(s)),
+                     (0,) * s) for i in range(s)]
     assert buchberger_is_groebner(gens)
 
 
 def test_non_groebner_detected():
-    gens = [P("t1^2 - t2"), P("t1^3 - t3")]
+    gens = [B("t1^2 - t2"), B("t1^3 - t3")]
     assert not buchberger_is_groebner(gens)
+    assert not _all_pairs_is_groebner(gens, F5)
 
 
-def _all_pairs_is_groebner(gens):
-    """The check without the chain criterion: every pair whose leading
-    monomials are not coprime is reduced."""
+def _all_pairs_is_groebner(binomials, field):
+    """The check without the chain criterion, on the binomials as
+    polynomials over field: every pair whose leading monomials are not
+    coprime is reduced by the oracle's division."""
+    gens = [as_polynomial(b, field) for b in binomials]
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             if _coprime(leading_monomial(gens[i]),
@@ -400,53 +434,53 @@ def _all_pairs_is_groebner(gens):
     return True
 
 
-_FIELDS = [field_new(q) for q in (2, 3, 4, 5, 7, 8)]
+# the fields the oracle checks the binomials over
+_QS = (2, 3, 4, 5, 7, 8)
 
 
 @st.composite
-def _polynomial(draw, field, nvars, max_terms, max_exp=3):
-    terms = draw(st.lists(
-        st.tuples(st.tuples(*[st.integers(0, max_exp)] * nvars),
-                  st.integers(1, field.q - 1)),
-        min_size=1, max_size=max_terms))
-    f = Polynomial(field, nvars, terms)
-    return f if not f.is_zero else constant(field, nvars, 1)
+def _binomial(draw, nvars, max_exp=3):
+    """t^a - t^b, both monomials drawn, the larger one leading."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    a, b = draw(st.tuples(exps, exps).filter(lambda ab: ab[0] != ab[1]))
+    return _oriented(a, b)
+
+
+def _bumped(b, v, lead):
+    """b with the exponent of variable v raised by one in its leading
+    monomial, or in its trailing one when lead is false; None when the
+    two monomials become equal."""
+    a, c = list(b.lead), list(b.tail)
+    (a if lead else c)[v] += 1
+    return _oriented(tuple(a), tuple(c)) if a != c else None
 
 
 @st.composite
 def _generator_sets(draw):
-    """(generators, dividend): random binomials, random polynomials, or
-    a generator set of the vanishing ideal with one generator dropped or
-    one exponent raised."""
-    field = draw(st.sampled_from(_FIELDS))
-    kind = draw(st.sampled_from(["binomials", "polynomials", "ideal"]))
-    if kind == "ideal":
+    """(binomials, q, dividend): random binomials on 2 or 3 variables,
+    or the generators of the vanishing ideal over F_q with one generator
+    dropped or one exponent raised, a field size q for the oracle, and
+    a binomial dividend of degree within the binomials' packing bound."""
+    q = draw(st.sampled_from(_QS))
+    if draw(st.booleans()):
         spec = parse_spec_string(draw(st.sampled_from(["3", "5", "3x2"])))
-        gens = list(build_generators(spec, field))
+        gens = list(build_generators(spec, q))
         nvars = spec.nvars
         i = draw(st.integers(0, len(gens) - 1))
         if draw(st.booleans()):
             del gens[i]
         else:
-            terms = list(gens[i].terms)
-            t = draw(st.integers(0, len(terms) - 1))
-            v = draw(st.integers(0, nvars - 1))
-            mono = list(terms[t][0])
-            mono[v] += 1
-            terms[t] = (tuple(mono), terms[t][1])
-            gens[i] = Polynomial(field, nvars, terms)  # may merge to 0
+            gens[i] = _bumped(gens[i], draw(st.integers(0, nvars - 1)),
+                              draw(st.booleans()))
     else:
         nvars = draw(st.integers(2, 3))
-        max_terms = 2 if kind == "binomials" else 3
-        gens = draw(st.lists(_polynomial(field, nvars, max_terms),
-                             min_size=1, max_size=4))
-        if kind == "binomials":
-            gens = [Polynomial(field, nvars, [(g.terms[0][0], 1),
-                                              ((0,) * nvars, field.neg(1))])
-                    if len(g.terms) == 1 else g for g in gens]
-    gens = [g for g in gens if not g.is_zero] or [constant(field, nvars, 1)]
-    f = draw(_polynomial(field, nvars, 5, max_exp=4))
-    return gens, f
+        gens = draw(st.lists(_binomial(nvars), min_size=1, max_size=4))
+    gens = [g for g in gens if g is not None] or [
+        Binomial((1,) + (0,) * (nvars - 1), (0,) * nvars)]
+    bound = 2 * max(sum(g.lead) for g in gens)
+    a, b = (draw(_monomial(nvars, draw(st.integers(0, bound))))
+            for _ in range(2))
+    return gens, q, _oriented(a, b) if a != b else None
 
 
 def test_chain_criterion_agrees_with_the_all_pairs_check():
@@ -455,50 +489,75 @@ def test_chain_criterion_agrees_with_the_all_pairs_check():
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(draw=_generator_sets())
     def check(draw):
-        gens, f = draw
+        gens, q, _ = draw
         got = buchberger_is_groebner(gens)
-        assert got == _all_pairs_is_groebner(gens)
+        assert got == _all_pairs_is_groebner(gens, field_new(q))
         outcomes.add(got)
-        qs, r = ordered_scan_divide(f, gens)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_divide_agrees_with_the_ordered_scan():
+    # the remainder of a binomial is empty exactly when the oracle's
+    # division over F_q leaves 0, and otherwise has the oracle's two
+    # monomials; the oracle's quotients and remainder satisfy the
+    # division identity
+    outcomes = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(draw=_generator_sets())
+    def check(draw):
+        gens, q, b = draw
+        if b is None:
+            return
+        field = field_new(q)
+        divisors = [as_polynomial(g, field) for g in gens]
+        f = as_polynomial(b, field)
+        qs, r = ordered_scan_divide(f, divisors)
+        got = _remainder(b, DivisorSet(gens))
+        assert got == [m for m, _ in r.terms]
+        outcomes.add(not got)
         total = r
-        for q, g in zip(qs, gens):
-            total = poly_add(total, poly_mul(q, g))
+        for quot, g in zip(qs, divisors):
+            total = poly_add(total, poly_mul(quot, g))
         assert total == f
         for mono, _ in r.terms:
-            assert not any(mono_divides(leading_monomial(g), mono)
-                           for g in gens)
+            assert not any(mono_divides(g.lead, mono) for g in gens)
 
     check()
     assert outcomes == {True, False}
 
 
 def _moved(g, places, nvars):
-    """g with its variable i moved to variable places[i] of nvars."""
-    terms = []
-    for mono, c in g.terms:
+    """g with its variable i moved to variable places[i] of nvars; the
+    renaming may swap which monomial leads."""
+    def move(mono):
         m = [0] * nvars
         for v, e in zip(places, mono):
             m[v] = e
-        terms.append((tuple(m), c))
-    return Polynomial(g.field, nvars, terms)
+        return tuple(m)
+
+    return _oriented(move(g.lead), move(g.tail))
 
 
 @st.composite
 def _copied_sets(draw):
-    """Copies of one small generator set, each on its own interleaved
-    variables: copy c of a set on w variables takes variables
-    c, c + copies, ..., shifted past an unused t1 if drawn.  The last
-    copy may be renamed out of order or have one generator perturbed,
-    a generator may link two copies through its tail only, a constant
-    may be added, and the generators are listed copy by copy, round
-    robin or shuffled."""
-    field = draw(st.sampled_from(_FIELDS))
+    """(binomials, q): copies of one small binomial set, each on its own
+    interleaved variables: copy c of a set on w variables takes
+    variables c, c + copies, ..., shifted past an unused t1 if drawn.
+    The last copy may be renamed out of order or have one exponent of
+    one binomial raised, a binomial may link two copies through its
+    tail only, and the binomials are listed copy by copy, round robin
+    or shuffled; q is a field size, of the generators of one 3-cycle
+    when they are the set, for the oracle."""
+    q = draw(st.sampled_from(_QS))
     if draw(st.booleans()):
-        base = build_generators(parse_spec_string("3"), field)
+        base = build_generators(parse_spec_string("3"), q)
     else:
-        base = draw(st.lists(_polynomial(field, draw(st.integers(1, 2)), 2),
+        base = draw(st.lists(_binomial(draw(st.integers(1, 2)), 2),
                              min_size=1, max_size=3))
-    width, copies = base[0].nvars, draw(st.integers(2, 3))
+    width, copies = len(base[0].lead), draw(st.integers(2, 3))
     shift = draw(st.integers(0, 1))
     nvars = shift + copies * width
     places = [[shift + c + copies * i for i in range(width)]
@@ -508,36 +567,30 @@ def _copied_sets(draw):
     parts = [[_moved(g, at, nvars) for g in base] for at in places]
     if draw(st.booleans()):
         i = draw(st.integers(0, len(base) - 1))
-        terms = list(parts[-1][i].terms)
-        t = draw(st.integers(0, len(terms) - 1))
-        mono = list(terms[t][0])
-        mono[draw(st.sampled_from(places[-1]))] += 1
-        terms[t] = (tuple(mono), terms[t][1])
-        parts[-1][i] = Polynomial(field, nvars, terms)
+        parts[-1][i] = _bumped(parts[-1][i],
+                               draw(st.sampled_from(places[-1])),
+                               draw(st.booleans()))
     gens = draw(st.sampled_from([
         [g for part in parts for g in part],
         [g for row in zip(*parts) for g in row]]))
     if draw(st.booleans()):  # t_a^2 - t_b links the first two copies
         a, b = places[0][0], places[1][0]
-        gens.append(Polynomial(field, nvars, [
-            (tuple(2 * (v == a) for v in range(nvars)), 1),
-            (tuple(int(v == b) for v in range(nvars)), field.neg(1))]))
-    if draw(st.booleans()):
-        gens.insert(draw(st.integers(0, len(gens))), constant(
-            field, nvars, draw(st.integers(1, field.q - 1))))
+        gens.append(Binomial(tuple(2 * (v == a) for v in range(nvars)),
+                             tuple(int(v == b) for v in range(nvars))))
     if draw(st.booleans()):
         gens = draw(st.permutations(gens))
-    return [g for g in gens if not g.is_zero]
+    return [g for g in gens if g is not None], q
 
 
 def test_split_check_agrees_with_the_all_pairs_check():
     outcomes = set()
 
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(gens=_copied_sets())
-    def check(gens):
+    @given(draw=_copied_sets())
+    def check(draw):
+        gens, q = draw
         got = buchberger_is_groebner(gens)
-        assert got == _all_pairs_is_groebner(gens)
+        assert got == _all_pairs_is_groebner(gens, field_new(q))
         outcomes.add(got)
 
     check()
@@ -547,10 +600,10 @@ def test_split_check_agrees_with_the_all_pairs_check():
 def test_one_failing_copy_fails_the_split_check():
     # three copies of the basis of 3 over F_5, the last with one cycle
     # binomial dropped: only that copy fails, and the check finds it
-    gens = build_generators(parse_spec_string("3x3"), F5)
+    gens = build_generators(parse_spec_string("3x3"), 5)
     assert buchberger_is_groebner(gens)
     broken = gens[:-1]
-    assert not _all_pairs_is_groebner(broken)
+    assert not _all_pairs_is_groebner(broken, F5)
     assert not buchberger_is_groebner(broken)
 
 
@@ -579,8 +632,8 @@ def _reductions(monkeypatch, gens):
 def test_chain_criterion_cuts_the_reductions(monkeypatch):
     # build_generators(7x3) over F_5: 126 generators, 2205 pairs whose
     # leading monomials share a variable.
-    gens = build_generators(parse_spec_string("7x3"), F5)
-    pairs = sum(not _coprime(leading_monomial(a), leading_monomial(b))
+    gens = build_generators(parse_spec_string("7x3"), 5)
+    pairs = sum(not _coprime(a.lead, b.lead)
                 for i, a in enumerate(gens) for b in gens[i + 1:])
     assert pairs == 2205
     assert 0 < _reductions(monkeypatch, gens) < pairs
@@ -590,7 +643,7 @@ def test_chain_criterion_reduces_at_most_672_pairs_on_7x3(monkeypatch):
     # Visiting the pairs by increasing lcm lets the chain criterion use
     # every pair settled so far: 672 of the 2205 pairs are reduced when
     # all three copies are checked, 224 when one copy stands for all.
-    gens = build_generators(parse_spec_string("7x3"), F5)
+    gens = build_generators(parse_spec_string("7x3"), 5)
     assert 0 < _reductions(monkeypatch, gens) <= 672
 
 
@@ -602,7 +655,7 @@ def test_reduced_pair_counts_do_not_move(monkeypatch, q, spec, reduced):
     # The pairs are visited in (degree, lcm, i, j) order, so the chain
     # criterion skips the same pairs whatever the monomial encoding.
     # Counted on the whole set, every copy included.
-    gens = build_generators(parse_spec_string(spec), field_new(q))
+    gens = build_generators(parse_spec_string(spec), q)
     assert _reductions(monkeypatch, gens) == reduced
 
 
@@ -624,12 +677,13 @@ def test_the_check_and_division_leave_no_reference_cycles():
     # a divisor set, its packed divisors and the remainders are freed
     # by reference counting, so the memo and the pair list go when the
     # check returns
-    gens = build_generators(parse_spec_string("5"), F5)
+    gens = build_generators(parse_spec_string("5"), 5)
     gc.collect()
     gc.disable()
     try:
         assert buchberger_is_groebner(gens)
-        _remainder(poly_mul(gens[0], gens[1]), DivisorSet(gens))
+        _remainder(Binomial(mono_mul(gens[0].lead, gens[1].lead),
+                            gens[0].tail), DivisorSet(gens))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -640,22 +694,19 @@ def test_empty_generator_set_is_groebner():
 
 
 @pytest.mark.parametrize("gens, error", [
-    # a zero generator is reported also when a mismatched one is present
-    ([P("t1"), P("t2", nvars=2), zero(F5, 3)], ZeroPolynomial),
-    ([P("t1"), P("t2", field=field_new(7))], DimensionMismatch),
-    ([P("t1"), P("t2", nvars=2)], DimensionMismatch),
-], ids=["zero", "fields", "nvars"])
+    ([B("t1 - 1"), B("t2 - 1", nvars=2)], DimensionMismatch),
+], ids=["nvars"])
 def test_the_groebner_check_refuses_a_bad_generator_set(gens, error):
     with pytest.raises(error):
         buchberger_is_groebner(gens)
 
 
 def test_groebner_check_over_a_large_prime_indexes_only_the_lead_exponents():
-    gens = build_generators(parse_spec_string("3x2,5"), field_new(65521))
+    gens = build_generators(parse_spec_string("3x2,5"), 65521)
     assert buchberger_is_groebner(gens)
     dset = DivisorSet(gens)
     for v, (row, masks) in enumerate(zip(dset.exponents, dset.masks)):
-        distinct = {leading_monomial(g)[v] for g in gens}
+        distinct = {g.lead[v] for g in gens}
         assert list(row) == sorted(distinct)
         assert len(masks) == len(row) + 1
 
@@ -665,25 +716,22 @@ def test_groebner_check_over_a_large_prime_indexes_only_the_lead_exponents():
 
 def _dividing_by_scan(gens, mono):
     return sum(1 << k for k, g in enumerate(gens)
-               if mono_divides(leading_monomial(g), mono))
+               if mono_divides(g.lead, mono))
 
 
 def test_divisor_set_checks_the_divisors_and_the_dividend():
-    with pytest.raises(ZeroDivisor):
+    with pytest.raises(ValueError):
         DivisorSet([])
-    with pytest.raises(ZeroDivisor):
-        DivisorSet([P("t3"), zero(F5, 3)])
-    for bad in (P("t1", nvars=2), P("t1", field=field_new(7))):
-        with pytest.raises(DimensionMismatch):
-            DivisorSet([P("t3"), bad])
-    # an equal field built separately is compatible
-    dset = DivisorSet([P("t1"), P("t2", field=field_new(5))])
-    assert len(dset.leads) == 2
-    assert _remainder(P("t1^2 + t2"), dset).is_zero
-    # the reduction's dividends are the set's own S-pairs: every term
-    # fits the set's packing and carries its degree in the degree field
+    with pytest.raises(DimensionMismatch):
+        DivisorSet([B("t3 - 1"), B("t1 - 1", nvars=2)])
+    dset = DivisorSet([B("t1 - 1"), B("t2 - 1")])
+    assert len(dset.leads) == len(dset.tails) == 2
+    assert _remainder(B("t1^2 - t2"), dset) == []
+    # the reduction's dividends are the set's own S-pairs: every
+    # monomial fits the set's packing and carries its degree in the
+    # degree field
     dset, pairs = _every_s_pair(
-        build_generators(parse_spec_string("3x2"), F5))
+        build_generators(parse_spec_string("3x2"), 5), F5)
     packing = dset.packing
     for packed, _ in pairs:
         for m in packed:
@@ -697,17 +745,16 @@ def test_divisor_set_matches_the_ordered_scan():
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(draw=_generator_sets(), extra=st.integers(0, 3))
     def check(draw, extra):
-        gens, f = draw
+        gens, _, b = draw
         dset = DivisorSet(gens)
-        leads = [leading_monomial(g) for g in gens]
+        leads = [g.lead for g in gens]
         above = tuple(max(c) + 1 for c in zip(*leads))
-        probes = [m for m, _ in f.terms] + leads + [
-            above, (0,) * f.nvars, mono_lcm(leads[0], leads[-1])]
+        probes = list(b or ()) + leads + [
+            above, (0,) * len(above), mono_lcm(leads[0], leads[-1])]
         for mono in probes:
             assert dset.dividing(mono) == _dividing_by_scan(gens, mono)
         # one more variable that no leading monomial uses: a zero column
-        wider = [Polynomial(g.field, g.nvars + 1,
-                            [(m + (0,), c) for m, c in g.terms]) for g in gens]
+        wider = [Binomial(g.lead + (0,), g.tail + (0,)) for g in gens]
         wide_set = DivisorSet(wider)
         for mono in probes:
             assert wide_set.dividing(mono + (extra,)) \
@@ -716,36 +763,47 @@ def test_divisor_set_matches_the_ordered_scan():
     check()
 
 
-def _every_s_pair(gens):
-    """The divisor set of gens and, for every ordered pair i != j, its
-    packed S-pair and the oracle's S-polynomial."""
+def _every_s_pair(gens, field):
+    """The divisor set of the binomials gens and, for every ordered pair
+    i != j, its S-pair as ``buchberger_is_groebner`` builds it, the
+    packed monomials (l - lead_j + tail_j, l - lead_i + tail_i) for l
+    the packed lcm of the leads, and the oracle's S-polynomial over
+    field."""
     dset = DivisorSet(gens)
-    lcm, leads = dset.packing.lcm, dset.leads
-    return dset, [(dset.s_pair(i, j, lcm(leads[i], leads[j])),
-                   s_polynomial(f, g))
-                  for i, f in enumerate(gens)
-                  for j, g in enumerate(gens) if i != j]
+    lcm, leads, tails = dset.packing.lcm, dset.leads, dset.tails
+    polys = [as_polynomial(g, field) for g in gens]
+    pairs = []
+    for i, f in enumerate(polys):
+        for j, g in enumerate(polys):
+            if i != j:
+                l = lcm(leads[i], leads[j])
+                pairs.append(((l - leads[j] + tails[j],
+                               l - leads[i] + tails[i]), s_polynomial(f, g)))
+    return dset, pairs
 
 
 def _drawn_and_built_sets(check):
-    """Run check on the generator sets of 200 ``_generator_sets`` draws,
-    then on build_generators for 3x2 over F_5 and F_8 and 3x2,5 over
-    F_65521."""
+    """Run check on the binomials and field of 200 ``_generator_sets``
+    draws, then on build_generators for 3x2 over F_5 and F_8 and 3x2,5
+    over F_65521."""
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(draw=_generator_sets())
     def drawn(draw):
-        check(draw[0])
+        check(draw[0], field_new(draw[1]))
 
     drawn()
     for q, spec in [(5, "3x2"), (8, "3x2"), (65521, "3x2,5")]:
-        check(build_generators(parse_spec_string(spec), field_new(q)))
+        check(build_generators(parse_spec_string(spec), q), field_new(q))
 
 
 def test_packed_s_pairs_equal_s_polynomial():
-    def same(gens):
-        dset, pairs = _every_s_pair(gens)
-        for packed, s in pairs:
-            assert _unpacked(dset, packed) == s
+    # S(g_i, g_j) is the binomial of the two packed monomials
+    def same(gens, field):
+        dset, pairs = _every_s_pair(gens, field)
+        for (x, y), s in pairs:
+            plus, minus = _monomials(dset, (x, y))
+            assert Polynomial(field, len(plus), [
+                (plus, 1), (minus, field.neg(1))]) == s
 
     _drawn_and_built_sets(same)
 
@@ -753,11 +811,13 @@ def test_packed_s_pairs_equal_s_polynomial():
 def test_s_pair_remainders_equal_the_ordered_scan():
     # the check's reduction of every ordered pair against the oracle's
     # division of the oracle's S-polynomial by the same list
-    def same(gens):
-        dset, pairs = _every_s_pair(gens)
+    def same(gens, field):
+        dset, pairs = _every_s_pair(gens, field)
+        polys = [as_polynomial(g, field) for g in gens]
         for packed, s in pairs:
-            got = poly.multivariate_divide(packed, dset)
-            assert _unpacked(dset, got) == ordered_scan_divide(s, gens)[1]
+            got = _monomials(dset, poly.multivariate_divide(packed, dset))
+            r = ordered_scan_divide(s, polys)[1]
+            assert got == [m for m, _ in r.terms]
 
     _drawn_and_built_sets(same)
 
@@ -766,6 +826,9 @@ def test_s_pair_remainders_equal_the_ordered_scan():
 
 
 def test_to_text_examples():
+    assert B("t1^4 - 1", nvars=1).to_text(5) == "t1^4 - 1"
+    assert B("t2*t3 - t1").to_text(3) == "t2*t3 - t1"
+    assert B("t1^2*t2^2 - t3^2").to_text(65521) == "t1^2*t2^2 - t3^2"
     assert P("t1^4 - 1", nvars=1).to_text() == "t1^4 - 1"
     assert P("2*t1^3 + 3*t2 - 1").to_text() == "2*t1^3 + 3*t2 - 1"
     assert P("-t1 + 2").to_text() == "-t1 + 2"
@@ -780,9 +843,26 @@ def test_to_text_binary_field_never_minus():
     f2 = field_new(2)
     p = Polynomial(f2, 2, [((1, 0), 1), ((0, 0), 1)])
     assert p.to_text() == "t1 + 1"
+    assert B("t1 - 1", nvars=2).to_text(2) == "t1 + 1"
+    assert B("t3^3 - 1").to_text(4) == "t3^3 + 1"
+    assert B("t2*t3 - t1").to_text(8) == "t2*t3 + t1"
     # over F_4 the element 3 = q-1 is not -1, which is 1 there
     p = Polynomial(field_new(4), 2, [((1, 0), 1), ((0, 1), 3)])
     assert p.to_text() == "t1 + 3*t2"
+
+
+def test_binomial_text_is_the_polynomial_text():
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(q=st.sampled_from(_QS + (65521,)), nvars=st.integers(1, 4),
+           data=st.data())
+    def check(q, nvars, data):
+        b = data.draw(_binomial(nvars, max_exp=12))
+        text = b.to_text(q)
+        field = field_new(q)
+        assert text == as_polynomial(b, field).to_text()
+        assert P(text, nvars, field) == as_polynomial(b, field)
+
+    check()
 
 
 def test_text_round_trips():
