@@ -22,7 +22,6 @@ from .errors import (
     CheckFailure,
     CycleCodesError,
     DimensionMismatch,
-    DivisionByZero,
     OddityError,
     ParseError,
     UnsupportedField,

@@ -15,7 +15,9 @@ before its own budgets; the counting commands then take q alone.  The
 hilbert and enumerate formats share one row loop, which writes a
 report a few thousand rows at a time; their json, and card's, is the
 json.dumps(..., indent=2) layout, written directly, and card writes
-its counts through errors.decimal_text.  Only enumerate, card, code,
+its counts through errors.decimal_text.  code checks the length and
+dimension it prints against the closed-form |X*| and the footprint;
+a mismatch is a failed check.  Only enumerate, card, code,
 selftest and hilbert --with-rank import numpy; the counting commands
 run on integers alone.  Only ideal, groebner-check and selftest import
 the ideal module and with it poly, which holds the binomials, their
@@ -46,6 +48,7 @@ from .cyclegraph import (
 )
 from .errors import (
     BudgetExceeded,
+    CheckFailure,
     CycleCodesError,
     OddityError,
     ParseError,
@@ -271,6 +274,14 @@ def _cmd_code(args, field, spec) -> tuple[str, bool]:
                               args.enum_budget)
     X = enumerate_toric_set(spec, field, args.enum_budget)
     params = codes.code_params(X, args.d, args.dist_budget, args.enum_budget)
+    for name, got, route, want in (
+            ("length", params.n, "closed-form |X*|",
+             cardinality_formula(spec, args.q)),
+            ("dimension", params.dimension, "footprint",
+             hilbert.footprint_at(spec, args.q, [args.d])[0])):
+        if got != want:
+            raise CheckFailure(f"code {name} {got} differs from the "
+                               f"{route} {want}")
     if params.min_distance is not None:
         ok = codes.singleton_check(params)
         singleton_ok: bool | None = ok

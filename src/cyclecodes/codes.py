@@ -14,7 +14,7 @@ characters are linearly independent, so the rank is the number of
 distinct characters, read as a Hilbert series.  The characters of
 one k-cycle come from one pass over its exponent box [0, q-2]^k, which
 keeps the least degree of each of the (q-1)^k possible characters in
-one array.  Row reduction (rank_at) stays as the linear-algebra
+one array.  Elimination (rank_at) stays as the linear-algebra
 reference for that count.
 
 For the same reason the distinct rows of the evaluation matrix are a
@@ -33,11 +33,11 @@ once.  The codewords of those messages are then built in numpy
 basis row, one row at a time for all nodes of a pass, and scored one
 pass at a time.
 
-One arithmetic path serves both kinds of field.  X* is held as the
-discrete logs of its points (X.logs), so the matrix is built in
-exponent space: the value of t^a at the point of logs l is exp[(a . l)
-mod (q-1)].  The row reduction and the minimum-distance search use the
-field's own array arithmetic (Field.add, iadd, neg and scale).
+One arithmetic path serves both kinds of field.  Every entry of the
+matrix is a unit, held as its discrete log: the log of t^a at the
+point of logs l (a row of X.logs) is (a . l) mod (q-1).  Rows are told
+apart, and the distance search gets its basis, as logs; products are
+antilogs of sums of logs (Field.exp), and sums are Field.iadd.
 """
 
 from __future__ import annotations
@@ -93,15 +93,16 @@ def monomial_basis(nvars: int, q: int, d: int) -> list[Monomial]:
 
 class EvaluationMatrix(NamedTuple):
     """Rows = basis monomials (decreasing graded-lex), columns = the
-    rows of X.logs in order, entries = monomial values."""
+    rows of X.logs in order, logs = the discrete logs of the monomial
+    values, each a unit, in the smallest unsigned dtype that holds
+    q-2."""
 
-    field: Field
     monomials: tuple[Monomial, ...]
-    entries: np.ndarray
+    logs: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.entries.shape
+        return self.logs.shape
 
 
 def check_matrix_budget(nvars: int, q: int, points, d: int,
@@ -121,50 +122,58 @@ def check_matrix_budget(nvars: int, q: int, points, d: int,
 def build_evaluation_matrix(X: ToricSet, d: int,
                             max_entries: int = DEFAULT_ENUM_BUDGET
                             ) -> EvaluationMatrix:
-    """The degree-d evaluation matrix: one integer matmul of the basis
-    exponents with X.logs, both in the narrowest dtype that holds a
-    degree times the largest log, then one antilog gather."""
-    field = X.field
-    check_matrix_budget(X.nvars, field.q, [(len(X), 1)], d, max_entries)
-    monos = monomial_basis(X.nvars, field.q, d)
-    dtype = np.min_scalar_type(min(d, X.nvars * (field.q - 2)) * (field.q - 2))
+    """The degree-d evaluation matrix as logs: one integer matmul of the
+    basis exponents with X.logs, both in the narrowest dtype that holds
+    q-1 and a degree times the largest log, reduced mod q-1 in place."""
+    q = X.field.q
+    check_matrix_budget(X.nvars, q, [(len(X), 1)], d, max_entries)
+    monos = monomial_basis(X.nvars, q, d)
+    dtype = np.min_scalar_type(max(min(d, X.nvars * (q - 2)) * (q - 2), q - 1))
     exponents = np.array(monos, dtype=dtype).reshape(len(monos), X.nvars)
-    power_logs = exponents @ X.logs.T.astype(dtype, copy=False)
-    power_logs %= field.q - 1
-    return EvaluationMatrix(field, tuple(monos), field.exp[power_logs])
+    logs = exponents @ X.logs.T.astype(dtype, copy=False)
+    logs %= q - 1
+    return EvaluationMatrix(tuple(monos), logs.astype(
+        np.min_scalar_type(q - 2), copy=False))
 
 
-# -- row reduction -----------------------------------------------------------
-
-def _row_reduce(rows, field: Field) -> tuple[list[np.ndarray], list[int]]:
-    """Incremental row reduction: each row is reduced against the basis
-    so far and, when something is left, scaled to lead with 1 and
-    appended.  Returns the basis and the rank after each row."""
-    scale, add = field.scale, field.add
-    basis: list[np.ndarray] = []
-    pivots: list[int] = []
-    ranks = []
-    for row in rows:
-        for c, b in zip(pivots, basis):
-            if row[c]:
-                row = add(row, scale(field.neg(int(row[c])), b))
-        nonzero = np.flatnonzero(row)
-        if nonzero.size:
-            c = int(nonzero[0])
-            basis.append(scale(field.inv(int(row[c])), row))
-            pivots.append(c)
-        ranks.append(len(basis))
-    return basis, ranks
-
+# -- elimination -------------------------------------------------------------
 
 def rank_at(X: ToricSet, degrees) -> list[int]:
     """H(d) at each d of degrees as the dimension of the degree-d
     evaluation code, the rank oracle.  One matrix is built through the
-    largest d: its basis comes in decreasing graded-lex order, so its
-    rows taken in reverse go by increasing degree, and one incremental
-    reduction yields every prefix rank."""
+    largest d; its rows taken in reverse go by increasing degree, and
+    they are the columns of the transpose A, one row per point.  A
+    column raises the rank exactly when a row not yet a pivot is
+    nonzero there; that row becomes its pivot, and one array step
+    clears the column from every remaining row: a row whose entry there
+    is a gains -(a/b) times the pivot row, whose entry there is b, on
+    the columns where the pivot row is nonzero.  Products are antilogs
+    of sums of logs, log(-1) being (q-1)/2 for odd q and 0 for even q,
+    and sums are Field.iadd, in the narrowest unsigned dtype that holds
+    2q-2."""
+    field = X.field
+    r = field.q - 1
     M = build_evaluation_matrix(X, max(max(degrees, default=0), 0))
-    _, ranks = _row_reduce(M.entries[::-1], X.field)
+    dtype = np.min_scalar_type(2 * r)
+    # antilogs of 0..2r-1, so a sum of two logs needs no reduction mod r
+    exp, log = np.tile(field.exp, 2).astype(dtype), field.log.astype(dtype)
+    minus_one = r // 2 if field.q % 2 else 0
+    A = exp[M.logs[::-1].T]
+    top, ranks = 0, []  # rows above top are the pivots so far
+    for j in range(A.shape[1]):
+        rows = top + np.flatnonzero(A[top:, j])
+        if rows.size:
+            # the first such row is the pivot; the row it swaps with is
+            # 0 here, so the rest are the rows to clear
+            A[[top, rows[0]]] = A[[rows[0], top]]
+            rows, cols = rows[1:], j + 1 + np.flatnonzero(A[top, j + 1:])
+            shift = (minus_one - int(log[A[top, j]])) % r  # log of -1/b
+            factor = (log[A[rows, j]] + shift) % r
+            products = exp[factor[:, None] + log[A[top, cols]]]
+            cells = np.ix_(rows, cols)
+            A[cells] = field.iadd(A[cells], products)
+            top += 1
+        ranks.append(top)
     row_degrees = [sum(m) for m in reversed(M.monomials)]
     return [ranks[bisect_right(row_degrees, d) - 1] if d >= 0 else 0
             for d in degrees]
@@ -403,14 +412,15 @@ def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
     alone are more), and its block is the parent block of its
     children.  So a block holds at most _TABLE_CELLS cells, besides
     its parent block, and only one pass's nodes are laid out at a
-    time.  A row's multiples omega^x * row, x in [0, h), are built when
-    a pass first reads h of them and kept: n bytes each (2n for
-    q > 128), not q-1 per row."""
+    time.  basis holds the logs of the basis rows, so a row's multiples
+    omega^x * row, x in [0, h), are the antilogs of x plus its logs;
+    they are built when a pass first reads h of them and kept: n bytes
+    each (2n for q > 128), not q-1 per row."""
     r = field.q - 1
     n = basis.shape[1]
     dtype = np.min_scalar_type(2 * r)
-    # antilogs of 0..2r-2, so a sum of two logs needs no reduction mod r
-    exp, log = np.tile(field.exp, 2).astype(dtype), field.log.astype(dtype)
+    # antilogs of 0..2r-1, so a sum of two logs needs no reduction mod r
+    exp = np.tile(field.exp, 2).astype(dtype)
     x = np.arange(r, dtype=dtype)[:, None]
     multiples = {}  # row -> its first multiples, as many as were read
     choices, below = _orbit_tree(gens, r)
@@ -450,7 +460,7 @@ def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
                 parent_words = src[np.arange(ends[-1]) + np.repeat(
                     np.array(starts) - ends + runs, runs)]
             if len(multiples.get(c, ())) < h:
-                multiples[c] = exp[x[:h] + log[basis[c]]]
+                multiples[c] = exp[x[:h] + basis[c]]
             lo = first[run[0]]
             words = out[lo:lo + h * sum(runs)].reshape(-1, h, n)
             words[...] = parent_words[:, None]
@@ -481,7 +491,8 @@ def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
 
 
 def _min_weight(basis: np.ndarray, gens: np.ndarray, field: Field) -> int:
-    """Least Hamming weight of a nonzero codeword of the row space.
+    """Least Hamming weight of a nonzero codeword of the row space of
+    the rows whose logs are basis.
 
     The rows are characters of X*, so G = F_q^* x X* acts on messages:
     translating a codeword by g in X* permutes its coordinates and
@@ -508,24 +519,24 @@ def code_params(X: ToricSet, d: int,
     equal monomial characters give equal rows and distinct characters
     are linearly independent (Artin), so the distinct rows are a basis
     of the code and their number is its dimension: no row reduction.
-    Rows are told apart by their bytes, which costs the same for any
-    row length, and kept in matrix order; the distance does not depend
-    on their order.  The exact distance is searched when q^dimension
-    fits dist_budget."""
+    Rows are told apart by the bytes of their logs (exp is a bijection,
+    so equal logs are equal values), which costs the same for any row
+    length, and kept in matrix order; the distance does not depend on
+    their order.  The exact distance is searched when q^dimension fits
+    dist_budget."""
+    q = X.field.q
     M = build_evaluation_matrix(X, d, max_entries)
-    entries = np.ascontiguousarray(M.entries)
-    row_bytes = entries.view(np.dtype((np.void, entries[0].nbytes)))
+    row_bytes = M.logs.view(np.dtype((np.void, M.logs[0].nbytes)))
     _, first = np.unique(row_bytes.ravel(), return_index=True)
     kept = np.sort(first)
-    basis = entries[kept]
-    dim = len(basis)
+    dim = len(kept)
     n = len(X)
-    if X.field.q ** dim > dist_budget:
-        return CodeParams(X.field.q, d, n, dim, None, (1, n - dim + 1), None)
+    if q ** dim > dist_budget:
+        return CodeParams(q, d, n, dim, None, (1, n - dim + 1), None)
     monomials = np.array(M.monomials, dtype=np.int64)[kept]
-    gens = _orbit_generators(X.spec, monomials, X.field.q)
-    dist = _min_weight(basis, gens, X.field)
-    return CodeParams(X.field.q, d, n, dim, dist, None, n - dim + 1 - dist)
+    gens = _orbit_generators(X.spec, monomials, q)
+    dist = _min_weight(M.logs[kept], gens, X.field)
+    return CodeParams(q, d, n, dim, dist, None, n - dim + 1 - dist)
 
 
 def singleton_check(params: CodeParams) -> bool:

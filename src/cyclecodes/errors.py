@@ -14,10 +14,6 @@ class UnsupportedField(CycleCodesError):
     """Requested field cardinality is not a supported prime power."""
 
 
-class DivisionByZero(CycleCodesError):
-    """Multiplicative inverse of zero requested."""
-
-
 class DimensionMismatch(CycleCodesError):
     """Operands disagree on variable count."""
 

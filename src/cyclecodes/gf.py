@@ -11,28 +11,26 @@ rest of the package needs:
   polynomial.
 
 This module alone knows the kind: ``Field(q)`` returns the subclass for
-q's kind, which defines the kind's product ``mul`` once.  ``Field``
-derives the rest from it: one square-and-multiply power serves ``inv``
-(a^(q-2)) and the unit group, whose generator is the least element of
-order q-1 (the order test over the prime factors of q-1).  Its powers,
-made on first use, are the antilog table ``Field.exp``, and
-``Field.log`` inverts it (numpy arrays, with which array code
-multiplies units of either kind by adding logs mod q-1).  ``add``,
-``neg`` and ``scale`` also work on int arrays of elements, and
-``iadd`` adds into one in place.
+q's kind, which defines the kind's product ``mul`` of two int elements
+once.  ``Field`` derives the unit group from it: one square-and-multiply
+power finds its generator, the least element of order q-1 (the order
+test over the prime factors of q-1).  Its powers, made on first use,
+are the antilog table ``Field.exp``, and ``Field.log`` inverts it.
+These numpy tables are the whole of the array arithmetic for products:
+array code of either kind multiplies units by adding their logs mod
+q-1.  The one array operation that differs by kind is the sum,
+``iadd``, which adds into an array of elements in place.
 
 Odd prime-power fields (9, 25, 27, ...) are rejected: nothing downstream
 requires them, and supporting them would mean carrying general extension
 field arithmetic for no benefit.
-
-Elements are plain Python ints throughout.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import DivisionByZero, UnsupportedField
+from .errors import UnsupportedField
 
 _PRIME_LIMIT = 1 << 16
 
@@ -67,13 +65,11 @@ def _is_prime(n: int) -> bool:
 class Field:
     """Arithmetic for F_q, q an odd prime or a power of two.
 
-    ``add``, ``neg``, ``mul`` and ``inv`` take elements;
-    ``add`` and ``neg`` also take int arrays of elements, ``iadd(a, b)``
-    adds b to the int array a in place (its dtype must hold the sum of
-    two elements, 2q - 2, which an unsigned dtype does in the fewest
-    bytes) and returns a, and ``scale(c, a)`` multiplies an
-    int64 array a by the element c.  A subclass defines ``mul``;
-    ``inv`` and the unit group come from it.
+    ``mul`` takes two elements; ``iadd(a, b)`` adds the array b to the
+    int array a in place (its dtype must hold the sum of two elements,
+    2q - 2, which an unsigned dtype does in the fewest bytes) and
+    returns a.  A subclass defines both; the unit group and its tables
+    ``exp`` and ``log`` come from ``mul``.
 
     Attributes:
         q: field cardinality.
@@ -110,11 +106,6 @@ class Field:
             a = mul(a, a)
             n >>= 1
         return acc
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
-        return self._power(a, self.q - 2)
 
     @cached_property
     def exp(self) -> np.ndarray:
@@ -169,9 +160,6 @@ class _PrimeField(Field):
         self.q = self.p = q
         self.e = 1
 
-    def add(self, a, b):
-        return (a + b) % self.q
-
     def iadd(self, a, b):
         """a + b mod p into a, without a division: the sum s is below
         2p, and in the unsigned view of a, s - p wraps past s exactly
@@ -183,31 +171,18 @@ class _PrimeField(Field):
         np.minimum(u, u - self.q, out=u)
         return a
 
-    def neg(self, a):
-        return (-a) % self.q
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.q
 
-    def scale(self, c: int, a):
-        return c * a % self.q
-
 
 class _BinaryField(Field):
-    """F_{2^e}: bit-vectors of GF(2)[x] residues; array products go
-    through a q x q table made from the log tables."""
+    """F_{2^e}: bit-vectors of GF(2)[x] residues, added by XOR."""
 
     def __init__(self, q: int):
         self.q, self.p, self.e = q, 2, q.bit_length() - 1
 
-    def add(self, a, b):
-        return a ^ b
-
     def iadd(self, a, b):
         a ^= b
-        return a
-
-    def neg(self, a):
         return a
 
     def mul(self, a: int, b: int) -> int:
@@ -222,17 +197,6 @@ class _BinaryField(Field):
             if a >> e:
                 a ^= mask
         return acc
-
-    @cached_property
-    def _times(self) -> np.ndarray:
-        log = self.log
-        times = self.exp[(log[:, None] + log) % (self.q - 1)]
-        times[0] = 0
-        times[:, 0] = 0
-        return times
-
-    def scale(self, c: int, a):
-        return self._times[c][a]
 
 
 def field_new(q: int) -> Field:

@@ -1,6 +1,13 @@
 """Slow, plainly correct counterparts of the library's routes, kept for
 the tests to compare against.
 
+Field elements are added, negated and inverted by scalar functions
+here; the library's field has only its product, its log tables and an
+array sum.  Ranks come from one row at a time reduced against every
+pivot so far, in the field's addition and multiplication tables; the
+library eliminates one pivot column from all remaining rows at once,
+in logs.
+
 The box counts and the footprint are built degree by degree as dense
 vectors, whose length grows linearly in q; the library reads the same
 counts from Hilbert-series numerators instead.  Points of X* come from
@@ -21,11 +28,12 @@ are two binomials each; the library steps from one to the next by
 their ratio.
 """
 
+import functools
 import itertools
 import json
+import operator
 import re
 from math import comb
-from operator import add, le, sub
 
 import numpy as np
 
@@ -48,10 +56,28 @@ def elements(field) -> list[int]:
     return list(range(field.q))
 
 
+def add(field, a, b):
+    """a + b: XOR in characteristic two, else the sum mod p."""
+    return a ^ b if field.p == 2 else (a + b) % field.q
+
+
+def neg(field, a):
+    """-a: a itself in characteristic two, else p - a mod p."""
+    return a if field.p == 2 else (-a) % field.q
+
+
+def inv(field, a) -> int:
+    """1/a = a^(q-2) by square and multiply under mul alone, so that
+    it checks the log tables without reading them."""
+    if a == 0:
+        raise ZeroDivisionError("0 has no multiplicative inverse")
+    return power(field, a, field.q - 2)
+
+
 def power(field, a, n) -> int:
     """a^n by square and multiply; a^0 = 1 and negative n inverts."""
     if n < 0:
-        return power(field, field.inv(a), -n)
+        return power(field, inv(field, a), -n)
     acc = 1
     while n:
         if n & 1:
@@ -65,6 +91,42 @@ def squares(field) -> list[int]:
     """The subgroup {a^2 : a nonzero}, sorted: (q-1)/2 elements for odd
     q, all q-1 units in characteristic two."""
     return sorted({field.mul(a, a) for a in range(1, field.q)})
+
+
+@functools.cache
+def field_tables(q):
+    """The addition and multiplication tables of F_q, q x q int64
+    arrays made from the scalar operations."""
+    field = field_new(q)
+    return (np.array([[add(field, a, b) for b in range(q)] for a in range(q)]),
+            np.array([[field.mul(a, b) for b in range(q)] for a in range(q)]))
+
+
+def row_reduce(rows, field):
+    """Incremental row reduction of the rows of values, in the tabled
+    scalar operations: each row is reduced against the basis so far
+    and, when something is left, scaled to lead with 1 and appended.
+    Returns the basis and the rank after each row."""
+    plus, times = field_tables(field.q)
+    basis, pivots, ranks = [], [], []
+    for row in np.asarray(rows, dtype=np.int64):
+        for c, b in zip(pivots, basis):
+            if row[c]:
+                row = plus[row, times[neg(field, int(row[c])), b]]
+        nonzero = np.flatnonzero(row)
+        if nonzero.size:
+            c = int(nonzero[0])
+            basis.append(times[inv(field, int(row[c])), row])
+            pivots.append(c)
+        ranks.append(len(basis))
+    return basis, ranks
+
+
+def rank_by_rows(X, degrees):
+    """H(d) at each d of degrees as the rank of the values of the
+    degree-d evaluation matrix, each by row_reduce; 0 below 0."""
+    return [len(row_reduce(X.field.exp[codes.build_evaluation_matrix(
+        X, d).logs], X.field)[0]) if d >= 0 else 0 for d in degrees]
 
 
 # -- polynomials over a field ------------------------------------------------
@@ -86,11 +148,11 @@ class Polynomial:
             if len(mono) != nvars:
                 raise DimensionMismatch(
                     f"monomial {mono} has {len(mono)} exponents, expected {nvars}")
-            c = field.add(0, coeff)  # mod p; a binary element stays
+            c = add(field, 0, coeff)  # mod p; a binary element stays
             if not 0 <= c < field.q:
                 raise ValueError(
                     f"coefficient {coeff} is not an element of F_{field.q}")
-            c = field.add(merged.get(mono, 0), c)
+            c = add(field, merged.get(mono, 0), c)
             if c:
                 merged[mono] = c
             else:
@@ -108,7 +170,7 @@ class Polynomial:
     @classmethod
     def binomial(cls, field, plus, minus):
         """The difference of two monomials, t^plus - t^minus."""
-        return cls(field, len(plus), [(plus, 1), (minus, field.neg(1))])
+        return cls(field, len(plus), [(plus, 1), (minus, neg(field, 1))])
 
     @property
     def is_zero(self) -> bool:
@@ -132,7 +194,7 @@ class Polynomial:
     def to_text(self) -> str:
         if not self.terms:
             return "0"
-        minus_one = self.field.neg(1)
+        minus_one = neg(self.field, 1)
         parts = []
         for idx, (mono, coeff) in enumerate(self.terms):
             is_const = not any(mono)
@@ -174,17 +236,17 @@ def as_polynomial(b, field):
 
 
 def mono_mul(a, b):
-    return tuple(map(add, a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a, b) -> bool:
     """True if monomial a divides monomial b."""
-    return all(map(le, a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_div(a, b):
     """Quotient a / b; b must divide a."""
-    return tuple(map(sub, a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def mono_lcm(a, b):
@@ -223,9 +285,8 @@ def poly_add(f, g):
 
 
 def poly_sub(f, g):
-    neg = g.field.neg
     return poly_add(f, Polynomial(g.field, g.nvars,
-                                  [(m, neg(c)) for m, c in g.terms]))
+                                  [(m, neg(g.field, c)) for m, c in g.terms]))
 
 
 def poly_mul(f, g):
@@ -236,7 +297,7 @@ def poly_mul(f, g):
     for ma, ca in f.terms:
         for mb, cb in g.terms:
             m = mono_mul(ma, mb)
-            out[m] = field.add(out.get(m, 0), field.mul(ca, cb))
+            out[m] = add(field, out.get(m, 0), field.mul(ca, cb))
     return Polynomial(field, f.nvars, out.items())
 
 
@@ -246,9 +307,9 @@ def s_polynomial(f, g):
     lmf, lcf = leading_term(f)
     lmg, lcg = leading_term(g)
     lcm = mono_lcm(lmf, lmg)
-    inv = f.field.inv
-    a = Polynomial(f.field, f.nvars, [(mono_div(lcm, lmf), inv(lcf))])
-    b = Polynomial(g.field, g.nvars, [(mono_div(lcm, lmg), inv(lcg))])
+    field = f.field
+    a = Polynomial(field, f.nvars, [(mono_div(lcm, lmf), inv(field, lcf))])
+    b = Polynomial(field, g.nvars, [(mono_div(lcm, lmg), inv(field, lcg))])
     return poly_sub(poly_mul(a, f), poly_mul(b, g))
 
 
@@ -266,12 +327,12 @@ def ordered_scan_divide(f, divisors):
             lm, lc = leading_term(g)
             if mono_divides(lm, mono):
                 qm = mono_div(mono, lm)
-                qc = field.mul(coeff, field.inv(lc))
+                qc = field.mul(coeff, inv(field, lc))
                 quot[i].append((qm, qc))
                 for gm, gc in g.terms[1:]:
                     m2 = mono_mul(gm, qm)
-                    c2 = field.add(work.get(m2, 0),
-                                   field.neg(field.mul(gc, qc)))
+                    c2 = add(field, work.get(m2, 0),
+                             neg(field, field.mul(gc, qc)))
                     if c2:
                         work[m2] = c2
                     else:
@@ -290,7 +351,7 @@ def parse_polynomial(text, field, nvars):
     be well formed."""
     terms = []
     for sign, body in re.findall(r"([+-]?)\s*([^+-]+)", text):
-        coeff = field.neg(1) if sign == "-" else 1
+        coeff = neg(field, 1) if sign == "-" else 1
         exps = [0] * nvars
         for factor in body.split("*"):
             name, _, exp = factor.strip().partition("^")
@@ -314,7 +375,7 @@ def evaluate(f, point) -> int:
         for x, e in zip(point, mono):
             if e:
                 v = field.mul(v, power(field, x, e))
-        total = field.add(total, v)
+        total = add(field, total, v)
     return total
 
 

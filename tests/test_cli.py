@@ -375,6 +375,52 @@ def test_code_negative_degree_is_usage_error():
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv, n, dimension", [
+    (["--q", "257", "--spec", "3", "--d", "1"], 8388608, 4),
+    (["--q", "263", "--spec", "3", "--d", "0"], 8992364, 1)])
+def test_code_over_fields_past_256_elements(argv, n, dimension):
+    # the matrix logs are reduced mod q-1 in a dtype that must hold q-1,
+    # which a degree times the largest log does not bound: 255 and 0
+    # fit a byte, 256 and 262 do not
+    r = run_cli("code", *argv, timeout=60)
+    assert r.returncode == 0
+    assert "Traceback" not in r.stderr
+    assert r.stdout.splitlines()[:2] == [f"n = {n}",
+                                         f"dimension = {dimension}"]
+
+
+def _off_by_one(route):
+    """A patch target and its replacement that reads one more than the
+    route does: code_params' n or dimension, the closed-form |X*| or
+    the footprint."""
+    if route == "cardinality_formula":
+        return cli, route, lambda spec, q: cardinality_formula(spec, q) + 1
+    if route == "footprint_at":
+        real = hilbert.footprint_at
+        return hilbert, route, lambda *args: [h + 1 for h in real(*args)]
+    real = codes.code_params
+
+    def params(*args):
+        p = real(*args)
+        return p._replace(**{route: getattr(p, route) + 1})
+    return codes, "code_params", params
+
+
+@pytest.mark.parametrize("route, name", [
+    ("n", "length"), ("cardinality_formula", "length"),
+    ("dimension", "dimension"), ("footprint_at", "dimension")])
+def test_code_exits_1_when_a_second_route_disagrees(monkeypatch, capsys,
+                                                     route, name):
+    # code checks its length against the closed-form |X*| and its
+    # dimension against the footprint, and prints nothing on a mismatch
+    monkeypatch.setattr(*_off_by_one(route))
+    rc = cli.main(["code", "--q", "5", "--spec", "3", "--d", "1"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: code {name} ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["card", "--q", "5", "--spec", "3", "--enum-budget", "-1"],
     ["code", "--q", "5", "--spec", "3", "--d", "1", "--dist-budget", "-5"],

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from cyclecodes import (
     BudgetExceeded,
     CycleFamilySpec,
-    EvaluationMatrix,
     ToricSet,
     build_evaluation_matrix,
     cardinality_formula,
@@ -33,10 +32,14 @@ from cyclecodes import codes
 from cyclecodes.hilbert import count_box_degree
 from cyclecodes.poly import grlex_key
 from oracles import (
+    add,
     character_degrees_by_search,
     coordinates,
+    field_tables,
     point_tuples,
     power,
+    rank_by_rows,
+    row_reduce,
     theta_map,
     toric_set_at,
 )
@@ -44,6 +47,11 @@ from oracles import (
 
 def _X(q, spec_text):
     return enumerate_toric_set(parse_spec_string(spec_text), field_new(q))
+
+
+def _values(M, field):
+    """The entries of an evaluation matrix, the antilogs of its logs."""
+    return field.exp[M.logs]
 
 
 # -- the monomial basis ---------------------------------------------------------
@@ -105,14 +113,12 @@ def test_matrix_rows_are_evaluations():
     pts = coordinates(X).tolist()
     # Row for t_i carries coordinate i of every point; the constant row
     # is all ones.
-    rows = {mono: [int(v) for v in row] for mono, row in zip(M.monomials,
-                                                             M.entries)}
+    rows = dict(zip(M.monomials, _values(M, X.field).tolist()))
     assert rows[(0, 0, 0)] == [1] * len(X)
     assert rows[(1, 0, 0)] == [p[0] for p in pts]
     assert rows[(0, 0, 1)] == [p[2] for p in pts]
     M2 = build_evaluation_matrix(X, 2)
-    rows2 = {mono: [int(v) for v in row] for mono, row in zip(M2.monomials,
-                                                              M2.entries)}
+    rows2 = dict(zip(M2.monomials, _values(M2, X.field).tolist()))
     assert rows2[(1, 1, 0)] == [X.field.mul(p[0], p[1]) for p in pts]
 
 
@@ -120,8 +126,8 @@ def test_matrix_rows_generic_binary_field():
     X = _X(4, "3")
     M = build_evaluation_matrix(X, 2)
     pts = coordinates(X).tolist()
-    rows = dict(zip(M.monomials, M.entries))
     f = X.field
+    rows = dict(zip(M.monomials, _values(M, f)))
     assert list(rows[(2, 0, 0)]) == [f.mul(p[0], p[0]) for p in pts]
 
 
@@ -174,7 +180,7 @@ def test_matrix_matches_entry_by_entry_evaluation(instance, seed):
             columns = sorted(rng.sample(
                 columns, _MATRIX_CHECK_CAP // len(M.monomials)))
         sub = ToricSet(X.spec, X.field, X.logs[columns])
-        assert M.entries[:, columns].tolist() \
+        assert _values(M, X.field)[:, columns].tolist() \
             == _entry_by_entry(sub, M.monomials)
 
 
@@ -199,7 +205,7 @@ def test_matrix_columns_are_the_values_at_the_antilogs_of_the_logs(
     # column j holds the values at the antilogs of row j of X.logs
     columns = sorted(random.Random(seed).sample(
         range(len(X)), min(len(X), _MATRIX_CHECK_CAP // len(M.monomials))))
-    assert M.entries[:, columns].tolist() == _entry_by_entry(
+    assert _values(M, X.field)[:, columns].tolist() == _entry_by_entry(
         ToricSet(spec, X.field, X.logs[columns]), M.monomials)
     # at the sorted coordinates the matrix is the same, its columns
     # permuted by the order that sorts them
@@ -207,7 +213,7 @@ def test_matrix_columns_are_the_values_at_the_antilogs_of_the_logs(
     order = np.lexsort(points.T[::-1])
     S = build_evaluation_matrix(toric_set_at(spec, X.field, points[order]), d)
     assert S.monomials == M.monomials
-    assert np.array_equal(S.entries, M.entries[:, order])
+    assert np.array_equal(S.logs, M.logs[:, order])
 
 
 @pytest.mark.parametrize("d", [23, 24])
@@ -218,7 +224,26 @@ def test_matrix_products_at_the_edge_of_their_dtype(d):
     X = _X(13, "3")
     M = build_evaluation_matrix(X, d)
     wide = np.array(M.monomials, dtype=np.int64) @ X.logs.T.astype(np.int64)
-    assert np.array_equal(M.entries, X.field.exp[wide % 12])
+    assert M.logs.dtype == np.uint8
+    assert np.array_equal(M.logs, wide % 12)
+
+
+@pytest.mark.parametrize("q, d", [(257, 1), (263, 0), (257, 2), (65521, 1)])
+def test_matrix_reduces_in_a_dtype_that_holds_q_minus_one(q, d):
+    # over F_257 at d = 1 the products reach 255 and over F_263 at d = 0
+    # they are 0, so the degree alone would pick uint8, which does not
+    # hold q-1, the modulus; the logs come back in the dtype of q-2
+    field = field_new(q)
+    rng = random.Random(q)
+    logs = np.array([[q - 2, q - 2, 0], [1, q - 3, 5]]
+                    + [[rng.randrange(q - 1) for _ in range(3)]
+                       for _ in range(20)])
+    X = ToricSet(parse_spec_string("3"), field,
+                 logs.astype(np.min_scalar_type(q - 2)))
+    M = build_evaluation_matrix(X, d)
+    assert M.logs.dtype == np.min_scalar_type(q - 2)
+    assert M.logs.tolist() == (np.array(M.monomials) @ logs.T
+                               % (q - 1)).tolist()
 
 
 @pytest.mark.parametrize("q, spec_text, d", [
@@ -228,7 +253,7 @@ def test_matrix_entries_with_exponents_beyond_the_unit_order(q, spec_text, d):
     # t^(a mod q-1), so every uncapped row is a row of the capped matrix.
     X = _X(q, spec_text)
     M = build_evaluation_matrix(X, d)
-    rows = dict(zip(M.monomials, M.entries.tolist()))
+    rows = dict(zip(M.monomials, _values(M, X.field).tolist()))
     loose = _uncapped_basis(X.nvars, d)
     assert max(map(max, loose)) == d
     for mono, row in zip(loose, _entry_by_entry(X, loose)):
@@ -243,22 +268,24 @@ def test_matrix_budget():
 # -- rank as a Hilbert-function oracle ------------------------------------------------
 
 
-def _rank(M):
-    """Rank of an evaluation matrix by the package's row reduction."""
-    return len(codes._row_reduce(M.entries, M.field)[0])
+def _rank(M, field):
+    """Rank of an evaluation matrix by the reference row reduction."""
+    return len(row_reduce(_values(M, field), field)[0])
 
 
 def _uncapped_rank(X, d):
     """Rank of the degree-d evaluation matrix with exponents not capped
     at q-2, evaluated entry by entry."""
     rows = np.array(_entry_by_entry(X, _uncapped_basis(X.nvars, d)))
-    return len(codes._row_reduce(rows, X.field)[0])
+    return len(row_reduce(rows, X.field)[0])
 
 
 def test_rank_fixtures():
-    assert _rank(build_evaluation_matrix(_X(5, "5"), 2)) == 21
-    assert _rank(build_evaluation_matrix(_X(5, "5"), 9)) == 512
-    assert _rank(build_evaluation_matrix(_X(5, "3"), 2)) == 10
+    f = field_new(5)
+    assert _rank(build_evaluation_matrix(_X(5, "5"), 2), f) == 21
+    assert _rank(build_evaluation_matrix(_X(5, "5"), 9), f) == 512
+    assert _rank(build_evaluation_matrix(_X(5, "3"), 2), f) == 10
+    assert rank_at(_X(5, "5"), [2, 9]) == [21, 512]
 
 
 def test_code_dimension_matches_footprint():
@@ -268,7 +295,7 @@ def test_code_dimension_matches_footprint():
         spec = parse_spec_string(spec_text)
         for d in range(dmax + 1):
             assert rank_at(X, [d]) == footprint_at(spec, q, [d])
-            assert rank_at(X, [d]) == [_rank(build_evaluation_matrix(X, d))]
+            assert rank_at(X, [d]) == rank_by_rows(X, [d])
 
 
 def test_rank_table_matches_per_degree_ranks():
@@ -301,19 +328,41 @@ def test_exponent_cap_does_not_change_rank():
     # Allowing exponents above q-2 only adds linearly dependent rows.
     X = _X(5, "3")
     for d in (4, 6):
-        capped = _rank(build_evaluation_matrix(X, d))
-        assert capped == _uncapped_rank(X, d)
+        capped = _rank(build_evaluation_matrix(X, d), X.field)
+        assert capped == _uncapped_rank(X, d) == rank_at(X, [d])[0]
 
 
 def test_rank_invariant_under_column_permutation():
     X = _X(5, "3")
-    M = build_evaluation_matrix(X, 2)
     rng = random.Random(61)
     perm = list(range(len(X)))
     rng.shuffle(perm)
-    entries = M.entries[:, perm]
-    shuffled = EvaluationMatrix(M.field, M.monomials, entries)
-    assert _rank(shuffled) == _rank(M)
+    shuffled = ToricSet(X.spec, X.field, X.logs[perm])
+    assert rank_at(shuffled, range(7)) == rank_at(X, range(7))
+
+
+# Per q, every spec of one or two families of 3- or 5-cycles, one or two
+# copies each, where |X*| is at most 4,000.
+_RANK_SPECS = {
+    q: [spec for n in (1, 2) for spec in map(
+        CycleFamilySpec, itertools.product(
+            itertools.product((3, 5), (1, 2)), repeat=n))
+        if cardinality_formula(spec, q) <= 4000]
+    for q in (2, 3, 4, 5, 7, 8, 11, 16)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(q=st.sampled_from(sorted(_RANK_SPECS)), data=st.data(),
+       degrees=st.lists(st.integers(-1, 11), max_size=4))
+def test_rank_at_matches_the_row_by_row_reduction(q, data, degrees):
+    # one elimination per pivot against one row at a time reduced in the
+    # field's tables, on prime and binary fields; degrees past what the
+    # reference reduces in reasonable time are lowered to it
+    spec = data.draw(st.sampled_from(_RANK_SPECS[q]))
+    top = _rank_dmax(spec, q, 11)
+    degrees = [min(d, top) for d in degrees]
+    X = enumerate_toric_set(spec, field_new(q))
+    assert rank_at(X, degrees) == rank_by_rows(X, degrees)
 
 
 # -- distinct characters -------------------------------------------------------------
@@ -465,7 +514,7 @@ def test_min_distance_weight_vs_direct_search():
     M = build_evaluation_matrix(X, 1)
     import itertools
 
-    rows = [[int(v) for v in row] for row in M.entries]
+    rows = _values(M, f).tolist()
     best = None
     for msg in itertools.product(range(3), repeat=len(rows)):
         if not any(msg):
@@ -473,7 +522,7 @@ def test_min_distance_weight_vs_direct_search():
         word = [0] * len(X)
         for c, row in zip(msg, rows):
             if c:
-                word = [f.add(w, f.mul(c, r)) for w, r in zip(word, row)]
+                word = [add(f, w, f.mul(c, r)) for w, r in zip(word, row)]
         w = sum(1 for v in word if v)
         best = w if best is None else min(best, w)
     assert code_params(X, 1).min_distance == best
@@ -524,26 +573,17 @@ def test_full_space_code_has_distance_one():
 # -- the distance search against brute force ------------------------------------------
 
 
-def _field_tables(field):
-    """The field's addition and multiplication tabled from its scalar
-    operations."""
-    q = field.q
-    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
-    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
-    return add, mul
-
-
 def _brute_force_distance(basis, field):
     """Least weight over every nonzero message times an elimination
     basis, in the field's tabled arithmetic."""
     q = field.q
-    add, mul = _field_tables(field)
+    plus, times = field_tables(q)
     rows = np.asarray(basis, dtype=np.int64)
     messages = np.array(
         list(itertools.product(range(q), repeat=len(rows)))[1:])
     words = np.zeros((len(messages), rows.shape[1]), dtype=np.int64)
     for coeffs, row in zip(messages.T, rows):
-        words = add[words, mul[coeffs[:, None], row]]
+        words = plus[words, times[coeffs[:, None], row]]
     return int(np.count_nonzero(words, axis=1).min())
 
 
@@ -558,7 +598,7 @@ _DISTANCE_INSTANCES = [
 
 def _check_distance(X, d):
     M = build_evaluation_matrix(X, d)
-    basis, _ = codes._row_reduce(M.entries, X.field)
+    basis, _ = row_reduce(_values(M, X.field), X.field)
     dim = len(basis)
     p = code_params(X, d)
     assert p.dimension == dim
@@ -604,21 +644,21 @@ def _cached_X(q, spec_text):
 
 
 def _distinct_rows(X, d):
-    """The distinct rows of the degree-d evaluation matrix, first
-    occurrences in matrix order, with their monomials."""
+    """The logs of the distinct rows of the degree-d evaluation matrix,
+    first occurrences in matrix order, with their monomials."""
     M = build_evaluation_matrix(X, d)
-    _, first = np.unique(M.entries, axis=0, return_index=True)
+    _, first = np.unique(M.logs, axis=0, return_index=True)
     kept = np.sort(first)
-    return M.entries[kept], np.array(M.monomials, dtype=np.int64)[kept]
+    return M.logs[kept], np.array(M.monomials, dtype=np.int64)[kept]
 
 
 def _weight(field, coeffs, rows):
     """Hamming weight of sum_a coeffs[a] * rows[a], in the field's
     tabled arithmetic."""
-    add, mul = _field_tables(field)
+    plus, times = field_tables(field.q)
     word = np.zeros(rows.shape[1], dtype=np.int64)
     for c, row in zip(coeffs, rows):
-        word = add[word, mul[c, row]]
+        word = plus[word, times[c, row]]
     return int(np.count_nonzero(word))
 
 
@@ -639,7 +679,8 @@ def test_weight_is_constant_on_orbits_of_scalars_and_translations(
     q, spec_text = instance
     X = _cached_X(q, spec_text)
     field, r = X.field, q - 1
-    basis, monomials = _distinct_rows(X, d)
+    logs, monomials = _distinct_rows(X, d)
+    basis = field.exp[logs]
     gens = codes._orbit_generators(X.spec, monomials, q)
     ints = st.integers(0, r - 1)
     message = data.draw(st.lists(st.integers(0, q - 1), min_size=len(basis),
@@ -647,10 +688,10 @@ def test_weight_is_constant_on_orbits_of_scalars_and_translations(
     s = data.draw(st.lists(ints, min_size=X.nvars, max_size=X.nvars))
     lam = int(field.exp[data.draw(ints)])
     g = theta_map(X.spec, field, [int(field.exp[v]) for v in s])
-    chi = basis[:, point_tuples(X).index(g)]
-    assert not np.any((field.log[chi] - np.array(s) @ gens[1:]) % r)
+    column = point_tuples(X).index(g)
+    assert not np.any((logs[:, column] - np.array(s) @ gens[1:]) % r)
     moved = [field.mul(lam, field.mul(int(c), m))
-             for c, m in zip(chi, message)]
+             for c, m in zip(basis[:, column], message)]
     assert _weight(field, moved, basis) == _weight(field, message, basis)
 
 
@@ -707,7 +748,7 @@ def test_orbit_walk_visits_one_message_per_orbit(q, spec_text):
     for v in range(X.nvars):
         g = theta_map(X.spec, field,
                       [int(field.exp[int(u == v)]) for u in range(X.nvars)])
-        columns.append(field.log[basis[:, point_tuples(X).index(g)]])
+        columns.append(basis[:, point_tuples(X).index(g)])
     group = np.array([[1] * dim] + columns, dtype=np.int64) % r
     orbits = 0
     for size in range(1, dim + 1):
