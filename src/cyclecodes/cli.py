@@ -12,10 +12,12 @@ and the error on stderr and main returns 2, and -h or --help prints
 help made from the same table.  Every command but selftest
 has --q checked (gf.field_new) and then --spec parsed once, in _run,
 before its own budgets; the counting commands then take q alone.  The
-hilbert and enumerate formats share one row loop, which writes a
-report a few thousand rows at a time; their json, and card's, is the
+hilbert, enumerate and ideal formats share one row loop, which writes
+a report a few thousand rows at a time; their json, and card's, is the
 json.dumps(..., indent=2) layout, written directly, and card writes
-its counts through errors.decimal_text.  code checks the length and
+its counts through errors.decimal_text.  ideal builds one cycle per
+length before it returns, then shifts each copy's lines as they are
+written.  code checks the length and
 dimension it prints against the closed-form |X*| and the footprint;
 a mismatch is a failed check.  Only enumerate, card, code,
 selftest and hilbert --with-rank import numpy; the counting commands
@@ -65,13 +67,13 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-# The commands reach ideal and poly through these two names, which load
-# the module at the call: importing cli loads neither.  A caller that
-# wraps the layers, as perfbench/tracing.py does, replaces these names.
-def build_generators(spec: CycleFamilySpec, q: int):
+# groebner-check and selftest reach ideal and poly through these names,
+# each loading its module at the call, so importing cli loads neither;
+# perfbench/tracing.py wraps the layers by replacing them.
+def build_generators(k: int, q: int):
     from . import ideal
 
-    return ideal.build_generators(spec, q)
+    return ideal.build_generators(k, q)
 
 
 def buchberger_is_groebner(gens) -> bool:
@@ -159,17 +161,16 @@ def _cmd_card(args, field, spec) -> tuple[str, bool]:
                            str(agree).lower(), q=args.q, spec=spec), agree
 
 
-def _cmd_ideal(args, field, spec) -> tuple[str, bool]:
-    from .ideal import check_build_budget
+def _cmd_ideal(args, field, spec) -> tuple[Iterator[str], bool]:
+    from .ideal import generator_lines
 
-    check_build_budget(spec, args.q, DEFAULT_ENUM_BUDGET)
-    lines = [g.to_text(args.q) for g in build_generators(spec, args.q)]
-    if args.format == "json":
-        out = _json({"q": args.q, "spec": spec.to_string(),
-                     "generators": lines})
-    else:
-        out = "\n".join(lines)
-    return out, True
+    head, row, sep, foot = {
+        "plain": ("", "{}", "\n", ""),
+        "json": (f'{{\n  "q": {args.q},\n  "spec": "{spec}",\n'
+                 '  "generators": [\n', '    "{}"', ",\n", "\n  ]\n}"),
+    }[args.format]
+    lines = map(row.format, generator_lines(spec, args.q))
+    return _chunks(head, lines, sep, foot), True
 
 
 def _cmd_groebner(args, field, spec) -> tuple[str, bool]:
@@ -177,8 +178,8 @@ def _cmd_groebner(args, field, spec) -> tuple[str, bool]:
 
     check_groebner_budget(spec, args.q, args.enum_budget)
     # one cycle per distinct length decides, see the ``ideal`` docstring
-    ok = all(buchberger_is_groebner(build_generators(
-        CycleFamilySpec.single(k), args.q)) for k in spec.lengths)
+    ok = all(buchberger_is_groebner(build_generators(k, args.q))
+             for k in spec.lengths)
     if args.format == "json":
         out = _json({"q": args.q, "spec": spec.to_string(), "groebner": ok})
     else:
@@ -343,7 +344,7 @@ def _cmd_selftest() -> tuple[str, bool]:
     check("regularity brute force",
           hilbert.regularity_bruteforce(spec, 5), 9)
     check("betas", hilbert.solve_betas(5, 5).betas, (6, -15, 10))
-    gens = build_generators(spec, 5)
+    gens = build_generators(5, 5)
     check("generator count", len(gens), 15)
     check("groebner basis check", buchberger_is_groebner(gens), True)
     passed = sum(1 for line in lines if line.startswith("PASS"))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterator
 from math import prod
 
 from .errors import (
@@ -87,15 +88,14 @@ class CycleFamilySpec:
         """The distinct cycle lengths, in order of first appearance."""
         return tuple(dict.fromkeys(k for k, _ in self.components))
 
-    def blocks(self) -> list[tuple[int, int]]:
-        """(k, offset) for every cycle copy, in layout order."""
-        out = []
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """(k, offset) for every cycle copy, in layout order, one copy at
+        a time: no list of the copies is held."""
         off = 0
         for k, m in self.components:
             for _ in range(m):
-                out.append((k, off))
+                yield k, off
                 off += k
-        return out
 
     def edges(self) -> list[tuple[int, int]]:
         """Global edge list in the pinned order."""

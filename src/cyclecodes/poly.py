@@ -49,9 +49,9 @@ def grlex_key(m: Monomial):
     return (sum(m), m)
 
 
-def _mono_text(mono: Monomial) -> str:
-    names = [f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}"
-             for i, e in enumerate(mono) if e]
+def _mono_text(mono: Monomial, offset: int) -> str:
+    names = [f"t{i}" if e == 1 else f"t{i}^{e}"
+             for i, e in enumerate(mono, offset + 1) if e]
     return "*".join(names) or "1"
 
 
@@ -73,11 +73,11 @@ class Binomial(namedtuple("Binomial", "lead tail")):
                 f"leading monomial {lead} is not above {tail} in grlex")
         return super().__new__(cls, lead, tail)
 
-    def to_text(self, q: int) -> str:
+    def to_text(self, q: int, offset: int = 0) -> str:
         """The text form over F_q: ``lead - tail``, or ``lead + tail``
-        for even q."""
-        sign = "+" if q % 2 == 0 else "-"
-        return f"{_mono_text(self.lead)} {sign} {_mono_text(self.tail)}"
+        for even q, with each variable ti written t(i + offset)."""
+        lead, tail = (_mono_text(m, offset) for m in self)
+        return f"{lead} {'+' if q % 2 == 0 else '-'} {tail}"
 
 
 # -- packed monomials -----------------------------------------------------

@@ -25,7 +25,9 @@ degree; the library enumerates the exponent box once instead.  A
 Hilbert numerator is multiplied out one copy at a time; the library
 raises each factor to its power by one recurrence.  The union weights
 are two binomials each; the library steps from one to the next by
-their ratio.
+their ratio.  The generator set of a union is held whole, every
+binomial over all the variables; the library builds one cycle per
+length and writes each copy by shifting the variable indices.
 """
 
 import functools
@@ -38,8 +40,10 @@ from math import comb
 import numpy as np
 
 from cyclecodes import (
+    Binomial,
     DimensionMismatch,
     ToricSet,
+    build_generators,
     codes,
     field_new,
     gamma_of,
@@ -408,6 +412,23 @@ def point_tuples(X) -> list[tuple[int, ...]]:
 def vanishing_membership(f, X) -> bool:
     """True iff f evaluates to zero at every point of X."""
     return all(evaluate(f, p) == 0 for p in coordinates(X).tolist())
+
+
+def placed_generators(spec, q):
+    """The whole generator set of ``spec`` over F_q as n-wide binomials
+    on its nvars variables: ``build_generators(k, q)`` placed at each
+    block offset, every copy's torus binomials first, then every
+    copy's cycle binomials, copies in block order."""
+    n = spec.nvars
+    torus, cycles = [], []
+    for k, off in spec.blocks():
+        pad = (0,) * (n - off - k)
+        placed = [Binomial((0,) * off + g.lead + pad,
+                           (0,) * off + g.tail + pad)
+                  for g in build_generators(k, q)]
+        torus += placed[:k]
+        cycles += placed[k:]
+    return tuple(torus + cycles)
 
 
 def iter_disjoint_binomials(nvars, q):

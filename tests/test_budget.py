@@ -57,9 +57,9 @@ REFUSALS = [
      [(hilbert, "_tori_sum"), (hilbert, "footprint_at")],
      "union formula of 62 numerator terms at 100001 degrees needs "
      "6200062 cells, budget is 3145728"),
-    ("ideal --q 5 --spec 3x2000",
+    ("ideal --q 5 --spec 3x4000000",
      [(ideal, "build_generators")],
-     "generator build of 12000 generators needs 72000000 exponent "
+     "generator build of 24000000 generators needs 72000000 exponent "
      "cells, budget is 67108864"),
     ("groebner-check --q 4 --spec 9001",
      [(ideal, "build_generators"), (poly, "buchberger_is_groebner")],
@@ -208,7 +208,11 @@ def test_a_refusal_of_a_huge_count_reads_fast():
     ("regularity --q 5 --spec 3x99999999999999999999",
      "closed-form |X*| needs at least 2^499999999999999999995 points, "
      "limit is 2^8388608"),
-], ids=["code", "enumerate", "card", "card-budget", "regularity"])
+    # 6 generators on 3 variables a copy, counted, not built
+    ("ideal --q 5 --spec 3x99999999999999999999",
+     "generator build of 599999999999999999994 generators needs "
+     "1799999999999999999982 exponent cells, budget is 67108864"),
+], ids=["code", "enumerate", "card", "card-budget", "regularity", "ideal"])
 def test_copies_past_any_count_exit_3_at_once(capsys, argv, text):
     start = time.perf_counter()
     assert cli.main(shlex.split(argv)) == 3

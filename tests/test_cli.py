@@ -21,7 +21,7 @@ from cyclecodes import (
     parse_spec_string,
     poly,
 )
-from cyclecodes.errors import decimal_text
+from cyclecodes.errors import CheckFailure, decimal_text
 from oracles import point_tuples
 
 CLI = [sys.executable, "-m", "cyclecodes.cli"]
@@ -487,19 +487,40 @@ def test_ideal_golden():
 
 
 def test_ideal_over_budget_exits_3_before_building(monkeypatch, capsys):
-    # 3x2000 over F_5: 6000 torus and 6000 cycle binomials on 6000
-    # variables; nothing may be built
+    # 3x4000000 over F_5: 4000000 copies of 3 torus and 3 cycle
+    # binomials, each on its copy's 3 variables; nothing may be built
+    build = ideal.build_generators
     monkeypatch.setattr(ideal, "build_generators", None)
-    assert cli.main(["ideal", "--q", "5", "--spec", "3x2000"]) == 3
+    assert cli.main(["ideal", "--q", "5", "--spec", "3x4000000"]) == 3
     assert capsys.readouterr().err == (
-        "error: generator build of 12000 generators needs 72000000 "
+        "error: generator build of 24000000 generators needs 72000000 "
         "exponent cells, budget is 67108864\n")
-    # 3x1000 needs 18000000 cells and is built
+    # 3x1000,5x2 needs 18000 + 2 * 75 cells: one cycle of each length
+    # is built
     built = []
     monkeypatch.setattr(ideal, "build_generators",
-                        lambda spec, q: built.append(spec) or [])
-    assert cli.main(["ideal", "--q", "5", "--spec", "3x1000"]) == 0
-    assert len(built) == 1
+                        lambda k, q: built.append(k) or build(k, q))
+    assert cli.main(["ideal", "--q", "5", "--spec", "3x1000,5x2"]) == 0
+    assert built == [3, 5]
+    assert capsys.readouterr().out.count("\n") == 6000 + 2 * 15
+
+
+@pytest.mark.parametrize("error, code", [(MemoryError, 3),
+                                         (CheckFailure("broken"), 1)])
+def test_ideal_build_errors_exit_before_any_line(monkeypatch, capsys, error,
+                                                 code):
+    # the build runs before the command returns, inside the error
+    # handling, so its failure is an exit code and no traceback
+    def failing(k, q):
+        raise error
+
+    monkeypatch.setattr(ideal, "build_generators", failing)
+    for fmt in ("plain", "json"):
+        argv = ["ideal", "--q", "5", "--spec", "3x2,5", "--format", fmt]
+        assert cli.main(argv) == code
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and out.err.startswith("error: ")
 
 
 def test_groebner_check_passes():

@@ -54,7 +54,9 @@ def test_nvars():
 
 def test_blocks_and_edges_pinned_layout():
     spec = CycleFamilySpec(((3, 2), (5, 1)))
-    assert spec.blocks() == [(3, 0), (3, 3), (5, 6)]
+    assert list(spec.blocks()) == [(3, 0), (3, 3), (5, 6)]
+    # the copies are walked one at a time, never listed
+    assert next(CycleFamilySpec.single(3, 10 ** 20).blocks()) == (3, 0)
     assert spec.edges() == [
         (0, 1), (1, 2), (2, 0),
         (3, 4), (4, 5), (5, 3),

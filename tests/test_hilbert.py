@@ -33,13 +33,13 @@ from cyclecodes import (
 )
 from cyclecodes import hilbert
 from cyclecodes.hilbert import _conv, union_coefficients
-from cyclecodes.ideal import build_generators
 from oracles import (
     count_box_by_degree,
     cumulative,
     footprint_by_degree,
     mono_divides,
     numerator_by_copies,
+    placed_generators,
     prefix_at,
     regularity_by_scan,
     squares,
@@ -197,7 +197,7 @@ def test_footprint_negative_degree():
 def hilbert_footprint_slow(spec, q, d):
     """Lattice-walk oracle: enumerate every monomial of degree <= d and
     test divisibility against each leading term.  Tiny instances only."""
-    leads = [g.lead for g in build_generators(spec, q)]
+    leads = [g.lead for g in placed_generators(spec, q)]
     count = 0
     for mono in itertools.product(range(d + 1), repeat=spec.nvars):
         if sum(mono) > d:

@@ -1,5 +1,7 @@
 """Tests for the binomial generator sets of the vanishing ideal."""
 
+import json
+
 import pytest
 
 from cyclecodes import (
@@ -15,13 +17,18 @@ from cyclecodes import (
 )
 from cyclecodes import cli, poly
 from cyclecodes.cyclegraph import DEFAULT_ENUM_BUDGET
-from cyclecodes.ideal import check_groebner_budget, generator_count
+from cyclecodes.ideal import (
+    check_build_budget,
+    check_groebner_budget,
+    generator_count,
+)
 from oracles import (
     Polynomial,
     as_polynomial,
     constant,
     iter_disjoint_binomials,
     parse_polynomial,
+    placed_generators,
     vanishing_membership,
     zero,
 )
@@ -45,7 +52,7 @@ def _cycle_binomial(g, half):
 
 def test_generator_count_flagship():
     # 5 torus relations, then C(5,2) = 10 cycle binomials.
-    gens = build_generators(CycleFamilySpec.single(5), 5)
+    gens = build_generators(5, 5)
     assert type(gens) is tuple
     assert len(gens) == 15
     assert gens[:5] == _torus(5, 5)
@@ -54,26 +61,25 @@ def test_generator_count_flagship():
 
 def test_generator_count_torus_field():
     # q - 1 odd: no cycle part at all.
-    gens = build_generators(CycleFamilySpec.single(3), 4)
+    gens = build_generators(3, 4)
     assert gens == _torus(4, 3)
     assert len(gens) == 3
 
 
-def test_generator_count_two_copies():
-    gens = build_generators(CycleFamilySpec.single(3, 2), 5)
-    # 6 torus + C(3,1) = 3 per copy, the copies in block order.
-    assert gens[:6] == _torus(5, 6)
-    assert all(_cycle_binomial(g, 2) for g in gens[6:])
-    assert not any(any(m[3:]) for g in gens[6:9] for m in g)
-    assert not any(any(m[:3]) for g in gens[9:] for m in g)
-    assert len(gens) == 12
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_build_generators_refuses_a_length_of_no_odd_cycle(k):
+    with pytest.raises(ValueError, match=f"odd and >= 3, got {k}"):
+        build_generators(k, 5)
 
 
 @pytest.mark.parametrize("spec_text", ["3", "5", "7", "3x2", "5,3", "3,5x2"])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
 def test_generator_count_without_building(spec_text, q):
     spec = parse_spec_string(spec_text)
-    assert generator_count(spec, q) == len(build_generators(spec, q))
+    for k in spec.lengths:
+        assert generator_count(k, q) == len(build_generators(k, q))
+    assert sum(m * generator_count(k, q) for k, m in spec.components) \
+        == len(placed_generators(spec, q))
 
 
 def test_groebner_budget_counts_lead_tests():
@@ -148,8 +154,7 @@ def test_budget_counts_the_components_the_check_runs(monkeypatch, capsys,
     assert cli.main(["groebner-check", "--q", str(q),
                      "--spec", spec_text]) == 0
     assert capsys.readouterr().out == "groebner basis check: pass\n"
-    assert checked == [build_generators(CycleFamilySpec.single(k), q)
-                       for k in spec.lengths]
+    assert checked == [build_generators(k, q) for k in spec.lengths]
     sizes = [len(gens) for gens in checked]
     cells = sum(g * len(gens[0].lead) for g, gens in zip(sizes, checked))
     tests = 0 if q % 2 == 0 else sum(g * (g * (g - 1) // 2) for g in sizes)
@@ -159,38 +164,46 @@ def test_budget_counts_the_components_the_check_runs(monkeypatch, capsys,
         check_groebner_budget(spec, q, need - 1)
 
 
-def _placed(g, off, nvars):
-    """g, a binomial of one cycle, moved to the variables off..off+k-1
-    of nvars."""
-    pad = (0,) * (nvars - off - len(g.lead))
-    return Binomial((0,) * off + g.lead + pad, (0,) * off + g.tail + pad)
-
-
 @pytest.mark.parametrize("spec_text", ["3x2", "3x2,5", "5,3,5", "7x3",
-                                       "3,5x2,3"])
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+                                       "3,5x2,3", "5,3x4,7"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 65521])
 def test_generators_are_the_single_cycle_lists_at_the_block_offsets(
-        spec_text, q):
-    # the check of one cycle per length stands for the whole set
-    # because the whole set is made of exactly those lists
-    spec = parse_spec_string(spec_text)
-    gens = build_generators(spec, q)
-    torus, cycles = [], []
-    for k, off in spec.blocks():
-        one = build_generators(CycleFamilySpec.single(k), q)
-        torus += [_placed(g, off, spec.nvars) for g in one[:k]]
-        cycles += [_placed(g, off, spec.nvars) for g in one[k:]]
-    assert gens == tuple(torus + cycles)
+        capsys, spec_text, q):
+    # ideal writes each copy from one cycle's list by shifting its
+    # variables; the oracle places the same lists, n wide, at the block
+    # offsets, and both texts must match byte for byte
+    lines = [g.to_text(q) for g in placed_generators(
+        parse_spec_string(spec_text), q)]
+    argv = ["ideal", "--q", str(q), "--spec", spec_text]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+    assert cli.main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr() == (json.dumps(
+        {"q": q, "spec": spec_text, "generators": lines}, indent=2) + "\n",
+        "")
+
+
+def test_the_build_budget_counts_each_copy_on_its_own_variables():
+    # 3x4000000 over F_5: 6 generators on 3 variables a copy; 3,5 over
+    # F_4: 3 and 5 torus binomials on 3 and 5 variables
+    check_build_budget([(3, 4000000)], 5, 72000000)
+    with pytest.raises(BudgetExceeded,
+                       match="^generator build of 24000000 generators needs "
+                             "72000000 exponent cells, budget is 71999999$"):
+        check_build_budget([(3, 4000000)], 5, 72000000 - 1)
+    check_build_budget([(3, 1), (5, 1)], 4, 34)
+    with pytest.raises(BudgetExceeded, match="of 8 generators needs 34 "):
+        check_build_budget([(3, 1), (5, 1)], 4, 33)
 
 
 def test_torus_generator_shape():
-    gens = build_generators(CycleFamilySpec.single(3), 5)
+    gens = build_generators(3, 5)
     assert gens[0] == Binomial((4, 0, 0), (0, 0, 0))
     assert gens[2] == Binomial((0, 0, 4), (0, 0, 0))
 
 
 def test_cycle_generator_shape():
-    gens = build_generators(CycleFamilySpec.single(3), 5)
+    gens = build_generators(3, 5)
     texts = sorted(g.to_text(5) for g in gens[3:])
     assert texts == [
         "t1^2*t2^2 - t3^2",
@@ -201,7 +214,7 @@ def test_cycle_generator_shape():
 
 def test_cycle_generators_supports_disjoint_and_leading_longer():
     for q, k in ((5, 5), (7, 3), (13, 3)):
-        gens = build_generators(CycleFamilySpec.single(k), q)
+        gens = build_generators(k, q)
         gamma = gamma_of(k)
         half = (q - 1) // 2
         for g in gens[k:]:
@@ -211,14 +224,6 @@ def test_cycle_generators_supports_disjoint_and_leading_longer():
             assert sum(g.tail) == gamma * half
 
 
-def test_second_block_generators_use_second_block_vars():
-    gens = build_generators(CycleFamilySpec.single(3, 2), 5)
-    for g in gens[9:]:  # after 6 torus and 3 first-copy binomials
-        for mono in g:
-            assert all(e == 0 for e in mono[:3])
-            assert any(e for e in mono[3:])
-
-
 # -- vanishing -------------------------------------------------------------------
 
 
@@ -226,7 +231,7 @@ def test_generators_vanish_on_point_set():
     for q, spec_text in ((5, "3"), (5, "5"), (3, "3"), (7, "3"), (5, "3x2")):
         field = field_new(q)
         spec = parse_spec_string(spec_text)
-        gens = build_generators(spec, q)
+        gens = placed_generators(spec, q)
         X = enumerate_toric_set(spec, field)
         assert all(vanishing_membership(as_polynomial(g, field), X)
                    for g in gens)
@@ -235,7 +240,7 @@ def test_generators_vanish_on_point_set():
 def test_perturbed_generator_does_not_vanish():
     field = field_new(5)
     spec = CycleFamilySpec.single(5)
-    gens = build_generators(spec, 5)
+    gens = build_generators(5, 5)
     X = enumerate_toric_set(spec, field)
     g = gens[5]  # the first cycle binomial, after 5 torus binomials
     bumped = list(g.lead)
@@ -247,7 +252,7 @@ def test_perturbed_generator_does_not_vanish():
 def test_torus_part_vanishes_on_any_unit_tuples():
     field = field_new(7)
     spec = CycleFamilySpec.single(3)
-    gens = build_generators(spec, 7)
+    gens = build_generators(3, 7)
     X = enumerate_toric_set(spec, field)
     for g in gens[:3]:
         assert vanishing_membership(as_polynomial(g, field), X)
@@ -264,7 +269,7 @@ def test_vanishing_membership_basics():
 
 
 def test_groebner_property_small():
-    gens = build_generators(CycleFamilySpec.single(3), 5)
+    gens = build_generators(3, 5)
     assert buchberger_is_groebner(gens)
 
 

@@ -38,6 +38,7 @@ from oracles import (
     neg,
     ordered_scan_divide,
     parse_polynomial,
+    placed_generators,
     poly_add,
     poly_mul,
     poly_sub,
@@ -467,7 +468,7 @@ def _generator_sets(draw):
     q = draw(st.sampled_from(_QS))
     if draw(st.booleans()):
         spec = parse_spec_string(draw(st.sampled_from(["3", "5", "3x2"])))
-        gens = list(build_generators(spec, q))
+        gens = list(placed_generators(spec, q))
         nvars = spec.nvars
         i = draw(st.integers(0, len(gens) - 1))
         if draw(st.booleans()):
@@ -556,7 +557,7 @@ def _copied_sets(draw):
     when they are the set, for the oracle."""
     q = draw(st.sampled_from(_QS))
     if draw(st.booleans()):
-        base = build_generators(parse_spec_string("3"), q)
+        base = build_generators(3, q)
     else:
         base = draw(st.lists(_binomial(draw(st.integers(1, 2)), 2),
                              min_size=1, max_size=3))
@@ -603,7 +604,7 @@ def test_split_check_agrees_with_the_all_pairs_check():
 def test_one_failing_copy_fails_the_split_check():
     # three copies of the basis of 3 over F_5, the last with one cycle
     # binomial dropped: only that copy fails, and the check finds it
-    gens = build_generators(parse_spec_string("3x3"), 5)
+    gens = placed_generators(parse_spec_string("3x3"), 5)
     assert buchberger_is_groebner(gens)
     broken = gens[:-1]
     assert not _all_pairs_is_groebner(broken, F5)
@@ -633,9 +634,9 @@ def _reductions(monkeypatch, gens):
 
 
 def test_chain_criterion_cuts_the_reductions(monkeypatch):
-    # build_generators(7x3) over F_5: 126 generators, 2205 pairs whose
+    # the whole set of 7x3 over F_5: 126 generators, 2205 pairs whose
     # leading monomials share a variable.
-    gens = build_generators(parse_spec_string("7x3"), 5)
+    gens = placed_generators(parse_spec_string("7x3"), 5)
     pairs = sum(not _coprime(a.lead, b.lead)
                 for i, a in enumerate(gens) for b in gens[i + 1:])
     assert pairs == 2205
@@ -646,7 +647,7 @@ def test_chain_criterion_reduces_at_most_672_pairs_on_7x3(monkeypatch):
     # Visiting the pairs by increasing lcm lets the chain criterion use
     # every pair settled so far: 672 of the 2205 pairs are reduced when
     # all three copies are checked, 224 when one copy stands for all.
-    gens = build_generators(parse_spec_string("7x3"), 5)
+    gens = placed_generators(parse_spec_string("7x3"), 5)
     assert 0 < _reductions(monkeypatch, gens) <= 672
 
 
@@ -658,7 +659,7 @@ def test_reduced_pair_counts_do_not_move(monkeypatch, q, spec, reduced):
     # The pairs are visited in (degree, lcm, i, j) order, so the chain
     # criterion skips the same pairs whatever the monomial encoding.
     # Counted on the whole set, every copy included.
-    gens = build_generators(parse_spec_string(spec), q)
+    gens = placed_generators(parse_spec_string(spec), q)
     assert _reductions(monkeypatch, gens) == reduced
 
 
@@ -680,7 +681,7 @@ def test_the_check_and_division_leave_no_reference_cycles():
     # a divisor set, its packed divisors and the remainders are freed
     # by reference counting, so the memo and the pair list go when the
     # check returns
-    gens = build_generators(parse_spec_string("5"), 5)
+    gens = build_generators(5, 5)
     gc.collect()
     gc.disable()
     try:
@@ -705,7 +706,7 @@ def test_the_groebner_check_refuses_a_bad_generator_set(gens, error):
 
 
 def test_groebner_check_over_a_large_prime_indexes_only_the_lead_exponents():
-    gens = build_generators(parse_spec_string("3x2,5"), 65521)
+    gens = placed_generators(parse_spec_string("3x2,5"), 65521)
     assert buchberger_is_groebner(gens)
     dset = DivisorSet(gens)
     for v, (row, masks) in enumerate(zip(dset.exponents, dset.masks)):
@@ -734,7 +735,7 @@ def test_divisor_set_checks_the_divisors_and_the_dividend():
     # monomial fits the set's packing and carries its degree in the
     # degree field
     dset, pairs = _every_s_pair(
-        build_generators(parse_spec_string("3x2"), 5), F5)
+        placed_generators(parse_spec_string("3x2"), 5), F5)
     packing = dset.packing
     for packed, _ in pairs:
         for m in packed:
@@ -787,8 +788,8 @@ def _every_s_pair(gens, field):
 
 def _drawn_and_built_sets(check):
     """Run check on the binomials and field of 200 ``_generator_sets``
-    draws, then on build_generators for 3x2 over F_5 and F_8 and 3x2,5
-    over F_65521."""
+    draws, then on the whole generator sets of 3x2 over F_5 and F_8 and
+    3x2,5 over F_65521."""
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(draw=_generator_sets())
     def drawn(draw):
@@ -796,7 +797,7 @@ def _drawn_and_built_sets(check):
 
     drawn()
     for q, spec in [(5, "3x2"), (8, "3x2"), (65521, "3x2,5")]:
-        check(build_generators(parse_spec_string(spec), q), field_new(q))
+        check(placed_generators(parse_spec_string(spec), q), field_new(q))
 
 
 def test_packed_s_pairs_equal_s_polynomial():
