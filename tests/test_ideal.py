@@ -1,6 +1,7 @@
 """Tests for the binomial generator sets of the vanishing ideal."""
 
 import json
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from cyclecodes.ideal import (
     check_build_budget,
     check_groebner_budget,
     generator_count,
+    generator_lines,
 )
 from oracles import (
     Polynomial,
@@ -50,6 +52,16 @@ def _cycle_binomial(g, half):
     return type(g) is Binomial and {e for m in g for e in m} == {0, half}
 
 
+def _read_binomial(line, n):
+    """The Binomial on n variables that ``ideal`` writes as ``line``."""
+    def mono(text):
+        exps = [0] * n
+        for name, exp in re.findall(r"t(\d+)(?:\^(\d+))?", text):
+            exps[int(name) - 1] += int(exp or 1)
+        return tuple(exps)
+    return Binomial(*map(mono, re.split(r" [-+] ", line)))
+
+
 def test_generator_count_flagship():
     # 5 torus relations, then C(5,2) = 10 cycle binomials.
     gens = build_generators(5, 5)
@@ -64,6 +76,17 @@ def test_generator_count_torus_field():
     gens = build_generators(3, 4)
     assert gens == _torus(4, 3)
     assert len(gens) == 3
+
+
+def test_generator_count_two_copies():
+    gens = [_read_binomial(line, 6) for line in
+            generator_lines(CycleFamilySpec.single(3, 2), 5)]
+    # 6 torus + C(3,1) = 3 per copy, the copies in block order.
+    assert tuple(gens[:6]) == _torus(5, 6)
+    assert all(_cycle_binomial(g, 2) for g in gens[6:])
+    assert not any(any(m[3:]) for g in gens[6:9] for m in g)
+    assert not any(any(m[:3]) for g in gens[9:] for m in g)
+    assert len(gens) == 12
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -222,6 +245,14 @@ def test_cycle_generators_supports_disjoint_and_leading_longer():
             # Leading monomial is the longer (gamma+1)-variable product.
             assert sum(g.lead) == (gamma + 1) * half
             assert sum(g.tail) == gamma * half
+
+
+def test_second_block_generators_use_second_block_vars():
+    lines = list(generator_lines(CycleFamilySpec.single(3, 2), 5))
+    for line in lines[9:]:  # after 6 torus and 3 first-copy binomials
+        for mono in _read_binomial(line, 6):
+            assert all(e == 0 for e in mono[:3])
+            assert any(e for e in mono[3:])
 
 
 # -- vanishing -------------------------------------------------------------------
