@@ -17,14 +17,15 @@ keeps the least degree of each of the (q-1)^k possible characters in
 one array.  Elimination (rank_at) stays as the linear-algebra
 reference for that count.
 
-For the same reason the distinct rows of the evaluation matrix are a
-basis of the code (code_params), so the code parameters need no row
-reduction.  The minimum distance is searched over orbits (_min_weight):
-X* is a group, translating a codeword by an element of X* permutes its
-coordinates and scales the coefficient of each basis row by that row's
-character, and scaling by F_q^* keeps the support, so the weight is
-constant on the orbits of G = F_q^* x X* on messages.  The search
-has two phases.  A depth-first walk over the basis rows that carries a
+For the same reason the code's basis, dimension and orbit group come
+from one array of the monomials' characters (code_params), with no
+row reduction and no matrix.  The minimum distance is searched over
+orbits (_min_weight): X* is a group, translating a codeword by an
+element of X* permutes its coordinates and scales the coefficient of
+each basis row by that row's character, and scaling by F_q^* keeps the
+support, so the weight is constant on the orbits of G = F_q^* x X* on
+messages.  The search has two phases.  A depth-first walk over the
+basis rows that carries a
 stabilizer chain of G picks exactly one message per orbit; it runs in
 integers alone (_orbit_tree), works out each stabilizer once per set of
 generators, and keeps the resulting tree with each repeated subtree
@@ -35,9 +36,9 @@ pass at a time.
 
 One arithmetic path serves both kinds of field.  Every entry of the
 matrix is a unit, held as its discrete log: the log of t^a at the
-point of logs l (a row of X.logs) is (a . l) mod (q-1).  Rows are told
-apart, and the distance search gets its basis, as logs; products are
-antilogs of sums of logs (Field.exp), and sums are Field.iadd.
+point of logs l (a row of X.logs) is (a . l) mod (q-1).  The distance
+search gets its basis as logs; products are antilogs of sums of logs
+(Field.exp), and sums are Field.iadd.
 """
 
 from __future__ import annotations
@@ -261,8 +262,8 @@ def character_at(spec: CycleFamilySpec, q: int, degrees,
     r = q - 1
     lengths = sorted(spec.lengths)
     for k in lengths:
-        check_budget(f"counting the characters of one {k}-cycle copy "
-                     f"over F_{q}", r ** k, "states", budget)
+        check_product_budget(f"counting the characters of one {k}-cycle "
+                             f"copy over F_{q}", [(r, k)], "states", budget)
     dmax = max(max(degrees, default=0), 0)
     # the cells of one product per copy, of that copy's counts and of
     # a product no longer than the counts of all copies: an upper bound
@@ -329,18 +330,12 @@ def _stabilizer(gens: list[tuple[int, ...]], j: int, h: int,
     return [row for row in dict.fromkeys(kernel) if any(row)]
 
 
-def _orbit_generators(spec: CycleFamilySpec, monomials: np.ndarray,
-                      q: int) -> np.ndarray:
-    """Log generators of G = F_q^* x X* on the coefficients of the rows
-    t^a, a the rows of monomials: the all-ones vector (the scalars),
-    and per vertex v the exponent of that vertex in each row's
-    character, (B^T a)_v mod q-1, B the edge-vertex incidence matrix
-    (X* is the edge-product image of the vertex torus)."""
-    incidence = np.zeros((spec.nvars, spec.nvars), dtype=np.int64)
-    for e, (u, v) in enumerate(spec.edges()):
-        incidence[e, u] = incidence[e, v] = 1
-    return np.vstack([np.ones(len(monomials), dtype=np.int64),
-                      (monomials @ incidence).T]) % (q - 1)
+def _characters(spec: CycleFamilySpec, a: np.ndarray, q: int) -> np.ndarray:
+    """The characters B^T a mod q-1 on X*, the edge-product image of the
+    vertex torus, of the rows t^a of a, B the edge-vertex incidence
+    matrix: a_v + a_prev(v) at vertex v, on edges prev(v) and v."""
+    prev = [off + (j - 1) % k for k, off in spec.blocks() for j in range(k)]
+    return (a + a[:, prev]) % (q - 1)
 
 
 class _OrbitTree(NamedTuple):
@@ -358,7 +353,7 @@ class _OrbitTree(NamedTuple):
 def _orbit_tree(gens: np.ndarray, r: int) -> _OrbitTree:
     """The walk that visits one message per orbit of G on nonzero
     messages, in integers alone; gens holds G's log generators on the
-    coefficients of the basis rows (see _orbit_generators).
+    coefficients of the basis rows (see code_params).
 
     The walk goes depth first over the rows.  At each row the message
     is zero, which leaves the generators as they are, or omega^x with
@@ -515,27 +510,26 @@ def code_params(X: ToricSet, d: int,
                 max_entries: int = DEFAULT_ENUM_BUDGET) -> CodeParams:
     """Length, dimension and (budget permitting) exact min distance.
 
-    Every row of the evaluation matrix is a character of the group X*,
-    equal monomial characters give equal rows and distinct characters
-    are linearly independent (Artin), so the distinct rows are a basis
-    of the code and their number is its dimension: no row reduction.
-    Rows are told apart by the bytes of their logs (exp is a bijection,
-    so equal logs are equal values), which costs the same for any row
-    length, and kept in matrix order; the distance does not depend on
-    their order.  The exact distance is searched when q^dimension fits
-    dist_budget."""
-    q = X.field.q
-    M = build_evaluation_matrix(X, d, max_entries)
-    row_bytes = M.logs.view(np.dtype((np.void, M.logs[0].nbytes)))
-    _, first = np.unique(row_bytes.ravel(), return_index=True)
-    kept = np.sort(first)
+    Rows of the evaluation matrix are characters of the group X*, equal
+    for equal monomial characters, independent when distinct (Artin):
+    the first monomial of each distinct character (told apart by its
+    bytes) is a basis in matrix order, whose size is the dimension.
+    Dimension n is all of F_q^n, distance 1.  Else the distance is
+    searched when q^dimension fits dist_budget, in the group generated
+    by the all-ones vector (scalars) and the characters' columns (X*),
+    on the basis rows' logs: the matrix's one use, budgeted anyway."""
+    q, n = X.field.q, len(X)
+    check_matrix_budget(X.nvars, q, [(n, 1)], d, max_entries)
+    chars = _characters(X.spec, np.array(monomial_basis(X.nvars, q, d),
+                        dtype=np.min_scalar_type(2 * (q - 2))), q)
+    row_bytes = chars.view(np.dtype((np.void, chars[0].nbytes)))
+    kept = np.sort(np.unique(row_bytes.ravel(), return_index=True)[1])
     dim = len(kept)
-    n = len(X)
-    if q ** dim > dist_budget:
+    if dim < n and q ** dim > dist_budget:
         return CodeParams(q, d, n, dim, None, (1, n - dim + 1), None)
-    monomials = np.array(M.monomials, dtype=np.int64)[kept]
-    gens = _orbit_generators(X.spec, monomials, q)
-    dist = _min_weight(M.logs[kept], gens, X.field)
+    gens = np.vstack([np.ones(dim, dtype=chars.dtype), chars[kept].T])
+    dist = 1 if dim == n else _min_weight(
+        build_evaluation_matrix(X, d, max_entries).logs[kept], gens, X.field)
     return CodeParams(q, d, n, dim, dist, None, n - dim + 1 - dist)
 
 

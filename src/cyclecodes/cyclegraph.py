@@ -97,11 +97,6 @@ class CycleFamilySpec:
                 yield k, off
                 off += k
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Global edge list in the pinned order."""
-        return [(off + j, off + (j + 1) % k)
-                for k, off in self.blocks() for j in range(k)]
-
     def to_string(self) -> str:
         return ",".join(f"{k}x{m}" if m > 1 else str(k)
                         for k, m in self.components)
@@ -159,8 +154,8 @@ def _single_cycle_mask(k: int, field: Field, budget: int) -> np.ndarray:
     import numpy as np
 
     r = field.q - 1
-    check_budget(f"enumerating one {k}-cycle copy over F_{field.q}",
-                 r ** k, "assignments", budget)
+    check_product_budget(f"enumerating one {k}-cycle copy over F_{field.q}",
+                         [(r, k)], "assignments", budget)
     dtype = np.int32 if r ** k < 1 << 31 else np.int64
     rest = np.arange(r ** (k - 1), dtype=dtype)
     first = last = rest // r ** (k - 2)  # vertex 1's log

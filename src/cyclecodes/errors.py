@@ -50,9 +50,9 @@ class BudgetExceeded(CycleCodesError):
     """A stage would need ``needed`` units of ``unit``, more than it is
     ``allowed``: the budget, sys.maxsize past what one array can index,
     or the text 2^_EXACT_BITS past any count that is formed.  ``needed``
-    is a count or the text of a lower bound (refuse_past_bits).  The
-    text is made when read, through decimal_text, so a count of any
-    size reads in subquadratic time and still raises BudgetExceeded."""
+    is a count or the text of a lower bound (refuse_past_bits,
+    refuse_beyond).  Its text is made when read, by decimal_text, so any
+    count reads in subquadratic time and still raises BudgetExceeded."""
 
     def __init__(self, stage: str, needed: int, unit: str, allowed: int):
         super().__init__(stage, needed, unit, allowed)
@@ -82,22 +82,30 @@ def check_budget(stage: str, needed: int, unit: str, budget: int) -> None:
 _EXACT_BITS = 1 << 23
 
 
-def refuse_past_bits(stage: str, factors, unit: str) -> None:
+def refuse_past_bits(stage: str, factors, unit: str) -> int:
     """Raise BudgetExceeded when the product of c^m over the pairs (c, m)
     of factors, every c >= 1, is at least 2^N with N past _EXACT_BITS,
     N the sum of m * (bit_length(c) - 1): read off the bit lengths, no
     power formed.  No budget lifts that limit, so the refusal names it,
-    2^_EXACT_BITS, and the bound."""
+    2^_EXACT_BITS, and the bound; returns N."""
     low = sum(m * (c.bit_length() - 1) for c, m in factors)
     if low > _EXACT_BITS:
         raise BudgetExceeded(stage, f"at least 2^{low}", unit,
                              f"2^{_EXACT_BITS}")
+    return low
+
+
+def refuse_beyond(stage: str, bits: int, unit: str, budget: int) -> None:
+    """Raise BudgetExceeded, naming the budget, when work of at least
+    2^bits units passes it by 64 bits or more: it is not counted."""
+    if bits >= budget.bit_length() + 64:
+        raise BudgetExceeded(stage, f"at least 2^{bits}", unit, budget)
 
 
 def check_product_budget(stage: str, factors, unit: str, budget: int) -> int:
     """The product of c^m over the pairs (c, m) of factors, after
-    refuse_past_bits and then check_budget."""
-    refuse_past_bits(stage, factors, unit)
+    refuse_past_bits, refuse_beyond and then check_budget."""
+    refuse_beyond(stage, refuse_past_bits(stage, factors, unit), unit, budget)
     total = prod(c ** m for c, m in factors)
     check_budget(stage, total, unit, budget)
     return total

@@ -39,7 +39,7 @@ from collections.abc import Iterator
 from math import comb
 
 from .cyclegraph import DEFAULT_ENUM_BUDGET, CycleFamilySpec, gamma_of
-from .errors import check_budget
+from .errors import check_budget, refuse_beyond
 from .poly import Binomial
 
 
@@ -55,6 +55,9 @@ def check_build_budget(copies, q: int, budget: int) -> None:
     ``copies``, pairs (k, m) of m copies of the k-cycle, would take more
     than ``budget`` exponent cells, one per variable of its cycle in
     each generator: the sum of m * G_k * k, G_k = generator_count(k, q)."""
+    if (q - 1) % 2 == 0:  # G_k >= C(k, gamma) >= 2^gamma, before forming it
+        refuse_beyond("generator build", max(gamma_of(k) for k, _ in copies),
+                      "exponent cells", budget)
     sizes = [(m * generator_count(k, q), k) for k, m in copies]
     n = sum(g for g, _ in sizes)
     check_budget(f"generator build of {n} generators",

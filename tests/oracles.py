@@ -27,7 +27,11 @@ raises each factor to its power by one recurrence.  The union weights
 are two binomials each; the library steps from one to the next by
 their ratio.  The generator set of a union is held whole, every
 binomial over all the variables; the library builds one cycle per
-length and writes each copy by shifting the variable indices.
+length and writes each copy by shifting the variable indices.  The
+characters of monomials come from the incidence matrix of an edge list,
+and the basis of a code from the distinct rows of its whole evaluation
+matrix; the library gathers each vertex's previous edge instead, and
+reads the basis off the distinct characters, with no matrix.
 """
 
 import functools
@@ -386,10 +390,37 @@ def evaluate(f, point) -> int:
 # -- the point set and its vanishing ideal ------------------------------------
 
 
+def edges(spec) -> list[tuple[int, int]]:
+    """The edges of every cycle copy, in the layout of the cyclegraph
+    docstring: edge off+j joins vertices off+j and off+(j+1) mod k."""
+    return [(off + j, off + (j + 1) % k)
+            for k, off in spec.blocks() for j in range(k)]
+
+
 def theta_map(spec, field, x):
     """The edge-product map: one coordinate x_j * x_k per edge (j, k)
-    of ``spec.edges()``."""
-    return tuple(field.mul(x[a], x[b]) for a, b in spec.edges())
+    of ``edges(spec)``."""
+    return tuple(field.mul(x[a], x[b]) for a, b in edges(spec))
+
+
+def characters_by_incidence(spec, monomials, q) -> np.ndarray:
+    """The character of each row t^a of monomials on X*, B^T a mod q-1,
+    B the edge-vertex incidence matrix of ``edges(spec)``, as one
+    matrix product."""
+    incidence = np.zeros((spec.nvars, spec.nvars), dtype=np.int64)
+    for e, (u, v) in enumerate(edges(spec)):
+        incidence[e, u] = incidence[e, v] = 1
+    return np.asarray(monomials, dtype=np.int64) @ incidence % (q - 1)
+
+
+def distinct_rows(logs) -> np.ndarray:
+    """The index of the first of each distinct row of logs, in order,
+    rows told apart by their bytes: the basis of an evaluation code
+    read off its whole matrix."""
+    logs = np.ascontiguousarray(logs)
+    row_bytes = logs.view(np.dtype((np.void, logs[0].nbytes)))
+    _, first = np.unique(row_bytes.ravel(), return_index=True)
+    return np.sort(first)
 
 
 def coordinates(X) -> np.ndarray:

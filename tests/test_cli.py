@@ -368,6 +368,42 @@ def test_code_bracket_when_budget_exceeded():
     assert "min_distance" not in doc
 
 
+def _no_matrix(*args, **kwargs):
+    raise AssertionError("an evaluation row was built")
+
+
+@pytest.mark.parametrize("argv, n, dimension, singleton", [
+    ("code --q 7 --spec 3 --d 2", 108, 10, 99),
+    ("code --q 3 --spec 3x9 --d 1", 262144, 28, 262117)])
+def test_code_bracket_builds_no_evaluation_row(monkeypatch, capsys, argv, n,
+                                               dimension, singleton):
+    monkeypatch.setattr(codes, "build_evaluation_matrix", _no_matrix)
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out == (
+        f"n = {n}\ndimension = {dimension}\nmin distance in [1, {singleton}] "
+        "(not computed: message count exceeds --dist-budget)\n")
+    assert cli.main([*argv.split(), "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps({
+        "q": int(argv.split()[2]), "spec": argv.split()[4], "d": int(argv[-1]),
+        "n": n, "dimension": dimension,
+        "min_distance_bracket": [1, singleton], "singleton_ok": None},
+        indent=2) + "\n"
+
+
+def test_code_of_the_whole_space_prints_distance_one(monkeypatch, capsys):
+    # dimension = n: the code is all of F_q^n, so its bracket [1, 1] is
+    # the distance, found without a search or an evaluation row
+    monkeypatch.setattr(codes, "build_evaluation_matrix", _no_matrix)
+    argv = ["code", "--q", "4", "--spec", "3", "--d", "100"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (
+        "n = 27\ndimension = 27\nmin distance = 1\nsingleton ok = true\n")
+    assert cli.main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "q": 4, "spec": "3", "d": 100, "n": 27, "dimension": 27,
+        "min_distance": 1, "singleton_ok": True}
+
+
 def test_code_negative_degree_is_usage_error():
     r = run_cli("code", "--q", "5", "--spec", "3", "--d", "-1")
     assert r.returncode == 2
@@ -460,14 +496,13 @@ def test_code_matrix_over_budget_exits_3_before_enumerating(monkeypatch,
         "error: evaluation matrix needs 477102080 entries, "
         "budget is 67108864\n")
     # one basis monomial on 300000 variables times |X*| = 4^100000
-    # points: the basis count reads the box numerator at degree 0 only
+    # points: the basis count reads the box numerator at degree 0 only,
+    # and a count so far past the budget is refused from its bit lengths
     r = run_cli("code", "--q", "3", "--spec", "3x100000", "--d", "0",
                 timeout=10)
-    head, tail = "error: evaluation matrix needs ", " entries, budget is "
     assert (r.returncode, r.stdout) == (3, "")
-    assert r.stderr.startswith(head)
-    assert r.stderr.endswith(tail + "67108864\n")
-    assert len(r.stderr[len(head):].split(" ")[0]) == 60206  # 4^100000
+    assert r.stderr == ("error: evaluation matrix needs at least 2^200000 "
+                        "entries, budget is 67108864\n")
 
 
 # -- ideal / groebner-check / enumerate / card ------------------------------------------
@@ -811,9 +846,17 @@ def test_card_prints_a_million_copies_in_seconds():
 
 @_digit_limit
 def test_enumerate_budget_message_past_4300_digits():
-    r = run_cli("enumerate", "--q", "5", "--spec", "3x3000")
+    # 32^2865 points, 4313 digits, pass a budget of 4300 digits by
+    # fewer bits than a refusal from the bit lengths needs: the count
+    # is printed exactly
+    budget = "1" + "0" * 4299
+    r = run_cli("enumerate", "--q", "5", "--spec", "3x2865",
+                "--enum-budget", budget)
     assert r.returncode == 3
-    assert r.stderr.startswith("error: materializing X* needs ")
+    head = "error: materializing X* needs "
+    assert r.stderr.startswith(head)
+    assert r.stderr.endswith(f" points, budget is {budget}\n")
+    assert len(r.stderr[len(head):].split(" ")[0]) == 4313
 
 
 @_digit_limit

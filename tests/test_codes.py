@@ -34,7 +34,9 @@ from cyclecodes.poly import grlex_key
 from oracles import (
     add,
     character_degrees_by_search,
+    characters_by_incidence,
     coordinates,
+    distinct_rows,
     field_tables,
     point_tuples,
     power,
@@ -647,9 +649,16 @@ def _distinct_rows(X, d):
     """The logs of the distinct rows of the degree-d evaluation matrix,
     first occurrences in matrix order, with their monomials."""
     M = build_evaluation_matrix(X, d)
-    _, first = np.unique(M.logs, axis=0, return_index=True)
-    kept = np.sort(first)
+    kept = distinct_rows(M.logs)
     return M.logs[kept], np.array(M.monomials, dtype=np.int64)[kept]
+
+
+def _generators(spec, monomials, q):
+    """The log generators of G on the coefficients of the rows t^a of
+    monomials, as code_params lays them out: the all-ones vector (the
+    scalars), then the characters' columns (X*)."""
+    chars = codes._characters(spec, monomials, q)
+    return np.vstack([np.ones(len(monomials), dtype=chars.dtype), chars.T])
 
 
 def _weight(field, coeffs, rows):
@@ -681,7 +690,7 @@ def test_weight_is_constant_on_orbits_of_scalars_and_translations(
     field, r = X.field, q - 1
     logs, monomials = _distinct_rows(X, d)
     basis = field.exp[logs]
-    gens = codes._orbit_generators(X.spec, monomials, q)
+    gens = _generators(X.spec, monomials, q)
     ints = st.integers(0, r - 1)
     message = data.draw(st.lists(st.integers(0, q - 1), min_size=len(basis),
                                  max_size=len(basis)))
@@ -754,7 +763,7 @@ def test_orbit_walk_visits_one_message_per_orbit(q, spec_text):
     for size in range(1, dim + 1):
         for S in itertools.combinations(range(dim), size):
             orbits += r ** size // int(_subgroup(group[:, S], r).sum())
-    gens = codes._orbit_generators(X.spec, monomials, q)
+    gens = _generators(X.spec, monomials, q)
     assert codes._orbit_tree(gens, r).below[-1] == orbits
     visited = sum(len(block)
                   for block in codes._orbit_blocks(basis, gens, field))
@@ -772,7 +781,7 @@ def test_orbit_blocks_stay_within_the_table(monkeypatch, q, spec_text,
     n = len(X)
     cap = 3 * n if cells == "3n" else cells
     monkeypatch.setattr(codes, "_TABLE_CELLS", cap)
-    gens = codes._orbit_generators(X.spec, monomials, q)
+    gens = _generators(X.spec, monomials, q)
     sizes = [block.size for block in
              codes._orbit_blocks(basis, gens, X.field)]
     assert max(sizes) <= max(cap, (q - 1) * n)
@@ -785,6 +794,61 @@ def test_orbit_tree_refuses_more_representatives_than_an_array_indexes():
     # kept subtrees, before any word is built.
     with pytest.raises(BudgetExceeded, match="orbit representatives"):
         codes._orbit_tree(np.ones((1, 6), dtype=np.int64), 65520)
+
+
+_BASIS_INSTANCES = [
+    (q, spec) for q in (2, 3, 4, 5, 7, 8)
+    for spec in ("3", "5", "7", "3x2", "3,5", "5x2", "3x2,5")
+    if cardinality_formula(parse_spec_string(spec), q) <= 2_000]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(instance=st.sampled_from(_BASIS_INSTANCES), d=st.integers(0, 3))
+def test_code_params_basis_is_the_distinct_rows_of_the_matrix(instance, d):
+    # code_params reads the basis off the monomials' characters; it must
+    # be the first of each distinct row of the whole evaluation matrix,
+    # and the search's generators the incidence products of its
+    # monomials.  The search is stubbed to catch what it is handed.
+    q, spec_text = instance
+    X = _cached_X(q, spec_text)
+    M = build_evaluation_matrix(X, d)
+    kept = distinct_rows(M.logs)
+    handed = []
+
+    def search(basis, gens, field):
+        handed.append((basis, gens))
+        return 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes, "_min_weight", search)
+        p = code_params(X, d, dist_budget=q ** len(kept))
+    assert p.dimension == len(kept)
+    if len(kept) == len(X):  # all of F_q^n: distance 1, no search
+        assert (p.min_distance, handed) == (1, [])
+        return
+    [(basis, gens)] = handed
+    assert np.array_equal(basis, M.logs[kept])
+    monomials = np.array(M.monomials, dtype=np.int64)[kept]
+    assert np.array_equal(gens, np.vstack([
+        np.ones(len(kept), dtype=np.int64),
+        characters_by_incidence(X.spec, monomials, q).T]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(families=st.lists(st.tuples(st.sampled_from([3, 5, 7]),
+                                   st.integers(1, 3)), min_size=1,
+                         max_size=3),
+       q=st.sampled_from([2, 3, 4, 5, 127, 128, 131, 256, 257, 65521]),
+       data=st.data())
+def test_characters_are_the_incidence_products(families, q, data):
+    # in the dtype code_params gives the exponents, near its edge too
+    spec = CycleFamilySpec(tuple(families))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, q - 2), min_size=spec.nvars,
+                 max_size=spec.nvars), min_size=1, max_size=5))
+    monomials = np.array(rows, dtype=np.min_scalar_type(2 * (q - 2)))
+    assert np.array_equal(codes._characters(spec, monomials, q),
+                          characters_by_incidence(spec, rows, q))
 
 
 @pytest.mark.parametrize("q, spec_text, distance", [

@@ -19,7 +19,7 @@ from cyclecodes import (
     gamma_of,
     parse_spec_string,
 )
-from oracles import coordinates, inv, neg, point_tuples, theta_map
+from oracles import coordinates, edges, inv, neg, point_tuples, theta_map
 
 
 # -- spec validation and layout ----------------------------------------------
@@ -57,7 +57,7 @@ def test_blocks_and_edges_pinned_layout():
     assert list(spec.blocks()) == [(3, 0), (3, 3), (5, 6)]
     # the copies are walked one at a time, never listed
     assert next(CycleFamilySpec.single(3, 10 ** 20).blocks()) == (3, 0)
-    assert spec.edges() == [
+    assert edges(spec) == [
         (0, 1), (1, 2), (2, 0),
         (3, 4), (4, 5), (5, 3),
         (6, 7), (7, 8), (8, 9), (9, 10), (10, 6),
