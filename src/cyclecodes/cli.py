@@ -39,7 +39,6 @@ from types import SimpleNamespace
 
 from . import hilbert
 from .cyclegraph import (
-    DEFAULT_DIST_BUDGET,
     DEFAULT_ENUM_BUDGET,
     CycleFamilySpec,
     cardinality_factors,
@@ -274,7 +273,7 @@ def _cmd_code(args, field, spec) -> tuple[str, bool]:
                               cardinality_factors(spec, args.q), args.d,
                               args.enum_budget)
     X = enumerate_toric_set(spec, field, args.enum_budget)
-    params = codes.code_params(X, args.d, args.dist_budget, args.enum_budget)
+    params = codes.code_params(X, args.d, args.enum_budget)
     for name, got, route, want in (
             ("length", params.n, "closed-form |X*|",
              cardinality_formula(spec, args.q)),
@@ -306,7 +305,7 @@ def _cmd_code(args, field, spec) -> tuple[str, bool]:
         else:
             lo, hi = params.min_distance_bracket
             lines.append(f"min distance in [{lo}, {hi}] (not computed: "
-                         "message count exceeds --dist-budget)")
+                         "the orbit search exceeds --enum-budget)")
         out = "\n".join(lines)
     return out, ok
 
@@ -409,16 +408,12 @@ class Command:
 
 _ENUM_BUDGET = Option(
     "--enum-budget", _nonnegative_int, DEFAULT_ENUM_BUDGET,
-    help="max enumeration / matrix work; for groebner-check, which checks "
+    help="max enumeration / matrix work, and for code the cells of the "
+         "exact min-distance search, n per orbit representative, past "
+         "which it prints a bracket; for groebner-check, which checks "
          "one cycle of each distinct length, both their generators' "
          "exponent cells and their lead tests, each checked before any "
          f"generator is built (default {DEFAULT_ENUM_BUDGET})")
-_DIST_BUDGET = Option(
-    "--dist-budget", _nonnegative_int, DEFAULT_DIST_BUDGET,
-    help="exact min distance only when q^dimension is at most this "
-         "budget, else a bracket; the search itself visits one message "
-         "per orbit of the scalars times the translations by X*, which "
-         f"keep the weight (default {DEFAULT_DIST_BUDGET})")
 
 
 def _common(formats=("plain", "json"), *more: Option) -> tuple[Option, ...]:
@@ -462,7 +457,7 @@ _COMMANDS = {
     "betas": Command(_cmd_betas, "beta decomposition of a single-cycle "
                                  "Hilbert function", _common()),
     "code": Command(_cmd_code, "evaluation code parameters", _common(
-        ("plain", "json"), _ENUM_BUDGET, _DIST_BUDGET,
+        ("plain", "json"), _ENUM_BUDGET,
         Option("--d", _nonnegative_int, required=True, help="code degree"))),
     "selftest": Command(_cmd_selftest, "run the built-in reference checks "
                                        "(q=5, one 5-cycle)",

@@ -29,7 +29,8 @@ basis rows that carries a
 stabilizer chain of G picks exactly one message per orbit; it runs in
 integers alone (_orbit_tree), works out each stabilizer once per set of
 generators, and keeps the resulting tree with each repeated subtree
-once.  The codewords of those messages are then built in numpy
+once, counting the representatives that the search's budget reads.
+The codewords of those messages are then built in numpy
 (_orbit_blocks), a node's from its parent's plus a multiple of one
 basis row, one row at a time for all nodes of a pass, and scored one
 pass at a time.
@@ -51,12 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclegraph import (
-    DEFAULT_DIST_BUDGET,
-    DEFAULT_ENUM_BUDGET,
-    CycleFamilySpec,
-    ToricSet,
-)
+from .cyclegraph import DEFAULT_ENUM_BUDGET, CycleFamilySpec, ToricSet
 from .errors import (
     check_budget,
     check_product_budget,
@@ -389,9 +385,9 @@ def _orbit_tree(gens: np.ndarray, r: int) -> _OrbitTree:
     return tree
 
 
-def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
+def _orbit_blocks(basis: np.ndarray, tree: _OrbitTree, field: Field):
     """Yield blocks of codewords whose messages are, all blocks together,
-    exactly the representatives of _orbit_tree.
+    exactly the representatives of tree, from _orbit_tree.
 
     A node's words are its parent's words, each plus omega^x * row for
     x in [0, h).  A pass lays out some nodes below one node in
@@ -418,7 +414,7 @@ def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
     exp = np.tile(field.exp, 2).astype(dtype)
     x = np.arange(r, dtype=dtype)[:, None]
     multiples = {}  # row -> its first multiples, as many as were read
-    choices, below = _orbit_tree(gens, r)
+    choices, below = tree
 
     def lay_out(nodes, p, c, h, k, m):
         # append, in preorder, the node of row c, h and stabilizer k
@@ -485,7 +481,7 @@ def _orbit_blocks(basis: np.ndarray, gens: np.ndarray, field: Field):
     yield from walk(len(choices) - 1, 0, np.zeros((1, n), dtype=dtype))
 
 
-def _min_weight(basis: np.ndarray, gens: np.ndarray, field: Field) -> int:
+def _min_weight(basis: np.ndarray, tree: _OrbitTree, field: Field) -> int:
     """Least Hamming weight of a nonzero codeword of the row space of
     the rows whose logs are basis.
 
@@ -493,12 +489,12 @@ def _min_weight(basis: np.ndarray, gens: np.ndarray, field: Field) -> int:
     translating a codeword by g in X* permutes its coordinates and
     scales the coefficient of row a by chi_a(g), and scaling by lambda
     keeps the support.  The weight is constant on each orbit, so only
-    the orbit representatives of _orbit_blocks are scored, one count
+    the orbit representatives of tree are scored, one count
     per block, summed in the narrowest dtype that holds n, which is
     faster than count_nonzero's intp; the search stops at weight 1."""
     best = len(basis[0])
     weight = np.min_scalar_type(best)
-    for block in _orbit_blocks(basis, gens, field):
+    for block in _orbit_blocks(basis, tree, field):
         best = min(best, int(np.add.reduce(block != 0, 1, weight).min()))
         if best == 1:
             break
@@ -506,7 +502,6 @@ def _min_weight(basis: np.ndarray, gens: np.ndarray, field: Field) -> int:
 
 
 def code_params(X: ToricSet, d: int,
-                dist_budget: int = DEFAULT_DIST_BUDGET,
                 max_entries: int = DEFAULT_ENUM_BUDGET) -> CodeParams:
     """Length, dimension and (budget permitting) exact min distance.
 
@@ -515,9 +510,12 @@ def code_params(X: ToricSet, d: int,
     the first monomial of each distinct character (told apart by its
     bytes) is a basis in matrix order, whose size is the dimension.
     Dimension n is all of F_q^n, distance 1.  Else the distance is
-    searched when q^dimension fits dist_budget, in the group generated
-    by the all-ones vector (scalars) and the characters' columns (X*),
-    on the basis rows' logs: the matrix's one use, budgeted anyway."""
+    searched in the group G generated by the all-ones vector (scalars)
+    and the characters' columns (X*), on the basis rows' logs (the
+    matrix's one use), when its cells, orbit representatives x n, fit
+    max_entries, else bracketed.  |G| = (q-1)n, so the normalized
+    messages (q^dim - 1)/(q - 1) bound those cells below, before any
+    tree is built."""
     q, n = X.field.q, len(X)
     check_matrix_budget(X.nvars, q, [(n, 1)], d, max_entries)
     chars = _characters(X.spec, np.array(monomial_basis(X.nvars, q, d),
@@ -525,12 +523,16 @@ def code_params(X: ToricSet, d: int,
     row_bytes = chars.view(np.dtype((np.void, chars[0].nbytes)))
     kept = np.sort(np.unique(row_bytes.ravel(), return_index=True)[1])
     dim = len(kept)
-    if dim < n and q ** dim > dist_budget:
-        return CodeParams(q, d, n, dim, None, (1, n - dim + 1), None)
-    gens = np.vstack([np.ones(dim, dtype=chars.dtype), chars[kept].T])
-    dist = 1 if dim == n else _min_weight(
-        build_evaluation_matrix(X, d, max_entries).logs[kept], gens, X.field)
-    return CodeParams(q, d, n, dim, dist, None, n - dim + 1 - dist)
+    if dim == n:
+        return CodeParams(q, d, n, dim, 1, None, 0)
+    if (q ** dim - 1) // (q - 1) <= max_entries:
+        tree = _orbit_tree(np.vstack([np.ones(dim, dtype=chars.dtype),
+                                      chars[kept].T]), q - 1)
+        if tree.below[-1] * n <= max_entries:
+            dist = _min_weight(build_evaluation_matrix(X, d, max_entries)
+                               .logs[kept], tree, X.field)
+            return CodeParams(q, d, n, dim, dist, None, n - dim + 1 - dist)
+    return CodeParams(q, d, n, dim, None, (1, n - dim + 1), None)
 
 
 def singleton_check(params: CodeParams) -> bool:

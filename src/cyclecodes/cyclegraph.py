@@ -35,7 +35,6 @@ from .errors import (
 from .gf import Field
 
 DEFAULT_ENUM_BUDGET = 1 << 26
-DEFAULT_DIST_BUDGET = 1 << 22
 
 
 def gamma_of(k: int) -> int:
@@ -247,15 +246,17 @@ def enumerated_cardinality(spec: CycleFamilySpec, field: Field,
 
 def cardinality_factors(spec: CycleFamilySpec,
                         q: int) -> list[tuple[int, int]]:
-    """|X*| as (count, m) per family, |X*| the product of count^m: a
-    k-cycle copy has (q-1)^k / h points, h = 2 when q-1 is even
-    (opposite vertex assignments collide pairwise) and 1 otherwise."""
+    """|X*| as (count, m) pairs whose count^m multiply to it, no power
+    formed: a k-cycle copy has (q-1)^k / h points, h = 2 when q-1 is even
+    (opposite vertex assignments collide pairwise) and 1 otherwise, so
+    m copies give ((q-1)/h, m) and (q-1, (k-1)m)."""
     h = 2 if (q - 1) % 2 == 0 else 1
-    return [((q - 1) ** k // h, m) for k, m in spec.components]
+    return [pair for k, m in spec.components
+            for pair in (((q - 1) // h, m), (q - 1, (k - 1) * m))]
 
 
 def cardinality_formula(spec: CycleFamilySpec, q: int) -> int:
-    """Closed-form |X*|: one power per family of cardinality_factors, no
+    """Closed-form |X*|: one power per pair of cardinality_factors, no
     long division, refused first when its bit lengths alone put it past
     errors.refuse_past_bits' limit."""
     factors = cardinality_factors(spec, q)

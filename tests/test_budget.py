@@ -248,6 +248,9 @@ def test_a_refusal_of_a_huge_count_reads_fast():
     ("enumerate --q 256 --spec 1000001",
      "enumerating one 1000001-cycle copy over F_256 needs at least "
      "2^7000007 assignments, budget is 67108864"),
+    ("code --q 256 --spec 1000001 --d 0",
+     "evaluation matrix needs at least 2^7000007 entries, budget is "
+     "67108864"),
     ("hilbert --q 256 --spec 1000001 --d 0 --with-rank",
      "counting the characters of one 1000001-cycle copy over F_256 needs "
      "at least 2^7000007 states, budget is 67108864"),
@@ -258,8 +261,8 @@ def test_a_refusal_of_a_huge_count_reads_fast():
      "generator build needs at least 2^500000 exponent cells, budget is "
      "67108864"),
 ], ids=["code", "enumerate", "card", "card-budget", "regularity", "ideal",
-        "card-long", "enumerate-long", "hilbert-long", "ideal-long",
-        "groebner-long"])
+        "card-long", "enumerate-long", "code-long", "hilbert-long",
+        "ideal-long", "groebner-long"])
 def test_copies_past_any_count_exit_3_at_once(capsys, argv, text):
     start = time.perf_counter()
     assert cli.main(shlex.split(argv)) == 3

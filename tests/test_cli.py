@@ -358,8 +358,9 @@ def test_code_plain_golden():
 
 
 def test_code_bracket_when_budget_exceeded():
+    # 1000 admits the 320-entry matrix, not the search's 2,535,680 cells
     r = run_cli("code", "--q", "5", "--spec", "3", "--d", "2",
-                "--dist-budget", "1", "--format", "json")
+                "--enum-budget", "1000", "--format", "json")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["dimension"] == 10
@@ -372,22 +373,49 @@ def _no_matrix(*args, **kwargs):
     raise AssertionError("an evaluation row was built")
 
 
+def _no_tree(*args, **kwargs):
+    raise AssertionError("the orbit tree was built")
+
+
+_BRACKET = "(not computed: the orbit search exceeds --enum-budget)"
+
+
 @pytest.mark.parametrize("argv, n, dimension, singleton", [
-    ("code --q 7 --spec 3 --d 2", 108, 10, 99),
+    ("code --q 11 --spec 3 --d 2", 500, 10, 491),
     ("code --q 3 --spec 3x9 --d 1", 262144, 28, 262117)])
 def test_code_bracket_builds_no_evaluation_row(monkeypatch, capsys, argv, n,
                                                dimension, singleton):
+    # (q^dimension - 1)/(q - 1) normalized messages are past the default
+    # budget, so neither the orbit tree nor a row is built
     monkeypatch.setattr(codes, "build_evaluation_matrix", _no_matrix)
+    monkeypatch.setattr(codes, "_orbit_tree", _no_tree)
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().out == (
         f"n = {n}\ndimension = {dimension}\nmin distance in [1, {singleton}] "
-        "(not computed: message count exceeds --dist-budget)\n")
+        f"{_BRACKET}\n")
     assert cli.main([*argv.split(), "--format", "json"]) == 0
     assert capsys.readouterr().out == json.dumps({
         "q": int(argv.split()[2]), "spec": argv.split()[4], "d": int(argv[-1]),
         "n": n, "dimension": dimension,
         "min_distance_bracket": [1, singleton], "singleton_ok": None},
         indent=2) + "\n"
+
+
+# code --q 5 --spec 3 --d 2 searches 79,240 orbit representatives of n =
+# 32 cells each, 2,535,680 cells; its (5^10 - 1)/4 = 2,441,406 normalized
+# messages bound them below
+@pytest.mark.parametrize("budget, line", [
+    (2535680, "min distance = 8"),
+    (2535679, f"min distance in [1, 23] {_BRACKET}"),
+    (2441405, f"min distance in [1, 23] {_BRACKET}")])
+def test_code_search_fits_enum_budget_by_its_cells(monkeypatch, capsys,
+                                                   budget, line):
+    if budget < 2441406:
+        monkeypatch.setattr(codes, "_orbit_tree", _no_tree)
+    argv = ["code", "--q", "5", "--spec", "3", "--d", "2",
+            "--enum-budget", str(budget)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[2] == line
 
 
 def test_code_of_the_whole_space_prints_distance_one(monkeypatch, capsys):
@@ -459,7 +487,7 @@ def test_code_exits_1_when_a_second_route_disagrees(monkeypatch, capsys,
 
 @pytest.mark.parametrize("argv", [
     ["card", "--q", "5", "--spec", "3", "--enum-budget", "-1"],
-    ["code", "--q", "5", "--spec", "3", "--d", "1", "--dist-budget", "-5"],
+    ["code", "--q", "5", "--spec", "3", "--d", "1", "--enum-budget", "-5"],
 ])
 def test_negative_budget_is_usage_error(argv):
     r = run_cli(*argv)

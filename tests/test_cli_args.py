@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclecodes import cli
-from cyclecodes.cyclegraph import DEFAULT_DIST_BUDGET, DEFAULT_ENUM_BUDGET
+from cyclecodes.cyclegraph import DEFAULT_ENUM_BUDGET
 
 _COMMON = {"format": "plain", "out": None}
 _BUDGETS = {"enum_budget": DEFAULT_ENUM_BUDGET}
@@ -34,9 +34,9 @@ PARSED = [
           dmax=None, with_rank=False)),
     # the last of a repeated flag wins, also within --d | --dmax
     (["code", "--q", "5", "--q", "7", "--spec", "3", "--d", "1", "--d=2",
-      "--di", "10", "--e=20", "--o", "x"],
+      "--e", "10", "--e=20", "--o", "x"],
      dict(command="code", q=7, spec="3", format="plain", out="x",
-          enum_budget=20, dist_budget=10, d=2)),
+          enum_budget=20, d=2)),
     (["hilbert", "--q", "5", "--spec", "3", "--dmax", "2", "--dmax", "3"],
      dict(command="hilbert", q=5, spec="3", **_COMMON, **_BUDGETS, d=None,
           dmax=3, with_rank=False)),
@@ -44,12 +44,10 @@ PARSED = [
     (["regularity", "--q", " 5 ", "--spec="],
      dict(command="regularity", q=5, spec="", **_COMMON)),
     (["code", "--q", "5", "--spec", "3", "--d", "1_0",
-      "--dist-budget", "0"],
-     dict(command="code", q=5, spec="3", **_COMMON, **_BUDGETS,
-          dist_budget=0, d=10)),
+      "--enum-budget", "0"],
+     dict(command="code", q=5, spec="3", **_COMMON, enum_budget=0, d=10)),
     (["code", "--q", "5", "--spec", "3", "--d", "1"],
-     dict(command="code", q=5, spec="3", **_COMMON, **_BUDGETS,
-          dist_budget=DEFAULT_DIST_BUDGET, d=1)),
+     dict(command="code", q=5, spec="3", **_COMMON, **_BUDGETS, d=1)),
     (["selftest"], dict(command="selftest", out=None)),
     (["selftest", "--out=r.txt"], dict(command="selftest", out="r.txt")),
 ]
@@ -203,9 +201,9 @@ def _table_reads(argv):
 
 _TOKENS = st.sampled_from(
     list(cli._COMMANDS) + [
-        "--q", "--spec", "--format", "--out", "--enum-budget",
-        "--dist-budget", "--d", "--dmax", "--with-rank", "--spe", "--s",
-        "--f", "--o", "--e", "--di", "--dm", "--w", "-h", "--help", "--he",
+        "--q", "--spec", "--format", "--out", "--enum-budget", "--d",
+        "--dmax", "--with-rank", "--spe", "--s", "--f", "--o", "--e", "--en",
+        "--dm", "--w", "-h", "--help", "--he",
         "--h", "-q", "-x", "--x", "--", "-", "-1", "-1.5", "-.5", "-3x2",
         "5", "3", "3x2", "0", "x", "", " 5", "-5 x", "plain", "json", "csv",
         "xml", "--q=5", "--spec=3", "--d=1", "--dmax=-1", "--dmax=3",
@@ -219,7 +217,7 @@ _TOKENS = st.sampled_from(
     st.tuples(st.sampled_from(list(cli._COMMANDS)),
               st.lists(_TOKENS, max_size=9)).map(
         lambda t: [t[0], *t[1]])))
-@example(argv=["code", "--q=5", "--spe", "3", "--d", "1", "--di", "8",
+@example(argv=["code", "--q=5", "--spe", "3", "--d", "1", "--en", "8",
                "--format", "json", "--out", "f", "--q", "7"])
 @example(argv=["hilbert", "--q", "5", "--spec", "3", "--with-rank",
                "--dmax", "2", "--d", "1"])

@@ -36,6 +36,10 @@ _BAD_D = ["-7", "1.5", "x"]
 _DMAX = ["0", "3", "10000", "100000000000000000000"]
 _BAD_DMAX = ["-1", "x"]
 _BUDGET = ["0", "-1", "1000"]
+# Either side of the distance search's cells, orbit representatives x n:
+# 512 for code --q 5 --spec 3 --d 1 (at least 156 normalized messages),
+# 1024 for --q 3 --spec 5 --d 1.
+_SEARCH_BUDGET = ["155", "511", "512", "1023", "1024"]
 # An existing directory: --out can never write there.
 _OUT_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -60,11 +64,10 @@ def _command_line(draw):
             argv.append("--with-rank")
     if command == "code":
         argv += ["--d", draw(_mostly(_D, _BAD_D))]
-        if draw(st.booleans()):
-            argv += ["--dist-budget", draw(st.sampled_from(_BUDGET))]
     if command in ("enumerate", "card", "groebner-check", "hilbert", "code") \
             and draw(st.booleans()):
-        argv += ["--enum-budget", draw(st.sampled_from(_BUDGET))]
+        budgets = _BUDGET + _SEARCH_BUDGET if command == "code" else _BUDGET
+        argv += ["--enum-budget", draw(st.sampled_from(budgets))]
     if draw(st.integers(0, 9)) == 0:
         argv += ["--out", _OUT_DIR]
     return argv
@@ -72,8 +75,7 @@ def _command_line(draw):
 
 _ANY_TOKEN = st.sampled_from(
     sorted(_FORMATS) + ["nonsense", "--q", "--spec", "--d", "--dmax",
-                        "--format", "--enum-budget", "--dist-budget",
-                        "--with-rank", "xml"]
+                        "--format", "--enum-budget", "--with-rank", "xml"]
     + _Q + _BAD_Q + _SPEC + _BAD_SPEC + _D + _BAD_D + _DMAX + _BUDGET)
 
 _ARGV = st.one_of(_command_line(), st.lists(_ANY_TOKEN, max_size=8))
@@ -94,7 +96,7 @@ def _run(argv):
 @example(argv=["code", "--q", "5", "--spec", "3", "--d", "99999999999"])
 @example(argv=["hilbert", "--q", "5", "--spec", "3", "--dmax", "-1"])
 @example(argv=["code", "--q", "5", "--spec", "3", "--d", "1",
-               "--enum-budget", "-1", "--dist-budget", "-1"])
+               "--enum-budget", "-1"])
 @example(argv=["groebner-check", "--q", "3", "--spec", "13",
                "--enum-budget", "1000000"])
 @example(argv=["card", "--q", "5", "--spec", "3", "--out", _OUT_DIR])

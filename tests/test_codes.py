@@ -531,27 +531,62 @@ def test_min_distance_weight_vs_direct_search():
 
 
 def test_min_distance_budget_fallback():
+    # 400 admits both matrices (128 and 320 entries) but neither search:
+    # at d = 1, 16 orbit representatives x n = 32 are 512 cells, past it
+    # once the tree is built; at d = 2 the (5^10 - 1)/4 normalized
+    # messages already are
     X = _X(5, "3")
-    assert code_params(X, 1, dist_budget=1).min_distance is None
-    p = code_params(X, 2, dist_budget=1)
+    assert code_params(X, 1, max_entries=400).min_distance is None
+    p = code_params(X, 2, max_entries=400)
     assert p.min_distance is None
     assert p.min_distance_bracket == (1, len(X) - p.dimension + 1)
     assert p.singleton_slack is None
 
 
 def test_code_params_default_budget_brackets_large_dimension():
-    # 5^10 messages exceed the default budget, so only a bracket comes back.
-    X = _X(5, "3")
+    # (11^10 - 1)/10 normalized messages exceed the default budget, so
+    # only a bracket comes back.
+    X = _X(11, "3")
     p = code_params(X, 2)
-    assert p.dimension == 10
+    assert (p.n, p.dimension) == (500, 10)
     assert p.min_distance is None
-    assert p.min_distance_bracket == (1, 23)
+    assert p.min_distance_bracket == (1, 491)
 
 
 def test_singleton_check_needs_exact_distance():
-    p = code_params(_X(5, "3"), 2)
+    p = code_params(_X(11, "3"), 2)
     with pytest.raises(ValueError):
         singleton_check(p)
+
+
+def _counted(monkeypatch, name):
+    """Patch codes.<name> to record each call's arguments and result;
+    returns the record."""
+    calls, real = [], getattr(codes, name)
+
+    def counted(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(codes, name, counted)
+    return calls
+
+
+# d = 2 over F_5 on a triangle: 79,240 orbit representatives x n = 32
+# are 2,535,680 cells, bounded below by (5^10 - 1)/4 = 2,441,406
+@pytest.mark.parametrize("budget, trees, distance", [
+    (2535680, 1, 8), (2535679, 1, None), (2441405, 0, None)])
+def test_search_budget_counts_representatives_times_n(monkeypatch, budget,
+                                                      trees, distance):
+    X = _cached_X(5, "3")
+    built = _counted(monkeypatch, "_orbit_tree")
+    searched = _counted(monkeypatch, "_min_weight")
+    p = code_params(X, 2, max_entries=budget)
+    assert (p.min_distance, len(built)) == (distance, trees)
+    if trees:
+        assert built[0][1].below[-1] * len(X) == 2535680
+    # a search builds the tree once and hands that same tree on
+    assert [args[1] for args, _ in searched] == (
+        [built[0][1]] if distance else [])
 
 
 def test_distance_non_increasing_as_dimension_grows():
@@ -764,9 +799,10 @@ def test_orbit_walk_visits_one_message_per_orbit(q, spec_text):
         for S in itertools.combinations(range(dim), size):
             orbits += r ** size // int(_subgroup(group[:, S], r).sum())
     gens = _generators(X.spec, monomials, q)
-    assert codes._orbit_tree(gens, r).below[-1] == orbits
+    tree = codes._orbit_tree(gens, r)
+    assert tree.below[-1] == orbits
     visited = sum(len(block)
-                  for block in codes._orbit_blocks(basis, gens, field))
+                  for block in codes._orbit_blocks(basis, tree, field))
     assert visited == orbits
 
 
@@ -781,11 +817,11 @@ def test_orbit_blocks_stay_within_the_table(monkeypatch, q, spec_text,
     n = len(X)
     cap = 3 * n if cells == "3n" else cells
     monkeypatch.setattr(codes, "_TABLE_CELLS", cap)
-    gens = _generators(X.spec, monomials, q)
+    tree = codes._orbit_tree(_generators(X.spec, monomials, q), q - 1)
     sizes = [block.size for block in
-             codes._orbit_blocks(basis, gens, X.field)]
+             codes._orbit_blocks(basis, tree, X.field)]
     assert max(sizes) <= max(cap, (q - 1) * n)
-    assert sum(sizes) == codes._orbit_tree(gens, q - 1).below[-1] * n
+    assert sum(sizes) == tree.below[-1] * n
 
 
 def test_orbit_tree_refuses_more_representatives_than_an_array_indexes():
@@ -808,25 +844,31 @@ def test_code_params_basis_is_the_distinct_rows_of_the_matrix(instance, d):
     # code_params reads the basis off the monomials' characters; it must
     # be the first of each distinct row of the whole evaluation matrix,
     # and the search's generators the incidence products of its
-    # monomials.  The search is stubbed to catch what it is handed.
+    # monomials.  The tree and the search are stubbed to catch what they
+    # are handed; the budget admits every search.
     q, spec_text = instance
     X = _cached_X(q, spec_text)
     M = build_evaluation_matrix(X, d)
     kept = distinct_rows(M.logs)
     handed = []
 
-    def search(basis, gens, field):
-        handed.append((basis, gens))
+    def tree(gens, r):
+        handed.append(gens)
+        return codes._OrbitTree([], [0])
+
+    def search(basis, tree, field):
+        handed.append(basis)
         return 1
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codes, "_orbit_tree", tree)
         patch.setattr(codes, "_min_weight", search)
-        p = code_params(X, d, dist_budget=q ** len(kept))
+        p = code_params(X, d, max_entries=q ** len(kept) * len(X))
     assert p.dimension == len(kept)
     if len(kept) == len(X):  # all of F_q^n: distance 1, no search
         assert (p.min_distance, handed) == (1, [])
         return
-    [(basis, gens)] = handed
+    [gens, basis] = handed
     assert np.array_equal(basis, M.logs[kept])
     monomials = np.array(M.monomials, dtype=np.int64)[kept]
     assert np.array_equal(gens, np.vstack([
